@@ -15,7 +15,7 @@ from .curves import (
     reduction_type,
     tate_period,
 )
-from .modsym import build_space, eigen_symbol, hecke_operator
+from .modsym import build_space, eigen_symbol
 from .measures import (
     build_measure,
     euler_factor,
@@ -32,7 +32,7 @@ __all__ = [
     "Period", "branch_change_check", "equivalence_check", "li", "ugly_polynomial",
     "WeierstrassCurve", "curve_by_label", "curve_l_invariant", "invariants",
     "minimal_model_at", "quadratic_twist", "reduction_type", "tate_period",
-    "build_space", "eigen_symbol", "hecke_operator",
+    "build_space", "eigen_symbol",
     "build_measure", "euler_factor", "exceptional_zero_check",
     "lp_value_and_derivative", "one_minus_zeta_product", "stickelberger",
     "twist_product_check", "unit_root",

@@ -71,13 +71,3 @@ class Cache:
                     raise
             finally:
                 fcntl.flock(lock, fcntl.LOCK_UN)
-
-
-_default = None
-
-
-def shared_cache():
-    global _default
-    if _default is None:
-        _default = Cache()
-    return _default

@@ -17,7 +17,6 @@ from .curves import (
     CurveError,
     curve_by_label,
     curve_from_ainvs,
-    curve_l_invariant,
     conductor,
     reduction_type,
     tate_period,
@@ -26,6 +25,7 @@ from .measures import (
     MeasureError,
     build_measure,
     exceptional_zero_check,
+    ezc_report,
     lp_value_and_derivative,
     stickelberger,
     twist_product_check,
@@ -228,7 +228,7 @@ def cmd_li_curve(args, cache):
     curve = _resolve_curve(args, cache)
     red = reduction_type(curve, args.p)
     tp = tate_period(curve, args.p, args.prec, cache)
-    value = curve_l_invariant(curve, args.p, args.prec, cache)
+    value = li(tp.period, "iwasawa", prec=args.prec)
     return {
         "command": "li-curve",
         "curve": curve.to_json(),
@@ -302,8 +302,7 @@ def cmd_lp(args, cache):
         out["measure"] = measure.to_json()
     red = reduction_type(curve, args.p)
     if red.kind == "split-multiplicative":
-        rep = exceptional_zero_check(curve, args.p, args.depth, args.prec,
-                                     dual=args.dual, cache=cache)
+        rep = ezc_report(curve, measure, args.prec, args.dual, cache)
         out["exceptional_zero"] = rep.to_json()
     return out
 

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .cache import shared_cache
 from .padic import PadicNumber, check_prime, int_val
 from .periods import Period, li
 
@@ -424,10 +423,10 @@ def _series_inv(a, m):
 def j_q_coefficients(nterms, cache=None):
     """Integer coefficients c(0..nterms) of j(q) = 1/q + sum c(n) q^n.
 
-    Computed exactly from E4^3 / (q prod (1-q^n)^24) and cached on disk.
+    Computed exactly from E4^3 / (q prod (1-q^n)^24); read from and
+    written to the disk cache when one is given.
     """
-    cache = cache or shared_cache()
-    payload = cache.load("j_q_coefficients", "jq")
+    payload = cache.load("j_q_coefficients", "jq") if cache is not None else None
     if payload and len(payload) >= nterms + 1:
         return [int(x) for x in payload[: nterms + 1]]
     m = nterms + 2
@@ -440,10 +439,11 @@ def j_q_coefficients(nterms, cache=None):
     # jq[k] = c(k-1): coefficient of q^k in q*j(q)
     assert jq[0] == 1 and jq[1] == 744
     coeffs = jq[1 : nterms + 2]
-    try:
-        cache.store("j_q_coefficients", "jq", [str(c) for c in coeffs])
-    except OSError:
-        pass
+    if cache is not None:
+        try:
+            cache.store("j_q_coefficients", "jq", [str(c) for c in coeffs])
+        except OSError:
+            pass
     return coeffs
 
 

@@ -10,10 +10,6 @@ def mat_mul(a, b):
     return [[sum(row[i] * col[i] for i in range(k)) for col in bt] for row in a]
 
 
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def identity(n):
     return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 

@@ -205,15 +205,11 @@ class StickelbergerElement:
         return total
 
     def moment(self, j, prec=20):
-        """sum coeff(a) * log_p<a>^j."""
+        """sum coeff(a) * log_p<a>^j, to the absolute precision the depth
+        proves (see `_log_moment`); the augmentation when j = 0."""
         if j == 0:
             return self.augmentation()
-        total = None
-        for a, v in self.coeffs.items():
-            la = iwasawa_log(PadicNumber.from_int(self.p, a, prec))
-            t = la ** j * v
-            total = t if total is None else total + t
-        return total
+        return _log_moment(self.coeffs, self.p, self.depth, j, prec)
 
     def leading_term(self, r, prec=20):
         """The I^r/I^(r+1) leading coefficient via moments; requires all
@@ -253,31 +249,57 @@ def stickelberger(measure, dual=False):
 # -- L-values -------------------------------------------------------------
 
 
-def lp_value_and_derivative(measure, prec=20):
-    """(L_p(0), L_p'(0)): the mass and the log<a>-weighted Riemann sum.
+def _log_walk(p, n):
+    """Yield (k, units) for k = 0, 1, ...: the units of Z/p^n equal to
+    zeta * gamma^k for a root of unity zeta, with gamma = 1 + p (5 when
+    p = 2).  Every unit occurs once."""
+    pn = p ** n
+    if p == 2:
+        gamma, torsion = 5, sorted({1, pn - 1})
+    else:
+        gamma, torsion = 1 + p, [pow(t, pn // p, pn) for t in range(1, p)]
+    g, k = 1, 0
+    while True:
+        yield k, [z * g % pn for z in torsion]
+        g, k = g * gamma % pn, k + 1
+        if g == 1:
+            return
 
-    The integrand log_p<a> is constant mod p^depth on each disc and the
-    measure values are p-integral, so the derivative is provable exactly
-    to absolute precision `depth`; the reported precision says so.
+
+def _log_moment(values, p, n, j, prec):
+    """sum values[a] * log_p<a>^j over the units a of Z/p^n, capped at the
+    absolute precision n - loss that depth n proves.
+
+    With a = zeta * gamma^k (1 + p^n x), log_p<a> = k log_p(gamma) +
+    log_p(1 + p^n x), and the last term is divisible by p^n.  So log_p<a>^j
+    = (k log_p(gamma))^j mod p^n, one log serves every unit, and the sum
+    is exact mod p^(n - loss), where p^loss bounds the values' denominators.
     """
-    l0 = measure.mass()
-    p, n = measure.p, measure.depth
-    total = None
-    for a, v in measure.values.items():
-        la = iwasawa_log(PadicNumber.from_int(p, a, prec))
-        t = la * v
-        total = t if total is None else total + t
-    if total is None:
-        total = PadicNumber.zero(p, n)
+    s = Fraction(0)
+    for k, units in _log_walk(p, n):
+        if k:
+            s += k ** j * sum((values[a] for a in units), Fraction(0))
+    log_gamma = iwasawa_log(PadicNumber.from_int(p, 5 if p == 2 else 1 + p, prec))
     loss = 0
-    for v in measure.values.values():
+    for v in values.values():
         if isinstance(v, Fraction):
             if v != 0:
                 loss = max(loss, int_val(v.denominator, p))
         elif not v.is_zero and v.ord() < 0:
             loss = max(loss, -v.ord())
-    l1 = total.cap_abs_prec(n - loss)
-    return l0, l1
+    return (log_gamma ** j * s).cap_abs_prec(n - loss)
+
+
+def lp_value_and_derivative(measure, prec=20):
+    """(L_p(0), L_p'(0)): the mass and the log<a>-weighted Riemann sum.
+
+    The integrand log_p<a> is constant mod p^depth on each disc, so the
+    derivative is provable to absolute precision `depth`, less the digits
+    that the values' denominators cost; the reported precision says so.
+    Weighting a = zeta * gamma^k by k log_p(gamma) instead of log_p<a>
+    changes nothing mod p^depth, hence nothing that is reported.
+    """
+    return measure.mass(), _log_moment(measure.values, measure.p, measure.depth, 1, prec)
 
 
 def euler_factor(root, chi_p):
@@ -355,7 +377,13 @@ def exceptional_zero_check(curve, p, depth=3, prec=20, sign=1, dual=False, level
     if red.kind != SPLIT:
         raise MeasureError("not an exceptional (split multiplicative) prime")
     symbol = eigen_symbol(curve, sign, level=level, cache=cache)
-    measure = build_measure(symbol, p, depth, prec=prec)
+    return ezc_report(curve, build_measure(symbol, p, depth, prec=prec), prec, dual, cache)
+
+
+def ezc_report(curve, measure, prec=20, dual=False, cache=None):
+    """The comparison of `exceptional_zero_check` for a measure already
+    built from the curve's eigen-symbol at a split multiplicative prime."""
+    symbol, p, depth = measure.symbol, measure.p, measure.depth
     l0, l1 = lp_value_and_derivative(measure, prec)
     if dual:
         l1 = -l1  # sigma_a -> sigma_a^(-1) flips the log weight
@@ -412,16 +440,6 @@ class TwistReport:
             **{k: enc(v) for k, v in self.data.items()},
             "conventions": self.conventions,
         }
-
-
-def twist_level(curve, d):
-    """Conductor of the quadratic twist for fundamental d coprime to the
-    conductor: N * cond(chi_d)^2 = N * d^2, since the local components
-    away from d are unramified twists."""
-    label = getattr(curve, "label", "")
-    table = curve_table()
-    n = table[label][1] if label in table else conductor(curve)
-    return n * d * d
 
 
 def twist_product_check(curve, d, p, depth=3, prec=20, sign=1, cache=None):

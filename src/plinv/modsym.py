@@ -8,7 +8,7 @@ paths convert back to generators with Manin's continued-fraction trick.
 All arithmetic is exact.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
@@ -127,6 +127,21 @@ def lift_to_sl2z(c, d, n):
     assert g == 1
     # y*dd + x*c = 1: take a = y, b = -x so a*dd - b*c = 1
     return (y, -x, c, dd)
+
+
+def _manin_pieces(r):
+    """Bottom rows (c, d) of the unimodular paths summing to {r -> oo}.
+
+    Manin's continued-fraction trick: with convergent denominators q_k of
+    the rational r, the k-th piece has bottom row (q_(k-1), (-1)^k q_k).
+    """
+    x, y = r.denominator, r.numerator % r.denominator
+    c, d, sign = 0, 1, 1
+    yield c, d
+    while y:
+        q, x, y = x // y, y, x % y
+        c, d, sign = d, q * d + c, -sign
+        yield c, sign * d
 
 
 @dataclass
@@ -287,28 +302,9 @@ class SymbolSpace:
         """Coordinates of the path {r -> oo} via Manin's trick."""
         if r is INF:
             return {}
-        r = Fraction(r)
-        a, m = r.numerator, r.denominator
-        # continued fraction convergents of a/m
-        quots = []
-        x, y = a, m
-        while y:
-            q, rem = divmod(x, y)
-            quots.append(q)
-            x, y = y, rem
-        p_prev, q_prev = 1, 0
-        p_cur, q_cur = quots[0], 1
-        pieces = [(q_prev, q_cur)]  # k = 0 piece: (q_{-1}, (+1) q_0)
-        sign = 1
-        for k in range(1, len(quots)):
-            p_prev, p_cur = p_cur, quots[k] * p_cur + p_prev
-            q_prev, q_cur = q_cur, quots[k] * q_cur + q_prev
-            sign = -sign
-            pieces.append((q_prev, sign * q_cur))
         total = {}
-        for c, d in pieces:
-            idx = self.p1.index(c, d)
-            for pos, val in self.gen_coords(idx).items():
+        for c, d in _manin_pieces(Fraction(r)):
+            for pos, val in self.gen_coords(self.p1.index(c, d)).items():
                 total[pos] = total.get(pos, Fraction(0)) + val
         return {k: v for k, v in total.items() if v}
 
@@ -527,10 +523,6 @@ def build_space(level, sign=1, cache=None):
     return space
 
 
-def hecke_operator(space, ell):
-    return space.hecke_matrix(ell)
-
-
 # -- eigen-symbols -------------------------------------------------------
 
 
@@ -540,18 +532,31 @@ class EigenSymbol:
     sign: int
     space: SymbolSpace
     weights: list            # left eigenvector on the basis
-    gen_values: list         # value at every Manin generator (content 1)
+    gen_values: list         # integer value at every Manin generator (content 1)
     eigenvalues: dict
     label: str = ""
+    _piece_index: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def evaluate(self, r):
-        """Value on the path {r -> oo}; exact rational."""
-        coords = self.space.path_to_infinity(r)
-        return sum((self.weights[k] * v for k, v in coords.items()), Fraction(0))
+        """Value on the path {r -> oo}; exact rational.
+
+        Sums the generator values over the Manin pieces of the path; the
+        generator of each piece is memoised on its bottom row mod N.
+        """
+        if r is INF:
+            return Fraction(0)
+        memo, vals, n = self._piece_index, self.gen_values, self.level
+        total = 0
+        for c, d in _manin_pieces(Fraction(r)):
+            key = (c % n, d % n)
+            i = memo.get(key)
+            if i is None:
+                i = memo[key] = self.space.p1.index(c, d)
+            total += vals[i]
+        return Fraction(total)
 
     def evaluate_path(self, alpha, beta):
-        coords = self.space.path(alpha, beta)
-        return sum((self.weights[k] * v for k, v in coords.items()), Fraction(0))
+        return self.evaluate(alpha) - self.evaluate(beta)
 
     @property
     def at_zero(self):
@@ -612,7 +617,7 @@ def eigen_symbol(curve, sign=1, level=None, lmax=50, cache=None, _eigen_override
     for i in range(len(space.p1)):
         coords = space.gen_coords(i)
         vals.append(sum((w[k] * v for k, v in coords.items()), Fraction(0)))
-    # content-1 normalization over all generator values
+    # content-1 normalization over all generator values, kept as integers
     nonzero = [v for v in vals if v]
     if nonzero:
         from math import lcm
@@ -623,13 +628,12 @@ def eigen_symbol(curve, sign=1, level=None, lmax=50, cache=None, _eigen_override
         num_gcd = 0
         for v in nonzero:
             num_gcd = gcd(num_gcd, abs(v.numerator * (den // v.denominator)))
-        scale = Fraction(den, num_gcd)
-        vals = [v * scale for v in vals]
-        w = [x * scale for x in w]
+        vals = [v.numerator * (den // v.denominator) // num_gcd for v in vals]
+        w = [x * Fraction(den, num_gcd) for x in w]
     sym = EigenSymbol(level, sign, space, w, vals, probes,
                       label=getattr(curve, "label", ""))
     v0 = sym.at_zero
-    flip = v0 < 0 or (v0 == 0 and next((v for v in vals if v), Fraction(0)) < 0)
+    flip = v0 < 0 or (v0 == 0 and next((v for v in vals if v), 0) < 0)
     if flip:
         sym.weights = [-x for x in sym.weights]
         sym.gen_values = [-v for v in vals]

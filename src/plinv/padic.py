@@ -273,16 +273,6 @@ class PadicNumber:
         r = self.__eq__(other)
         return NotImplemented if r is NotImplemented else not r
 
-    def agree_prec(self, other):
-        """Absolute precision to which self and other provably agree.
-
-        Returns the absolute precision of the difference: the two values
-        are congruent modulo p**agree_prec and (when finite and the
-        difference is nonzero) provably differ at the next digit.
-        """
-        d = self - self._coerce(other)
-        return d.abs_prec if d.u == 0 else d.v
-
     # -- rounding / display ---------------------------------------------
 
     def truncate(self, n):

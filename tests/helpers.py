@@ -98,3 +98,28 @@ def real_period(curve):
     c0 = 2 * b4 + c1 * e1
     h = lambda x: 4 * x * x + c1 * x + c0
     return 2 * mp.quad(lambda t: 2 / mp.sqrt(h(e1 + t * t)), [0, 1, 10, 1000, mp.inf])
+
+
+# -- Riemann-sum oracle: one Teichmuller lift and one log per unit --------
+
+
+def riemann_sum_reference(values, p, n, j=1, prec=20):
+    """sum values[a] * log_p<a>^j with one iwasawa_log per unit a, capped
+    at absolute precision n - loss, where p^loss bounds the denominators."""
+    from plinv.padic import PadicNumber, int_val, iwasawa_log
+
+    total = PadicNumber.zero(p)
+    loss = 0
+    for a, v in values.items():
+        total = total + iwasawa_log(PadicNumber.from_int(p, a, prec)) ** j * v
+        if isinstance(v, Fraction):
+            if v:
+                loss = max(loss, int_val(v.denominator, p))
+        elif not v.is_zero:
+            loss = max(loss, -v.ord())
+    return total.cap_abs_prec(n - loss)
+
+
+def padic_digits(x):
+    """(v, u, n): the exact stored form of a PadicNumber."""
+    return x.v, x.u, x.n

@@ -89,6 +89,25 @@ class TestExitCodes:
         rc, _ = run(["modsym", "dump", "--level", "11"], tmp_path)
         assert rc == 4
 
+    def test_no_cache_never_reads_the_cache(self, tmp_path):
+        import os
+        import subprocess
+        import sys
+
+        import plinv
+
+        bad = tmp_path / "j_q_coefficients.json"
+        bad.write_text("{ truncated")
+        src = os.path.dirname(os.path.dirname(plinv.__file__))
+        env = dict(os.environ, PLINV_CACHE_DIR=str(tmp_path), PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "plinv.cli", "--no-cache", "--no-meta",
+             "li-curve", "--label", "11a1", "-p", "11"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert sorted(os.listdir(tmp_path)) == ["j_q_coefficients.json"]
+        assert bad.read_text() == "{ truncated"
+
     def test_supersingular_twist_domain_error(self):
         rc, _ = run(["check-twist", "--label", "11a1", "-D", "2", "-p", "11"])
         assert rc == 2  # 2 is not a fundamental discriminant

@@ -1,8 +1,11 @@
+import io
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from plinv.curves import curve_by_label
+from plinv.cli import main
+from plinv.curves import curve_by_label, trace_of_frobenius
 from plinv.measures import (
     MeasureError,
     build_measure,
@@ -15,8 +18,11 @@ from plinv.measures import (
     stickelberger,
     twist_product_check,
     unit_root,
+    _log_walk,
 )
 from plinv.modsym import eigen_symbol
+
+from helpers import padic_digits, riemann_sum_reference
 
 
 SPLIT_PAIRS = [("11a1", 11), ("15a1", 5), ("21a1", 3), ("17a1", 17), ("14a1", 7), ("37b1", 37)]
@@ -251,6 +257,65 @@ class TestLpValues:
         m = build_measure(symbol_for("11a1"), 11, 3)
         _, l1 = lp_value_and_derivative(m, prec=20)
         assert l1.abs_prec == 3
+
+
+class TestRiemannSumOracle:
+    """The k log_p(gamma) weighting against one iwasawa_log per unit."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 11])
+    def test_walk_covers_each_unit_once(self, p):
+        gamma = 5 if p == 2 else 1 + p
+        for n in range(1, 5):
+            pn = p ** n
+            seen = []
+            for k, units in _log_walk(p, n):
+                for a in units:
+                    zeta = a * pow(gamma, -k, pn) % pn
+                    assert pow(zeta, 2 if p == 2 else p - 1, pn) == 1
+                seen += units
+            assert sorted(seen) == [a for a in range(1, pn) if a % p]
+
+    @pytest.mark.parametrize("label,p,max_depth", [
+        ("21a1", 3, 4), ("15a1", 5, 4), ("14a1", 7, 4), ("14a1", 2, 4),
+        ("11a1", 11, 3), ("17a1", 17, 2), ("37b1", 37, 2),
+    ])
+    def test_multiplicative_measures(self, label, p, max_depth):
+        sym = symbol_for(label)
+        for n in range(1, max_depth + 1):
+            for prec in (6, 20):
+                self._check(build_measure(sym, p, n, prec=prec), prec)
+
+    def test_good_ordinary_measure(self):
+        curve = curve_by_label("11a1")
+        root = unit_root(3, trace_of_frobenius(curve, 3), False, prec=14)
+        for n in range(1, 5):
+            self._check(build_measure(symbol_for("11a1"), 3, n, root=root), 14)
+
+    @staticmethod
+    def _check(m, prec):
+        p, n = m.p, m.depth
+        _, l1 = lp_value_and_derivative(m, prec)
+        assert padic_digits(l1) == padic_digits(riemann_sum_reference(m.values, p, n, 1, prec))
+        for dual in (False, True):
+            theta = stickelberger(m, dual)
+            for j in (1, 2):
+                want = riemann_sum_reference(theta.coeffs, p, n, j, prec)
+                assert padic_digits(theta.moment(j, prec)) == padic_digits(want), (p, n, dual, j)
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("name,argv", [
+    ("check_ezc_11a1_p11_d3.json", ["--label", "11a1", "-p", "11", "--depth", "3"]),
+    ("check_ezc_37b1_p37_d2.json", ["--label", "37b1", "-p", "37", "--depth", "2"]),
+])
+def test_check_ezc_golden_output(name, argv):
+    # recorded before the Riemann sum was rewritten; a sign flip or a lost
+    # digit anywhere in the pipeline changes these bytes
+    buf = io.StringIO()
+    assert main(["--no-cache", "--no-meta", "check-ezc", *argv], out=buf) == 0
+    assert buf.getvalue() == (GOLDEN / name).read_text()
 
 
 class TestExceptionalZero:

@@ -12,7 +12,6 @@ from plinv.modsym import (
     P1List,
     build_space,
     eigen_symbol,
-    hecke_operator,
     lift_to_sl2z,
 )
 
@@ -142,7 +141,7 @@ class TestSpaces:
 class TestHecke:
     def test_t2_eigenvalue_minus2_at_11(self):
         sp = build_space(11, 1)
-        t2 = hecke_operator(sp, 2)
+        t2 = sp.hecke_matrix(2)
         # char poly roots: Eisenstein 3 = l + 1, cuspidal -2 = a_2(11a1)
         tr = t2[0][0] + t2[1][1]
         det = t2[0][0] * t2[1][1] - t2[0][1] * t2[1][0]
@@ -290,6 +289,44 @@ def _moeb(a, b, c, d, z):
     if den == 0:
         return INF
     return (a * z + b) / den
+
+
+def _dot_product_value(sym, r):
+    coords = sym.space.path_to_infinity(r)
+    return sum((sym.weights[k] * v for k, v in coords.items()), Fraction(0))
+
+
+class TestFastEvaluate:
+    """evaluate() sums integer generator values; the oracle dots the
+    rational coordinates of the path with the eigen-weights."""
+
+    @staticmethod
+    def _check_units(sym, p, depth=3):
+        for n in range(1, depth + 1):
+            pn = p ** n
+            for a in range(1, pn):
+                if a % p:
+                    r = Fraction(a, pn)
+                    assert sym.evaluate(r) == _dot_product_value(sym, r), (sym.label, r)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("label,p", [("11a1", 11), ("14a1", 7), ("15a1", 5),
+                                         ("17a1", 17), ("21a1", 3), ("37b1", 37)])
+    def test_split_pairs(self, label, p, sign):
+        self._check_units(eigen_symbol(curve_by_label(label), sign), p)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("label,level", [("11a1tw-4", 176), ("11a1tw5", 275)])
+    def test_twist_levels(self, label, level, sign):
+        sym = eigen_symbol(curve_by_label(label), sign, level=level)
+        self._check_units(sym, 11)
+        assert sym.evaluate(INF) == 0 == _dot_product_value(sym, INF)
+
+    def test_value_at_zero_sign_follows_normalization(self):
+        # the sign flip in eigen_symbol must reach the generator values too
+        for label in BUNDLED_LEVELS:
+            sym = eigen_symbol(curve_by_label(label))
+            assert sym.at_zero == _dot_product_value(sym, 0) >= 0
 
 
 class TestTwistLevels:
