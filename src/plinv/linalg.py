@@ -66,7 +66,8 @@ def left_eigen_space(a, eigenvalue, restrict=None):
     space spanned by `restrict`."""
     n = len(a)
     if restrict is None:
-        restrict = identity(n)
+        m = [[x - eigenvalue * (i == j) for j, x in enumerate(row)] for i, row in enumerate(a)]
+        return kernel_basis(transpose(m))
     # rows c of the kernel of (restrict * a - eigenvalue * restrict)^T
     m = mat_mul(restrict, a)
     m = [[m[i][j] - eigenvalue * restrict[i][j] for j in range(n)] for i in range(len(restrict))]

@@ -126,6 +126,8 @@ def build_measure(symbol, p, depth, root=None, prec=20):
     if root is None:
         ap = symbol.eigenvalues.get(p)
         if ap is None:
+            ap = symbol.hecke_eigenvalue(p)
+        if ap is None:
             raise MeasureError("symbol carries no eigenvalue at p")
         root = unit_root(p, int(ap), multiplicative, prec)
     if not root.ordinary:

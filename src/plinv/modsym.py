@@ -1,18 +1,20 @@
 """Weight-2 modular symbols for Gamma_0(N) via Manin symbols.
 
-The symbol space is presented on P^1(Z/N): two-term (S and sign) relations
-are folded in by a signed union-find, the three-term T-relations by exact
-sparse elimination over Q.  Hecke operators act through paths: a Manin
-generator is a unimodular path, its Hecke image is a sum of paths, and
-paths convert back to generators with Manin's continued-fraction trick.
-All arithmetic is exact.
-"""
+The symbol space is presented on P^1(Z/N), enumerated by one orbit sieve
+per divisor of N: two-term (S and sign) relations are folded in by a
+signed union-find, the three-term T-relations by exact sparse elimination
+over Q.  Hecke operators act through paths: a Manin generator is a
+unimodular path, its Hecke image is a sum of paths, and Manin's
+continued-fraction trick splits each path into generators, which are
+counted as integers before they are mapped to coordinates.  All
+arithmetic is exact."""
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-from .linalg import identity, kernel_basis, left_eigen_space
+from .cache import CacheError
+from .linalg import identity, kernel_basis, left_eigen_space, vec_mat
 from .curves import conductor, curve_table, trace_of_frobenius
 
 
@@ -48,26 +50,34 @@ def _lift_unit(a, d, n):
 
 
 class P1List:
-    """Representatives of P^1(Z/N) with O(log N) canonical reduction."""
+    """Representatives of P^1(Z/N) in the canonical form of Stein's
+    Algorithm 8.29, enumerated by divisor (Cremona, Algorithms for Modular
+    Elliptic Curves, 2.2): (0:1), every (1:v), and for each divisor
+    1 < g < N the (g:v) with gcd(v, g) = 1 and v least in its orbit under
+    the units t = 1 mod N/g.  One sieve per g walks v upwards: an unmarked
+    v is a new representative, since a smaller member of its orbit would
+    have marked it, and its whole orbit is marked with it.  `reduce` reads
+    the marks `_canon[g][v]`, so the two cannot disagree.  O(N d(N)) work.
+    """
 
-    def __init__(self, n, reps=None):
+    def __init__(self, n):
         if n < 1:
             raise ModSymError("level must be positive")
         self.N = n
-        if reps is None:
-            seen = set()
-            reps = []
-            for c in range(n):
-                for d in range(n):
-                    if gcd(gcd(c, d), n) != 1:
-                        continue
-                    key = self.reduce(c, d)
-                    if key not in seen:
-                        seen.add(key)
-                        reps.append(key)
-            reps.sort()
-        self._reps = [tuple(cd) for cd in reps]
-        self._index = {cd: i for i, cd in enumerate(self._reps)}
+        self._canon = {}
+        reps = [(0, 0)] if n == 1 else [(0, 1)] + [(1, v) for v in range(n)]
+        for g in range(2, n):
+            if n % g:
+                continue
+            units = [t for t in range(1, n, n // g) if gcd(t, n) == 1]
+            canon = self._canon[g] = [None] * n
+            for v in range(n):
+                if canon[v] is None and gcd(v, g) == 1:
+                    reps.append((g, v))
+                    for t in units:
+                        canon[v * t % n] = v
+        self._reps = reps
+        self._index = {cd: i for i, cd in enumerate(reps)}
 
     def __len__(self):
         return len(self._reps)
@@ -90,11 +100,10 @@ class P1List:
         if gcd(g, v) > 1:
             raise ModSymError("not a projective point")
         s = _lift_unit(s % n, n // g, n)
-        u, v = g, s * v % n
+        v = s * v % n
         if g == 1:
             return (1, v)
-        v = min(v * t % n for t in range(1, n, n // g) if gcd(n, t) == 1)
-        return (g, v)
+        return (g, self._canon[g][v])
 
     def index(self, u, v):
         return self._index[self.reduce(u, v)]
@@ -286,34 +295,9 @@ class SymbolSpace:
 
     def basis_generator(self, k):
         """A Manin generator mapping to the k-th basis vector."""
-        root = self._live_root_of_free(k)
-        return root
-
-    def _live_root_of_free(self, k):
-        target = self._free[k]
-        for r, c in self._col.items():
-            if c == target:
-                return r
-        raise ModSymError("basis bookkeeping broke")
+        return self._live[self._free[k]]
 
     # -- paths -----------------------------------------------------------
-
-    def path_to_infinity(self, r):
-        """Coordinates of the path {r -> oo} via Manin's trick."""
-        if r is INF:
-            return {}
-        total = {}
-        for c, d in _manin_pieces(Fraction(r)):
-            for pos, val in self.gen_coords(self.p1.index(c, d)).items():
-                total[pos] = total.get(pos, Fraction(0)) + val
-        return {k: v for k, v in total.items() if v}
-
-    def path(self, alpha, beta):
-        """{alpha -> beta} = {alpha -> oo} - {beta -> oo}."""
-        out = dict(self.path_to_infinity(alpha))
-        for k, v in self.path_to_infinity(beta).items():
-            out[k] = out.get(k, Fraction(0)) - v
-        return {k: v for k, v in out.items() if v}
 
     def generator_endpoints(self, i):
         """(alpha, beta) with generator i = {alpha -> beta}."""
@@ -326,20 +310,32 @@ class SymbolSpace:
     # -- Hecke operators ---------------------------------------------------
 
     def hecke_matrix(self, ell):
-        """T_ell for ell prime to the level, U_ell for ell dividing it."""
+        """T_ell for ell prime to the level, U_ell for ell dividing it.  A
+        column counts the Manin generators on the image paths as integers,
+        then maps each distinct generator to coordinates once."""
         if ell in self._hecke:
             return self._hecke[ell]
         dim = self.dimension
+        index = self.p1.index
         cols = []
         for k in range(dim):
-            gen = self.basis_generator(k)
-            alpha, beta = self.generator_endpoints(gen)
-            total = {}
+            alpha, beta = self.generator_endpoints(self.basis_generator(k))
+            counts = {}
             for img_a, img_b in _hecke_images(alpha, beta, ell, self.level):
-                for pos, val in self.path(img_a, img_b).items():
-                    total[pos] = total.get(pos, Fraction(0)) + val
+                for r, sgn in ((img_a, 1), (img_b, -1)):
+                    if r is INF:
+                        continue
+                    for c, d in _manin_pieces(r):
+                        i = index(c, d)
+                        counts[i] = counts.get(i, 0) + sgn
+            total = {}
+            for i, m in counts.items():
+                if m:
+                    for pos, val in self.gen_coords(i).items():
+                        total[pos] = total.get(pos, 0) + m * val
             cols.append(total)
-        mat = [[cols[j].get(i, Fraction(0)) for j in range(dim)] for i in range(dim)]
+        zero = Fraction(0)
+        mat = [[cols[j].get(i, zero) for j in range(dim)] for i in range(dim)]
         self._hecke[ell] = mat
         return mat
 
@@ -359,7 +355,6 @@ class SymbolSpace:
         for k, ((ti, ts), (fi, fs)) in enumerate(bmap):
             mat[ti][k] += ts
             mat[fi][k] -= fs
-        self._boundary = mat
         self._cuspidal_basis = kernel_basis(mat) if mat else identity(self.dimension)
 
     def _cusp_key(self, c):
@@ -385,15 +380,8 @@ class SymbolSpace:
         return idx, 1
 
     @property
-    def cusp_count(self):
-        return len(self._cusps)
-
-    @property
     def cuspidal_dimension(self):
         return len(self._cuspidal_basis)
-
-    def cuspidal_basis(self):
-        return self._cuspidal_basis
 
     def to_json(self):
         return {
@@ -437,7 +425,9 @@ class SymbolSpace:
         self = cls.__new__(cls)
         self.level = payload["level"]
         self.sign = payload["sign"]
-        self.p1 = P1List(self.level, [tuple(cd) for cd in payload["p1"]])
+        self.p1 = P1List(self.level)
+        if payload["p1"] != [list(cd) for cd in self.p1]:
+            raise CacheError(f"stale P^1 list in the cached level-{self.level} space")
         self._uf = _SignedUF(list(payload["uf_parent"]), list(payload["uf_sgn"]),
                              set(payload["uf_dead"]))
         self._col = {int(k): v for k, v in payload["col"].items()}
@@ -555,6 +545,15 @@ class EigenSymbol:
             total += vals[i]
         return Fraction(total)
 
+    def hecke_eigenvalue(self, ell):
+        """The eigenvalue of T_ell (U_ell for ell dividing the level) on
+        `weights`, or None when `weights` is not an eigenvector of it."""
+        w = self.weights
+        img = vec_mat(w, self.space.hecke_matrix(ell))
+        k = next(i for i, x in enumerate(w) if x)
+        mu = img[k] / w[k]
+        return mu if img == [mu * x for x in w] else None
+
     def evaluate_path(self, alpha, beta):
         return self.evaluate(alpha) - self.evaluate(beta)
 
@@ -605,14 +604,6 @@ def eigen_symbol(curve, sign=1, level=None, lmax=50, cache=None, _eigen_override
     else:
         raise ModSymError("eigenline not isolated by ell <= %d" % lmax)
     w = list(basis[0])
-    # record U_ell eigenvalues at bad primes (diagnostics and tests)
-    for ell in _prime_divisors(level):
-        mat = space.hecke_matrix(ell)
-        img = [sum(w[i] * mat[i][j] for i in range(len(w))) for j in range(len(w))]
-        k = next((i for i, x in enumerate(w) if x), None)
-        mu = img[k] / w[k] if k is not None else Fraction(0)
-        if all(img[j] == mu * w[j] for j in range(len(w))):
-            probes[ell] = mu
     vals = []
     for i in range(len(space.p1)):
         coords = space.gen_coords(i)
@@ -632,6 +623,11 @@ def eigen_symbol(curve, sign=1, level=None, lmax=50, cache=None, _eigen_override
         w = [x * Fraction(den, num_gcd) for x in w]
     sym = EigenSymbol(level, sign, space, w, vals, probes,
                       label=getattr(curve, "label", ""))
+    # record U_ell eigenvalues at bad primes (diagnostics and tests)
+    for ell in _prime_divisors(level):
+        mu = sym.hecke_eigenvalue(ell)
+        if mu is not None:
+            probes[ell] = mu
     v0 = sym.at_zero
     flip = v0 < 0 or (v0 == 0 and next((v for v in vals if v), 0) < 0)
     if flip:

@@ -123,3 +123,68 @@ def riemann_sum_reference(values, p, n, j=1, prec=20):
 def padic_digits(x):
     """(v, u, n): the exact stored form of a PadicNumber."""
     return x.v, x.u, x.n
+
+
+# -- symbol-space oracles: rational path coordinates, brute-force P^1 ------
+
+
+def path_to_infinity(space, r):
+    """Coordinates of the path {r -> oo} on the free basis of `space`: the
+    sum of the rational generator coordinates over the Manin pieces."""
+    from plinv.modsym import INF, _manin_pieces
+
+    if r is INF:
+        return {}
+    total = {}
+    for c, d in _manin_pieces(Fraction(r)):
+        for pos, val in space.gen_coords(space.p1.index(c, d)).items():
+            total[pos] = total.get(pos, Fraction(0)) + val
+    return {k: v for k, v in total.items() if v}
+
+
+def hecke_matrix_reference(space, ell):
+    """T_ell (U_ell when ell divides the level) from the rational
+    coordinates of every image path, {a -> b} = {a -> oo} - {b -> oo}."""
+    from plinv.modsym import _hecke_images
+
+    dim = space.dimension
+    cols = []
+    for k in range(dim):
+        alpha, beta = space.generator_endpoints(space.basis_generator(k))
+        total = {}
+        for img_a, img_b in _hecke_images(alpha, beta, ell, space.level):
+            for r, sgn in ((img_a, 1), (img_b, -1)):
+                for pos, val in path_to_infinity(space, r).items():
+                    total[pos] = total.get(pos, Fraction(0)) + sgn * val
+        cols.append(total)
+    return [[cols[j].get(i, Fraction(0)) for j in range(dim)] for i in range(dim)]
+
+
+def p1_orbit_minima(n):
+    """P^1(Z/N) by brute force over all N^2 pairs: each point (c:d) as the
+    lexicographically least pair (s c mod N, s d mod N) over the units s.
+
+    That least pair is Stein's canonical form: its first entry is
+    gcd(c, N) (0 when N | c), and its second the least one reachable."""
+    if n == 1:
+        return [(0, 0)]
+    from math import gcd
+
+    units = [s for s in range(1, n) if gcd(s, n) == 1]
+    seen = bytearray(n * n)
+    reps = []
+    for c in range(n):
+        for d in range(n):
+            if seen[c * n + d] or gcd(gcd(c, d), n) != 1:
+                continue
+            reps.append((c, d))
+            for s in units:
+                seen[s * c % n * n + s * d % n] = 1
+    return reps
+
+
+def p1_reduce_reference(n, c, d):
+    """The least pair of the unit orbit of (c, d) mod N, by brute force."""
+    from math import gcd
+
+    return min((s * c % n, s * d % n) for s in range(1, max(n, 2)) if gcd(s, n) == 1)

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 
@@ -153,6 +154,30 @@ class TestReports:
         assert out["theta"]["augmentation"] == "0"
         assert out["projection_compatible"] is True
 
+    def test_good_ordinary_lp(self):
+        # a_3 is read from T_3 on the symbol, not passed by hand
+        from plinv.curves import curve_by_label, trace_of_frobenius
+        from plinv.measures import build_measure, lp_value_and_derivative, unit_root
+        from plinv.modsym import eigen_symbol
+
+        rc, out = run(["lp", "--label", "11a1", "-p", "3", "--depth", "2"])
+        assert rc == 0
+        curve = curve_by_label("11a1")
+        root = unit_root(3, trace_of_frobenius(curve, 3), False, 20)
+        l0, _ = lp_value_and_derivative(build_measure(eigen_symbol(curve), 3, 2, root=root), 20)
+        assert out["Lp0"] == str(l0)
+        rc, out = run(["stickelberger", "--label", "11a1", "-p", "3", "-n", "2"])
+        assert rc == 0 and out["projection_compatible"] is True
+
+    def test_modsym_dump_golden_sha256(self):
+        # stdout bytes recorded before P^1 enumeration and Hecke matrices
+        # were rewritten
+        buf = io.StringIO()
+        argv = ["--no-cache", "--no-meta", "modsym", "dump", "--level", "500", "--hecke", "2,3"]
+        assert main(argv, out=buf) == 0
+        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == (
+            "61eb0aed006a478e3a5294c9736070b5dd40a373491a0f92d305f8e6d3df35f0")
+
     def test_modsym_dump(self):
         rc, out = run(["modsym", "dump", "--level", "11", "--hecke", "2,3"])
         assert rc == 0
@@ -215,6 +240,18 @@ class TestCacheRoundTrip:
         rc2, out2 = run(["modsym", "dump", "--level", "14", "--hecke", "3"], tmp_path)
         assert rc2 == 0
         assert out1 == out2
+
+    def test_stale_p1_list_exits_4(self, tmp_path):
+        from plinv import modsym
+
+        assert run(["modsym", "dump", "--level", "14"], tmp_path)[0] == 0
+        path = tmp_path / "modsym_14_plus.json"
+        data = json.loads(path.read_text())
+        p1 = data["payload"]["p1"]
+        p1[1], p1[2] = p1[2], p1[1]
+        path.write_text(json.dumps(data))
+        modsym._space_memo.clear()
+        assert run(["modsym", "dump", "--level", "14"], tmp_path)[0] == 4
 
     def test_ezc_identical_from_cache(self, tmp_path):
         rc1, out1 = run(["check-ezc", "--label", "11a1", "-p", "11",

@@ -1,4 +1,5 @@
 import io
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -148,9 +149,22 @@ class TestMeasure:
         with pytest.raises(MeasureError, match="additive"):
             build_measure(sym, 5, 2)
 
-    def test_missing_eigenvalue_needs_root(self):
+    def test_good_ordinary_root_read_from_hecke(self):
+        # 11a1 probes only T_2, so a_3 comes from T_3 on the symbol
+        sym = symbol_for("11a1")
+        assert 3 not in sym.eigenvalues
+        a3 = trace_of_frobenius(curve_by_label("11a1"), 3)
+        assert sym.hecke_eigenvalue(3) == a3
+        m = build_measure(sym, 3, 2)
+        hand = build_measure(sym, 3, 2, root=unit_root(3, a3, False, 20))
+        assert m.root.to_json() == hand.root.to_json()
+        assert {a: v.to_json() for a, v in m.values.items()} == \
+            {a: v.to_json() for a, v in hand.values.items()}
+        # weights off every eigenline carry no eigenvalue at 3
+        mixed = replace(sym, weights=[x + 1 for x in sym.weights])
+        assert mixed.hecke_eigenvalue(3) is None
         with pytest.raises(MeasureError, match="no eigenvalue"):
-            build_measure(symbol_for("11a1"), 3, 2)
+            build_measure(mixed, 3, 2)
 
 
 class TestStickelberger:

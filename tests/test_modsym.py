@@ -15,8 +15,18 @@ from plinv.modsym import (
     lift_to_sl2z,
 )
 
-from helpers import l_value_at_one, real_period
+from helpers import (
+    hecke_matrix_reference,
+    l_value_at_one,
+    p1_orbit_minima,
+    p1_reduce_reference,
+    path_to_infinity,
+    real_period,
+)
 
+
+# every N <= 120, plus one highly composite level and a prime power
+P1_ORACLE_LEVELS = list(range(1, 121)) + [720, 1024]
 
 BUNDLED_LEVELS = {"11a1": 11, "14a1": 14, "15a1": 15, "17a1": 17, "21a1": 21, "37b1": 37}
 
@@ -88,11 +98,31 @@ def _kron(d, p):
 
 class TestP1:
     def test_size_formula(self):
-        for n in (2, 3, 4, 6, 11, 12, 14, 15, 20, 21, 24, 36, 37):
+        for n in P1_ORACLE_LEVELS:
             size = n
             for p in _prime_divisors(n):
                 size = size // p * (p + 1)
             assert len(P1List(n)) == size
+
+    def test_sieve_matches_brute_force(self):
+        for n in P1_ORACLE_LEVELS:
+            p1 = P1List(n)
+            assert [p1[i] for i in range(len(p1))] == p1_orbit_minima(n), n
+
+    def test_reduce_matches_orbit_minimum(self):
+        rng = random.Random(3)
+        for n in range(1, 41):
+            p1 = P1List(n)
+            for c in range(n):
+                for d in range(n):
+                    if gcd(gcd(c, d), n) == 1:
+                        assert p1.reduce(c, d) == p1_reduce_reference(n, c, d), (n, c, d)
+        for n in (720, 1024):
+            p1 = P1List(n)
+            for _ in range(300):
+                c, d = rng.randrange(-n, 2 * n), rng.randrange(-n, 2 * n)
+                if gcd(gcd(c, d), n) == 1:
+                    assert p1.reduce(c, d) == p1_reduce_reference(n, c, d), (n, c, d)
 
     def test_reduce_constant_on_orbits(self):
         # brute-force oracle for the canonical form
@@ -146,6 +176,15 @@ class TestHecke:
         tr = t2[0][0] + t2[1][1]
         det = t2[0][0] * t2[1][1] - t2[0][1] * t2[1][0]
         assert tr == 3 + (-2) and det == 3 * (-2)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("level", [11, 37, 176, 275, 389])
+    def test_matches_path_reference(self, level, sign):
+        # integer generator counts against rational path coordinates; the
+        # primes dividing 11, 176 = 2^4 11 and 275 = 5^2 11 give U_ell
+        sp = build_space(level, sign)
+        for ell in (2, 3, 5, 7, 11):
+            assert sp.hecke_matrix(ell) == hecke_matrix_reference(sp, ell), ell
 
     def test_commutativity(self):
         for n in (11, 37):
@@ -292,7 +331,7 @@ def _moeb(a, b, c, d, z):
 
 
 def _dot_product_value(sym, r):
-    coords = sym.space.path_to_infinity(r)
+    coords = path_to_infinity(sym.space, r)
     return sum((sym.weights[k] * v for k, v in coords.items()), Fraction(0))
 
 
