@@ -26,16 +26,13 @@ def default_cache_dir():
 
 
 class Cache:
-    def __init__(self, directory=None, enabled=True):
+    def __init__(self, directory=None):
         self.directory = directory or default_cache_dir()
-        self.enabled = enabled
 
     def _path(self, name):
         return os.path.join(self.directory, name + ".json")
 
     def load(self, name, kind):
-        if not self.enabled:
-            return None
         path = self._path(name)
         if not os.path.exists(path):
             return None
@@ -51,8 +48,6 @@ class Cache:
         return data.get("payload")
 
     def store(self, name, kind, payload):
-        if not self.enabled:
-            return
         os.makedirs(self.directory, exist_ok=True)
         path = self._path(name)
         lock_path = path + ".lock"

@@ -310,13 +310,14 @@ def cmd_lp(args, cache):
 def cmd_modsym_dump(args, cache):
     space = build_space(args.level, args.sign, cache)
     heckes = {}
+    known = len(space._hecke)
     for tok in args.hecke.split(","):
         tok = tok.strip()
         if not tok:
             continue
         l = _prime(tok)
         heckes[str(l)] = [[str(x) for x in row] for row in space.hecke_matrix(l)]
-    if cache is not None:
+    if cache is not None and len(space._hecke) > known:
         from .modsym import _space_cache_name
 
         cache.store(_space_cache_name(args.level, args.sign), "modsym",

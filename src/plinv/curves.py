@@ -491,11 +491,11 @@ def tate_period(curve, p, prec=20, cache=None):
     j = PadicNumber.from_fraction(p, red.minimal.j_invariant, rel)
     q = 1 / (j - 744)
     for _ in range(prec + guard + 5):
-        s = PadicNumber.zero(p)
-        for n in range(nterms, 0, -1):
+        s = coeffs[nterms] * q
+        for n in range(nterms - 1, 0, -1):
             s = (s + coeffs[n]) * q
         qn = 1 / (j - 744 - s)
-        if (qn - q).is_zero and (qn - q).abs_prec >= m + prec:
+        if qn.agreement(q) >= m + prec:
             q = qn
             break
         q = qn
@@ -513,8 +513,8 @@ def j_of_q(q, nterms=None, cache=None):
     if nterms is None:
         nterms = (q.n + m) // m + 2
     coeffs = j_q_coefficients(nterms, cache)
-    s = PadicNumber.zero(q.p)
-    for n in range(nterms, 0, -1):
+    s = coeffs[nterms] * q
+    for n in range(nterms - 1, 0, -1):
         s = (s + coeffs[n]) * q
     return 1 / q + 744 + s
 

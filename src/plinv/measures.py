@@ -333,12 +333,6 @@ CONVENTIONS = {
 }
 
 
-def _agreement(a, b):
-    """Provable absolute precision to which two p-adic numbers agree."""
-    d = a - b
-    return d.abs_prec if d.is_zero else d.v
-
-
 @dataclass
 class EzcReport:
     label: str
@@ -394,8 +388,8 @@ def ezc_report(curve, measure, prec=20, dual=False, cache=None):
         raise MeasureError("symbol vanishes at {0->oo}; vanishing central L-value")
     ratio = l1 * Fraction(1, v0)
     li_val = curve_l_invariant(curve, p, prec, cache)
-    agree_plus = _agreement(ratio, li_val)
-    agree_minus = _agreement(ratio, -li_val)
+    agree_plus = ratio.agreement(li_val)
+    agree_minus = ratio.agreement(-li_val)
     if agree_plus >= agree_minus:
         matched, digits = "+", agree_plus
     else:
@@ -476,9 +470,9 @@ def twist_product_check(curve, d, p, depth=3, prec=20, sign=1, cache=None):
         ratio_tw = l1_tw * Fraction(1, v0_tw)
         li_base = base.l_invariant
         li_tw = curve_l_invariant(twist, p, prec, cache)
-        tate_match = _agreement(li_base, li_tw)
-        ratio_match = max(_agreement(base.ratio, ratio_tw),
-                          _agreement(base.ratio, -ratio_tw))
+        tate_match = li_base.agreement(li_tw)
+        ratio_match = max(base.ratio.agreement(ratio_tw),
+                          base.ratio.agreement(-ratio_tw))
         return TwistReport(
             label=base.label, d=d, p=p, chi_p=1, case="split",
             data={

@@ -1,11 +1,27 @@
-"""Fixed-precision arithmetic in Q_p.
+"""Fixed-precision arithmetic in Q_p, and the precision model that Q_p and
+its unramified extensions share.
 
-A nonzero element is stored as p^v * u with u a unit known modulo p^n;
-n is the number of significant (relative) p-adic digits, so the value is
-pinned down modulo p^(v+n).  A "zero" element carries no unit: it only
-records that the value is congruent to 0 modulo p^A for some absolute
-precision A (A = +infinity for an exact zero).  All operations propagate
-precision pessimistically, so every reported digit is provable.
+One model serves both fields (`PadicElement`).  A nonzero element is stored
+as p^v * u with u a unit known modulo p^n; n is the number of significant
+(relative) p-adic digits, so the value is pinned down modulo p^(v+n), its
+absolute precision.  A "zero" element carries no unit: it only records that
+the value is congruent to 0 modulo p^A for some absolute precision A
+(A = +infinity for an exact zero).  Every operation propagates precision
+pessimistically, so every reported digit is provable:
+
+  * x + y is known to min(abs_prec(x), abs_prec(y));
+  * x * y and x / y keep min(n_x, n_y) significant digits;
+  * x ** k keeps n_x significant digits;
+  * agreement(x, y) is the absolute precision to which x and y provably
+    agree: abs_prec(x - y) when the difference is zero to precision,
+    else its valuation.
+
+An exact scalar (int or Fraction) has as many digits as anyone asks for, so
+it takes the precision of the element it meets: the relative precision n of
+a nonzero element, or the absolute precision A of O(p^A) (at least one
+significant digit).  Exact 0 stays exact.  Precision is never capped: an
+exact scalar that meets an exact zero, and zero ** 0, raise PadicError
+instead of inventing digits.
 """
 
 from fractions import Fraction
@@ -64,7 +80,217 @@ def frac_val(x, p):
     return int_val(x.numerator, p) - int_val(x.denominator, p)
 
 
-class PadicNumber:
+class PadicElement:
+    """The precision bookkeeping of an element p^v * unit of Q_p or Q_{p^f}.
+
+    A subclass stores v, n and the unit in its own slots and supplies the
+    unit arithmetic:
+
+      _coords()             the unit's integer coordinates (zeros for zero)
+      _with(v, coords, n)   an element of the same field, not normalized
+      _lift(other)          a non-scalar operand in this field, or None
+      _exact(x, n)          the exact Fraction x to n significant digits
+      _mul_units(a, b, m)   the product of two coordinate vectors mod m
+      _inv_unit(n)          the inverse of the unit mod p^n
+      _pow_unit(k, m)       the unit to the k-th power mod m
+    """
+
+    __slots__ = ()
+
+    # -- normal form ----------------------------------------------------
+
+    def _make(self, v, coords, n):
+        """Normalize a candidate p^v * (coords mod p^n)."""
+        if n <= 0:
+            return self._zero(v + n)
+        p = self.p
+        m = p ** n
+        coords = [c % m for c in coords]
+        if not any(coords):
+            return self._zero(v + n)
+        t = min(int_val(c, p) for c in coords if c)
+        if t:
+            coords = [c // p ** t for c in coords]
+        return self._with(v + t, coords, n - t)
+
+    def _zero(self, abs_prec):
+        return self._with(abs_prec, [0] * len(self._coords()), 0)
+
+    # -- predicates / accessors ---------------------------------------
+
+    @property
+    def is_zero(self):
+        """True when no nonzero digit is known (value ≡ 0 to precision)."""
+        return not any(self._coords())
+
+    @property
+    def is_exact_zero(self):
+        return self.is_zero and self.v == inf
+
+    @property
+    def abs_prec(self):
+        """Value is pinned down modulo p**abs_prec."""
+        return self.v if self.is_zero else self.v + self.n
+
+    def ord(self):
+        if self.is_zero:
+            raise PadicError("valuation of zero")
+        return self.v
+
+    def agreement(self, other):
+        """The absolute precision to which self and other provably agree."""
+        d = self - other
+        return d.abs_prec if d.is_zero else d.v
+
+    # -- arithmetic ----------------------------------------------------
+
+    def _coerce(self, other):
+        if not isinstance(other, (int, Fraction)):
+            return self._lift(other)
+        if other == 0:
+            return self._zero(inf)
+        if not self.is_zero:
+            return self._exact(Fraction(other), self.n)
+        if self.v == inf:
+            raise PadicError("an exact scalar meets an exact zero: no precision to give it")
+        return self._exact(Fraction(other), max(self.v - frac_val(other, self.p), 1))
+
+    def __add__(self, other):
+        b = self._coerce(other)
+        if b is None:
+            return NotImplemented
+        prec = min(self.abs_prec, b.abs_prec)
+        terms = [x for x in (self, b) if not x.is_zero]
+        v0 = min((x.v for x in terms), default=prec)
+        if v0 >= prec:
+            return self._zero(prec)
+        total = [0] * len(self._coords())
+        for x in terms:
+            shift = self.p ** (x.v - v0)
+            total = [t + c * shift for t, c in zip(total, x._coords())]
+        return self._make(v0, total, prec - v0)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        if self.is_zero:
+            return self
+        m = self.p ** self.n
+        return self._with(self.v, [-c % m for c in self._coords()], self.n)
+
+    def __sub__(self, other):
+        b = self._coerce(other)
+        if b is None:
+            return NotImplemented
+        return self + (-b)
+
+    def __rsub__(self, other):
+        return -(self - other)
+
+    def __mul__(self, other):
+        b = self._coerce(other)
+        if b is None:
+            return NotImplemented
+        if self.is_zero or b.is_zero:
+            # 0*x is 0 to the best provable absolute precision
+            return self._zero(self.v + b.v)
+        n = min(self.n, b.n)
+        return self._make(self.v + b.v, self._mul_units(self._coords(), b._coords(), self.p ** n), n)
+
+    __rmul__ = __mul__
+
+    def inverse(self):
+        if self.is_zero:
+            raise PadicError("division by zero")
+        return self._make(-self.v, self._inv_unit(self.n), self.n)
+
+    def __truediv__(self, other):
+        b = self._coerce(other)
+        if b is None:
+            return NotImplemented
+        return self * b.inverse()
+
+    def __rtruediv__(self, other):
+        return self.inverse() * other
+
+    def __pow__(self, k):
+        if not isinstance(k, int):
+            return NotImplemented
+        if k < 0:
+            return self.inverse() ** -k
+        if self.is_zero:
+            if k == 0:
+                raise PadicError("zero ** 0 has no precision")
+            return self._zero(self.v * k)
+        return self._make(self.v * k, self._pow_unit(k, self.p ** self.n), self.n)
+
+    # -- comparison ----------------------------------------------------
+
+    def __eq__(self, other):
+        """Indistinguishable on the shared provable digits."""
+        b = self._coerce(other)
+        if b is None:
+            return NotImplemented
+        return (self - b).is_zero
+
+    # -- rounding ------------------------------------------------------
+
+    def truncate(self, n):
+        """Drop to at most n significant digits."""
+        if self.is_zero or n >= self.n:
+            return self
+        return self._make(self.v, self._coords(), n)
+
+    def cap_abs_prec(self, a):
+        """Forget digits beyond absolute precision a."""
+        if self.abs_prec <= a:
+            return self
+        if self.is_zero:
+            return self._zero(a)
+        return self._make(self.v, self._coords(), a - self.v)
+
+    # -- logarithm -----------------------------------------------------
+
+    def _log(self, teichmuller_of):
+        """Iwasawa log: log(p) = 0 and log(w) = 0 for the Teichmuller part w
+        of the unit u, given by teichmuller_of(u).  Sums the series
+        log(1 + z) at z = u/w - 1; the result is provable to absolute
+        precision n.  At p = 2 it sums the series at u^2 instead, which is
+        a 1-unit mod 4 known mod 2^(n+1), so halving costs no digit."""
+        if self.is_zero:
+            raise PadicError("log of zero")
+        p, n, c = self.p, self.n, self._coords()
+        if p == 2:
+            u = self._with(0, self._mul_units(c, c, 2 ** (n + 1)), n + 1)
+        else:
+            u = self._with(0, c, n)
+        z = u / teichmuller_of(u) - 1
+        if z.is_zero:
+            return self._zero(n)
+        m = z.v
+        if m < (2 if p == 2 else 1):
+            raise PadicError("log series does not converge")
+        # working modulus absorbs the divisions by k
+        aprec = u.n
+        guard = 1
+        while p ** guard <= aprec + 4 * guard:
+            guard += 1
+        mod = p ** (aprec + guard)
+        zc = [x * p ** m % mod for x in z._coords()]
+        total, zk, k = [0] * len(zc), zc, 1
+        while k * m - guard < aprec:
+            vk = int_val(k, p)
+            inv = pow(k // p ** vk, -1, mod) * (-1) ** (k + 1)
+            total = [(t + x // p ** vk * inv) % mod for t, x in zip(total, zk)]
+            k += 1
+            zk = self._mul_units(zk, zc, mod)
+        if p == 2:
+            assert all(t % 2 == 0 for t in total)
+            total = [t // 2 for t in total]
+        return self._make(0, total, n)
+
+
+class PadicNumber(PadicElement):
     """Element of Q_p known to finitely many significant digits."""
 
     __slots__ = ("p", "v", "u", "n")
@@ -82,19 +308,6 @@ class PadicNumber:
     def zero(cls, p, abs_prec=inf):
         """The element known to vanish modulo p^abs_prec."""
         return cls(p, abs_prec, 0, 0)
-
-    @classmethod
-    def _make(cls, p, v, u, n):
-        """Normalize a candidate p^v * (u mod p^n)."""
-        if n <= 0:
-            return cls.zero(p, v + n)
-        u %= p ** n
-        if u == 0:
-            return cls.zero(p, v + n)
-        t = int_val(u, p)
-        if t:
-            return cls(p, v + t, u // p ** t, n - t)
-        return cls(p, v, u, n)
 
     @classmethod
     def from_int(cls, p, a, n):
@@ -123,173 +336,43 @@ class PadicNumber:
         u = num % m * pow(den, -1, m) % m
         return cls(p, vn - vd, u, n)
 
-    # -- predicates / accessors ---------------------------------------
+    # -- unit arithmetic ----------------------------------------------
 
-    @property
-    def is_zero(self):
-        """True when no nonzero digit is known (value ≡ 0 to precision)."""
-        return self.u == 0
+    def _coords(self):
+        return (self.u,)
 
-    @property
-    def is_exact_zero(self):
-        return self.u == 0 and self.v == inf
+    def _with(self, v, coords, n):
+        return PadicNumber(self.p, v, coords[0], n)
 
-    @property
-    def abs_prec(self):
-        """Value is pinned down modulo p**abs_prec."""
-        return self.v + self.n if self.u else self.v
+    def _lift(self, other):
+        if not isinstance(other, PadicNumber):
+            return None
+        if other.p != self.p:
+            raise PadicError("mixed primes")
+        return other
 
-    def ord(self):
-        if self.u == 0:
-            raise PadicError("valuation of zero")
-        return self.v
+    def _exact(self, x, n):
+        return PadicNumber.from_fraction(self.p, x, n)
+
+    @staticmethod
+    def _mul_units(a, b, m):
+        return (a[0] * b[0] % m,)
+
+    def _inv_unit(self, n):
+        return (pow(self.u, -1, self.p ** n),)
+
+    def _pow_unit(self, k, m):
+        return (pow(self.u, k, m),)
+
+    def log(self):
+        return iwasawa_log(self)
+
+    # -- accessors / display --------------------------------------------
 
     def unit_part(self):
         if self.u == 0:
             raise PadicError("unit part of zero")
         return self.u
-
-    # -- arithmetic ----------------------------------------------------
-
-    def _coerce(self, other):
-        if isinstance(other, PadicNumber):
-            if other.p != self.p:
-                raise PadicError("mixed primes")
-            return other
-        if isinstance(other, (int, Fraction)):
-            # Exact scalars keep precision decisions on the p-adic side.
-            n = self.n if self.u else 64
-            return PadicNumber.from_fraction(self.p, other, max(n, 1))
-        return None
-
-    def __add__(self, other):
-        b = self._coerce(other)
-        if b is None:
-            return NotImplemented
-        a = self
-        ap, bp = a.abs_prec, b.abs_prec
-        prec = min(ap, bp)
-        if a.u == 0 and b.u == 0:
-            return PadicNumber.zero(a.p, prec)
-        if a.u == 0:
-            return PadicNumber._make(a.p, b.v, b.u, min(b.n, prec - b.v))
-        if b.u == 0:
-            return PadicNumber._make(a.p, a.v, a.u, min(a.n, prec - a.v))
-        v0 = min(a.v, b.v)
-        k = prec - v0
-        if k <= 0:
-            return PadicNumber.zero(a.p, prec)
-        m = a.p ** k
-        s = (a.u * a.p ** (a.v - v0) + b.u * b.p ** (b.v - v0)) % m
-        return PadicNumber._make(a.p, v0, s, k)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        if self.u == 0:
-            return self
-        return PadicNumber(self.p, self.v, self.p ** self.n - self.u, self.n)
-
-    def __sub__(self, other):
-        b = self._coerce(other)
-        if b is None:
-            return NotImplemented
-        return self + (-b)
-
-    def __rsub__(self, other):
-        return -(self - other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Fraction(other)
-            if other == 0:
-                return PadicNumber.zero(self.p)
-            if self.u == 0:
-                return PadicNumber.zero(self.p, self.v + frac_val(other, self.p))
-            w = frac_val(other, self.p)
-            unit = other / Fraction(self.p) ** w
-            m = self.p ** self.n
-            u = self.u * (unit.numerator % m) * pow(unit.denominator, -1, m) % m
-            return PadicNumber._make(self.p, self.v + w, u, self.n)
-        b = self._coerce(other)
-        if b is None:
-            return NotImplemented
-        a = self
-        if a.u == 0 or b.u == 0:
-            # 0*x is 0 to the best provable absolute precision
-            if a.u == 0 and b.u == 0:
-                return PadicNumber.zero(a.p, a.v + b.v)
-            z, x = (a, b) if a.u == 0 else (b, a)
-            return PadicNumber.zero(a.p, z.v + x.v)
-        n = min(a.n, b.n)
-        return PadicNumber._make(a.p, a.v + b.v, a.u * b.u, n)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                raise PadicError("division by zero")
-            return self * (Fraction(1) / Fraction(other))
-        b = self._coerce(other)
-        if b is None:
-            return NotImplemented
-        if b.u == 0:
-            raise PadicError("division by zero")
-        a = self
-        if a.u == 0:
-            return PadicNumber.zero(a.p, a.v - b.v)
-        n = min(a.n, b.n)
-        m = a.p ** n
-        return PadicNumber._make(a.p, a.v - b.v, a.u * pow(b.u % m, -1, m), n)
-
-    def __rtruediv__(self, other):
-        b = self._coerce(other)
-        return b / self
-
-    def __pow__(self, k):
-        if not isinstance(k, int):
-            return NotImplemented
-        if k == 0:
-            return PadicNumber.from_int(self.p, 1, self.n if self.u else 64)
-        if self.u == 0:
-            if k < 0:
-                raise PadicError("division by zero")
-            return PadicNumber.zero(self.p, self.v * k)
-        m = self.p ** self.n
-        u = pow(self.u, k, m) if k > 0 else pow(pow(self.u, -1, m), -k, m)
-        return PadicNumber._make(self.p, self.v * k, u, self.n)
-
-    # -- comparison ----------------------------------------------------
-
-    def __eq__(self, other):
-        """Indistinguishable on the shared provable digits."""
-        b = self._coerce(other)
-        if b is None:
-            return NotImplemented
-        return (self - b).is_zero
-
-    def __ne__(self, other):
-        r = self.__eq__(other)
-        return NotImplemented if r is NotImplemented else not r
-
-    # -- rounding / display ---------------------------------------------
-
-    def truncate(self, n):
-        """Drop to at most n significant digits."""
-        if self.u == 0:
-            return self
-        if n >= self.n:
-            return self
-        return PadicNumber._make(self.p, self.v, self.u % self.p ** n, n)
-
-    def cap_abs_prec(self, a):
-        """Forget digits beyond absolute precision a."""
-        if self.abs_prec <= a:
-            return self
-        if self.u == 0:
-            return PadicNumber.zero(self.p, a)
-        return PadicNumber._make(self.p, self.v, self.u, a - self.v)
 
     def lift(self):
         """Smallest nonnegative integer representative of p^v*u (v >= 0)."""
@@ -366,39 +449,6 @@ def teichmuller(p, a, n):
     return PadicNumber.from_int(p, x % m, n)
 
 
-def _log_one_plus(p, z, aprec):
-    """log(1+z) mod p^aprec for an integer z with ord_p(z) big enough.
-
-    Requires ord(z) >= 1 for odd p and ord(z) >= 2 for p = 2.
-    """
-    if z == 0:
-        return 0
-    m = int_val(z, p)
-    if m < (2 if p == 2 else 1):
-        raise PadicError("log series does not converge")
-    # working modulus absorbs the divisions by k
-    guard = 1
-    while p ** guard <= aprec + 4 * guard:
-        guard += 1
-    work = aprec + guard
-    mod = p ** work
-    z %= mod
-    total = 0
-    k = 1
-    zk = z % mod
-    while k * m - guard < aprec:
-        vk = int_val(k, p) if k % p == 0 else 0
-        kk = k // p ** vk
-        term = zk // p ** vk * pow(kk, -1, mod) % mod
-        if k % 2 == 1:
-            total = (total + term) % mod
-        else:
-            total = (total - term) % mod
-        k += 1
-        zk = zk * z % mod
-    return total % p ** aprec
-
-
 def iwasawa_log(x):
     """Branch of log with log(p) = 0 and log(w(a)) = 0.
 
@@ -408,26 +458,7 @@ def iwasawa_log(x):
     """
     if not isinstance(x, PadicNumber):
         raise PadicError("iwasawa_log expects a PadicNumber")
-    if x.u == 0:
-        raise PadicError("log of zero")
-    p, n, u = x.p, x.n, x.u
-    if n < 1:
-        raise PadicError("no significant digits")
-    if p == 2:
-        # odd u: u^2 is a 1-unit mod 8 and is known mod 2^(n+1), so the
-        # halving in log u = log(u^2)/2 costs no provable digit.
-        z = (pow(u, 2, 2 ** (n + 1)) - 1) % 2 ** (n + 1)
-        val = _log_one_plus(2, z, n + 1)
-        assert val % 2 == 0
-        half = val // 2 % 2 ** n
-        return PadicNumber._make(2, 0, half, n) if half else PadicNumber.zero(2, n)
-    w = teichmuller(p, u % p, n).u
-    m = p ** n
-    z = (u * pow(w, -1, m) - 1) % m
-    val = _log_one_plus(p, z, n)
-    if val == 0:
-        return PadicNumber.zero(p, n)
-    return PadicNumber._make(p, 0, val, n)
+    return x._log(lambda u: teichmuller(u.p, u.u, u.n))
 
 
 def branch_log(x, y):

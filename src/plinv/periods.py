@@ -15,7 +15,7 @@ Supported branches of lambda:
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .padic import PadicError, PadicNumber, frac_val, iwasawa_log
+from .padic import PadicElement, PadicError, PadicNumber, frac_val, iwasawa_log
 from .unramified import ExactUnramified, UnramifiedElement
 
 
@@ -34,7 +34,7 @@ def _base_ord(base, p):
         if x == 0:
             raise PadicError("zero base in period")
         return frac_val(x, p)
-    if isinstance(base, (ExactUnramified, UnramifiedElement, PadicNumber)):
+    if isinstance(base, (ExactUnramified, PadicElement)):
         return base.ord()
     raise PadicError(f"unsupported period base {base!r}")
 
@@ -44,10 +44,8 @@ def _base_key(base):
         return ("Q", Fraction(base))
     if isinstance(base, ExactUnramified):
         return ("E", base.ctx.p, base.ctx.f, base.ctx.modulus, base.coeffs)
-    if isinstance(base, PadicNumber):
-        return ("P", base.p, base.v, base.u, base.n)
-    if isinstance(base, UnramifiedElement):
-        return ("U", base.ctx.p, base.ctx.f, base.ctx.modulus, base.v, base.coeffs, base.n)
+    if isinstance(base, PadicElement):
+        return ("L", str(base.to_json()))
     raise PadicError(f"unsupported period base {base!r}")
 
 
@@ -129,15 +127,9 @@ def _as_local(base, p, prec, ctx):
         return PadicNumber.from_fraction(p, base, prec)
     if isinstance(base, ExactUnramified):
         return base.to_padic(prec)
-    if isinstance(base, (PadicNumber, UnramifiedElement)):
+    if isinstance(base, PadicElement):
         return base
     raise PadicError(f"unsupported period base {base!r}")
-
-
-def _log_iwasawa(x):
-    if isinstance(x, PadicNumber):
-        return iwasawa_log(x)
-    return x.log()
 
 
 def _log_cyclotomic(x, f):
@@ -177,17 +169,17 @@ def li(q, branch="iwasawa", prec=DEFAULT_PREC):
         vx = xl.ord()
         if vx == 0:
             raise PadicError("not a branch direction")
-        logx = _log_iwasawa(xl)
+        logx = xl.log()
 
     total = None
     for base, e in q.factors:
         bl = _as_local(base, q.p, work, ctx)
         if kind == "iwasawa":
-            val = _log_iwasawa(bl)
+            val = bl.log()
         elif kind == "cyclotomic":
             val = _log_cyclotomic(bl, f)
         else:
-            val = _log_iwasawa(bl) - logx * Fraction(_base_ord(base, q.p), vx)
+            val = bl.log() - logx * Fraction(_base_ord(base, q.p), vx)
         val = val * e
         total = val if total is None else total + val
     return total * Fraction(1, tot)
@@ -216,14 +208,8 @@ class CheckReport:
 
 
 def _provably_equal(a, b, prec):
-    d = a - b
-    if isinstance(d, PadicNumber):
-        ok = d.is_zero
-        ap = d.abs_prec if ok else d.v
-    else:
-        ok = d.is_zero
-        ap = d.abs_prec if ok else d.ord()
-    return ok and ap >= prec - EQUALITY_SLACK, ap
+    ap = a.agreement(b)
+    return a == b and ap >= prec - EQUALITY_SLACK, ap
 
 
 def branch_change_check(q, x, y, prec=DEFAULT_PREC):

@@ -1,16 +1,16 @@
 """Unramified extensions Q_{p^f} = Q_p[t]/(g), Frobenius, norm and trace.
 
-Elements are stored like PadicNumbers, but the unit part is a coefficient
-vector modulo p^n on the power basis 1, t, ..., t^(f-1).  Because the
-extension is unramified, ord extends Z-valued: ord(x) is the minimum of
-the coefficient valuations, so every nonzero element factors as
-p^v * (unit vector).
+Elements follow the precision model of padic.PadicElement, shared with
+PadicNumber; only the unit differs: a coefficient vector modulo p^n on
+the power basis 1, t, ..., t^(f-1).  Because the extension is unramified,
+ord extends Z-valued: ord(x) is the minimum of the coefficient
+valuations, so every nonzero element factors as p^v * (unit vector).
 """
 
 from fractions import Fraction
 from math import inf
 
-from .padic import PadicError, PadicNumber, check_prime, int_val
+from .padic import PadicElement, PadicError, PadicNumber, check_prime, int_val
 
 
 # -- polynomial helpers over Z/p^k ------------------------------------
@@ -261,7 +261,7 @@ class UnramifiedContext:
         return out[: self.f] + [0] * max(0, self.f - len(out))
 
 
-class UnramifiedElement:
+class UnramifiedElement(PadicElement):
     """p^v * (unit coefficient vector mod p^n) in Q_{p^f}."""
 
     __slots__ = ("ctx", "v", "coeffs", "n")
@@ -272,116 +272,42 @@ class UnramifiedElement:
         self.coeffs = tuple(coeffs)
         self.n = n
 
-    @classmethod
-    def _make(cls, ctx, v, coeffs, n):
-        if n <= 0:
-            return cls(ctx, v + n, (0,) * ctx.f, 0)
-        m = ctx.p ** n
-        coeffs = [c % m for c in coeffs]
-        if all(c == 0 for c in coeffs):
-            return cls(ctx, v + n, (0,) * ctx.f, 0)
-        t = min(int_val(c, ctx.p) for c in coeffs if c) if any(coeffs) else 0
-        t = min(t, n)
-        if t:
-            coeffs = [c // ctx.p ** t for c in coeffs]
-            return cls(ctx, v + t, tuple(c % ctx.p ** (n - t) for c in coeffs), n - t)
-        return cls(ctx, v, tuple(coeffs), n)
-
     @property
-    def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
+    def p(self):
+        return self.ctx.p
 
-    @property
-    def abs_prec(self):
-        return self.v + self.n if not self.is_zero else self.v
+    # -- unit arithmetic ----------------------------------------------
 
-    def ord(self):
-        if self.is_zero:
-            raise PadicError("valuation of zero")
-        return self.v
+    def _coords(self):
+        return self.coeffs
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        a, b, ctx = self, other, self.ctx
-        prec = min(a.abs_prec, b.abs_prec)
-        if a.is_zero and b.is_zero:
-            return UnramifiedElement(ctx, prec, (0,) * ctx.f, 0)
-        if a.is_zero:
-            return UnramifiedElement._make(ctx, b.v, b.coeffs, min(b.n, prec - b.v))
-        if b.is_zero:
-            return UnramifiedElement._make(ctx, a.v, a.coeffs, min(a.n, prec - a.v))
-        v0 = min(a.v, b.v)
-        k = prec - v0
-        if k <= 0:
-            return UnramifiedElement(ctx, prec, (0,) * ctx.f, 0)
-        m = ctx.p ** k
-        sa = ctx.p ** (a.v - v0)
-        sb = ctx.p ** (b.v - v0)
-        coeffs = [(x * sa + y * sb) % m for x, y in zip(a.coeffs, b.coeffs)]
-        return UnramifiedElement._make(ctx, v0, coeffs, k)
+    def _with(self, v, coords, n):
+        return UnramifiedElement(self.ctx, v, coords, n)
 
-    def __neg__(self):
-        if self.is_zero:
-            return self
-        m = self.ctx.p ** self.n
-        return UnramifiedElement(self.ctx, self.v, tuple(-c % m for c in self.coeffs), self.n)
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def _coerce(self, other):
+    def _lift(self, other):
         if isinstance(other, UnramifiedElement):
             if other.ctx is not self.ctx and other.ctx.to_json() != self.ctx.to_json():
                 raise PadicError("mixed contexts")
             return other
         if isinstance(other, PadicNumber):
-            if other.u == 0:
-                return UnramifiedElement(self.ctx, other.v, (0,) * self.ctx.f, 0)
-            return UnramifiedElement(self.ctx, other.v, (other.u,) + (0,) * (self.ctx.f - 1), other.n)
-        if isinstance(other, (int, Fraction)):
-            n = self.n if not self.is_zero else 64
-            return self.ctx.from_vector([Fraction(other)], max(n, 1))
-        raise PadicError(f"cannot coerce {other!r}")
+            if other.p != self.p:
+                raise PadicError("mixed primes")
+            return self._with(other.v, (other.u,) + (0,) * (self.ctx.f - 1), other.n)
+        return None
 
-    def __mul__(self, other):
-        other = self._coerce(other)
-        ctx = self.ctx
-        if self.is_zero or other.is_zero:
-            if self.is_zero and other.is_zero:
-                prec = self.v + other.v
-            else:
-                z, x = (self, other) if self.is_zero else (other, self)
-                prec = z.v + x.v
-            return UnramifiedElement(ctx, prec, (0,) * ctx.f, 0)
-        n = min(self.n, other.n)
-        m = ctx.p ** n
-        coeffs = _poly_mulmod(list(self.coeffs), list(other.coeffs), list(ctx.modulus), m)
-        return UnramifiedElement._make(ctx, self.v + other.v, coeffs, n)
+    def _exact(self, x, n):
+        return self.ctx.from_vector([x], n)
 
-    def inverse(self):
-        if self.is_zero:
-            raise PadicError("division by zero")
-        ctx = self.ctx
-        inv = ctx._inv_unit_vector(list(self.coeffs), self.n)
-        return UnramifiedElement._make(ctx, -self.v, inv, self.n)
+    def _mul_units(self, a, b, m):
+        return _poly_mulmod(a, b, self.ctx.modulus, m)
 
-    def __truediv__(self, other):
-        return self * self._coerce(other).inverse()
+    def _inv_unit(self, n):
+        return self.ctx._inv_unit_vector(self.coeffs, n)
 
-    def __pow__(self, k):
-        if not isinstance(k, int):
-            return NotImplemented
-        if k < 0:
-            return self.inverse() ** (-k)
-        ctx = self.ctx
-        if self.is_zero:
-            return UnramifiedElement(ctx, self.v * max(k, 1), (0,) * ctx.f, 0)
-        m = ctx.p ** self.n
-        coeffs = _poly_powmod(list(self.coeffs), k, list(ctx.modulus), m)
-        return UnramifiedElement._make(ctx, self.v * k, coeffs, self.n)
+    def _pow_unit(self, k, m):
+        return _poly_powmod(self.coeffs, k, self.ctx.modulus, m)
 
-    def __eq__(self, other):
-        return (self - self._coerce(other)).is_zero
+    # -- Galois structure -----------------------------------------------
 
     def frobenius(self):
         """The lift of x -> x^p fixing Q_p; phi^f = id."""
@@ -393,7 +319,7 @@ class UnramifiedElement:
         y = ctx.frobenius_root(self.n)
         m = ctx.p ** self.n
         img = ctx._eval_poly(list(self.coeffs), y, m)
-        return UnramifiedElement._make(ctx, self.v, img, self.n)
+        return self._make(self.v, img, self.n)
 
     def norm(self, subfield_degree=1):
         """prod of phi^(d*i)(x) over i < f/d: the norm to Q_{p^d}."""
@@ -402,7 +328,7 @@ class UnramifiedElement:
             raise PadicError("not a subfield degree")
         steps = self.ctx.f // d
         if self.is_zero:
-            return UnramifiedElement(self.ctx, self.v * steps, (0,) * self.ctx.f, 0)
+            return self._zero(self.v * steps)
         acc = self.ctx.one(self.n)
         cur = self
         for _ in range(steps):
@@ -416,7 +342,7 @@ class UnramifiedElement:
         if self.ctx.f % d:
             raise PadicError("not a subfield degree")
         steps = self.ctx.f // d
-        acc = UnramifiedElement(self.ctx, self.abs_prec, (0,) * self.ctx.f, 0)
+        acc = self._zero(self.abs_prec)
         cur = self
         for _ in range(steps):
             acc = acc + cur
@@ -441,8 +367,7 @@ class UnramifiedElement:
                 if self.n - w > slack:
                     raise PadicError("element does not lie in Q_p")
                 noise = max(noise, self.n - w)
-        n = self.n - noise
-        return PadicNumber._make(ctx.p, self.v, self.coeffs[0] % ctx.p ** n, n)
+        return PadicNumber(ctx.p, self.v, self.coeffs[0], self.n).truncate(self.n - noise)
 
     def teichmuller_part(self):
         """omega(x mod p): the (p^f - 1)-st root of unity congruent to
@@ -467,44 +392,11 @@ class UnramifiedElement:
             inv = ctx._inv_unit_vector(dfy, prec)
             corr = _poly_mulmod(fy, inv, g, m)
             y = [(y[i] - (corr[i] if i < len(corr) else 0)) % m for i in range(f)]
-        return UnramifiedElement._make(ctx, 0, y, n)
+        return self._make(0, y, n)
 
     def log(self):
         """Iwasawa branch: log(p) = 0, Teichmuller part killed."""
-        if self.is_zero:
-            raise PadicError("log of zero")
-        ctx, n = self.ctx, self.n
-        p = ctx.p
-        if ctx.f == 1:
-            return self._coerce_self_to_padic_log()
-        u = UnramifiedElement(ctx, 0, self.coeffs, n)
-        if p == 2:
-            # square once so the 1-unit part has ord >= 2
-            usq = UnramifiedElement._make(ctx, 0,
-                                          _poly_mulmod(list(self.coeffs), list(self.coeffs),
-                                                       list(ctx.modulus), 2 ** (n + 1)),
-                                          n + 1)
-            w = usq.teichmuller_part()
-            z = usq * w.inverse() - 1
-            val = _unram_log_series(z, n + 1)
-            return _unram_halve(val, n)
-        w = u.teichmuller_part()
-        z = u * w.inverse() - 1
-        return _unram_log_series(z, n)
-
-    def _coerce_self_to_padic_log(self):
-        from .padic import iwasawa_log
-
-        x = PadicNumber._make(self.ctx.p, self.v, self.coeffs[0], self.n)
-        res = iwasawa_log(x)
-        out = UnramifiedElement(self.ctx, res.v, (res.u,) + (0,) * (self.ctx.f - 1), res.n)
-        return out if res.u else UnramifiedElement(self.ctx, res.v, (0,) * self.ctx.f, 0)
-
-    def truncate(self, n):
-        if self.is_zero or n >= self.n:
-            return self
-        return UnramifiedElement._make(self.ctx, self.v,
-                                       tuple(c % self.ctx.p ** n for c in self.coeffs), n)
+        return self._log(UnramifiedElement.teichmuller_part)
 
     def __repr__(self):
         if self.is_zero:
@@ -519,48 +411,6 @@ class UnramifiedElement:
             "coeffs": [str(c) for c in self.coeffs],
             "n": self.n,
         }
-
-
-def _unram_log_series(z, aprec):
-    """log(1+z) for an UnramifiedElement z with ord(z) >= 1 (>= 2 if p=2)."""
-    ctx = z.ctx
-    p = ctx.p
-    if z.is_zero:
-        return UnramifiedElement(ctx, min(aprec, z.v), (0,) * ctx.f, 0)
-    m = z.ord()
-    if m < (2 if p == 2 else 1):
-        raise PadicError("log series does not converge")
-    guard = 1
-    while p ** guard <= aprec + 4 * guard:
-        guard += 1
-    work = aprec + guard
-    mod = p ** work
-    g = list(ctx.modulus)
-    zv = [c * p ** z.v % mod for c in z.coeffs]  # integral vector of z
-    total = [0] * ctx.f
-    zk = list(zv)
-    k = 1
-    while k * m - guard < aprec:
-        vk = int_val(k, p) if k % p == 0 else 0
-        kk = k // p ** vk
-        inv = pow(kk, -1, mod)
-        sgn = 1 if k % 2 == 1 else -1
-        for i in range(ctx.f):
-            total[i] = (total[i] + sgn * (zk[i] // p ** vk) * inv) % mod
-        k += 1
-        zk = _poly_mulmod(zk, zv, g, mod)
-    total = [c % p ** aprec for c in total]
-    return UnramifiedElement._make(ctx, 0, total, aprec)
-
-
-def _unram_halve(x, aprec):
-    """x/2 at p = 2 for x with even coefficients, clamped to aprec."""
-    if x.is_zero:
-        return UnramifiedElement(x.ctx, min(x.v - 1, aprec), (0,) * x.ctx.f, 0)
-    ints = [c * 2 ** x.v for c in x.coeffs]
-    assert all(c % 2 == 0 for c in ints)
-    m = 2 ** aprec
-    return UnramifiedElement._make(x.ctx, 0, [c // 2 % m for c in ints], aprec)
 
 
 def norm_trace(x):

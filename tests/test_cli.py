@@ -19,6 +19,9 @@ def run(args, tmp_path=None):
     return rc, json.loads(text) if text.strip().startswith("{") else text
 
 
+SPLIT_PAIRS = [("11a1", 11), ("14a1", 7), ("15a1", 5), ("17a1", 17), ("21a1", 3), ("37b1", 37)]
+
+
 class TestPeriodGrammar:
     def test_basic(self):
         q = parse_period_literal("5^1", 5)
@@ -131,6 +134,21 @@ class TestReports:
         assert out["reduction"]["v_delta"] == 5
         assert out["tate_period"]["v"] == 5
 
+    @pytest.mark.parametrize("label,p", SPLIT_PAIRS)
+    def test_li_curve_beyond_64_digits(self, label, p):
+        """No precision cap: the digits at --prec 75 and 200 extend those
+        at --prec 20."""
+        args = ["li-curve", "--label", label, "-p", str(p), "--prec"]
+        rc, low = run(args + ["20"])
+        assert rc == 0
+        for prec in (75, 200):
+            rc, out = run(args + [str(prec)])
+            assert rc == 0
+            for key in ("tate_period", "li"):
+                assert out[key]["v"] == low[key]["v"]
+                assert out[key]["n"] >= prec - 1
+                assert out[key]["digits"][:len(low[key]["digits"])] == low[key]["digits"]
+
     def test_check_ezc_report(self):
         rc, out = run(["check-ezc", "--label", "11a1", "-p", "11",
                        "--depth", "2", "--prec", "10"])
@@ -230,20 +248,45 @@ class TestImporter:
 
 class TestCacheRoundTrip:
     def test_space_cache_reused(self, tmp_path):
+        from plinv import modsym
+
+        # start cold, as a fresh process would: the memo outlives each run
+        modsym._space_memo.clear()
         rc1, out1 = run(["modsym", "dump", "--level", "14", "--hecke", "3"], tmp_path)
         assert rc1 == 0
         assert (tmp_path / "modsym_14_plus.json").exists()
         # wipe the in-process memo so the disk copy is exercised
-        from plinv import modsym
-
         modsym._space_memo.clear()
         rc2, out2 = run(["modsym", "dump", "--level", "14", "--hecke", "3"], tmp_path)
         assert rc2 == 0
         assert out1 == out2
 
+    def test_warm_modsym_dump_stores_nothing(self, tmp_path, monkeypatch):
+        from plinv import modsym
+        from plinv.cache import Cache
+
+        modsym._space_memo.clear()
+        assert run(["modsym", "dump", "--level", "11"], tmp_path)[0] == 0
+        stores = []
+        real_store = Cache.store
+
+        def counting_store(self, name, kind, payload):
+            stores.append(name)
+            real_store(self, name, kind, payload)
+
+        monkeypatch.setattr(Cache, "store", counting_store)
+        modsym._space_memo.clear()
+        assert run(["modsym", "dump", "--level", "11"], tmp_path)[0] == 0
+        assert stores == []
+        # a Hecke matrix that the cached space lacks is computed and stored
+        modsym._space_memo.clear()
+        assert run(["modsym", "dump", "--level", "11", "--hecke", "5"], tmp_path)[0] == 0
+        assert stores == ["modsym_11_plus"]
+
     def test_stale_p1_list_exits_4(self, tmp_path):
         from plinv import modsym
 
+        modsym._space_memo.clear()
         assert run(["modsym", "dump", "--level", "14"], tmp_path)[0] == 0
         path = tmp_path / "modsym_14_plus.json"
         data = json.loads(path.read_text())

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -203,7 +204,7 @@ class TestTwist:
 
 class TestJSeries:
     def test_classical_coefficients(self):
-        c = j_q_coefficients(3, Cache(enabled=False))
+        c = j_q_coefficients(3, None)
         assert c[0] == 744
         assert c[1] == 196884
         assert c[2] == 21493760
@@ -220,8 +221,8 @@ class TestTatePeriod:
     PAIRS = [("11a1", 11), ("15a1", 5), ("21a1", 3), ("17a1", 17), ("14a1", 7), ("14a1", 2), ("37b1", 37)]
 
     def test_round_trip_defining_identity(self, cache):
-        prec = 14
-        for label, p in self.PAIRS:
+        # 75 and 200 digits: precision is never capped
+        for prec, (label, p) in itertools.product((14, 75, 200), self.PAIRS):
             e = curve_by_label(label)
             red = reduction_type(e, p)
             tp = tate_period(e, p, prec, cache)
