@@ -1,8 +1,11 @@
 """Versioned on-disk caches with atomic writes and advisory locking.
 
-Caches hold exact data (integer series coefficients, rational matrices),
-so a format bump invalidates rather than migrates; a corrupt file raises
-CacheError instead of being silently rebuilt.
+The only cached objects are symbol spaces; `modsym` decides their file
+names and payloads, which hold exact data (rational generator coordinates
+and Hecke matrices), so a format bump invalidates rather than migrates.
+Format 2 stores the resolved presentation, and format-1 files are
+ignored and rewritten.  A corrupt file raises CacheError instead of
+being silently rebuilt.
 """
 
 import fcntl
@@ -10,7 +13,7 @@ import json
 import os
 import tempfile
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class CacheError(RuntimeError):

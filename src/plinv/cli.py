@@ -30,7 +30,7 @@ from .measures import (
     stickelberger,
     twist_product_check,
 )
-from .modsym import ModSymError, build_space, eigen_symbol
+from .modsym import ModSymError, build_space, eigen_symbol, hecke_matrices
 from .padic import PadicError, check_prime
 from .periods import NotAPeriodError, Period, li
 
@@ -227,7 +227,7 @@ def cmd_li_period(args, cache):
 def cmd_li_curve(args, cache):
     curve = _resolve_curve(args, cache)
     red = reduction_type(curve, args.p)
-    tp = tate_period(curve, args.p, args.prec, cache)
+    tp = tate_period(curve, args.p, args.prec)
     value = li(tp.period, "iwasawa", prec=args.prec)
     return {
         "command": "li-curve",
@@ -302,29 +302,18 @@ def cmd_lp(args, cache):
         out["measure"] = measure.to_json()
     red = reduction_type(curve, args.p)
     if red.kind == "split-multiplicative":
-        rep = ezc_report(curve, measure, args.prec, args.dual, cache)
+        rep = ezc_report(curve, measure, args.prec, args.dual)
         out["exceptional_zero"] = rep.to_json()
     return out
 
 
 def cmd_modsym_dump(args, cache):
     space = build_space(args.level, args.sign, cache)
-    heckes = {}
-    known = len(space._hecke)
-    for tok in args.hecke.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        l = _prime(tok)
-        heckes[str(l)] = [[str(x) for x in row] for row in space.hecke_matrix(l)]
-    if cache is not None and len(space._hecke) > known:
-        from .modsym import _space_cache_name
-
-        cache.store(_space_cache_name(args.level, args.sign), "modsym",
-                    space.to_payload())
+    primes = [_prime(tok.strip()) for tok in args.hecke.split(",") if tok.strip()]
     out = space.to_json()
     out["command"] = "modsym dump"
-    out["hecke"] = heckes
+    out["hecke"] = {str(l): [[str(x) for x in row] for row in mat]
+                    for l, mat in hecke_matrices(space, primes, cache).items()}
     return out
 
 

@@ -389,14 +389,6 @@ def is_fundamental_discriminant(d):
 # -- j-invariant q-expansion and the Tate parameter --------------------
 
 
-def _sigma3(n):
-    total = 0
-    for d in range(1, n + 1):
-        if n % d == 0:
-            total += d ** 3
-    return total
-
-
 def _series_mul(a, b, m):
     out = [0] * m
     for i, ai in enumerate(a[:m]):
@@ -420,44 +412,29 @@ def _series_inv(a, m):
     return inv
 
 
-def j_q_coefficients(nterms, cache=None):
+def j_q_coefficients(nterms):
     """Integer coefficients c(0..nterms) of j(q) = 1/q + sum c(n) q^n.
 
-    Computed exactly from E4^3 / (q prod (1-q^n)^24); read from and
-    written to the disk cache when one is given.
+    q j(q) = E4^3 / f with f = prod (1-q^n)^24, in O(nterms^2) integer
+    operations.  The log-derivative q f'/f = -24 sum sigma_1(k) q^k gives
+    n f_n = -24 sum_(k=1..n) sigma_1(k) f_(n-k), and one divisor sieve
+    gives sigma_1 and the sigma_3 of E4 = 1 + 240 sum sigma_3(n) q^n.
     """
-    payload = cache.load("j_q_coefficients", "jq") if cache is not None else None
-    if payload and len(payload) >= nterms + 1:
-        return [int(x) for x in payload[: nterms + 1]]
     m = nterms + 2
-    e4 = [1] + [240 * _sigma3(n) for n in range(1, m)]
-    e4cubed = _series_mul(_series_mul(e4, e4, m), e4, m)
-    eta24 = [1]
+    sigma1, sigma3 = [0] * m, [0] * m
+    for d in range(1, m):
+        for k in range(d, m, d):
+            sigma1[k] += d
+            sigma3[k] += d ** 3
+    f = [1] + [0] * (m - 1)
     for n in range(1, m):
-        eta24 = _series_mul(eta24, _binomial_expand_term(n, m), m)
-    jq = _series_mul(e4cubed, _series_inv(eta24, m), m)
+        f[n] = -24 * sum(sigma1[k] * f[n - k] for k in range(1, n + 1)) // n
+    e4 = [1] + [240 * s for s in sigma3[1:]]
+    e4cubed = _series_mul(_series_mul(e4, e4, m), e4, m)
+    jq = _series_mul(e4cubed, _series_inv(f, m), m)
     # jq[k] = c(k-1): coefficient of q^k in q*j(q)
     assert jq[0] == 1 and jq[1] == 744
-    coeffs = jq[1 : nterms + 2]
-    if cache is not None:
-        try:
-            cache.store("j_q_coefficients", "jq", [str(c) for c in coeffs])
-        except OSError:
-            pass
-    return coeffs
-
-
-def _binomial_expand_term(n, m):
-    """(1 - q^n)^24 truncated to q^m."""
-    out = [0] * m
-    coeff = 1
-    for k in range(0, 25):
-        idx = n * k
-        if idx >= m:
-            break
-        out[idx] = coeff
-        coeff = -coeff * (24 - k) // (k + 1)
-    return out
+    return jq[1 : nterms + 2]
 
 
 @dataclass(frozen=True)
@@ -477,7 +454,7 @@ class TatePeriod:
         }
 
 
-def tate_period(curve, p, prec=20, cache=None):
+def tate_period(curve, p, prec=20):
     """The parameter q with j(q) = j(E), ord(q) = v_p(disc_min) > 0,
     found by the contracting iteration q <- 1/(j - 744 - sum c(n) q^n)."""
     red = reduction_type(curve, p)
@@ -486,7 +463,7 @@ def tate_period(curve, p, prec=20, cache=None):
     m = red.v_delta
     guard = 4
     nterms = (prec + guard) // m + 2
-    coeffs = j_q_coefficients(nterms, cache)
+    coeffs = j_q_coefficients(nterms)
     rel = prec + guard + m  # j has ord -m; q needs prec+guard digits
     j = PadicNumber.from_fraction(p, red.minimal.j_invariant, rel)
     q = 1 / (j - 744)
@@ -507,21 +484,21 @@ def tate_period(curve, p, prec=20, cache=None):
     return TatePeriod(period, q, curve, p, m)
 
 
-def j_of_q(q, nterms=None, cache=None):
+def j_of_q(q, nterms=None):
     """Evaluate the j-series at a p-adic q (for round-trip checks)."""
     m = q.ord()
     if nterms is None:
         nterms = (q.n + m) // m + 2
-    coeffs = j_q_coefficients(nterms, cache)
+    coeffs = j_q_coefficients(nterms)
     s = coeffs[nterms] * q
     for n in range(nterms - 1, 0, -1):
         s = (s + coeffs[n]) * q
     return 1 / q + 744 + s
 
 
-def curve_l_invariant(curve, p, prec=20, cache=None):
+def curve_l_invariant(curve, p, prec=20):
     """LI_p of the Tate period: log_p(q)/ord_p(q)."""
-    tp = tate_period(curve, p, prec, cache)
+    tp = tate_period(curve, p, prec)
     return li(tp.period, "iwasawa", prec=prec)
 
 
@@ -587,8 +564,8 @@ def parse_table_row(row):
 
 
 def load_user_table(path):
-    """Optional user extension table next to the cache; same validation
-    discipline as the bundled file."""
+    """Optional user extension table; same validation discipline as the
+    bundled file."""
     import os
 
     table = {}

@@ -10,10 +10,6 @@ def mat_mul(a, b):
     return [[sum(row[i] * col[i] for i in range(k)) for col in bt] for row in a]
 
 
-def identity(n):
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-
-
 def transpose(a):
     return [list(r) for r in zip(*a)]
 

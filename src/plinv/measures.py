@@ -365,18 +365,18 @@ class EzcReport:
         }
 
 
-def exceptional_zero_check(curve, p, depth=3, prec=20, sign=1, dual=False, level=None, cache=None):
+def exceptional_zero_check(curve, p, depth=3, prec=20, sign=1, dual=False, cache=None):
     """Compare L_p'(0)/[0->oo] with +-LI_p(q_E) for a split
     multiplicative prime; both sides are linear in the same symbol scale,
     so the normalization cancels."""
     red = reduction_type(curve, p)
     if red.kind != SPLIT:
         raise MeasureError("not an exceptional (split multiplicative) prime")
-    symbol = eigen_symbol(curve, sign, level=level, cache=cache)
-    return ezc_report(curve, build_measure(symbol, p, depth, prec=prec), prec, dual, cache)
+    symbol = eigen_symbol(curve, sign, cache=cache)
+    return ezc_report(curve, build_measure(symbol, p, depth, prec=prec), prec, dual)
 
 
-def ezc_report(curve, measure, prec=20, dual=False, cache=None):
+def ezc_report(curve, measure, prec=20, dual=False):
     """The comparison of `exceptional_zero_check` for a measure already
     built from the curve's eigen-symbol at a split multiplicative prime."""
     symbol, p, depth = measure.symbol, measure.p, measure.depth
@@ -387,7 +387,7 @@ def ezc_report(curve, measure, prec=20, dual=False, cache=None):
     if v0 == 0:
         raise MeasureError("symbol vanishes at {0->oo}; vanishing central L-value")
     ratio = l1 * Fraction(1, v0)
-    li_val = curve_l_invariant(curve, p, prec, cache)
+    li_val = curve_l_invariant(curve, p, prec)
     agree_plus = ratio.agreement(li_val)
     agree_minus = ratio.agreement(-li_val)
     if agree_plus >= agree_minus:
@@ -460,34 +460,29 @@ def twist_product_check(curve, d, p, depth=3, prec=20, sign=1, cache=None):
     level_tw = n * d * d
     sym_tw = eigen_symbol(twist, sign, level=level_tw, cache=cache)
     measure_tw = build_measure(sym_tw, p, depth, prec=prec)
-    l0_tw, l1_tw = lp_value_and_derivative(measure_tw, prec)
-    v0_tw = sym_tw.at_zero
 
     if chi_p == 1:
         base = exceptional_zero_check(curve, p, depth, prec, sign, cache=cache)
-        if v0_tw == 0:
-            raise MeasureError("twisted symbol vanishes at {0->oo}")
-        ratio_tw = l1_tw * Fraction(1, v0_tw)
-        li_base = base.l_invariant
-        li_tw = curve_l_invariant(twist, p, prec, cache)
-        tate_match = li_base.agreement(li_tw)
-        ratio_match = max(base.ratio.agreement(ratio_tw),
-                          base.ratio.agreement(-ratio_tw))
+        tw = ezc_report(twist, measure_tw, prec)
+        ratio_match = max(base.ratio.agreement(tw.ratio),
+                          base.ratio.agreement(-tw.ratio))
         return TwistReport(
             label=base.label, d=d, p=p, chi_p=1, case="split",
             data={
                 "base_ratio": base.ratio,
-                "twist_ratio": ratio_tw,
+                "twist_ratio": tw.ratio,
                 "ratio_agreement_digits": ratio_match,
-                "tate_li_base": li_base,
-                "tate_li_twist": li_tw,
-                "tate_agreement_digits": tate_match,
+                "tate_li_base": base.l_invariant,
+                "tate_li_twist": tw.l_invariant,
+                "tate_agreement_digits": base.l_invariant.agreement(tw.l_invariant),
                 "base_augmentation": base.lp0,
-                "twist_augmentation": l0_tw,
-                "product_vanishing_order_at_least_2": base.lp0 == 0 and l0_tw == 0,
+                "twist_augmentation": tw.lp0,
+                "product_vanishing_order_at_least_2": base.lp0 == 0 and tw.lp0 == 0,
             },
         )
     if chi_p == -1:
+        l0_tw, _ = lp_value_and_derivative(measure_tw, prec)
+        v0_tw = sym_tw.at_zero
         factor = l0_tw * Fraction(1, v0_tw) if v0_tw else None
         root = measure_tw.root
         return TwistReport(

@@ -3,18 +3,22 @@
 The symbol space is presented on P^1(Z/N), enumerated by one orbit sieve
 per divisor of N: two-term (S and sign) relations are folded in by a
 signed union-find, the three-term T-relations by exact sparse elimination
-over Q.  Hecke operators act through paths: a Manin generator is a
-unimodular path, its Hecke image is a sum of paths, and Manin's
-continued-fraction trick splits each path into generators, which are
-counted as integers before they are mapped to coordinates.  All
-arithmetic is exact."""
+over Q (Stein, Modular Forms: A Computational Approach, ch. 8).  A space
+keeps only the result: the coordinates of every Manin generator on a
+free basis and a generator for every basis vector.  That, with the
+Hecke matrices computed so far, is also what the disk cache stores;
+this module alone names the cache files and writes them.  Hecke
+operators act through paths: a Manin generator is a unimodular path,
+its Hecke image is a sum of paths, and Manin's continued-fraction trick
+splits each path into generators, which are counted as integers before
+they are mapped to coordinates.  All arithmetic is exact."""
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
 from .cache import CacheError
-from .linalg import identity, kernel_basis, left_eigen_space, vec_mat
+from .linalg import left_eigen_space, rank, vec_mat
 from .curves import conductor, curve_table, trace_of_frobenius
 
 
@@ -192,7 +196,9 @@ ETA_MAT = (-1, 0, 0, 1)
 
 
 class SymbolSpace:
-    """The sign-quotient of weight-2 modular symbols for Gamma_0(N)."""
+    """The sign-quotient of weight-2 modular symbols for Gamma_0(N), held
+    as its resolved presentation: the coordinates of every Manin generator
+    on a free basis, and a Manin generator for every basis vector."""
 
     def __init__(self, level, sign=1):
         if sign not in (1, -1):
@@ -232,10 +238,15 @@ class SymbolSpace:
             row = {c: v for c, v in row.items() if v}
             if row:
                 rows.add(tuple(sorted(row.items())))
+        # pivot rows are kept fully reduced: they hold free columns only
         pivots = {}
         for row in sorted(rows, key=len):
             row = {c: Fraction(v) for c, v in row}
-            row = self._reduce_row(row, pivots)
+            for c in [c for c in row if c in pivots]:
+                f = row.pop(c)
+                for cc, vv in pivots[c].items():
+                    row[cc] = row.get(cc, 0) - f * vv
+            row = {c: v for c, v in row.items() if v}
             if not row:
                 continue
             pc = min(row)
@@ -249,53 +260,29 @@ class SymbolSpace:
                         orow[c] = orow.get(c, Fraction(0)) - f * v
                     pivots[opc] = {c: v for c, v in orow.items() if v}
             pivots[pc] = row
-        self._uf = uf
-        self._col = col
-        self._live = live
-        self._pivots = pivots
-        free_cols = [c for c in range(len(live)) if c not in pivots]
-        self._free = free_cols
-        self._free_pos = {c: k for k, c in enumerate(free_cols)}
-        self.dimension = len(free_cols)
-        self._gen_expr_cache = {}
-        self._build_boundary()
-
-    @staticmethod
-    def _reduce_row(row, pivots):
-        row = dict(row)
-        changed = True
-        while changed:
-            changed = False
-            for c in list(row):
-                if c in pivots and row.get(c):
-                    f = row.pop(c)
-                    for cc, vv in pivots[c].items():
-                        row[cc] = row.get(cc, Fraction(0)) - f * vv
-                    row = {k: v for k, v in row.items() if v}
-                    changed = True
-        return row
+        free = [c for c in range(len(live)) if c not in pivots]
+        free_pos = {c: k for k, c in enumerate(free)}
+        coords = []
+        for i in range(ngen):
+            r, s = uf.find(i)
+            if r in uf.dead:
+                coords.append({})
+            elif col[r] in pivots:
+                # x_c = -sum vv * x_cc
+                coords.append({free_pos[cc]: -s * vv for cc, vv in pivots[col[r]].items()})
+            else:
+                coords.append({free_pos[col[r]]: Fraction(s)})
+        self._gen_coords = coords
+        self._basis = [live[c] for c in free]
+        self.dimension = len(free)
 
     def gen_coords(self, i):
         """Coordinates of Manin generator i on the free basis."""
-        if i in self._gen_expr_cache:
-            return self._gen_expr_cache[i]
-        r, s = self._uf.find(i)
-        out = {}
-        if r not in self._uf.dead:
-            c = self._col[r]
-            if c in self._pivots:
-                for cc, vv in self._pivots[c].items():
-                    # x_c = -sum vv * x_cc
-                    out[self._free_pos[cc]] = out.get(self._free_pos[cc], Fraction(0)) - s * vv
-            else:
-                out[self._free_pos[c]] = out.get(self._free_pos[c], Fraction(0)) + s
-        out = {k: v for k, v in out.items() if v}
-        self._gen_expr_cache[i] = out
-        return out
+        return self._gen_coords[i]
 
     def basis_generator(self, k):
         """A Manin generator mapping to the k-th basis vector."""
-        return self._live[self._free[k]]
+        return self._basis[k]
 
     # -- paths -----------------------------------------------------------
 
@@ -339,49 +326,37 @@ class SymbolSpace:
         self._hecke[ell] = mat
         return mat
 
-    # -- boundary and the cuspidal subspace --------------------------------
-
-    def _build_boundary(self):
-        # boundary to the sign-quotient of the cusp space, where
-        # [cusp] = sign * [-cusp]; a self-negating cusp dies when sign=-1
-        self._cusps = []
-        self._dead_cusp = set()
-        bmap = []
-        for k in range(self.dimension):
-            gen = self.basis_generator(k)
-            alpha, beta = self.generator_endpoints(gen)
-            bmap.append((self._cusp_index(beta), self._cusp_index(alpha)))
-        mat = [[Fraction(0)] * self.dimension for _ in range(len(self._cusps))]
-        for k, ((ti, ts), (fi, fs)) in enumerate(bmap):
-            mat[ti][k] += ts
-            mat[fi][k] -= fs
-        self._cuspidal_basis = kernel_basis(mat) if mat else identity(self.dimension)
-
-    def _cusp_key(self, c):
-        if c is INF:
-            return (1, 0)
-        c = Fraction(c)
-        return (c.numerator, c.denominator)
-
-    def _cusp_index(self, cusp):
-        """Index and sign of a cusp in the sign-quotient of the cusp space."""
-        a, m = self._cusp_key(cusp)
-        for idx, (aa, mm) in enumerate(self._cusps):
-            dead = idx in self._dead_cusp
-            if _cusps_equivalent(a, m, aa, mm, self.level):
-                return idx, 0 if dead else 1
-            if _cusps_equivalent(-a, m, aa, mm, self.level):
-                return idx, 0 if dead else self.sign
-        self._cusps.append((a, m))
-        idx = len(self._cusps) - 1
-        if self.sign == -1 and _cusps_equivalent(a, m, -a, m, self.level):
-            self._dead_cusp.add(idx)
-            return idx, 0
-        return idx, 1
+    # -- the cuspidal subspace ---------------------------------------------
 
     @property
     def cuspidal_dimension(self):
-        return len(self._cuspidal_basis)
+        """dimension - rank of the boundary map to the sign-quotient of the
+        cusp space, where [cusp] = sign * [-cusp]; a self-negating cusp
+        dies when sign = -1."""
+        n = self.level
+        cusps = []
+        dead = set()
+
+        def cusp_index(cusp):
+            a, m = (1, 0) if cusp is INF else (cusp.numerator, cusp.denominator)
+            for idx, (aa, mm) in enumerate(cusps):
+                if _cusps_equivalent(a, m, aa, mm, n):
+                    return idx, 0 if idx in dead else 1
+                if _cusps_equivalent(-a, m, aa, mm, n):
+                    return idx, 0 if idx in dead else self.sign
+            cusps.append((a, m))
+            if self.sign == -1 and _cusps_equivalent(a, m, -a, m, n):
+                dead.add(len(cusps) - 1)
+                return len(cusps) - 1, 0
+            return len(cusps) - 1, 1
+
+        rows = {}
+        for k, gen in enumerate(self._basis):
+            alpha, beta = self.generator_endpoints(gen)
+            for cusp, sgn in ((beta, 1), (alpha, -1)):
+                idx, s = cusp_index(cusp)
+                rows.setdefault(idx, [0] * self.dimension)[k] += sgn * s
+        return self.dimension - rank(list(rows.values()))
 
     def to_json(self):
         return {
@@ -391,10 +366,7 @@ class SymbolSpace:
             "dimension": self.dimension,
             "cuspidal_dimension": self.cuspidal_dimension,
             "generators": [list(self.p1[i]) for i in range(len(self.p1))],
-            "gen_coords": [
-                {str(k): str(v) for k, v in self.gen_coords(i).items()}
-                for i in range(len(self.p1))
-            ],
+            "gen_coords": _encode_coords(self._gen_coords),
         }
 
     # -- disk serialization (exact; Fractions as strings) ----------------
@@ -403,17 +375,9 @@ class SymbolSpace:
         return {
             "level": self.level,
             "sign": self.sign,
-            "p1": [list(cd) for cd in self.p1._reps],
-            "uf_parent": self._uf.parent,
-            "uf_sgn": self._uf.sgn,
-            "uf_dead": sorted(self._uf.dead),
-            "col": {str(k): v for k, v in self._col.items()},
-            "live": self._live,
-            "pivots": {
-                str(c): {str(cc): str(vv) for cc, vv in row.items()}
-                for c, row in self._pivots.items()
-            },
-            "free": self._free,
+            "p1": [list(cd) for cd in self.p1],
+            "gen_coords": _encode_coords(self._gen_coords),
+            "basis": self._basis,
             "hecke": {
                 str(l): [[str(x) for x in row] for row in mat]
                 for l, mat in self._hecke.items()
@@ -428,24 +392,22 @@ class SymbolSpace:
         self.p1 = P1List(self.level)
         if payload["p1"] != [list(cd) for cd in self.p1]:
             raise CacheError(f"stale P^1 list in the cached level-{self.level} space")
-        self._uf = _SignedUF(list(payload["uf_parent"]), list(payload["uf_sgn"]),
-                             set(payload["uf_dead"]))
-        self._col = {int(k): v for k, v in payload["col"].items()}
-        self._live = list(payload["live"])
-        self._pivots = {
-            int(c): {int(cc): Fraction(vv) for cc, vv in row.items()}
-            for c, row in payload["pivots"].items()
-        }
-        self._free = list(payload["free"])
-        self._free_pos = {c: k for k, c in enumerate(self._free)}
-        self.dimension = len(self._free)
-        self._gen_expr_cache = {}
+        self._gen_coords = [{int(k): Fraction(v) for k, v in c.items()}
+                            for c in payload["gen_coords"]]
+        self._basis = list(payload["basis"])
+        self.dimension = len(self._basis)
+        used = 1 + max((k for c in self._gen_coords for k in c), default=-1)
+        if len(self._gen_coords) != len(self.p1) or used != self.dimension:
+            raise CacheError(f"inconsistent cached level-{self.level} space")
         self._hecke = {
             int(l): [[Fraction(x) for x in row] for row in mat]
             for l, mat in payload["hecke"].items()
         }
-        self._build_boundary()
         return self
+
+
+def _encode_coords(coords):
+    return [{str(k): str(v) for k, v in c.items()} for c in coords]
 
 
 def _mobius(num_a, num_b, den_a, den_b, z):
@@ -487,7 +449,7 @@ def _cusps_equivalent(a1, m1, a2, m2, n):
     return (s1 * m2 - s2 * m1) % g == 0
 
 
-# -- spaces are memoized per (level, sign), optionally disk-cached -------
+# -- spaces are memoized per (level, sign, cache directory) -------------
 
 _space_memo = {}
 
@@ -497,20 +459,30 @@ def _space_cache_name(level, sign):
 
 
 def build_space(level, sign=1, cache=None):
-    key = (level, sign)
+    """The space of (level, sign): read from `cache` when it holds it,
+    else built and stored there; memoized per cache directory."""
+    key = (level, sign, None if cache is None else cache.directory)
     if key in _space_memo:
         return _space_memo[key]
-    if cache is not None:
-        payload = cache.load(_space_cache_name(level, sign), "modsym")
-        if payload is not None:
-            space = SymbolSpace.from_payload(payload)
-            _space_memo[key] = space
-            return space
-    space = SymbolSpace(level, sign)
+    payload = None if cache is None else cache.load(_space_cache_name(level, sign), "modsym")
+    if payload is not None:
+        space = SymbolSpace.from_payload(payload)
+    else:
+        space = SymbolSpace(level, sign)
+        if cache is not None:
+            cache.store(_space_cache_name(level, sign), "modsym", space.to_payload())
     _space_memo[key] = space
-    if cache is not None:
-        cache.store(_space_cache_name(level, sign), "modsym", space.to_payload())
     return space
+
+
+def hecke_matrices(space, primes, cache=None):
+    """{ell: T_ell} for each ell in `primes`; a space that gains a matrix
+    is stored back to `cache`."""
+    known = len(space._hecke)
+    mats = {ell: space.hecke_matrix(ell) for ell in primes}
+    if cache is not None and len(space._hecke) > known:
+        cache.store(_space_cache_name(space.level, space.sign), "modsym", space.to_payload())
+    return mats
 
 
 # -- eigen-symbols -------------------------------------------------------
@@ -572,7 +544,10 @@ class EigenSymbol:
         }
 
 
-def eigen_symbol(curve, sign=1, level=None, lmax=50, cache=None, _eigen_override=None):
+EIGEN_LMAX = 50  # the largest prime probed to isolate an eigenline
+
+
+def eigen_symbol(curve, sign=1, level=None, cache=None, _eigen_override=None):
     """The rational Hecke eigen-functional attached to an elliptic curve.
 
     Probes T_ell for good primes ell until the joint left-eigenspace is a
@@ -590,7 +565,7 @@ def eigen_symbol(curve, sign=1, level=None, lmax=50, cache=None, _eigen_override
     basis = None
     probes = {}
     ell = 2
-    while ell <= lmax:
+    while ell <= EIGEN_LMAX:
         if level % ell:
             a_ell = _eigen_override.get(ell) if _eigen_override else trace_of_frobenius(curve, ell)
             probes[ell] = a_ell
@@ -602,7 +577,7 @@ def eigen_symbol(curve, sign=1, level=None, lmax=50, cache=None, _eigen_override
                 break
         ell = _next_prime(ell)
     else:
-        raise ModSymError("eigenline not isolated by ell <= %d" % lmax)
+        raise ModSymError("eigenline not isolated by ell <= %d" % EIGEN_LMAX)
     w = list(basis[0])
     vals = []
     for i in range(len(space.p1)):

@@ -369,11 +369,6 @@ class PadicNumber(PadicElement):
 
     # -- accessors / display --------------------------------------------
 
-    def unit_part(self):
-        if self.u == 0:
-            raise PadicError("unit part of zero")
-        return self.u
-
     def lift(self):
         """Smallest nonnegative integer representative of p^v*u (v >= 0)."""
         if self.u == 0:

@@ -188,3 +188,37 @@ def p1_reduce_reference(n, c, d):
     from math import gcd
 
     return min((s * c % n, s * d % n) for s in range(1, max(n, 2)) if gcd(s, n) == 1)
+
+
+# -- j-series oracle: the product multiplied out factor by factor ----------
+
+
+def j_q_product_reference(nterms):
+    """c(0..nterms) of j(q) = 1/q + sum c(n) q^n as E4^3 / prod (1-q^n)^24,
+    with each (1-q^n)^24 expanded by the binomial theorem and multiplied
+    in one at a time: O(nterms^3) integer operations."""
+    from math import comb
+
+    m = nterms + 2
+
+    def mul(a, b):
+        out = [0] * m
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b[: m - i]):
+                    out[i + j] += ai * bj
+        return out
+
+    e4 = [1] + [240 * sum(d ** 3 for d in range(1, n + 1) if n % d == 0)
+                for n in range(1, m)]
+    eta24 = [1] + [0] * (m - 1)
+    for n in range(1, m):
+        factor = [0] * m
+        for k in range(min(24, (m - 1) // n) + 1):
+            factor[n * k] = (-1) ** k * comb(24, k)
+        eta24 = mul(eta24, factor)
+    inv = [1] + [0] * (m - 1)
+    for k in range(1, m):
+        inv[k] = -sum(eta24[i] * inv[k - i] for i in range(1, k + 1))
+    jq = mul(mul(mul(e4, e4), e4), inv)
+    return jq[1 : nterms + 2]

@@ -272,15 +272,14 @@ def test_criterion_8_tate_round_trip():
     significant digits and ord(q) = v(delta) exactly, for every bundled
     multiplicative pair."""
     prec = 16
-    cache = None
     ok = True
     lines = []
     for label, p in MULT_PAIRS:
         e = curve_by_label(label)
         red = reduction_type(e, p)
-        tp = tate_period(e, p, prec, cache)
+        tp = tate_period(e, p, prec)
         good_ord = tp.q.ord() == red.v_delta
-        jq = j_of_q(tp.q, cache=cache)
+        jq = j_of_q(tp.q)
         jexp = PadicNumber.from_fraction(p, red.minimal.j_invariant, prec + 12)
         # relative agreement beyond ord(j) = -v_delta
         digits = jq.agreement(jexp) + red.v_delta

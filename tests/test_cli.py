@@ -85,9 +85,6 @@ class TestExitCodes:
         assert rc == 2
 
     def test_cache_corruption(self, tmp_path, capsys):
-        from plinv import modsym
-
-        modsym._space_memo.pop((11, 1), None)
         bad = tmp_path / "modsym_11_plus.json"
         bad.write_text("{ truncated")
         rc, _ = run(["modsym", "dump", "--level", "11"], tmp_path)
@@ -100,16 +97,16 @@ class TestExitCodes:
 
         import plinv
 
-        bad = tmp_path / "j_q_coefficients.json"
+        bad = tmp_path / "modsym_11_plus.json"
         bad.write_text("{ truncated")
         src = os.path.dirname(os.path.dirname(plinv.__file__))
         env = dict(os.environ, PLINV_CACHE_DIR=str(tmp_path), PYTHONPATH=src)
         proc = subprocess.run(
             [sys.executable, "-m", "plinv.cli", "--no-cache", "--no-meta",
-             "li-curve", "--label", "11a1", "-p", "11"],
+             "check-ezc", "--label", "11a1", "-p", "11"],
             env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert sorted(os.listdir(tmp_path)) == ["j_q_coefficients.json"]
+        assert sorted(os.listdir(tmp_path)) == ["modsym_11_plus.json"]
         assert bad.read_text() == "{ truncated"
 
     def test_supersingular_twist_domain_error(self):
@@ -250,8 +247,6 @@ class TestCacheRoundTrip:
     def test_space_cache_reused(self, tmp_path):
         from plinv import modsym
 
-        # start cold, as a fresh process would: the memo outlives each run
-        modsym._space_memo.clear()
         rc1, out1 = run(["modsym", "dump", "--level", "14", "--hecke", "3"], tmp_path)
         assert rc1 == 0
         assert (tmp_path / "modsym_14_plus.json").exists()
@@ -265,7 +260,6 @@ class TestCacheRoundTrip:
         from plinv import modsym
         from plinv.cache import Cache
 
-        modsym._space_memo.clear()
         assert run(["modsym", "dump", "--level", "11"], tmp_path)[0] == 0
         stores = []
         real_store = Cache.store
@@ -286,7 +280,6 @@ class TestCacheRoundTrip:
     def test_stale_p1_list_exits_4(self, tmp_path):
         from plinv import modsym
 
-        modsym._space_memo.clear()
         assert run(["modsym", "dump", "--level", "14"], tmp_path)[0] == 0
         path = tmp_path / "modsym_14_plus.json"
         data = json.loads(path.read_text())
@@ -295,6 +288,43 @@ class TestCacheRoundTrip:
         path.write_text(json.dumps(data))
         modsym._space_memo.clear()
         assert run(["modsym", "dump", "--level", "14"], tmp_path)[0] == 4
+
+    def test_space_memo_follows_the_cache(self, tmp_path):
+        from plinv.cache import Cache
+        from plinv.modsym import build_space
+
+        first, second = tmp_path / "a", tmp_path / "b"
+        build_space(14, 1, Cache(str(first)))
+        build_space(14, 1, Cache(str(second)))
+        assert (second / "modsym_14_plus.json").exists()
+
+    def test_inconsistent_gen_coords_exit_4(self, tmp_path):
+        from plinv import modsym
+
+        assert run(["modsym", "dump", "--level", "14"], tmp_path)[0] == 0
+        path = tmp_path / "modsym_14_plus.json"
+        data = json.loads(path.read_text())
+        data["payload"]["gen_coords"].pop()
+        path.write_text(json.dumps(data))
+        modsym._space_memo.clear()
+        assert run(["modsym", "dump", "--level", "14"], tmp_path)[0] == 4
+
+    def test_format_1_payload_is_rewritten(self, tmp_path):
+        from plinv import modsym
+        from plinv.cache import FORMAT_VERSION
+
+        assert FORMAT_VERSION == 2
+        rc1, out1 = run(["modsym", "dump", "--level", "14"], tmp_path)
+        path = tmp_path / "modsym_14_plus.json"
+        # a format-1 file of the same name: its payload layout is unreadable now
+        path.write_text(json.dumps({"format": 1, "kind": "modsym",
+                                    "payload": {"level": 14, "uf_parent": []}}))
+        modsym._space_memo.clear()
+        rc2, out2 = run(["modsym", "dump", "--level", "14"], tmp_path)
+        assert rc1 == rc2 == 0 and out1 == out2
+        data = json.loads(path.read_text())
+        assert data["format"] == 2
+        assert sorted(data["payload"]) == ["basis", "gen_coords", "hecke", "level", "p1", "sign"]
 
     def test_ezc_identical_from_cache(self, tmp_path):
         rc1, out1 = run(["check-ezc", "--label", "11a1", "-p", "11",
