@@ -1,10 +1,10 @@
 """Versioned on-disk caches with atomic writes and advisory locking.
 
 The only cached objects are symbol spaces; `modsym` decides their file
-names and payloads, which hold exact data (rational generator coordinates
-and Hecke matrices), so a format bump invalidates rather than migrates.
-Format 2 stores the resolved presentation, and format-1 files are
-ignored and rewritten.  A corrupt file raises CacheError instead of
+names and payloads, which hold exact data (integer, or rarely Fraction,
+generator coordinates and Hecke matrices, as strings), so a format bump
+invalidates rather than migrates.  Format 2 stores the resolved
+presentation, and format-1 files are ignored and rewritten.  A corrupt file raises CacheError instead of
 being silently rebuilt.
 """
 

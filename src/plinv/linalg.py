@@ -1,22 +1,31 @@
-"""Dense exact linear algebra over Fraction, sized for symbol spaces."""
+"""Dense exact linear algebra, sized for symbol spaces.  Elimination is
+fraction-free: rows are kept primitive (integer, content 1), and a row is
+cleared against a pivot row by cross-multiplying."""
 
-from fractions import Fraction
+from math import gcd, lcm
 
 
 def mat_mul(a, b):
-    n, k = len(a), len(b)
-    m = len(b[0]) if b else 0
     bt = list(zip(*b))
-    return [[sum(row[i] * col[i] for i in range(k)) for col in bt] for row in a]
+    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
 def transpose(a):
     return [list(r) for r in zip(*a)]
 
 
+def primitive(row):
+    """The integer row with content 1 on the same ray as a rational `row`."""
+    den = lcm(*(x.denominator for x in row))
+    row = [x.numerator * (den // x.denominator) for x in row]
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
 def rref(rows):
-    """Reduced row echelon form; returns (rows, pivot_columns)."""
-    rows = [[Fraction(x) for x in r] for r in rows]
+    """Reduced row echelon form over Z; returns (rows, pivot_columns).
+    Each row is primitive, with zeros in every other pivot column."""
+    rows = [primitive(r) for r in rows]
     if not rows:
         return rows, []
     ncols = len(rows[0])
@@ -27,12 +36,11 @@ def rref(rows):
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        inv = Fraction(1) / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
+        a = rows[r][c]
         for i in range(len(rows)):
             if i != r and rows[i][c] != 0:
                 f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+                rows[i] = primitive([a * x - f * y for x, y in zip(rows[i], rows[r])])
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -41,19 +49,20 @@ def rref(rows):
 
 
 def kernel_basis(a):
-    """Basis of {x : a x = 0} (column kernel) as row vectors."""
+    """Basis of {x : a x = 0} (column kernel) as primitive integer rows,
+    one per free column, positive there."""
     if not a:
         return []
     ncols = len(a[0])
     red, pivots = rref(a)
-    free = [c for c in range(ncols) if c not in pivots]
     basis = []
-    for fcol in free:
-        vec = [Fraction(0)] * ncols
-        vec[fcol] = Fraction(1)
-        for r, pcol in enumerate(pivots):
-            vec[pcol] = -red[r][fcol]
-        basis.append(vec)
+    for fcol in (c for c in range(ncols) if c not in pivots):
+        scale = lcm(*(row[pcol] for row, pcol in zip(red, pivots) if row[fcol]))
+        vec = [0] * ncols
+        vec[fcol] = scale
+        for row, pcol in zip(red, pivots):
+            vec[pcol] = -row[fcol] * scale // row[pcol]
+        basis.append(primitive(vec))
     return basis
 
 

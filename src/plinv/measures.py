@@ -6,7 +6,7 @@ For a p-ordinary eigen-symbol with unit root alpha the measure of the
 residue disc a + p^n Z_p is built from symbol values [r] at rationals:
 
   * alpha = +-1 (multiplicative p, U_p-eigenvalue):
-        mu(a + p^n) = alpha^(-n) [a/p^n]            (exact rational)
+        mu(a + p^n) = alpha^(-n) [a/p^n]            (exact integer)
   * good ordinary p (alpha a unit root of x^2 - a_p x + p):
         mu(a + p^n) = alpha^(-n) [a/p^n] - alpha^(-n-1) [a/p^(n-1)]
 
@@ -18,6 +18,8 @@ root.
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
+from operator import add
 
 from .curves import (
     SPLIT,
@@ -92,14 +94,11 @@ class PadicMeasure:
     depth: int
     root: UnitRootData
     symbol: object
-    values: dict               # a (unit mod p^depth) -> Fraction | PadicNumber
+    values: dict               # a (unit mod p^depth) -> int | PadicNumber
     exact: bool
 
     def mass(self):
-        total = None
-        for v in self.values.values():
-            total = v if total is None else total + v
-        return total if total is not None else Fraction(0)
+        return _total(self.values.values())
 
     def to_json(self):
         enc = (lambda v: str(v)) if self.exact else (lambda v: v.to_json())
@@ -111,8 +110,14 @@ class PadicMeasure:
         }
 
 
+def _total(values):
+    """The sum of a nonempty run of table values (int, Fraction or
+    PadicNumber), with no exact 0 added to a p-adic sum."""
+    return reduce(add, values)
+
+
 def build_measure(symbol, p, depth, root=None, prec=20):
-    """Measure table on (Z/p^depth)^*; exact rationals when alpha = +-1."""
+    """Measure table on (Z/p^depth)^*; exact integers when alpha = +-1."""
     check_prime(p)
     if depth < 1:
         raise MeasureError("depth must be at least 1")
@@ -135,7 +140,7 @@ def build_measure(symbol, p, depth, root=None, prec=20):
     pn = p ** depth
     values = {}
     if root.multiplicative:
-        a_inv_n = Fraction(root.alpha_exact) ** (-depth)
+        a_inv_n = root.alpha_exact ** depth  # alpha^(-n) = alpha^n for alpha = +-1
         for a in range(1, pn):
             if a % p == 0:
                 continue
@@ -148,7 +153,7 @@ def build_measure(symbol, p, depth, root=None, prec=20):
         if a % p == 0:
             continue
         lead = ai * symbol.evaluate(Fraction(a, pn))
-        tail = ai1 * symbol.evaluate(Fraction(a % pn1, pn1) if pn1 > 1 else Fraction(a))
+        tail = ai1 * symbol.evaluate(Fraction(a % pn1, pn1) if pn1 > 1 else a)
         values[a] = lead - tail
     return PadicMeasure(p, depth, root, symbol, values, False)
 
@@ -159,15 +164,8 @@ def distribution_defect(measure, finer):
     if finer.depth != measure.depth + 1 or finer.p != measure.p:
         raise MeasureError("need measures at consecutive depths")
     p, pn = measure.p, measure.p ** measure.depth
-    out = {}
-    for a, v in measure.values.items():
-        s = None
-        for k in range(p):
-            b = a + k * pn
-            w = finer.values[b]
-            s = w if s is None else s + w
-        out[a] = v - s
-    return out
+    return {a: v - _total(finer.values[a + k * pn] for k in range(p))
+            for a, v in measure.values.items()}
 
 
 # -- Stickelberger elements ----------------------------------------------
@@ -177,15 +175,12 @@ def distribution_defect(measure, finer):
 class StickelbergerElement:
     p: int
     depth: int
-    coeffs: dict               # a in (Z/p^depth)^* -> Fraction | PadicNumber
+    coeffs: dict               # a in (Z/p^depth)^* -> int | PadicNumber
     exact: bool
     dual: bool = False
 
     def augmentation(self):
-        total = None
-        for v in self.coeffs.values():
-            total = v if total is None else total + v
-        return total if total is not None else Fraction(0)
+        return _total(self.coeffs.values())
 
     def pushforward(self):
         """Image under (Z/p^depth)^* -> (Z/p^(depth-1))^*."""
@@ -200,11 +195,7 @@ class StickelbergerElement:
 
     def chi_twisted_sum(self, chi):
         """sum chi(a) * coeff(a) for a map a -> Fraction."""
-        total = None
-        for a, v in self.coeffs.items():
-            t = v * chi(a)
-            total = t if total is None else total + t
-        return total
+        return _total(v * chi(a) for a, v in self.coeffs.items())
 
     def moment(self, j, prec=20):
         """sum coeff(a) * log_p<a>^j, to the absolute precision the depth
@@ -220,7 +211,7 @@ class StickelbergerElement:
             raise MeasureError("order must be at least 1")
         for j in range(r):
             m = self.moment(j, prec)
-            vanishes = (m == 0) if isinstance(m, Fraction) else m.is_zero
+            vanishes = m.is_zero if isinstance(m, PadicNumber) else m == 0
             if not vanishes:
                 raise MeasureError("order of vanishing less than %d" % r)
         return self.moment(r, prec)
@@ -277,14 +268,14 @@ def _log_moment(values, p, n, j, prec):
     = (k log_p(gamma))^j mod p^n, one log serves every unit, and the sum
     is exact mod p^(n - loss), where p^loss bounds the values' denominators.
     """
-    s = Fraction(0)
+    s = 0
     for k, units in _log_walk(p, n):
         if k:
-            s += k ** j * sum((values[a] for a in units), Fraction(0))
+            s += k ** j * sum(values[a] for a in units)
     log_gamma = iwasawa_log(PadicNumber.from_int(p, 5 if p == 2 else 1 + p, prec))
     loss = 0
     for v in values.values():
-        if isinstance(v, Fraction):
+        if isinstance(v, (int, Fraction)):
             if v != 0:
                 loss = max(loss, int_val(v.denominator, p))
         elif not v.is_zero and v.ord() < 0:
@@ -339,9 +330,9 @@ class EzcReport:
     p: int
     depth: int
     lp0_is_zero: bool
-    lp0: Fraction
+    lp0: int
     derivative: PadicNumber
-    value_at_zero: Fraction
+    value_at_zero: int
     ratio: PadicNumber
     l_invariant: PadicNumber
     matched_sign: str
@@ -419,11 +410,15 @@ class TwistReport:
     data: dict
     conventions: dict = field(default_factory=lambda: dict(CONVENTIONS))
 
+    # exact rationals (int or Fraction), emitted as strings like Fractions
+    RATIONAL = ("twist_L0", "twist_value_at_zero", "euler_factor", "ratio",
+                "base_augmentation", "twist_augmentation")
+
     def to_json(self):
-        def enc(v):
+        def enc(k, v):
             if hasattr(v, "to_json"):
                 return v.to_json()
-            if isinstance(v, Fraction):
+            if k in self.RATIONAL and v is not None:
                 return str(v)
             return v
 
@@ -433,7 +428,7 @@ class TwistReport:
             "p": self.p,
             "chi_p": self.chi_p,
             "case": self.case,
-            **{k: enc(v) for k, v in self.data.items()},
+            **{k: enc(k, v) for k, v in self.data.items()},
             "conventions": self.conventions,
         }
 

@@ -3,22 +3,23 @@
 The symbol space is presented on P^1(Z/N), enumerated by one orbit sieve
 per divisor of N: two-term (S and sign) relations are folded in by a
 signed union-find, the three-term T-relations by exact sparse elimination
-over Q (Stein, Modular Forms: A Computational Approach, ch. 8).  A space
-keeps only the result: the coordinates of every Manin generator on a
-free basis and a generator for every basis vector.  That, with the
-Hecke matrices computed so far, is also what the disk cache stores;
-this module alone names the cache files and writes them.  Hecke
-operators act through paths: a Manin generator is a unimodular path,
-its Hecke image is a sum of paths, and Manin's continued-fraction trick
-splits each path into generators, which are counted as integers before
-they are mapped to coordinates.  All arithmetic is exact."""
+over Z, dividing only at a pivot other than +-1 (Stein, Modular Forms: A
+Computational Approach, ch. 8).  A space keeps only the result: the
+coordinates of every Manin generator on a free basis and a generator for
+every basis vector.  That, with the Hecke matrices computed so far, is
+also what the disk cache stores; this module alone names the cache files
+and writes them.  Hecke operators act through paths: a Manin generator
+is a unimodular path, its Hecke image is a sum of paths, and Manin's
+continued-fraction trick splits each path into generators, which are
+counted as integers before they are mapped to coordinates.  All
+arithmetic is exact, and on ints wherever the values are integers."""
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
 from .cache import CacheError
-from .linalg import left_eigen_space, rank, vec_mat
+from .linalg import left_eigen_space, primitive, rank, vec_mat
 from .curves import conductor, curve_table, trace_of_frobenius
 
 
@@ -238,27 +239,29 @@ class SymbolSpace:
             row = {c: v for c, v in row.items() if v}
             if row:
                 rows.add(tuple(sorted(row.items())))
-        # pivot rows are kept fully reduced: they hold free columns only
+        # pivot rows are kept fully reduced: they hold free columns only, as
+        # ints unless a pivot other than +-1 divides them
         pivots = {}
         for row in sorted(rows, key=len):
-            row = {c: Fraction(v) for c, v in row}
+            row = dict(row)
             for c in [c for c in row if c in pivots]:
                 f = row.pop(c)
                 for cc, vv in pivots[c].items():
                     row[cc] = row.get(cc, 0) - f * vv
-            row = {c: v for c, v in row.items() if v}
+            row = _nonzero(row)
             if not row:
                 continue
             pc = min(row)
-            inv = Fraction(1) / row[pc]
-            row = {c: v * inv for c, v in row.items() if c != pc}
+            piv = row.pop(pc)
+            inv = piv if piv in (1, -1) else Fraction(1, piv)  # +-1 is its own inverse
+            row = _nonzero({c: v * inv for c, v in row.items()})
             for opc in list(pivots):
                 orow = pivots[opc]
                 if pc in orow:
                     f = orow.pop(pc)
                     for c, v in row.items():
-                        orow[c] = orow.get(c, Fraction(0)) - f * v
-                    pivots[opc] = {c: v for c, v in orow.items() if v}
+                        orow[c] = orow.get(c, 0) - f * v
+                    pivots[opc] = _nonzero(orow)
             pivots[pc] = row
         free = [c for c in range(len(live)) if c not in pivots]
         free_pos = {c: k for k, c in enumerate(free)}
@@ -271,7 +274,7 @@ class SymbolSpace:
                 # x_c = -sum vv * x_cc
                 coords.append({free_pos[cc]: -s * vv for cc, vv in pivots[col[r]].items()})
             else:
-                coords.append({free_pos[col[r]]: Fraction(s)})
+                coords.append({free_pos[col[r]]: s})
         self._gen_coords = coords
         self._basis = [live[c] for c in free]
         self.dimension = len(free)
@@ -321,8 +324,7 @@ class SymbolSpace:
                     for pos, val in self.gen_coords(i).items():
                         total[pos] = total.get(pos, 0) + m * val
             cols.append(total)
-        zero = Fraction(0)
-        mat = [[cols[j].get(i, zero) for j in range(dim)] for i in range(dim)]
+        mat = [[cols[j].get(i, 0) for j in range(dim)] for i in range(dim)]
         self._hecke[ell] = mat
         return mat
 
@@ -392,7 +394,7 @@ class SymbolSpace:
         self.p1 = P1List(self.level)
         if payload["p1"] != [list(cd) for cd in self.p1]:
             raise CacheError(f"stale P^1 list in the cached level-{self.level} space")
-        self._gen_coords = [{int(k): Fraction(v) for k, v in c.items()}
+        self._gen_coords = [{int(k): _rational(v) for k, v in c.items()}
                             for c in payload["gen_coords"]]
         self._basis = list(payload["basis"])
         self.dimension = len(self._basis)
@@ -400,7 +402,7 @@ class SymbolSpace:
         if len(self._gen_coords) != len(self.p1) or used != self.dimension:
             raise CacheError(f"inconsistent cached level-{self.level} space")
         self._hecke = {
-            int(l): [[Fraction(x) for x in row] for row in mat]
+            int(l): [[_rational(x) for x in row] for row in mat]
             for l, mat in payload["hecke"].items()
         }
         return self
@@ -408,6 +410,17 @@ class SymbolSpace:
 
 def _encode_coords(coords):
     return [{str(k): str(v) for k, v in c.items()} for c in coords]
+
+
+def _rational(text):
+    """An int for an integral string such as "3", else a Fraction."""
+    return Fraction(text) if "/" in text else int(text)
+
+
+def _nonzero(row):
+    """`row` without zero entries, integral Fractions turned into ints."""
+    return {c: v if type(v) is int else (v.numerator if v.denominator == 1 else v)
+            for c, v in row.items() if v}
 
 
 def _mobius(num_a, num_b, den_a, den_b, z):
@@ -475,13 +488,18 @@ def build_space(level, sign=1, cache=None):
     return space
 
 
+def _store_if_grown(space, known, cache):
+    """Store `space` back to `cache` when it gained Hecke matrices."""
+    if cache is not None and len(space._hecke) > known:
+        cache.store(_space_cache_name(space.level, space.sign), "modsym", space.to_payload())
+
+
 def hecke_matrices(space, primes, cache=None):
     """{ell: T_ell} for each ell in `primes`; a space that gains a matrix
     is stored back to `cache`."""
     known = len(space._hecke)
     mats = {ell: space.hecke_matrix(ell) for ell in primes}
-    if cache is not None and len(space._hecke) > known:
-        cache.store(_space_cache_name(space.level, space.sign), "modsym", space.to_payload())
+    _store_if_grown(space, known, cache)
     return mats
 
 
@@ -500,22 +518,23 @@ class EigenSymbol:
     _piece_index: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def evaluate(self, r):
-        """Value on the path {r -> oo}; exact rational.
+        """Value on the path {r -> oo} for a rational r (int or Fraction);
+        an int, since the generator values are.
 
         Sums the generator values over the Manin pieces of the path; the
         generator of each piece is memoised on its bottom row mod N.
         """
         if r is INF:
-            return Fraction(0)
+            return 0
         memo, vals, n = self._piece_index, self.gen_values, self.level
         total = 0
-        for c, d in _manin_pieces(Fraction(r)):
+        for c, d in _manin_pieces(r):
             key = (c % n, d % n)
             i = memo.get(key)
             if i is None:
                 i = memo[key] = self.space.p1.index(c, d)
             total += vals[i]
-        return Fraction(total)
+        return total
 
     def hecke_eigenvalue(self, ell):
         """The eigenvalue of T_ell (U_ell for ell dividing the level) on
@@ -523,7 +542,7 @@ class EigenSymbol:
         w = self.weights
         img = vec_mat(w, self.space.hecke_matrix(ell))
         k = next(i for i, x in enumerate(w) if x)
-        mu = img[k] / w[k]
+        mu = Fraction(img[k], w[k])
         return mu if img == [mu * x for x in w] else None
 
     def evaluate_path(self, alpha, beta):
@@ -562,6 +581,7 @@ def eigen_symbol(curve, sign=1, level=None, cache=None, _eigen_override=None):
         else:
             level = conductor(curve)
     space = build_space(level, sign, cache)
+    known = len(space._hecke)
     basis = None
     probes = {}
     ell = 2
@@ -570,7 +590,7 @@ def eigen_symbol(curve, sign=1, level=None, cache=None, _eigen_override=None):
             a_ell = _eigen_override.get(ell) if _eigen_override else trace_of_frobenius(curve, ell)
             probes[ell] = a_ell
             mat = space.hecke_matrix(ell)
-            basis = left_eigen_space(mat, Fraction(a_ell), basis)
+            basis = left_eigen_space(mat, a_ell, basis)
             if not basis:
                 raise ModSymError("curve not found at this level")
             if len(basis) == 1:
@@ -582,20 +602,14 @@ def eigen_symbol(curve, sign=1, level=None, cache=None, _eigen_override=None):
     vals = []
     for i in range(len(space.p1)):
         coords = space.gen_coords(i)
-        vals.append(sum((w[k] * v for k, v in coords.items()), Fraction(0)))
-    # content-1 normalization over all generator values, kept as integers
-    nonzero = [v for v in vals if v]
-    if nonzero:
-        from math import lcm
-
-        den = 1
-        for v in nonzero:
-            den = lcm(den, v.denominator)
-        num_gcd = 0
-        for v in nonzero:
-            num_gcd = gcd(num_gcd, abs(v.numerator * (den // v.denominator)))
-        vals = [v.numerator * (den // v.denominator) // num_gcd for v in vals]
-        w = [x * Fraction(den, num_gcd) for x in w]
+        vals.append(sum(w[k] * v for k, v in coords.items()))
+    # content-1 normalization over all generator values, kept as integers;
+    # the weights take the same positive scale
+    scaled = primitive(vals)
+    k = next((i for i, v in enumerate(vals) if v), None)
+    if k is not None:
+        w = [x * Fraction(scaled[k], vals[k]) for x in w]
+    vals = scaled
     sym = EigenSymbol(level, sign, space, w, vals, probes,
                       label=getattr(curve, "label", ""))
     # record U_ell eigenvalues at bad primes (diagnostics and tests)
@@ -603,6 +617,7 @@ def eigen_symbol(curve, sign=1, level=None, cache=None, _eigen_override=None):
         mu = sym.hecke_eigenvalue(ell)
         if mu is not None:
             probes[ell] = mu
+    _store_if_grown(space, known, cache)
     v0 = sym.at_zero
     flip = v0 < 0 or (v0 == 0 and next((v for v in vals if v), 0) < 0)
     if flip:

@@ -112,7 +112,7 @@ def riemann_sum_reference(values, p, n, j=1, prec=20):
     loss = 0
     for a, v in values.items():
         total = total + iwasawa_log(PadicNumber.from_int(p, a, prec)) ** j * v
-        if isinstance(v, Fraction):
+        if isinstance(v, (int, Fraction)):
             if v:
                 loss = max(loss, int_val(v.denominator, p))
         elif not v.is_zero:
@@ -222,3 +222,123 @@ def j_q_product_reference(nterms):
         inv[k] = -sum(eta24[i] * inv[k - i] for i in range(1, k + 1))
     jq = mul(mul(mul(e4, e4), e4), inv)
     return jq[1 : nterms + 2]
+
+
+# -- linear-algebra oracles: elimination over Q with Fraction pivots ------
+
+
+def rref_reference(rows):
+    """Reduced row echelon form over Q, every pivot scaled to 1; returns
+    (rows, pivot_columns)."""
+    rows = [[Fraction(x) for x in r] for r in rows]
+    if not rows:
+        return rows, []
+    ncols = len(rows[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = Fraction(1) / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows[:r], pivots
+
+
+def kernel_basis_reference(a):
+    """Basis of {x : a x = 0} over Q, with a 1 in each free column."""
+    if not a:
+        return []
+    ncols = len(a[0])
+    red, pivots = rref_reference(a)
+    basis = []
+    for fcol in (c for c in range(ncols) if c not in pivots):
+        vec = [Fraction(0)] * ncols
+        vec[fcol] = Fraction(1)
+        for r, pcol in enumerate(pivots):
+            vec[pcol] = -red[r][fcol]
+        basis.append(vec)
+    return basis
+
+
+def rank_reference(a):
+    return len(rref_reference(a)[0]) if a else 0
+
+
+def fraction_space(level, sign=1):
+    """The SymbolSpace of (level, sign) presented by Manin-relation
+    elimination over Q: every 3-term row is scaled by the inverse of its
+    pivot, whatever that pivot is, and all coordinates are Fractions."""
+    from plinv.modsym import S_MAT, T_MAT, ETA_MAT, SymbolSpace, _SignedUF
+
+    class FractionSymbolSpace(SymbolSpace):
+        def _build(self):
+            p1 = self.p1
+            ngen = len(p1)
+            uf = _SignedUF.create(ngen)
+            for i in range(ngen):
+                uf.union(i, p1.act_right(i, S_MAT), -1)
+                uf.union(i, p1.act_right(i, ETA_MAT), self.sign)
+            live, col = [], {}
+            for i in range(ngen):
+                r, _ = uf.find(i)
+                if r not in uf.dead and r not in col:
+                    col[r] = len(live)
+                    live.append(r)
+            rows = set()
+            for i in range(ngen):
+                it = p1.act_right(i, T_MAT)
+                row = {}
+                for j in (i, it, p1.act_right(it, T_MAT)):
+                    r, s = uf.find(j)
+                    if r not in uf.dead:
+                        row[col[r]] = row.get(col[r], 0) + s
+                row = {c: v for c, v in row.items() if v}
+                if row:
+                    rows.add(tuple(sorted(row.items())))
+            pivots = {}
+            for row in sorted(rows, key=len):
+                row = {c: Fraction(v) for c, v in row}
+                for c in [c for c in row if c in pivots]:
+                    f = row.pop(c)
+                    for cc, vv in pivots[c].items():
+                        row[cc] = row.get(cc, 0) - f * vv
+                row = {c: v for c, v in row.items() if v}
+                if not row:
+                    continue
+                pc = min(row)
+                inv = Fraction(1) / row[pc]
+                row = {c: v * inv for c, v in row.items() if c != pc}
+                for opc in list(pivots):
+                    orow = pivots[opc]
+                    if pc in orow:
+                        f = orow.pop(pc)
+                        for c, v in row.items():
+                            orow[c] = orow.get(c, Fraction(0)) - f * v
+                        pivots[opc] = {c: v for c, v in orow.items() if v}
+                pivots[pc] = row
+            free = [c for c in range(len(live)) if c not in pivots]
+            free_pos = {c: k for k, c in enumerate(free)}
+            coords = []
+            for i in range(ngen):
+                r, s = uf.find(i)
+                if r in uf.dead:
+                    coords.append({})
+                elif col[r] in pivots:
+                    coords.append({free_pos[cc]: -s * vv for cc, vv in pivots[col[r]].items()})
+                else:
+                    coords.append({free_pos[col[r]]: Fraction(s)})
+            self._gen_coords = coords
+            self._basis = [live[c] for c in free]
+            self.dimension = len(free)
+
+    return FractionSymbolSpace(level, sign)

@@ -193,6 +193,16 @@ class TestReports:
         assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == (
             "61eb0aed006a478e3a5294c9736070b5dd40a373491a0f92d305f8e6d3df35f0")
 
+    def test_modsym_dump_golden_non_unit_pivot(self):
+        # sign -1 at level 60 eliminates through a pivot that is not +-1;
+        # stdout bytes recorded before the elimination moved to integers
+        buf = io.StringIO()
+        argv = ["--no-cache", "--no-meta", "modsym", "dump", "--level", "60",
+                "--sign", "-", "--hecke", "2,3,5"]
+        assert main(argv, out=buf) == 0
+        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == (
+            "5d15c62d83a0d7ffb385f8417e2e5cb225858c028bf0d1099565dfde8c68014c")
+
     def test_modsym_dump(self):
         rc, out = run(["modsym", "dump", "--level", "11", "--hecke", "2,3"])
         assert rc == 0
@@ -276,6 +286,38 @@ class TestCacheRoundTrip:
         modsym._space_memo.clear()
         assert run(["modsym", "dump", "--level", "11", "--hecke", "5"], tmp_path)[0] == 0
         assert stores == ["modsym_11_plus"]
+
+    def test_warm_check_ezc_reads_its_hecke_matrices(self, tmp_path, monkeypatch):
+        from plinv import modsym
+        from plinv.cache import Cache
+
+        args = ["check-ezc", "--label", "11a1", "-p", "11"]
+        rc1, out1 = run(args, tmp_path)
+        assert rc1 == 0
+        # T_2 isolates the eigenline at level 11; U_11 gives the bad-prime eigenvalue
+        data = json.loads((tmp_path / "modsym_11_plus.json").read_text())
+        assert sorted(data["payload"]["hecke"]) == ["11", "2"]
+        stores, computed = [], []
+        real_store, real_images = Cache.store, modsym._hecke_images
+
+        def counting_store(self, name, kind, payload):
+            stores.append(name)
+            real_store(self, name, kind, payload)
+
+        def counting_images(*a):
+            computed.append(a)
+            return real_images(*a)
+
+        monkeypatch.setattr(Cache, "store", counting_store)
+        monkeypatch.setattr(modsym, "_hecke_images", counting_images)
+        modsym._space_memo.clear()
+        rc2, out2 = run(args, tmp_path)
+        assert rc2 == 0 and out2 == out1
+        assert stores == [] and computed == []
+        # the payload's strings are read back as ints, not Fractions
+        space = modsym.build_space(11, 1, Cache(str(tmp_path)))
+        assert all(type(v) is int for c in space._gen_coords for v in c.values())
+        assert all(type(x) is int for mat in space._hecke.values() for row in mat for x in row)
 
     def test_stale_p1_list_exits_4(self, tmp_path):
         from plinv import modsym

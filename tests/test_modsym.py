@@ -3,9 +3,10 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from plinv.curves import curve_by_label, curve_table, trace_of_frobenius
-from plinv.linalg import mat_mul, rank
+from plinv.linalg import kernel_basis, mat_mul, rank
 from plinv.modsym import (
     INF,
     ModSymError,
@@ -16,11 +17,14 @@ from plinv.modsym import (
 )
 
 from helpers import (
+    fraction_space,
     hecke_matrix_reference,
+    kernel_basis_reference,
     l_value_at_one,
     p1_orbit_minima,
     p1_reduce_reference,
     path_to_infinity,
+    rank_reference,
     real_period,
 )
 
@@ -166,6 +170,42 @@ class TestSpaces:
         expected = {11: 1, 14: 1, 15: 1, 17: 1, 21: 1, 37: 2}
         for n, d in expected.items():
             assert build_space(n, 1).cuspidal_dimension == d
+
+
+class TestIntegerPresentation:
+    """Elimination over Z against elimination over Q with Fraction pivots."""
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("level", list(range(1, 101)) + [389])
+    def test_matches_fraction_elimination(self, level, sign):
+        sp, ref = build_space(level, sign), fraction_space(level, sign)
+        assert sp._basis == ref._basis
+        assert sp._gen_coords == ref._gen_coords
+        # every coordinate is integral here, also behind a non-unit pivot
+        assert all(type(v) is int for c in sp._gen_coords for v in c.values())
+        for ell in (2, 3) if level < 389 else (2,):
+            assert sp.hecke_matrix(ell) == hecke_matrix_reference(ref, ell), ell
+
+    @pytest.mark.parametrize("level", [389, 500, 997, 1000])
+    def test_entries_are_int(self, level):
+        sp = build_space(level, 1)
+        assert all(type(v) is int for c in sp._gen_coords for v in c.values())
+        for ell in (2, 3):
+            assert all(type(x) is int for row in sp.hecke_matrix(ell) for x in row)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda m: st.lists(
+        st.lists(st.integers(-4, 4), min_size=m, max_size=m), min_size=1, max_size=5)))
+    def test_kernel_spans_the_fraction_kernel(self, a):
+        want = kernel_basis_reference(a)
+        got = kernel_basis(a)
+        assert rank(a) == rank_reference(a) == len(a[0]) - len(want)
+        assert len(got) == len(want)
+        for vec in got:
+            assert all(type(x) is int for x in vec)
+            assert gcd(*vec) == 1
+            assert all(sum(x * y for x, y in zip(row, vec)) == 0 for row in a)
+        assert rank_reference(got + want) == len(want)
 
 
 class TestHecke:
