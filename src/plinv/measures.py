@@ -14,6 +14,12 @@ In both cases the U_p / T_p relation on the eigen-symbol makes the
 distribution property exact; the good-ordinary second term has no
 analogue at Steinberg primes, where the local L-factor has a single
 root.
+
+Each [a/m] is a sum of integer generator values along the continued
+fraction of a/m, walked on the two ints.  On the sign-eps quotient
+[-r] = eps [r] and [r + 1] = [r], so mu(p^n - a) = eps mu(a) in both
+cases (Mazur-Tate-Teitelbaum, Invent. Math. 1986, I.8): the table
+evaluates the units a < p^n/2 and fills the rest by that symmetry.
 """
 
 from dataclasses import dataclass, field
@@ -32,7 +38,7 @@ from .curves import (
     reduction_type,
 )
 from .modsym import eigen_symbol
-from .padic import PadicNumber, check_prime, int_val, iwasawa_log
+from .padic import PadicNumber, check_prime, iwasawa_log
 
 
 class MeasureError(ValueError):
@@ -138,24 +144,25 @@ def build_measure(symbol, p, depth, root=None, prec=20):
     if not root.ordinary:
         raise MeasureError("supersingular not supported")
     pn = p ** depth
-    values = {}
+    pn1 = pn // p
+    evaluate, sign = symbol.evaluate, symbol.sign
     if root.multiplicative:
         a_inv_n = root.alpha_exact ** depth  # alpha^(-n) = alpha^n for alpha = +-1
-        for a in range(1, pn):
-            if a % p == 0:
-                continue
-            values[a] = a_inv_n * symbol.evaluate(Fraction(a, pn))
-        return PadicMeasure(p, depth, root, symbol, values, True)
-    ai = root.alpha ** (-depth)
-    ai1 = root.alpha ** (-depth - 1)
-    pn1 = pn // p
+        cell = lambda a: a_inv_n * evaluate(a, pn)
+    else:
+        ai = root.alpha ** (-depth)
+        ai1 = root.alpha ** (-depth - 1)
+        cell = lambda a: ai * evaluate(a, pn) - ai1 * evaluate(a, pn1)
+    values = {}
     for a in range(1, pn):
         if a % p == 0:
             continue
-        lead = ai * symbol.evaluate(Fraction(a, pn))
-        tail = ai1 * symbol.evaluate(Fraction(a % pn1, pn1) if pn1 > 1 else a)
-        values[a] = lead - tail
-    return PadicMeasure(p, depth, root, symbol, values, False)
+        b = pn - a
+        if b < a:  # mu(a) = sign * mu(b), already in the table
+            values[a] = values[b] if sign == 1 else -values[b]
+        else:      # b = a only when p^n = 2
+            values[a] = cell(a)
+    return PadicMeasure(p, depth, root, symbol, values, root.multiplicative)
 
 
 def distribution_defect(measure, finer):
@@ -273,13 +280,9 @@ def _log_moment(values, p, n, j, prec):
         if k:
             s += k ** j * sum(values[a] for a in units)
     log_gamma = iwasawa_log(PadicNumber.from_int(p, 5 if p == 2 else 1 + p, prec))
-    loss = 0
-    for v in values.values():
-        if isinstance(v, (int, Fraction)):
-            if v != 0:
-                loss = max(loss, int_val(v.denominator, p))
-        elif not v.is_zero and v.ord() < 0:
-            loss = max(loss, -v.ord())
+    # the p-adic entries' denominators; an int entry has none
+    loss = max([0] + [-v.ord() for v in values.values()
+                      if type(v) is not int and not v.is_zero])
     return (log_gamma ** j * s).cap_abs_prec(n - loss)
 
 

@@ -143,13 +143,15 @@ def lift_to_sl2z(c, d, n):
     return (y, -x, c, dd)
 
 
-def _manin_pieces(r):
-    """Bottom rows (c, d) of the unimodular paths summing to {r -> oo}.
+def _manin_pieces(a, m):
+    """Bottom rows (c, d) of the unimodular paths summing to {a/m -> oo},
+    for ints a and m > 0 (not necessarily coprime).
 
     Manin's continued-fraction trick: with convergent denominators q_k of
-    the rational r, the k-th piece has bottom row (q_(k-1), (-1)^k q_k).
+    a/m, the k-th piece has bottom row (q_(k-1), (-1)^k q_k).  Euclid runs
+    on the two ints, so no Fraction is built.
     """
-    x, y = r.denominator, r.numerator % r.denominator
+    x, y = m, a % m
     c, d, sign = 0, 1, 1
     yield c, d
     while y:
@@ -208,6 +210,7 @@ class SymbolSpace:
         self.sign = sign
         self.p1 = P1List(level)
         self._hecke = {}
+        self._stored = None  # Hecke matrices in the disk copy; None: no copy
         self._build()
 
     # -- presentation ----------------------------------------------------
@@ -315,7 +318,7 @@ class SymbolSpace:
                 for r, sgn in ((img_a, 1), (img_b, -1)):
                     if r is INF:
                         continue
-                    for c, d in _manin_pieces(r):
+                    for c, d in _manin_pieces(r.numerator, r.denominator):
                         i = index(c, d)
                         counts[i] = counts.get(i, 0) + sgn
             total = {}
@@ -405,6 +408,7 @@ class SymbolSpace:
             int(l): [[_rational(x) for x in row] for row in mat]
             for l, mat in payload["hecke"].items()
         }
+        self._stored = len(self._hecke)
         return self
 
 
@@ -473,33 +477,31 @@ def _space_cache_name(level, sign):
 
 def build_space(level, sign=1, cache=None):
     """The space of (level, sign): read from `cache` when it holds it,
-    else built and stored there; memoized per cache directory."""
+    else built; memoized per cache directory.  A built space reaches the
+    cache through `_store_if_grown`, once its Hecke probes are done."""
     key = (level, sign, None if cache is None else cache.directory)
     if key in _space_memo:
         return _space_memo[key]
     payload = None if cache is None else cache.load(_space_cache_name(level, sign), "modsym")
-    if payload is not None:
-        space = SymbolSpace.from_payload(payload)
-    else:
-        space = SymbolSpace(level, sign)
-        if cache is not None:
-            cache.store(_space_cache_name(level, sign), "modsym", space.to_payload())
+    space = SymbolSpace.from_payload(payload) if payload is not None else SymbolSpace(level, sign)
     _space_memo[key] = space
     return space
 
 
-def _store_if_grown(space, known, cache):
-    """Store `space` back to `cache` when it gained Hecke matrices."""
-    if cache is not None and len(space._hecke) > known:
+def _store_if_grown(space, cache):
+    """Store `space` to `cache` when the disk copy is missing or holds
+    fewer Hecke matrices than `space`."""
+    held = len(space._hecke)
+    if cache is not None and (space._stored is None or held > space._stored):
         cache.store(_space_cache_name(space.level, space.sign), "modsym", space.to_payload())
+        space._stored = held
 
 
 def hecke_matrices(space, primes, cache=None):
-    """{ell: T_ell} for each ell in `primes`; a space that gains a matrix
-    is stored back to `cache`."""
-    known = len(space._hecke)
+    """{ell: T_ell} for each ell in `primes`; the space is stored to
+    `cache` when it is new there or gained a matrix."""
     mats = {ell: space.hecke_matrix(ell) for ell in primes}
-    _store_if_grown(space, known, cache)
+    _store_if_grown(space, cache)
     return mats
 
 
@@ -517,19 +519,25 @@ class EigenSymbol:
     label: str = ""
     _piece_index: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def evaluate(self, r):
-        """Value on the path {r -> oo} for a rational r (int or Fraction);
-        an int, since the generator values are.
+    def evaluate(self, a, m=1):
+        """Value on the path {a/m -> oo}: a numerator a and a denominator
+        m > 0 as ints, or one rational a (int or Fraction); an int, since
+        the generator values are.
 
-        Sums the generator values over the Manin pieces of the path; the
-        generator of each piece is memoised on its bottom row mod N.
+        Sums the generator values over the Manin pieces of the path, walked
+        on ints; the generator of each piece is memoised on its bottom row
+        mod N, packed into the int c*N + d.  The sign quotient gives
+        [-r] = sign [r] (eta) and [r + 1] = [r] (translation), so
+        [(m - a)/m] = sign [a/m]: `build_measure` evaluates half the units.
         """
-        if r is INF:
+        if a is INF:
             return 0
+        if type(a) is not int:
+            a, m = a.numerator, m * a.denominator
         memo, vals, n = self._piece_index, self.gen_values, self.level
         total = 0
-        for c, d in _manin_pieces(r):
-            key = (c % n, d % n)
+        for c, d in _manin_pieces(a, m):
+            key = c % n * n + d % n
             i = memo.get(key)
             if i is None:
                 i = memo[key] = self.space.p1.index(c, d)
@@ -581,7 +589,6 @@ def eigen_symbol(curve, sign=1, level=None, cache=None, _eigen_override=None):
         else:
             level = conductor(curve)
     space = build_space(level, sign, cache)
-    known = len(space._hecke)
     basis = None
     probes = {}
     ell = 2
@@ -617,7 +624,7 @@ def eigen_symbol(curve, sign=1, level=None, cache=None, _eigen_override=None):
         mu = sym.hecke_eigenvalue(ell)
         if mu is not None:
             probes[ell] = mu
-    _store_if_grown(space, known, cache)
+    _store_if_grown(space, cache)
     v0 = sym.at_zero
     flip = v0 < 0 or (v0 == 0 and next((v for v in vals if v), 0) < 0)
     if flip:

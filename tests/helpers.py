@@ -120,6 +120,23 @@ def riemann_sum_reference(values, p, n, j=1, prec=20):
     return total.cap_abs_prec(n - loss)
 
 
+def measure_reference(symbol, p, n, root):
+    """The measure table of `build_measure` with every unit a evaluated on
+    its own Fraction a/p^n: no use of mu(p^n - a) = sign * mu(a)."""
+    pn = p ** n
+    values = {}
+    for a in range(1, pn):
+        if a % p == 0:
+            continue
+        lead = symbol.evaluate(Fraction(a, pn))
+        if root.multiplicative:
+            values[a] = root.alpha_exact ** n * lead
+        else:
+            tail = symbol.evaluate(Fraction(a % (pn // p), pn // p))
+            values[a] = root.alpha ** -n * lead - root.alpha ** (-n - 1) * tail
+    return values
+
+
 def padic_digits(x):
     """(v, u, n): the exact stored form of a PadicNumber."""
     return x.v, x.u, x.n
@@ -135,8 +152,9 @@ def path_to_infinity(space, r):
 
     if r is INF:
         return {}
+    r = Fraction(r)
     total = {}
-    for c, d in _manin_pieces(Fraction(r)):
+    for c, d in _manin_pieces(r.numerator, r.denominator):
         for pos, val in space.gen_coords(space.p1.index(c, d)).items():
             total[pos] = total.get(pos, Fraction(0)) + val
     return {k: v for k, v in total.items() if v}

@@ -203,6 +203,23 @@ class TestReports:
         assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == (
             "5d15c62d83a0d7ffb385f8417e2e5cb225858c028bf0d1099565dfde8c68014c")
 
+    @pytest.mark.parametrize("args,digest", [
+        # the p-adic table at a good ordinary prime, which no benchmark runs
+        (["lp", "--label", "11a1", "-p", "3", "--depth", "4", "--table"],
+         "949c1177501424a6480978f2de40f7e75b6a9eeaff3d2ced055f8d4bc577f29a"),
+        # p^n = 2: the one unit is its own mirror
+        (["lp", "--label", "14a1", "-p", "2", "--depth", "1", "--table"],
+         "fc289cc0c019442fbf9e6f46fd3d41bc0c4ef3838aa85ca87a5f7def643ae6f9"),
+        (["check-ezc", "--label", "37b1", "-p", "37", "--depth", "3", "--dual"],
+         "6e6e7d644d5448b13b2d267c1b5a7cd383e2b0da7e0b612b0bd637e50cb88901"),
+    ], ids=["lp-11a1-p3", "lp-14a1-p2", "check-ezc-37b1-dual"])
+    def test_measure_golden_sha256(self, args, digest):
+        # stdout bytes recorded before the measure table was filled from
+        # mu(p^n - a) = sign * mu(a)
+        buf = io.StringIO()
+        assert main(["--no-cache", "--no-meta", *args], out=buf) == 0
+        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
+
     def test_modsym_dump(self):
         rc, out = run(["modsym", "dump", "--level", "11", "--hecke", "2,3"])
         assert rc == 0
@@ -287,6 +304,29 @@ class TestCacheRoundTrip:
         assert run(["modsym", "dump", "--level", "11", "--hecke", "5"], tmp_path)[0] == 0
         assert stores == ["modsym_11_plus"]
 
+    @pytest.mark.parametrize("args,space_file", [
+        (["check-ezc", "--label", "11a1", "-p", "11"], "modsym_11_plus"),
+        (["modsym", "dump", "--level", "14", "--hecke", "2,3"], "modsym_14_plus"),
+        (["modsym", "dump", "--level", "14", "--hecke", ""], "modsym_14_plus"),
+    ], ids=["check-ezc", "modsym-dump", "modsym-dump-no-hecke"])
+    def test_cold_run_stores_the_space_once(self, tmp_path, monkeypatch, args, space_file):
+        from plinv import modsym
+        from plinv.cache import Cache
+
+        stores = []
+        real_store = Cache.store
+
+        def counting_store(self, name, kind, payload):
+            stores.append(name)
+            real_store(self, name, kind, payload)
+
+        monkeypatch.setattr(Cache, "store", counting_store)
+        assert run(args, tmp_path)[0] == 0
+        assert stores == [space_file]
+        modsym._space_memo.clear()
+        assert run(args, tmp_path)[0] == 0
+        assert stores == [space_file]
+
     def test_warm_check_ezc_reads_its_hecke_matrices(self, tmp_path, monkeypatch):
         from plinv import modsym
         from plinv.cache import Cache
@@ -333,11 +373,12 @@ class TestCacheRoundTrip:
 
     def test_space_memo_follows_the_cache(self, tmp_path):
         from plinv.cache import Cache
-        from plinv.modsym import build_space
+        from plinv.modsym import build_space, hecke_matrices
 
         first, second = tmp_path / "a", tmp_path / "b"
-        build_space(14, 1, Cache(str(first)))
-        build_space(14, 1, Cache(str(second)))
+        for directory in (first, second):
+            cache = Cache(str(directory))
+            hecke_matrices(build_space(14, 1, cache), [], cache)
         assert (second / "modsym_14_plus.json").exists()
 
     def test_inconsistent_gen_coords_exit_4(self, tmp_path):

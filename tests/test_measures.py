@@ -23,7 +23,7 @@ from plinv.measures import (
 )
 from plinv.modsym import eigen_symbol
 
-from helpers import padic_digits, riemann_sum_reference
+from helpers import measure_reference, padic_digits, riemann_sum_reference
 
 
 SPLIT_PAIRS = [("11a1", 11), ("15a1", 5), ("21a1", 3), ("17a1", 17), ("14a1", 7), ("37b1", 37)]
@@ -315,6 +315,35 @@ class TestRiemannSumOracle:
             for j in (1, 2):
                 want = riemann_sum_reference(theta.coeffs, p, n, j, prec)
                 assert padic_digits(theta.moment(j, prec)) == padic_digits(want), (p, n, dual, j)
+
+
+class TestSymmetricFill:
+    """build_measure evaluates the units below p^n/2 and fills the rest by
+    mu(p^n - a) = sign * mu(a); the reference evaluates every unit."""
+
+    @staticmethod
+    def _check(sym, p, depth):
+        m = build_measure(sym, p, depth)
+        want = measure_reference(sym, p, depth, m.root)
+        assert list(m.values) == list(want)  # every unit, in ascending order
+        digits = (lambda v: v) if m.exact else padic_digits
+        assert [digits(v) for v in m.values.values()] == [digits(v) for v in want.values()]
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("label,p", SPLIT_PAIRS)
+    def test_split_pairs(self, label, p, sign):
+        # the CLI refuses sign -1 measures; the symmetry holds for both signs
+        sym = eigen_symbol(curve_by_label(label), sign)
+        for depth in (1, 2, 3):
+            self._check(sym, p, depth)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("label,p,depth", [
+        ("11a1", 3, 3), ("37b1", 3, 3),  # good ordinary: two symbol values per cell
+        ("14a1", 2, 1),                  # p^n = 2: the unit 1 is its own mirror
+    ])
+    def test_good_ordinary_and_self_mirrored_unit(self, label, p, depth, sign):
+        self._check(eigen_symbol(curve_by_label(label), sign), p, depth)
 
 
 GOLDEN = Path(__file__).parent / "golden"

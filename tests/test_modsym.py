@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 import pytest
@@ -370,6 +371,11 @@ def _moeb(a, b, c, d, z):
     return (a * z + b) / den
 
 
+@lru_cache(maxsize=None)
+def _eigen_symbol(label, sign):
+    return eigen_symbol(curve_by_label(label), sign)
+
+
 def _dot_product_value(sym, r):
     coords = path_to_infinity(sym.space, r)
     return sum((sym.weights[k] * v for k, v in coords.items()), Fraction(0))
@@ -400,6 +406,15 @@ class TestFastEvaluate:
         sym = eigen_symbol(curve_by_label(label), sign, level=level)
         self._check_units(sym, 11)
         assert sym.evaluate(INF) == 0 == _dot_product_value(sym, INF)
+
+    @settings(max_examples=200, deadline=None)
+    @given(label=st.sampled_from(["11a1", "37b1"]), sign=st.sampled_from([1, -1]),
+           a=st.integers(-10 ** 6, 10 ** 6), m=st.integers(1, 10 ** 5))
+    def test_int_pair_matches_dot_product(self, label, sign, a, m):
+        # a/m need not be in lowest terms: the int walk must not care
+        sym = _eigen_symbol(label, sign)
+        r = Fraction(a, m)
+        assert sym.evaluate(a, m) == sym.evaluate(r) == _dot_product_value(sym, r)
 
     def test_value_at_zero_sign_follows_normalization(self):
         # the sign flip in eigen_symbol must reach the generator values too
