@@ -30,7 +30,7 @@ from .measures import (
     stickelberger,
     twist_product_check,
 )
-from .modsym import ModSymError, build_space, eigen_symbol, hecke_matrices
+from .modsym import ModSymError, build_space, eigen_symbol, store_spaces
 from .padic import PadicError, check_prime
 from .periods import NotAPeriodError, Period, li
 
@@ -281,7 +281,6 @@ def cmd_stickelberger(args, cache):
 
 def cmd_lp(args, cache):
     curve, symbol, measure = _symbol_and_measure(args, cache)
-    theta = stickelberger(measure, dual=args.dual)
     l0, l1 = lp_value_and_derivative(measure, args.prec)
     if args.dual:
         l1 = -l1
@@ -294,7 +293,7 @@ def cmd_lp(args, cache):
         "Lp0": str(l0),
         "Lp0_is_zero": l0 == 0,
         "Lp_derivative": l1.to_json(),
-        "augmentation": str(theta.augmentation()),
+        "augmentation": str(l0),
         "unit_root": measure.root.to_json(),
         "value_at_zero": str(symbol.at_zero),
     }
@@ -312,8 +311,8 @@ def cmd_modsym_dump(args, cache):
     primes = [_prime(tok.strip()) for tok in args.hecke.split(",") if tok.strip()]
     out = space.to_json()
     out["command"] = "modsym dump"
-    out["hecke"] = {str(l): [[str(x) for x in row] for row in mat]
-                    for l, mat in hecke_matrices(space, primes, cache).items()}
+    out["hecke"] = {str(l): [[str(x) for x in row] for row in space.hecke_matrix(l)]
+                    for l in primes}
     return out
 
 
@@ -381,6 +380,8 @@ def main(argv=None, out=None):
             payload = cmd_modsym_dump(args, cache)
         else:
             payload = HANDLERS[args.command](args, cache)
+        if cache is not None:
+            store_spaces(cache)
         _emit(payload, args, out)
         return 0
     except UsageError as exc:

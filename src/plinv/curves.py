@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .padic import PadicNumber, check_prime, int_val
+from .padic import PadicNumber, check_prime, factor, int_val
 from .periods import Period, li
 
 
@@ -166,33 +166,20 @@ def kronecker(d, n):
     if n <= 0:
         raise CurveError("kronecker wants a positive second argument")
     result = 1
-    while n % 2 == 0:
-        n //= 2
-        if d % 2 == 0:
-            return 0
-        if d % 8 in (3, 5):
-            result = -result
-    q = 3
-    while n > 1:
-        if q * q > n:
-            q = n
-        if n % q == 0:
-            e = 0
-            while n % q == 0:
-                n //= q
-                e += 1
-            ls = _legendre(d, q)
-            if ls == 0:
-                return 0
-            if e % 2:
-                result *= ls
+    for q, e in factor(n).items():
+        if q == 2:
+            ls = 0 if d % 2 == 0 else -1 if d % 8 in (3, 5) else 1
         else:
-            q += 2
+            ls = _legendre(d, q)
+        result *= ls ** e
     return result
 
 
 def point_count(curve, p):
-    """|E(F_p)| by direct counting; only meaningful at good p."""
+    """The number of points of the reduction of `curve` mod p, by direct
+    counting: every point, the point at infinity and a singular point
+    included.  On a minimal model with good or multiplicative reduction
+    that is p + 1 - a_p: p at a split node, p + 2 at a nonsplit one."""
     a1, a2, a3, a4, a6 = curve.a_invariants
     if p == 2:
         count = 1
@@ -207,49 +194,6 @@ def point_count(curve, p):
         g = (4 * x ** 3 + b2 * x * x + 2 * b4 * x + b6) % p
         count += _legendre(g, p)
     return count
-
-
-def _singular_point(curve, p):
-    a1, a2, a3, a4, a6 = curve.a_invariants
-    found = []
-    for x in range(p):
-        for y in range(p):
-            f = y * y + a1 * x * y + a3 * y - x ** 3 - a2 * x * x - a4 * x - a6
-            if f % p:
-                continue
-            fx = a1 * y - 3 * x * x - 2 * a2 * x - a4
-            fy = 2 * y + a1 * x + a3
-            if fx % p == 0 and fy % p == 0:
-                found.append((x, y))
-    return found
-
-
-def _node_is_split(curve, p):
-    """Rationality of the nodal tangents of the reduced curve.
-
-    Shift the singular point to the origin; the degree-2 part of the
-    equation is Q(X, Y) = -(3x0 + a2) X^2 + a1 XY + Y^2 (plus terms from
-    the shift), and the node is split iff Q has two distinct roots in
-    P^1(F_p).
-    """
-    sing = _singular_point(curve, p)
-    if len(sing) != 1:
-        raise CurveError("reduced curve does not have a unique singular point")
-    x0, y0 = sing[0]
-    a1, a2, a3, a4, a6 = curve.a_invariants
-    # quadratic part of F(x0+X, y0+Y)
-    qxx = (-3 * x0 - a2) % p
-    qxy = a1 % p
-    qyy = 1
-    roots = 0
-    for X, Y in ((1, 0), (0, 1), (1, 1)) if p == 2 else [
-        (1, s) for s in range(p)
-    ] + [(0, 1)]:
-        if (qxx * X * X + qxy * X * Y + qyy * Y * Y) % p == 0:
-            roots += 1
-    if roots == 1:
-        raise CurveError("tangent cone is degenerate (cusp?)")
-    return roots == 2
 
 
 GOOD, SPLIT, NONSPLIT, ADDITIVE = (
@@ -292,10 +236,11 @@ def reduction_type(curve, p):
         ap = p + 1 - point_count(e, p)
         return ReductionInfo(p, GOOD, 0, vj, ap, e)
     if _vp(e.c4, p) == 0:
-        if p == 2:
-            split = _node_is_split(e, 2)
-        else:
-            split = _legendre(-e.c6, p) == 1
+        # Split iff -c4/c6 is a square in Q_p (Silverman, Advanced Topics,
+        # ch. V, section 5).  c4^3/c6^2 = 1 + 1728 disc/c6^2 is = 1 mod p
+        # (mod 2^7 at p = 2), so the unit c4 is a square and the test is on
+        # -c6: a square mod p for odd p, = 1 mod 8 for p = 2.
+        split = -e.c6 % 8 == 1 if p == 2 else _legendre(-e.c6, p) == 1
         kind = SPLIT if split else NONSPLIT
         return ReductionInfo(p, kind, vd, vj, 1 if split else -1, e)
     return ReductionInfo(p, ADDITIVE, vd, vj, 0, e)
@@ -306,19 +251,8 @@ def trace_of_frobenius(curve, p):
 
 
 def bad_primes(curve):
-    d = abs(curve.discriminant)
-    out = []
-    q = 2
-    while d > 1:
-        if q * q > d:
-            q = d
-        if d % q == 0:
-            while d % q == 0:
-                d //= q
-            if reduction_type(curve, q).kind != GOOD:
-                out.append(q)
-        q += 1 if q == 2 else 2
-    return out
+    return [q for q in factor(abs(curve.discriminant))
+            if reduction_type(curve, q).kind != GOOD]
 
 
 def conductor(curve):
@@ -345,45 +279,21 @@ def quadratic_twist(curve, d):
         raise CurveError("twist by zero")
     c4, c6 = curve.c4 * d * d, curve.c6 * d ** 3
     twisted = WeierstrassCurve(0, 0, 0, -27 * c4, -54 * c6)
-    for p in sorted({2, 3} | set(_odd_prime_factors(abs(d)))):
+    for p in sorted({2, 3} | set(factor(abs(d)))):
         twisted = minimal_model_at(twisted, p)
     return twisted
-
-
-def _odd_prime_factors(n):
-    out = set()
-    q = 3
-    while n % 2 == 0:
-        n //= 2
-    while n > 1:
-        if q * q > n:
-            q = n
-        if n % q == 0:
-            out.add(q)
-            while n % q == 0:
-                n //= q
-        else:
-            q += 2
-    return out
 
 
 def is_fundamental_discriminant(d):
     if d == 1 or d == 0:
         return False
-    def squarefree(m):
-        m = abs(m)
-        q = 2
-        while q * q <= m:
-            if m % (q * q) == 0:
-                return False
-            q += 1
-        return True
     if d % 4 == 1:
-        return squarefree(d)
-    if d % 4 == 0:
+        m = d
+    elif d % 4 == 0 and d // 4 % 4 in (2, 3):
         m = d // 4
-        return m % 4 in (2, 3) and squarefree(m)
-    return False
+    else:
+        return False
+    return all(e == 1 for e in factor(abs(m)).values())
 
 
 # -- j-invariant q-expansion and the Tate parameter --------------------

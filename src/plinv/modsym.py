@@ -21,6 +21,7 @@ from math import gcd
 from .cache import CacheError
 from .linalg import left_eigen_space, primitive, rank, vec_mat
 from .curves import conductor, curve_table, trace_of_frobenius
+from .padic import _is_probable_prime, factor
 
 
 class ModSymError(ValueError):
@@ -477,8 +478,9 @@ def _space_cache_name(level, sign):
 
 def build_space(level, sign=1, cache=None):
     """The space of (level, sign): read from `cache` when it holds it,
-    else built; memoized per cache directory.  A built space reaches the
-    cache through `_store_if_grown`, once its Hecke probes are done."""
+    else built; memoized per cache directory.  A space reaches the cache
+    once, through `store_spaces` when the command ends, with every Hecke
+    matrix the command computed."""
     key = (level, sign, None if cache is None else cache.directory)
     if key in _space_memo:
         return _space_memo[key]
@@ -488,21 +490,14 @@ def build_space(level, sign=1, cache=None):
     return space
 
 
-def _store_if_grown(space, cache):
-    """Store `space` to `cache` when the disk copy is missing or holds
-    fewer Hecke matrices than `space`."""
-    held = len(space._hecke)
-    if cache is not None and (space._stored is None or held > space._stored):
-        cache.store(_space_cache_name(space.level, space.sign), "modsym", space.to_payload())
-        space._stored = held
-
-
-def hecke_matrices(space, primes, cache=None):
-    """{ell: T_ell} for each ell in `primes`; the space is stored to
-    `cache` when it is new there or gained a matrix."""
-    mats = {ell: space.hecke_matrix(ell) for ell in primes}
-    _store_if_grown(space, cache)
-    return mats
+def store_spaces(cache):
+    """Store each space memoized under `cache` whose disk copy is missing
+    or holds fewer Hecke matrices than the space."""
+    for (level, sign, directory), space in _space_memo.items():
+        held = len(space._hecke)
+        if directory == cache.directory and (space._stored is None or held > space._stored):
+            cache.store(_space_cache_name(level, sign), "modsym", space.to_payload())
+            space._stored = held
 
 
 # -- eigen-symbols -------------------------------------------------------
@@ -620,11 +615,10 @@ def eigen_symbol(curve, sign=1, level=None, cache=None, _eigen_override=None):
     sym = EigenSymbol(level, sign, space, w, vals, probes,
                       label=getattr(curve, "label", ""))
     # record U_ell eigenvalues at bad primes (diagnostics and tests)
-    for ell in _prime_divisors(level):
+    for ell in factor(level):
         mu = sym.hecke_eigenvalue(ell)
         if mu is not None:
             probes[ell] = mu
-    _store_if_grown(space, cache)
     v0 = sym.at_zero
     flip = v0 < 0 or (v0 == 0 and next((v for v in vals if v), 0) < 0)
     if flip:
@@ -635,22 +629,6 @@ def eigen_symbol(curve, sign=1, level=None, cache=None, _eigen_override=None):
 
 def _next_prime(n):
     n += 1
-    while True:
-        if all(n % q for q in range(2, int(n ** 0.5) + 1)):
-            return n
+    while not _is_probable_prime(n):
         n += 1
-
-
-def _prime_divisors(n):
-    out = []
-    q = 2
-    while n > 1:
-        if q * q > n:
-            q = n
-        if n % q == 0:
-            out.append(q)
-            while n % q == 0:
-                n //= q
-        else:
-            q += 1
-    return out
+    return n

@@ -72,6 +72,23 @@ def int_val(n, p):
     return v
 
 
+def factor(n):
+    """{prime: exponent} of an integer n >= 1, primes ascending, by trial
+    division."""
+    if n < 1:
+        raise PadicError(f"cannot factor {n}")
+    out = {}
+    q = 2
+    while q * q <= n:
+        if n % q == 0:
+            out[q] = int_val(n, q)
+            n //= q ** out[q]
+        q += 1 if q == 2 else 2
+    if n > 1:
+        out[n] = 1
+    return out
+
+
 def frac_val(x, p):
     """p-adic valuation of a nonzero Fraction or int."""
     x = Fraction(x)

@@ -10,7 +10,7 @@ valuations, so every nonzero element factors as p^v * (unit vector).
 from fractions import Fraction
 from math import inf
 
-from .padic import PadicElement, PadicError, PadicNumber, check_prime, int_val
+from .padic import PadicElement, PadicError, PadicNumber, check_prime, factor, int_val
 
 
 # -- polynomial helpers over Z/p^k ------------------------------------
@@ -87,15 +87,7 @@ def is_irreducible_mod_p(g, p):
     diff = [(xq[i] - x[i] if i < len(x) else xq[i]) % p for i in range(len(xq))]
     if any(diff):
         return False
-    ell = 2
-    ff = f
-    primes = set()
-    while ff > 1:
-        while ff % ell == 0:
-            primes.add(ell)
-            ff //= ell
-        ell += 1
-    for ell in sorted(primes):
+    for ell in factor(f):
         xq = _poly_powmod(x, p ** (f // ell), g, p)
         diff = [(xq[i] - (x[i] if i < len(x) else 0)) % p for i in range(len(xq))]
         h = _poly_gcd_fp(diff, g, p)
@@ -212,7 +204,7 @@ class UnramifiedContext:
     def _inv_unit_vector(self, vec, n):
         """Inverse of a unit coefficient vector mod (modulus, p^n)."""
         p, g = self.p, list(self.modulus)
-        # invert in the residue field via extended Euclid, then Hensel
+        # invert in the residue field, then Hensel
         inv = self._invert_mod_p(vec)
         prec = 1
         while prec < n:
@@ -226,39 +218,12 @@ class UnramifiedContext:
         return inv
 
     def _invert_mod_p(self, vec):
-        p, g = self.p, list(self.modulus)
-        a = [c % p for c in vec]
-        # extended Euclid in F_p[t] for gcd(a, g) = 1
-        r0, r1 = list(g), list(a)
-        s0, s1 = [], [1]
-        _poly_trim(r1)
-        while r1:
-            inv = pow(r1[-1], -1, p)
-            q = [0] * (len(r0) - len(r1) + 1) if len(r0) >= len(r1) else []
-            r = list(r0)
-            while len(r) >= len(r1) and r:
-                c = r[-1] * inv % p
-                off = len(r) - len(r1)
-                q[off] = c
-                for i in range(len(r1)):
-                    r[off + i] = (r[off + i] - c * r1[i]) % p
-                _poly_trim(r)
-            # s = s0 - q*s1
-            qs1 = [0] * (len(q) + len(s1) - 1) if q and s1 else []
-            for i, qi in enumerate(q):
-                if qi:
-                    for j, sj in enumerate(s1):
-                        qs1[i + j] = (qs1[i + j] + qi * sj) % p
-            s = [((s0[i] if i < len(s0) else 0) - (qs1[i] if i < len(qs1) else 0)) % p
-                 for i in range(max(len(s0), len(qs1), 1))]
-            r0, r1 = r1, r
-            s0, s1 = s1, s
-            _poly_trim(r1)
-        if len(r0) != 1:
+        """Inverse of a vector in the field F_p[t]/(modulus), by Fermat:
+        vec^(p^f - 2)."""
+        p = self.p
+        if not any(c % p for c in vec):
             raise PadicError("vector is not a unit")
-        c = pow(r0[0], -1, p)
-        out = [x * c % p for x in s0]
-        return out[: self.f] + [0] * max(0, self.f - len(out))
+        return _poly_powmod(vec, p ** self.f - 2, list(self.modulus), p)
 
 
 class UnramifiedElement(PadicElement):

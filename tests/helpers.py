@@ -360,3 +360,27 @@ def fraction_space(level, sign=1):
             self.dimension = len(free)
 
     return FractionSymbolSpace(level, sign)
+
+
+def kronecker_reference(d, n):
+    """Kronecker symbol (d/n) for n > 0 without factoring n: (d/2)^k for
+    the 2-part 2^k of n, times the Jacobi symbol of d over the odd part,
+    by quadratic reciprocity."""
+    k = 0
+    while n % 2 == 0:
+        n //= 2
+        k += 1
+    if k and d % 2 == 0:
+        return 0
+    result = -1 if k % 2 and d % 8 in (3, 5) else 1
+    a = d % n
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0

@@ -220,6 +220,26 @@ class TestReports:
         assert main(["--no-cache", "--no-meta", *args], out=buf) == 0
         assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("args,digest", [
+        # Kronecker symbols, fundamental discriminants and the twist's primes
+        (["check-twist", "--label", "11a1", "-D", "5", "-p", "11"],
+         "66d57a116d20056483fb68d684a81d11992f3463ce58daac48f41e25eeec728c"),
+        (["check-twist", "--label", "11a1", "-D", "-4", "-p", "11"],
+         "e46ae762045f170852347796f1050c7d2a2ffcb5b744dcc5272486b820f4a868"),
+        # nonsplit multiplicative reduction at p = 2
+        (["li-curve", "--label", "14a1", "-p", "2", "--prec", "30"],
+         "2ce849416911faeddfcb1b129ad3876b94dbd538908a4c86f42882010be4bbfa"),
+        # bad primes and their reduction kinds, at 2 and 7
+        (["import-curve", "--row", "14a1 1,0,1,4,-6"],
+         "a922a916dda1bc4aa199e41d3934fdd6b32d8d62b051e399f1849c980f617037"),
+    ], ids=["twist-5", "twist-minus-4", "li-curve-14a1-p2", "import-14a1"])
+    def test_arithmetic_golden_sha256(self, args, digest):
+        # stdout bytes recorded before the factoring, split test and F_{p^f}
+        # inverse each became one implementation
+        buf = io.StringIO()
+        assert main(["--no-cache", "--no-meta", *args], out=buf) == 0
+        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
+
     def test_modsym_dump(self):
         rc, out = run(["modsym", "dump", "--level", "11", "--hecke", "2,3"])
         assert rc == 0
@@ -323,6 +343,8 @@ class TestCacheRoundTrip:
         monkeypatch.setattr(Cache, "store", counting_store)
         assert run(args, tmp_path)[0] == 0
         assert stores == [space_file]
+        # neither the memoized space nor one read back from disk is stored again
+        assert run(args, tmp_path)[0] == 0
         modsym._space_memo.clear()
         assert run(args, tmp_path)[0] == 0
         assert stores == [space_file]
@@ -359,6 +381,42 @@ class TestCacheRoundTrip:
         assert all(type(v) is int for c in space._gen_coords for v in c.values())
         assert all(type(x) is int for mat in space._hecke.values() for row in mat for x in row)
 
+    def test_warm_good_ordinary_lp_reads_its_hecke_matrices(self, tmp_path, monkeypatch):
+        from plinv import modsym
+        from plinv.cache import Cache
+
+        # a_3 comes from T_3, computed after the eigenline is isolated
+        args = ["lp", "--label", "11a1", "-p", "3", "--depth", "2"]
+        rc1, out1 = run(args, tmp_path)
+        assert rc1 == 0
+        data = json.loads((tmp_path / "modsym_11_plus.json").read_text())
+        assert sorted(data["payload"]["hecke"]) == ["11", "2", "3"]
+        stores, computed = [], []
+        real_store, real_images = Cache.store, modsym._hecke_images
+
+        def counting_store(self, name, kind, payload):
+            stores.append(name)
+            real_store(self, name, kind, payload)
+
+        def counting_images(*a):
+            computed.append(a)
+            return real_images(*a)
+
+        monkeypatch.setattr(Cache, "store", counting_store)
+        monkeypatch.setattr(modsym, "_hecke_images", counting_images)
+        modsym._space_memo.clear()
+        rc2, out2 = run(args, tmp_path)
+        assert rc2 == 0 and out2 == out1
+        assert stores == [] and computed == []
+
+    def test_failed_command_stores_nothing(self, tmp_path):
+        from plinv import modsym
+
+        # the space is built and probed before the supersingular p = 2 is refused
+        modsym._space_memo.clear()
+        assert run(["lp", "--label", "11a1", "-p", "2"], tmp_path)[0] == 2
+        assert modsym._space_memo and not (tmp_path / "modsym_11_plus.json").exists()
+
     def test_stale_p1_list_exits_4(self, tmp_path):
         from plinv import modsym
 
@@ -373,12 +431,13 @@ class TestCacheRoundTrip:
 
     def test_space_memo_follows_the_cache(self, tmp_path):
         from plinv.cache import Cache
-        from plinv.modsym import build_space, hecke_matrices
+        from plinv.modsym import build_space, store_spaces
 
         first, second = tmp_path / "a", tmp_path / "b"
         for directory in (first, second):
             cache = Cache(str(directory))
-            hecke_matrices(build_space(14, 1, cache), [], cache)
+            build_space(14, 1, cache)
+            store_spaces(cache)
         assert (second / "modsym_14_plus.json").exists()
 
     def test_inconsistent_gen_coords_exit_4(self, tmp_path):
@@ -427,13 +486,16 @@ class TestSchemas:
 
         import jsonschema
 
+        from referencing import Registry
+        from referencing.jsonschema import DRAFT7
+
         root = importlib.resources.files("plinv").joinpath("schemas")
         schema = json.loads(root.joinpath(schema_name).read_text())
-        common = json.loads(root.joinpath("common.json").read_text())
-        store = {key: common for key in
-                 ("common.json", "plinv/common.json", "plinv/plinv/common.json")}
-        resolver = jsonschema.RefResolver(base_uri="", referrer=schema, store=store)
-        jsonschema.validate(payload, schema, resolver=resolver)
+        common = DRAFT7.create_resource(json.loads(root.joinpath("common.json").read_text()))
+        registry = Registry().with_resources(
+            (key, common) for key in
+            ("common.json", "plinv/common.json", "plinv/plinv/common.json"))
+        jsonschema.validate(payload, schema, registry=registry)
 
     def test_reports_validate(self, tmp_path):
         cases = [
@@ -449,3 +511,14 @@ class TestSchemas:
             rc, out = run(args, tmp_path)
             assert rc == 0, args
             self._validate(out, schema)
+
+    def test_references_resolve(self):
+        import jsonschema
+
+        rc, out = run(["lp", "--label", "11a1", "-p", "11", "--depth", "1"])
+        assert rc == 0
+        self._validate(out, "lp.json")
+        # Lp0 is checked only through its $ref into common.json
+        out["Lp0"] = "1/x"
+        with pytest.raises(jsonschema.ValidationError, match="1/x"):
+            self._validate(out, "lp.json")

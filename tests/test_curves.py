@@ -25,11 +25,12 @@ from plinv.curves import (
     reduction_type,
     tate_period,
     _legendre,
-    _node_is_split,
 )
 from plinv.padic import PadicNumber
 
-from helpers import assert_same, j_q_product_reference
+from hypothesis import given, settings, strategies as st
+
+from helpers import assert_same, j_q_product_reference, kronecker_reference
 
 
 def scale_up(curve, u):
@@ -114,14 +115,50 @@ class TestReduction:
         r = reduction_type(WeierstrassCurve(0, 0, 0, -1, 0), 2)
         assert r.kind == ADDITIVE and r.ap == 0
 
+    @staticmethod
+    def _assert_split_by_point_count(e, p):
+        """The reduction of a minimal model at a multiplicative p has
+        p + 1 - a_p points, its node included: p when the node is split
+        (a_p = 1), p + 2 when not (a_p = -1).  Counted by brute force."""
+        r = reduction_type(e, p)
+        a1, a2, a3, a4, a6 = r.minimal.a_invariants
+        count = 1 + sum(
+            (y * y + a1 * x * y + a3 * y - x ** 3 - a2 * x * x - a4 * x - a6) % p == 0
+            for x in range(p) for y in range(p))
+        assert count == (p if r.kind == SPLIT else p + 2), (e, p, r.kind)
+        assert point_count(r.minimal, p) == count
+        return r.kind
+
     def test_split_test_two_routes_agree(self):
-        # tangent-cone rationality == quadratic residue of -c6 at odd p
+        # the c6 rule of reduction_type against the point count of the node
         for label in ("11a1", "14a1", "15a1", "17a1", "21a1", "37b1"):
             e = curve_by_label(label)
-            for p in (3, 5, 7, 11, 13, 17, 37):
-                r = reduction_type(e, p)
-                if r.is_multiplicative and p != 2:
-                    assert _node_is_split(r.minimal, p) == (r.kind == SPLIT)
+            for p in (2, 3, 5, 7, 11, 13, 17, 37):
+                if reduction_type(e, p).is_multiplicative:
+                    self._assert_split_by_point_count(e, p)
+        # every model with |a_i| <= 3 and v(c4) = 0 < v(disc) at p <= 7
+        seen = {2: set(), 3: set()}
+        for ai in itertools.product(range(-3, 4), repeat=5):
+            try:
+                e = WeierstrassCurve(*ai)
+            except CurveError:
+                continue
+            for p in (2, 3, 5, 7):
+                if e.discriminant % p == 0 and e.c4 % p:
+                    kind = self._assert_split_by_point_count(e, p)
+                    if p in seen:
+                        seen[p].add(kind)
+        assert seen == {2: {SPLIT, NONSPLIT}, 3: {SPLIT, NONSPLIT}}
+
+    @settings(max_examples=300, deadline=None)
+    @given(ai=st.tuples(*[st.integers(-5, 5)] * 5), p=st.sampled_from([2, 3]))
+    def test_split_test_on_models_up_to_five(self, ai, p):
+        try:
+            e = WeierstrassCurve(*ai)
+        except CurveError:
+            return
+        if e.discriminant % p == 0 and e.c4 % p:
+            self._assert_split_by_point_count(e, p)
 
     def test_multiplicative_iff_vc4_zero(self):
         for label, (e, _) in curve_table().items():
@@ -158,6 +195,16 @@ class TestKronecker:
             for d in range(-20, 21):
                 if d % p:
                     assert kronecker(d, p) == _legendre(d, p)
+
+    @settings(max_examples=300, deadline=None)
+    @given(d=st.integers(-10 ** 4, 10 ** 4), n=st.integers(1, 10 ** 4))
+    def test_matches_the_jacobi_reference(self, d, n):
+        assert kronecker(d, n) == kronecker_reference(d, n)
+
+    def test_matches_the_jacobi_reference_on_a_grid(self):
+        for d in range(-60, 61):
+            for n in range(1, 130):
+                assert kronecker(d, n) == kronecker_reference(d, n), (d, n)
 
     def test_fundamental_discriminants(self):
         fundamentals = {-8, -7, -4, -3, 5, 8, 12, 13, -11, 21}

@@ -3,11 +3,14 @@ from fractions import Fraction
 from math import inf
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from plinv.padic import (
     PadicError,
     PadicNumber,
     branch_log,
+    check_prime,
+    factor,
     iwasawa_log,
     ordp,
     teichmuller,
@@ -33,6 +36,27 @@ class TestOrd:
     def test_fraction_ord(self):
         assert ordp(Fraction(50, 7), 5) == 2
         assert ordp(Fraction(3, 25), 5) == -2
+
+
+class TestFactor:
+    @settings(max_examples=500, deadline=None)
+    @given(n=st.integers(1, 10 ** 7))
+    def test_prime_powers_multiply_back(self, n):
+        f = factor(n)
+        prod = 1
+        for q, e in f.items():
+            assert check_prime(q) == q and e >= 1
+            prod *= q ** e
+        assert prod == n
+        assert list(f) == sorted(f)
+
+    def test_edge_cases(self):
+        assert factor(1) == {}
+        assert factor(2 ** 20) == {2: 20}
+        assert factor(9973 * 9973) == {9973: 2}
+        for n in (0, -6):
+            with pytest.raises(PadicError):
+                factor(n)
 
 
 class TestArithmetic:

@@ -152,6 +152,23 @@ class TestUnramifiedOracle:
         assert (a * b).n == min(nx, ny)
         assert a.agreement(ctx.from_vector(xs, ny)) >= min(nx, ny) + a.v
 
+    @settings(max_examples=80, deadline=None)
+    @given(p=st.sampled_from([2, 3, 5, 7]), f=st.sampled_from([2, 3]), n=st.integers(1, 200),
+           coords=st.lists(st.integers(-10 ** 30, 10 ** 30), min_size=3, max_size=3))
+    def test_units_invert(self, p, f, n, coords):
+        coords = coords[:f]
+        if not any(c % p for c in coords):
+            coords[0] = 1
+        b = UnramifiedContext(p, f).from_vector(coords, n)
+        assert b.v == 0
+        assert (b * b.inverse()).agreement(1) >= b.n
+
+    @pytest.mark.parametrize("p,f", [(2, 2), (3, 3), (7, 2)])
+    def test_non_unit_residue_does_not_invert(self, p, f):
+        ctx = UnramifiedContext(p, f)
+        with pytest.raises(PadicError, match="not a unit"):
+            ctx._invert_mod_p([p * (i + 1) for i in range(f)])
+
     @settings(max_examples=40, deadline=None)
     @given(data=st.data(), p=st.sampled_from([2, 3, 5, 7]), n=st.integers(1, 60))
     def test_log_restricts_to_iwasawa_log(self, data, p, n):
