@@ -11,7 +11,6 @@ being silently rebuilt.
 import fcntl
 import json
 import os
-import tempfile
 
 FORMAT_VERSION = 2
 
@@ -51,6 +50,8 @@ class Cache:
         return data.get("payload")
 
     def store(self, name, kind, payload):
+        import tempfile  # with its shutil and random: only writers pay for it
+
         os.makedirs(self.directory, exist_ok=True)
         path = self._path(name)
         lock_path = path + ".lock"

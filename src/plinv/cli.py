@@ -5,7 +5,6 @@ unknown label, ...), 3 parse/usage errors, 4 cache corruption.
 """
 
 import argparse
-import datetime
 import json
 import re
 import sys
@@ -359,6 +358,8 @@ HANDLERS = {
 
 def _emit(payload, args, out):
     if not args.no_meta:
+        import datetime  # only the meta block needs it: kept off start-up
+
         payload["meta"] = {
             "package": f"plinv {__version__}",
             "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),

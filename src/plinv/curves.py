@@ -2,8 +2,7 @@
 reduction types, quadratic twists, Tate periods and their L-invariants.
 """
 
-import importlib.resources
-from dataclasses import dataclass
+import os
 from fractions import Fraction
 from functools import lru_cache
 
@@ -22,18 +21,32 @@ def _vp(n, p):
     return int_val(n, p)
 
 
-@dataclass(frozen=True)
 class WeierstrassCurve:
-    a1: int
-    a2: int
-    a3: int
-    a4: int
-    a6: int
-    label: str = ""
+    """An integral model y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6;
+    immutable, and equal to another model with the same a-invariants and
+    label."""
 
-    def __post_init__(self):
+    __slots__ = ("a1", "a2", "a3", "a4", "a6", "label")
+
+    def __init__(self, a1, a2, a3, a4, a6, label=""):
+        for name, value in zip(self.__slots__, (a1, a2, a3, a4, a6, label)):
+            object.__setattr__(self, name, value)
         if self.discriminant == 0:
             raise CurveError("singular model")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def _key(self):
+        return self.a1, self.a2, self.a3, self.a4, self.a6, self.label
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def a_invariants(self):
@@ -204,14 +217,16 @@ GOOD, SPLIT, NONSPLIT, ADDITIVE = (
 )
 
 
-@dataclass(frozen=True)
 class ReductionInfo:
-    p: int
-    kind: str
-    v_delta: int
-    v_j: int
-    ap: int
-    minimal: WeierstrassCurve
+    """The reduction of a curve at p, read off its p-minimal model."""
+
+    def __init__(self, p, kind, v_delta, v_j, ap, minimal):
+        self.p = p
+        self.kind = kind
+        self.v_delta = v_delta
+        self.v_j = v_j
+        self.ap = ap
+        self.minimal = minimal
 
     @property
     def is_multiplicative(self):
@@ -347,13 +362,15 @@ def j_q_coefficients(nterms):
     return jq[1 : nterms + 2]
 
 
-@dataclass(frozen=True)
 class TatePeriod:
-    period: Period
-    q: PadicNumber
-    curve: WeierstrassCurve
-    p: int
-    v_delta: int
+    """The Tate parameter q of a curve at p, and q as a Period."""
+
+    def __init__(self, period, q, curve, p, v_delta):
+        self.period = period
+        self.q = q
+        self.curve = curve
+        self.p = p
+        self.v_delta = v_delta
 
     def to_json(self):
         return {
@@ -416,7 +433,9 @@ def curve_l_invariant(curve, p, prec=20):
 
 
 def _table_rows():
-    data = importlib.resources.files("plinv").joinpath("curves.tsv").read_text()
+    path = os.path.join(os.path.dirname(__file__), "curves.tsv")
+    with open(path, "r", encoding="utf-8") as fh:
+        data = fh.read()
     rows = []
     for line in data.splitlines():
         line = line.strip()
@@ -476,8 +495,6 @@ def parse_table_row(row):
 def load_user_table(path):
     """Optional user extension table; same validation discipline as the
     bundled file."""
-    import os
-
     table = {}
     if not os.path.exists(path):
         return table

@@ -22,7 +22,6 @@ cases (Mazur-Tate-Teitelbaum, Invent. Math. 1986, I.8): the table
 evaluates the units a < p^n/2 and fills the rest by that symmetry.
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from operator import add
@@ -48,14 +47,17 @@ class MeasureError(ValueError):
 # -- unit roots ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class UnitRootData:
-    p: int
-    ap: int
-    multiplicative: bool
-    ordinary: bool
-    alpha_exact: int | None    # +-1 in the multiplicative case
-    alpha: PadicNumber
+    """The unit root alpha of the Hecke polynomial at p; alpha_exact is
+    +-1 in the multiplicative case, else None."""
+
+    def __init__(self, p, ap, multiplicative, ordinary, alpha_exact, alpha):
+        self.p = p
+        self.ap = ap
+        self.multiplicative = multiplicative
+        self.ordinary = ordinary
+        self.alpha_exact = alpha_exact
+        self.alpha = alpha
 
     def to_json(self):
         return {
@@ -94,14 +96,16 @@ def unit_root(p, ap, multiplicative, prec=20):
 # -- measures ------------------------------------------------------------
 
 
-@dataclass
 class PadicMeasure:
-    p: int
-    depth: int
-    root: UnitRootData
-    symbol: object
-    values: dict               # a (unit mod p^depth) -> int | PadicNumber
-    exact: bool
+    """The table a (unit mod p^depth) -> int | PadicNumber of a measure."""
+
+    def __init__(self, p, depth, root, symbol, values, exact):
+        self.p = p
+        self.depth = depth
+        self.root = root
+        self.symbol = symbol
+        self.values = values
+        self.exact = exact
 
     def mass(self):
         return _total(self.values.values())
@@ -178,13 +182,15 @@ def distribution_defect(measure, finer):
 # -- Stickelberger elements ----------------------------------------------
 
 
-@dataclass
 class StickelbergerElement:
-    p: int
-    depth: int
-    coeffs: dict               # a in (Z/p^depth)^* -> int | PadicNumber
-    exact: bool
-    dual: bool = False
+    """sum coeffs[a] [sigma_a] over a in (Z/p^depth)^*."""
+
+    def __init__(self, p, depth, coeffs, exact, dual=False):
+        self.p = p
+        self.depth = depth
+        self.coeffs = coeffs
+        self.exact = exact
+        self.dual = dual
 
     def augmentation(self):
         return _total(self.coeffs.values())
@@ -327,20 +333,23 @@ CONVENTIONS = {
 }
 
 
-@dataclass
 class EzcReport:
-    label: str
-    p: int
-    depth: int
-    lp0_is_zero: bool
-    lp0: int
-    derivative: PadicNumber
-    value_at_zero: int
-    ratio: PadicNumber
-    l_invariant: PadicNumber
-    matched_sign: str
-    agreement_digits: int
-    conventions: dict = field(default_factory=lambda: dict(CONVENTIONS))
+    """L_p'(0)/[0->oo] against the Tate L-invariant at a split prime."""
+
+    def __init__(self, label, p, depth, lp0_is_zero, lp0, derivative, value_at_zero,
+                 ratio, l_invariant, matched_sign, agreement_digits, conventions=None):
+        self.label = label
+        self.p = p
+        self.depth = depth
+        self.lp0_is_zero = lp0_is_zero
+        self.lp0 = lp0
+        self.derivative = derivative
+        self.value_at_zero = value_at_zero
+        self.ratio = ratio
+        self.l_invariant = l_invariant
+        self.matched_sign = matched_sign
+        self.agreement_digits = agreement_digits
+        self.conventions = dict(CONVENTIONS) if conventions is None else conventions
 
     def to_json(self):
         return {
@@ -403,15 +412,17 @@ def ezc_report(curve, measure, prec=20, dual=False):
     )
 
 
-@dataclass
 class TwistReport:
-    label: str
-    d: int
-    p: int
-    chi_p: int
-    case: str
-    data: dict
-    conventions: dict = field(default_factory=lambda: dict(CONVENTIONS))
+    """The quadratic-twist product bookkeeping of one case."""
+
+    def __init__(self, label, d, p, chi_p, case, data, conventions=None):
+        self.label = label
+        self.d = d
+        self.p = p
+        self.chi_p = chi_p
+        self.case = case
+        self.data = data
+        self.conventions = dict(CONVENTIONS) if conventions is None else conventions
 
     # exact rationals (int or Fraction), emitted as strings like Fractions
     RATIONAL = ("twist_L0", "twist_value_at_zero", "euler_factor", "ratio",

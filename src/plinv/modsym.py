@@ -14,7 +14,6 @@ continued-fraction trick splits each path into generators, which are
 counted as integers before they are mapped to coordinates.  All
 arithmetic is exact, and on ints wherever the values are integers."""
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
@@ -161,11 +160,14 @@ def _manin_pieces(a, m):
         yield c, sign * d
 
 
-@dataclass
 class _SignedUF:
-    parent: list
-    sgn: list
-    dead: set
+    """Union-find over generators with a sign on every parent link; a
+    root in `dead` is forced to 0."""
+
+    def __init__(self, parent, sgn, dead):
+        self.parent = parent
+        self.sgn = sgn
+        self.dead = dead
 
     @classmethod
     def create(cls, n):
@@ -503,16 +505,21 @@ def store_spaces(cache):
 # -- eigen-symbols -------------------------------------------------------
 
 
-@dataclass
 class EigenSymbol:
-    level: int
-    sign: int
-    space: SymbolSpace
-    weights: list            # left eigenvector on the basis
-    gen_values: list         # integer value at every Manin generator (content 1)
-    eigenvalues: dict
-    label: str = ""
-    _piece_index: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    """A Hecke eigen-functional on a symbol space: `weights` is a left
+    eigenvector on the basis, `gen_values` its integer value at every Manin
+    generator (content 1), `eigenvalues` the T_ell (U_ell) eigenvalues
+    recorded so far."""
+
+    def __init__(self, level, sign, space, weights, gen_values, eigenvalues, label=""):
+        self.level = level
+        self.sign = sign
+        self.space = space
+        self.weights = weights
+        self.gen_values = gen_values
+        self.eigenvalues = eigenvalues
+        self.label = label
+        self._piece_index = {}  # packed bottom row mod N -> generator index
 
     def evaluate(self, a, m=1):
         """Value on the path {a/m -> oo}: a numerator a and a denominator

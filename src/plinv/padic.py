@@ -25,7 +25,7 @@ instead of inventing digits.
 """
 
 from fractions import Fraction
-from math import inf
+from math import gcd, inf
 
 
 class PadicError(ValueError):
@@ -33,6 +33,8 @@ class PadicError(ValueError):
 
 
 def _is_probable_prime(n):
+    """Miller-Rabin to the twelve prime bases up to 37: deterministic for
+    n < 3.3e24 (3317044064679887385961981), a probable-prime test above."""
     if n < 2:
         return False
     for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
@@ -73,20 +75,59 @@ def int_val(n, p):
 
 
 def factor(n):
-    """{prime: exponent} of an integer n >= 1, primes ascending, by trial
-    division."""
+    """{prime: exponent} of an integer n >= 1, primes ascending.
+
+    Trial division by the integers below 1000, then Pollard-Brent rho
+    splits what is left.  Each cofactor is tested by `_is_probable_prime`:
+    the primes reported are proven below 3.3e24 and probable above."""
     if n < 1:
         raise PadicError(f"cannot factor {n}")
     out = {}
     q = 2
-    while q * q <= n:
+    while q < 1000 and q * q <= n:
         if n % q == 0:
             out[q] = int_val(n, q)
             n //= q ** out[q]
         q += 1 if q == 2 else 2
-    if n > 1:
-        out[n] = 1
-    return out
+    rest = [n] if n > 1 else []
+    while rest:
+        m = rest.pop()
+        if _is_probable_prime(m):
+            out[m] = out.get(m, 0) + 1
+        else:
+            d = _rho_divisor(m)
+            rest += [d, m // d]
+    return dict(sorted(out.items()))
+
+
+def _rho_divisor(n):
+    """A proper divisor of an odd composite n, by Brent's cycle finding on
+    x -> x^2 + c with the gcds batched 128 at a time; c = 1, 2, ... until a
+    walk splits n."""
+    c = 0
+    while True:
+        c += 1
+        y, r, prod, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    prod = prod * (x - y) % n
+                g = gcd(prod, n)
+                k += 128
+            r *= 2
+        if g == n:  # the batch overshot: replay it one gcd at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if g != n:
+            return g
 
 
 def frac_val(x, p):

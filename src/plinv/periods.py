@@ -12,11 +12,9 @@ Supported branches of lambda:
     log_x(x) = 0.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .padic import PadicElement, PadicError, PadicNumber, frac_val, iwasawa_log
-from .unramified import ExactUnramified, UnramifiedElement
 
 
 class NotAPeriodError(PadicError):
@@ -28,13 +26,24 @@ DEFAULT_PREC = 20
 EQUALITY_SLACK = 2
 
 
+# A base is rational (int or Fraction), a PadicElement, or an exact element
+# of Q_{p^f} (unramified.ExactUnramified, known by its to_padic method).
+# Only methods are called on the last two, so this module does not import
+# unramified, and the command line, whose period grammar is rational, never
+# loads it.
+
+
+def _is_exact_unramified(base):
+    return hasattr(base, "to_padic")
+
+
 def _base_ord(base, p):
     if isinstance(base, (int, Fraction)):
         x = Fraction(base)
         if x == 0:
             raise PadicError("zero base in period")
         return frac_val(x, p)
-    if isinstance(base, (ExactUnramified, PadicElement)):
+    if isinstance(base, PadicElement) or _is_exact_unramified(base):
         return base.ord()
     raise PadicError(f"unsupported period base {base!r}")
 
@@ -42,7 +51,7 @@ def _base_ord(base, p):
 def _base_key(base):
     if isinstance(base, (int, Fraction)):
         return ("Q", Fraction(base))
-    if isinstance(base, ExactUnramified):
+    if _is_exact_unramified(base):
         return ("E", base.ctx.p, base.ctx.f, base.ctx.modulus, base.coeffs)
     if isinstance(base, PadicElement):
         return ("L", str(base.to_json()))
@@ -66,9 +75,8 @@ class Period:
             else:
                 merged[key] = (base, exp)
                 order.append(key)
-            if isinstance(base, (ExactUnramified, UnramifiedElement)):
-                if ctx is None:
-                    self.ctx = base.ctx
+            if ctx is None and getattr(base, "ctx", None) is not None:
+                self.ctx = base.ctx  # a base in Q_{p^f}
         self.factors = tuple(
             (merged[k][0], merged[k][1]) for k in order if merged[k][1] != 0
         )
@@ -125,7 +133,7 @@ def _as_local(base, p, prec, ctx):
         if ctx is not None:
             return ctx.from_vector([Fraction(base)], prec)
         return PadicNumber.from_fraction(p, base, prec)
-    if isinstance(base, ExactUnramified):
+    if _is_exact_unramified(base):
         return base.to_padic(prec)
     if isinstance(base, PadicElement):
         return base
@@ -185,13 +193,16 @@ def li(q, branch="iwasawa", prec=DEFAULT_PREC):
     return total * Fraction(1, tot)
 
 
-@dataclass
 class CheckReport:
-    equal: bool
-    lhs: object
-    rhs: object
-    agree_abs_prec: object
-    details: dict
+    """Both sides of an identity, whether they provably agree, and the
+    absolute precision to which they do."""
+
+    def __init__(self, equal, lhs, rhs, agree_abs_prec, details):
+        self.equal = equal
+        self.lhs = lhs
+        self.rhs = rhs
+        self.agree_abs_prec = agree_abs_prec
+        self.details = details
 
     def to_json(self):
         def enc(v):

@@ -7,6 +7,21 @@ import pytest
 from plinv.cli import main, parse_period_literal, parse_branch, UsageError
 
 
+def _fresh_python(args, timeout, **env):
+    """`python args` in a new interpreter that imports plinv from this
+    checkout, with `env` added to the environment."""
+    import os
+    import subprocess
+    import sys
+
+    import plinv
+
+    src = os.path.dirname(os.path.dirname(plinv.__file__))
+    return subprocess.run([sys.executable, *args],
+                          env=dict(os.environ, PYTHONPATH=src, **env),
+                          capture_output=True, text=True, timeout=timeout)
+
+
 def run(args, tmp_path=None):
     buf = io.StringIO()
     argv = ["--no-meta"]
@@ -92,19 +107,12 @@ class TestExitCodes:
 
     def test_no_cache_never_reads_the_cache(self, tmp_path):
         import os
-        import subprocess
-        import sys
-
-        import plinv
 
         bad = tmp_path / "modsym_11_plus.json"
         bad.write_text("{ truncated")
-        src = os.path.dirname(os.path.dirname(plinv.__file__))
-        env = dict(os.environ, PLINV_CACHE_DIR=str(tmp_path), PYTHONPATH=src)
-        proc = subprocess.run(
-            [sys.executable, "-m", "plinv.cli", "--no-cache", "--no-meta",
-             "check-ezc", "--label", "11a1", "-p", "11"],
-            env=env, capture_output=True, text=True, timeout=120)
+        proc = _fresh_python(["-m", "plinv.cli", "--no-cache", "--no-meta",
+                              "check-ezc", "--label", "11a1", "-p", "11"],
+                             timeout=120, PLINV_CACHE_DIR=str(tmp_path))
         assert proc.returncode == 0, proc.stderr
         assert sorted(os.listdir(tmp_path)) == ["modsym_11_plus.json"]
         assert bad.read_text() == "{ truncated"
@@ -288,6 +296,15 @@ class TestImporter:
     def test_import_rejects_malformed(self, tmp_path):
         rc, _ = run(["import-curve", "--row", "just-a-label"], tmp_path)
         assert rc == 2
+
+    def test_discriminant_with_large_prime_factors(self):
+        # disc = -3^3 67^2 73705545679^2: trial division alone ran for minutes
+        proc = _fresh_python(["-m", "plinv.cli", "--no-cache", "--no-meta", "import-curve",
+                              "--row", "x 0,0,1,0,1234567890123"], timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout)
+        assert out["bad_primes"] == {"3": "additive", "67": "additive",
+                                     "73705545679": "additive"}
 
 
 class TestCacheRoundTrip:
@@ -477,6 +494,34 @@ class TestCacheRoundTrip:
         rc2, out2 = run(["check-ezc", "--label", "11a1", "-p", "11",
                          "--depth", "2", "--prec", "8"], tmp_path)
         assert (rc1, out1) == (rc2, out2)
+
+
+class TestStartUp:
+    """What the command line loads, seen from a fresh `python -S`: in the
+    test process every module is already loaded by other tests."""
+
+    PROBE = """
+import io, json, sys
+from plinv.cli import main
+
+for argv in (["--no-meta", "li-period", "5^1", "-p", "5"],
+             ["--no-cache", "--no-meta", "check-ezc", "--label", "11a1", "-p", "11",
+              "--depth", "1"]):
+    assert main(argv, out=io.StringIO()) == 0, argv
+unneeded = ["dataclasses", "inspect", "datetime", "importlib.resources", "plinv.unramified"]
+loaded = [name for name in unneeded if name in sys.modules]
+buf = io.StringIO()
+assert main(["li-period", "5^1", "-p", "5"], out=buf) == 0
+print(json.dumps({"loaded": loaded, "meta": json.loads(buf.getvalue())["meta"]}))
+"""
+
+    def test_commands_load_only_what_they_run(self, tmp_path):
+        proc = _fresh_python(["-S", "-c", self.PROBE], timeout=120,
+                             PLINV_CACHE_DIR=str(tmp_path))
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["loaded"] == []
+        assert report["meta"]["timestamp"]
 
 
 class TestSchemas:

@@ -1,5 +1,4 @@
 import io
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,7 +20,7 @@ from plinv.measures import (
     unit_root,
     _log_walk,
 )
-from plinv.modsym import eigen_symbol
+from plinv.modsym import EigenSymbol, eigen_symbol
 
 from helpers import measure_reference, padic_digits, riemann_sum_reference
 
@@ -161,7 +160,8 @@ class TestMeasure:
         assert {a: v.to_json() for a, v in m.values.items()} == \
             {a: v.to_json() for a, v in hand.values.items()}
         # weights off every eigenline carry no eigenvalue at 3
-        mixed = replace(sym, weights=[x + 1 for x in sym.weights])
+        mixed = EigenSymbol(sym.level, sym.sign, sym.space, [x + 1 for x in sym.weights],
+                            sym.gen_values, dict(sym.eigenvalues), label=sym.label)
         assert mixed.hecke_eigenvalue(3) is None
         with pytest.raises(MeasureError, match="no eigenvalue"):
             build_measure(mixed, 3, 2)

@@ -11,6 +11,7 @@ from plinv.padic import (
     branch_log,
     check_prime,
     factor,
+    int_val,
     iwasawa_log,
     ordp,
     teichmuller,
@@ -50,10 +51,26 @@ class TestFactor:
         assert prod == n
         assert list(f) == sorted(f)
 
+    # on both sides of the trial-division bound; rho's time grows as the
+    # square root of the second-largest prime factor, so 10^12 comes once
+    PRIMES = (2, 3, 5, 7, 997, 1009, 9973, 65537, 999983, 1000003, 2147483647)
+    LARGE = (999999000001, 999999999989)
+
+    @settings(max_examples=100, deadline=None)
+    @given(powers=st.dictionaries(st.sampled_from(PRIMES), st.integers(1, 3), max_size=4),
+           large=st.sets(st.sampled_from(LARGE), max_size=1))
+    def test_products_of_known_primes(self, powers, large):
+        powers = {**powers, **dict.fromkeys(large, 1)}
+        n = 1
+        for q, e in powers.items():
+            n *= q ** e
+        assert factor(n) == dict(sorted(powers.items()))
+
     def test_edge_cases(self):
         assert factor(1) == {}
         assert factor(2 ** 20) == {2: 20}
         assert factor(9973 * 9973) == {9973: 2}
+        assert factor(999999000001 * 999999999989) == {999999000001: 1, 999999999989: 1}
         for n in (0, -6):
             with pytest.raises(PadicError):
                 factor(n)
@@ -196,6 +213,43 @@ class TestIwasawaLog:
             x = PadicNumber.from_int(p, a, n)
             y = PadicNumber.from_int(p, b, n)
             assert_same(iwasawa_log(x * y), iwasawa_log(x) + iwasawa_log(y))
+
+    ORACLE_PRIMES = [2, 3, 5, 7, 11, 37]
+
+    @staticmethod
+    def _terms_needed(m, p, n):
+        """The K such that every term k > K of log(1 + z), v(z) = m,
+        vanishes mod p^n: term k has valuation >= k m - floor(log_p k),
+        which does not decrease in k."""
+        k = 1
+        while True:
+            log_k = 0
+            while p ** (log_k + 1) <= k:
+                log_k += 1
+            if k * m - log_k >= n:
+                return k - 1
+            k += 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), p=st.sampled_from(ORACLE_PRIMES), n=st.integers(1, 24))
+    def test_one_units_match_the_exact_series(self, data, p, n):
+        q = 4 if p == 2 else p
+        x = 1 + q * data.draw(st.integers(0, p ** n))
+        got = iwasawa_log(PadicNumber.from_int(p, x, n))
+        assert got.abs_prec >= n
+        if x == 1:
+            assert got.is_zero
+            return
+        z = x - 1
+        series = oracle_log_series(z, self._terms_needed(int_val(z, p), p, n))
+        assert got.lift() % p ** n == frac_mod(series, p, n)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), p=st.sampled_from(ORACLE_PRIMES), n=st.integers(1, 24))
+    def test_log_of_a_power(self, data, p, n):
+        u = data.draw(st.integers(1, p ** n).filter(lambda a: a % p))
+        x = PadicNumber.from_int(p, u, n)
+        assert_same(iwasawa_log(x) * (p - 1), iwasawa_log(x ** (p - 1)), min_abs_prec=n)
 
 
 class TestBranchLog:
