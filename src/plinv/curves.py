@@ -6,7 +6,7 @@ import os
 from fractions import Fraction
 from functools import lru_cache
 
-from .padic import PadicNumber, check_prime, factor, int_val
+from .padic import PadicNumber, check_prime, factor, hensel, int_val
 from .periods import Period, li
 
 
@@ -382,33 +382,29 @@ class TatePeriod:
 
 
 def tate_period(curve, p, prec=20):
-    """The parameter q with j(q) = j(E), ord(q) = v_p(disc_min) > 0,
-    found by the contracting iteration q <- 1/(j - 744 - sum c(n) q^n)."""
+    """The parameter q with j(q) = j(E), ord(q) = m = v_p(disc_min) > 0:
+    the root of G(q) = q - u q j(q), u = 1/j = disc/c4^3 with c4 a unit.
+    v(u) = m, so G' = 1 mod p and Newton lifts q = 0 mod p (Silverman,
+    Advanced Topics, ch. V).  Terms u c(n) q^(n+1) with n > prec/m - 2
+    vanish mod p^(m+prec), the precision of q to prec digits."""
     red = reduction_type(curve, p)
     if not red.is_multiplicative:
         raise CurveError("no Tate period")
-    m = red.v_delta
-    guard = 4
-    nterms = (prec + guard) // m + 2
-    coeffs = j_q_coefficients(nterms)
-    rel = prec + guard + m  # j has ord -m; q needs prec+guard digits
-    j = PadicNumber.from_fraction(p, red.minimal.j_invariant, rel)
-    q = 1 / (j - 744)
-    for _ in range(prec + guard + 5):
-        s = coeffs[nterms] * q
-        for n in range(nterms - 1, 0, -1):
-            s = (s + coeffs[n]) * q
-        qn = 1 / (j - 744 - s)
-        if qn.agreement(q) >= m + prec:
-            q = qn
-            break
-        q = qn
-    else:
-        raise CurveError("Tate parameter iteration did not stabilize")
-    assert q.ord() == m
-    q = q.truncate(prec)
-    period = Period(p, [(q, 1)])
-    return TatePeriod(period, q, curve, p, m)
+    m, e = red.v_delta, red.minimal
+    top = p ** (m + prec)
+    u = e.discriminant * pow(e.c4 ** 3, -1, top) % top
+    coeffs = [1] + j_q_coefficients(prec // m)  # q j(q), constant term first
+
+    def step(q, _, mod):
+        g = dg = 0
+        for c in reversed(coeffs):  # Horner for the series and its derivative
+            g, dg = (g * q + c) % mod, (dg * q + g) % mod
+        return (q - (q - u * g) * pow(1 - u * dg, -1, mod)) % mod
+
+    q = hensel(step, 0, p, m + prec)
+    assert int_val(q, p) == m
+    q = PadicNumber(p, m, q // p ** m, prec)
+    return TatePeriod(Period(p, [(q, 1)]), q, curve, p, m)
 
 
 def j_of_q(q, nterms=None):

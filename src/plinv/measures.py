@@ -37,7 +37,7 @@ from .curves import (
     reduction_type,
 )
 from .modsym import eigen_symbol
-from .padic import PadicNumber, check_prime, iwasawa_log
+from .padic import PadicNumber, check_prime, hensel, iwasawa_log
 
 
 class MeasureError(ValueError):
@@ -79,16 +79,11 @@ def unit_root(p, ap, multiplicative, prec=20):
         return UnitRootData(p, ap, True, True, ap, PadicNumber.from_int(p, ap, prec))
     if ap % p == 0:
         raise MeasureError("supersingular not supported")
-    m = p
-    x = ap % p
-    k = 1
-    while k < prec:
-        k = min(2 * k, prec)
-        m = p ** k
-        fx = (x * x - ap * x + p) % m
-        dfx = (2 * x - ap) % m
-        x = (x - fx * pow(dfx, -1, m)) % m
-    alpha = PadicNumber.from_int(p, x, prec)
+
+    def step(x, _, m):
+        return (x - (x * x - ap * x + p) * pow(2 * x - ap, -1, m)) % m
+
+    alpha = PadicNumber.from_int(p, hensel(step, ap % p, p, prec), prec)
     assert ((alpha * alpha - ap * alpha + p)).is_zero
     return UnitRootData(p, ap, False, True, None, alpha)
 

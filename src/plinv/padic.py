@@ -17,11 +17,11 @@ pessimistically, so every reported digit is provable:
     else its valuation.
 
 An exact scalar (int or Fraction) has as many digits as anyone asks for, so
-it takes the precision of the element it meets: the relative precision n of
-a nonzero element, or the absolute precision A of O(p^A) (at least one
-significant digit).  Exact 0 stays exact.  Precision is never capped: an
-exact scalar that meets an exact zero, and zero ** 0, raise PadicError
-instead of inventing digits.
+it takes the precision of the element x it meets: in x * c and x / c the
+relative precision n of x, in x + c, x - c and x == c the absolute precision
+of x (at least one significant digit either way).  Exact 0 stays exact.
+Precision is never capped: an exact scalar that meets an exact zero, and
+zero ** 0, raise PadicError instead of inventing digits.
 """
 
 from fractions import Fraction
@@ -202,16 +202,17 @@ class PadicElement:
 
     # -- arithmetic ----------------------------------------------------
 
-    def _coerce(self, other):
+    def _coerce(self, other, relative=False):
+        # relative: x * c and x / c (see the module docstring)
         if not isinstance(other, (int, Fraction)):
             return self._lift(other)
         if other == 0:
             return self._zero(inf)
-        if not self.is_zero:
-            return self._exact(Fraction(other), self.n)
         if self.v == inf:
             raise PadicError("an exact scalar meets an exact zero: no precision to give it")
-        return self._exact(Fraction(other), max(self.v - frac_val(other, self.p), 1))
+        if relative and not self.is_zero:
+            return self._exact(Fraction(other), self.n)
+        return self._exact(Fraction(other), max(self.abs_prec - frac_val(other, self.p), 1))
 
     def __add__(self, other):
         b = self._coerce(other)
@@ -246,7 +247,7 @@ class PadicElement:
         return -(self - other)
 
     def __mul__(self, other):
-        b = self._coerce(other)
+        b = self._coerce(other, relative=True)
         if b is None:
             return NotImplemented
         if self.is_zero or b.is_zero:
@@ -263,7 +264,7 @@ class PadicElement:
         return self._make(-self.v, self._inv_unit(self.n), self.n)
 
     def __truediv__(self, other):
-        b = self._coerce(other)
+        b = self._coerce(other, relative=True)
         if b is None:
             return NotImplemented
         return self * b.inverse()
@@ -475,11 +476,27 @@ def ordp(x, p=None):
     return frac_val(x, p)
 
 
+def hensel(step, x, p, n):
+    """Lift x, a simple root mod p, to the root mod p^n by Newton's method.
+
+    step(x, k, m) is one Newton step mod m = p^k: given the root mod
+    p^ceil(k/2) it returns the root mod p^k, so each call doubles the
+    digits known.
+    """
+    k = 1
+    while k < n:
+        k = min(2 * k, n)
+        x = step(x, k, p ** k)
+    return x
+
+
 def teichmuller(p, a, n):
     """Teichmuller lift w(a): the (p-1)-st root of unity congruent to a mod p.
 
-    Newton iteration on x^(p-1) - 1; the x -> x^p fixed-point iteration is
-    kept in the test suite as an independent oracle.
+    Newton on x^(p-1) - 1, dividing by x^-1 (p-1) for the derivative
+    (p-1) x^(p-2): the two agree to the half precision a step needs.  The
+    x -> x^p fixed-point iteration is kept in the test suite as an
+    independent oracle.
     """
     check_prime(p)
     if n < 1:
@@ -489,17 +506,13 @@ def teichmuller(p, a, n):
         raise PadicError("Teichmuller lift of a non-unit")
     if p == 2:
         return PadicNumber.from_int(2, 1, n)
-    m = p ** n
-    x = a
-    prec = 1
-    while prec < n:
-        prec = min(2 * prec, n)
-        mm = p ** prec
-        fx = (pow(x, p - 1, mm) - 1) % mm
-        dfx = (p - 1) * pow(x, p - 2, mm) % mm
-        x = (x - fx * pow(dfx, -1, mm)) % mm
-    assert pow(x, p, m) == x % m
-    return PadicNumber.from_int(p, x % m, n)
+
+    def step(x, _, m):
+        return x * (p - pow(x, p - 1, m)) * pow(p - 1, -1, m) % m
+
+    x = hensel(step, a, p, n)
+    assert pow(x, p, p ** n) == x
+    return PadicNumber.from_int(p, x, n)
 
 
 def iwasawa_log(x):

@@ -10,7 +10,7 @@ valuations, so every nonzero element factors as p^v * (unit vector).
 from fractions import Fraction
 from math import inf
 
-from .padic import PadicElement, PadicError, PadicNumber, check_prime, factor, int_val
+from .padic import PadicElement, PadicError, PadicNumber, check_prime, factor, hensel, int_val
 
 
 # -- polynomial helpers over Z/p^k ------------------------------------
@@ -169,25 +169,19 @@ class UnramifiedContext:
         return UnramifiedElement(self, v, tuple(unit), n)
 
     def frobenius_root(self, n):
-        """The root of the modulus congruent to t^p mod p, to n digits.
-
-        Hensel lifting: Newton on g with initial value t^p over F_p.
-        """
+        """The root of the modulus congruent to t^p mod p, to n digits:
+        Newton on g from t^p over F_p."""
         if n in self._frob_cache:
             return self._frob_cache[n]
         p, g = self.p, list(self.modulus)
         dg = [i * g[i] for i in range(1, len(g))]
-        y = _poly_powmod([0, 1], p, g, p)
-        prec = 1
-        while prec < n:
-            prec = min(2 * prec, n)
-            m = p ** prec
-            gy = self._eval_poly(g, y, m)
-            dgy = self._eval_poly(dg, y, m)
-            inv = self._inv_unit_vector(dgy, prec)
-            corr = _poly_mulmod(gy, inv, g, m)
-            y = [(y[i] if i < len(y) else 0) - (corr[i] if i < len(corr) else 0) for i in range(self.f)]
-            y = [c % m for c in y]
+
+        def step(y, k, m):
+            inv = self._inv_unit_vector(self._eval_poly(dg, y, m), k)
+            corr = _poly_mulmod(self._eval_poly(g, y, m), inv, g, m)
+            return [(a - b) % m for a, b in zip(y, corr)]
+
+        y = hensel(step, _poly_powmod([0, 1], p, g, p), p, n)
         assert all(c % p ** n == 0 for c in self._eval_poly(g, y, p ** n))
         self._frob_cache[n] = y
         return y
@@ -202,20 +196,16 @@ class UnramifiedContext:
         return acc
 
     def _inv_unit_vector(self, vec, n):
-        """Inverse of a unit coefficient vector mod (modulus, p^n)."""
+        """Inverse of a unit coefficient vector mod (modulus, p^n): the
+        inverse in the residue field, lifted by Newton on 1/x."""
         p, g = self.p, list(self.modulus)
-        # invert in the residue field, then Hensel
-        inv = self._invert_mod_p(vec)
-        prec = 1
-        while prec < n:
-            prec = min(2 * prec, n)
-            m = p ** prec
-            t = _poly_mulmod(vec, inv, g, m)
-            t[0] = (2 - t[0]) % m
-            for i in range(1, self.f):
-                t[i] = -t[i] % m
-            inv = _poly_mulmod(inv, t, g, m)
-        return inv
+
+        def step(inv, _, m):
+            t = [-c % m for c in _poly_mulmod(vec, inv, g, m)]
+            t[0] = (t[0] + 2) % m
+            return _poly_mulmod(inv, t, g, m)
+
+        return hensel(step, self._invert_mod_p(vec), p, n)
 
     def _invert_mod_p(self, vec):
         """Inverse of a vector in the field F_p[t]/(modulus), by Fermat:
@@ -340,24 +330,18 @@ class UnramifiedElement(PadicElement):
         if self.is_zero:
             raise PadicError("Teichmuller lift of zero")
         ctx, n = self.ctx, self.n
-        p, f = ctx.p, ctx.f
-        g = list(ctx.modulus)
-        q = p ** f - 1
-        x = [c % p for c in self.coeffs]
-        # Newton for x^q = 1 (derivative q*x^(q-1) is a unit)
-        prec = 1
-        y = list(x)
-        while prec < n:
-            prec = min(2 * prec, n)
-            m = p ** prec
-            yq = _poly_powmod(y, q, g, m)
-            fy = list(yq)
-            fy[0] = (fy[0] - 1) % m
-            dfy = _poly_mulmod([q % m], _poly_powmod(y, q - 1, g, m), g, m)
-            inv = ctx._inv_unit_vector(dfy, prec)
-            corr = _poly_mulmod(fy, inv, g, m)
-            y = [(y[i] - (corr[i] if i < len(corr) else 0)) % m for i in range(f)]
-        return self._make(0, y, n)
+        p, g = ctx.p, list(ctx.modulus)
+        q = p ** ctx.f - 1
+
+        def step(y, _, m):
+            # Newton on y^q - 1, dividing by q y^-1 for the derivative
+            # q y^(q-1): the two agree to the half precision a step needs
+            e = _poly_powmod(y, q, g, m)
+            e[0] -= 1
+            c = pow(q, -1, m)
+            return [(a - c * b) % m for a, b in zip(y, _poly_mulmod(y, e, g, m))]
+
+        return self._make(0, hensel(step, [c % p for c in self.coeffs], p, n), n)
 
     def log(self):
         """Iwasawa branch: log(p) = 0, Teichmuller part killed."""

@@ -139,20 +139,28 @@ class TestReports:
         assert out["reduction"]["v_delta"] == 5
         assert out["tate_period"]["v"] == 5
 
-    @pytest.mark.parametrize("label,p", SPLIT_PAIRS)
-    def test_li_curve_beyond_64_digits(self, label, p):
-        """No precision cap: the digits at --prec 75 and 200 extend those
-        at --prec 20."""
+    @staticmethod
+    def _assert_digits_extend(label, p, precs):
+        """The digits at each --prec in precs extend those at --prec 20."""
         args = ["li-curve", "--label", label, "-p", str(p), "--prec"]
         rc, low = run(args + ["20"])
         assert rc == 0
-        for prec in (75, 200):
+        for prec in precs:
             rc, out = run(args + [str(prec)])
             assert rc == 0
             for key in ("tate_period", "li"):
                 assert out[key]["v"] == low[key]["v"]
                 assert out[key]["n"] >= prec - 1
                 assert out[key]["digits"][:len(low[key]["digits"])] == low[key]["digits"]
+
+    @pytest.mark.parametrize("label,p", SPLIT_PAIRS)
+    def test_li_curve_beyond_64_digits(self, label, p):
+        """No precision cap at --prec 75 and 200."""
+        self._assert_digits_extend(label, p, (75, 200))
+
+    @pytest.mark.parametrize("label,p,prec", [("21a1", 3, 1000), ("11a2", 11, 200)])
+    def test_li_curve_high_precision_small_v_delta(self, label, p, prec):
+        self._assert_digits_extend(label, p, (prec,))
 
     def test_check_ezc_report(self):
         rc, out = run(["check-ezc", "--label", "11a1", "-p", "11",
@@ -237,10 +245,15 @@ class TestReports:
         # nonsplit multiplicative reduction at p = 2
         (["li-curve", "--label", "14a1", "-p", "2", "--prec", "30"],
          "2ce849416911faeddfcb1b129ad3876b94dbd538908a4c86f42882010be4bbfa"),
+        # the Tate period and its log to 1000 digits, recorded from the
+        # fixed-point iteration that Newton's method replaced
+        (["li-curve", "--label", "37b1", "-p", "37", "--prec", "1000"],
+         "e3f4a1132822a082cddfe466a11ee6c6fedafaba146868ac6f2ebcd90a78c88f"),
         # bad primes and their reduction kinds, at 2 and 7
         (["import-curve", "--row", "14a1 1,0,1,4,-6"],
          "a922a916dda1bc4aa199e41d3934fdd6b32d8d62b051e399f1849c980f617037"),
-    ], ids=["twist-5", "twist-minus-4", "li-curve-14a1-p2", "import-14a1"])
+    ], ids=["twist-5", "twist-minus-4", "li-curve-14a1-p2", "li-curve-37b1-prec-1000",
+            "import-14a1"])
     def test_arithmetic_golden_sha256(self, args, digest):
         # stdout bytes recorded before the factoring, split test and F_{p^f}
         # inverse each became one implementation

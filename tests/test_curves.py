@@ -10,6 +10,7 @@ from plinv.curves import (
     SPLIT,
     CurveError,
     WeierstrassCurve,
+    bad_primes,
     conductor,
     curve_by_label,
     curve_table,
@@ -254,21 +255,37 @@ class TestJSeries:
 
 
 class TestTatePeriod:
-    PAIRS = [("11a1", 11), ("15a1", 5), ("21a1", 3), ("17a1", 17), ("14a1", 7), ("14a1", 2), ("37b1", 37)]
+    # every multiplicative prime of every bundled curve
+    PAIRS = [(label, p) for label, (e, _) in curve_table().items()
+             for p in bad_primes(e) if reduction_type(e, p).is_multiplicative]
+
+    @staticmethod
+    def _assert_round_trip(label, p, prec):
+        e = curve_by_label(label)
+        red = reduction_type(e, p)
+        tp = tate_period(e, p, prec)
+        assert tp.q.ord() == red.v_delta and tp.q.n == prec
+        jq = j_of_q(tp.q)
+        jexp = PadicNumber.from_fraction(p, red.minimal.j_invariant, prec + 10)
+        d = jq - jexp
+        # agree to >= prec - v(delta) - 2 digits beyond ord(j) = -v(delta)
+        assert d.is_zero
+        assert d.abs_prec - (-red.v_delta) >= prec - red.v_delta - 2
 
     def test_round_trip_defining_identity(self):
         # 75 and 200 digits: precision is never capped
+        assert len(self.PAIRS) == 14
         for prec, (label, p) in itertools.product((14, 75, 200), self.PAIRS):
-            e = curve_by_label(label)
-            red = reduction_type(e, p)
-            tp = tate_period(e, p, prec)
-            assert tp.q.ord() == red.v_delta
-            jq = j_of_q(tp.q)
-            jexp = PadicNumber.from_fraction(p, red.minimal.j_invariant, prec + 10)
-            d = jq - jexp
-            # agree to >= prec - v(delta) - 2 digits beyond ord(j) = -v(delta)
-            assert d.is_zero
-            assert d.abs_prec - (-red.v_delta) >= prec - red.v_delta - 2
+            self._assert_round_trip(label, p, prec)
+
+    @settings(max_examples=100, deadline=None)
+    @given(pair=st.sampled_from(PAIRS), prec=st.integers(5, 500))
+    def test_round_trip_at_any_precision(self, pair, prec):
+        self._assert_round_trip(*pair, prec)
+
+    @pytest.mark.parametrize("label,p,prec", [("11a2", 11, 200), ("21a1", 7, 350)])
+    def test_round_trip_high_precision_small_v_delta(self, label, p, prec):
+        self._assert_round_trip(label, p, prec)
 
     def test_leading_term(self):
         for label, p in [("11a1", 11), ("15a1", 5), ("37b1", 37)]:

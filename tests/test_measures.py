@@ -3,6 +3,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from plinv.cli import main
 from plinv.curves import curve_by_label, trace_of_frobenius
@@ -55,6 +56,16 @@ class TestUnitRoot:
         # alpha * beta = p with beta = a_p - alpha
         beta = Fraction(-1) - a
         assert ((a * beta) - 3).is_zero
+
+    @settings(max_examples=100, deadline=None)
+    @given(p=st.sampled_from([2, 3, 5, 7, 11, 37]), ap=st.integers(-12, 12),
+           prec=st.integers(1, 500))
+    def test_unit_root_solves_the_hecke_polynomial(self, p, ap, prec):
+        assume(ap % p)
+        alpha = unit_root(p, ap, False, prec).alpha
+        x, m = alpha.lift(), p ** prec
+        assert alpha.n == prec
+        assert (x * x - ap * x + p) % m == 0 and (x - ap) % p == 0
 
     def test_supersingular_rejected(self):
         # 11a1 at p = 2: a_2 = -2 is divisible by 2

@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import inf
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from plinv.padic import (
     PadicError,
@@ -162,6 +162,14 @@ class TestTeichmuller:
             a = rng.randrange(1, p)
             n = rng.randrange(1, 12)
             assert teichmuller(p, a, n).lift() == oracle_teichmuller(p, a, n)
+
+    @settings(max_examples=100, deadline=None)
+    @given(p=st.sampled_from([2, 3, 5, 7, 11, 37]), a=st.integers(1, 10 ** 6),
+           n=st.integers(1, 500))
+    def test_root_of_unity_at_any_precision(self, p, a, n):
+        assume(a % p)
+        w, m = teichmuller(p, a, n).lift(), p ** n
+        assert pow(w, p - 1, m) == 1 and (w - a) % p == 0
 
     def test_multiplicative(self):
         p, n = 7, 9

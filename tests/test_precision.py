@@ -79,7 +79,7 @@ class TestPadicNumberOracle:
         for got, exact in [(a + c, x + c), (c - a, c - x), (a * c, x * c),
                            (c / a, c / x)]:
             assert digits_true(got, exact), (got, exact)
-        assert (a + c).abs_prec == min(a.abs_prec, frac_val(c, p) + n)
+        assert (a + c).abs_prec == (c - a).abs_prec == a.abs_prec
         assert (a * c).n == (c / a).n == n
 
     @settings(max_examples=100, deadline=None)

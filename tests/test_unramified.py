@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from plinv.padic import PadicError, PadicNumber, iwasawa_log
 from plinv.unramified import (
@@ -89,6 +90,27 @@ class TestContext:
         ctx = UnramifiedContext(5, 2)
         t = ctx.from_vector([0, 1], 6)
         assert ((t.frobenius() - t ** 5).ord() if not (t.frobenius() - t ** 5).is_zero else 99) >= 1
+
+
+class TestLifts:
+    """The Newton lifts of Q_{p^f}, checked by plain modular arithmetic."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), p=st.sampled_from([2, 3, 5, 7]), f=st.sampled_from([2, 3]),
+           n=st.integers(1, 200))
+    def test_inverse_teichmuller_and_frobenius(self, data, p, f, n):
+        ctx = UnramifiedContext(p, f)
+        coeffs = data.draw(st.lists(st.integers(0, p ** n - 1), min_size=f, max_size=f)
+                           .filter(lambda c: any(x % p for x in c)))
+        x = ctx.from_vector(coeffs, n)
+        assert x * x.inverse() == 1
+        w = x.teichmuller_part()
+        assert w ** (p ** f) == w and w.n == n
+        assert all((a - b) % p == 0 for a, b in zip(w.coeffs, coeffs))
+        y = x
+        for _ in range(f):
+            y = y.frobenius()
+        assert y == x and y.n == n
 
 
 class TestNormTrace:
