@@ -122,8 +122,11 @@ def _descend_once(curve, p):
     """Find (r, s, t) making the u = p substitution integral, or None.
 
     For p >= 5 the translation is forced by invertibility of 2 and 3.
-    For p in {2, 3} a complete bounded search is used: the divisibility
-    conditions only involve s mod p^4 and r, t mod p^6.
+    For p in {2, 3} a complete search over s mod p, r mod p^2 and t mod p^3
+    returns the lexicographically first (s, r, t) with s, r, t >= 0.  That
+    box suffices: following [p, r, s, t] by an integral [1, r', s', t']
+    gives [p, r + p^2 r', s + p s', t + p^2 s r' + p^3 t'], so the
+    solutions are unions of such classes, and every class meets the box.
     """
     a1, a2, a3, a4, a6 = curve.a_invariants
     if p >= 5:
@@ -132,13 +135,13 @@ def _descend_once(curve, p):
         t = -(a3 + r * a1) * pow(2, -1, p ** 3) % p ** 3
         return (r, s, t)
     p2, p3, p4, p6 = p ** 2, p ** 3, p ** 4, p ** 6
-    for s in range(p4):
+    for s in range(p):
         if (a1 + 2 * s) % p:
             continue
-        for r in range(p6):
+        for r in range(p2):
             if (a2 - s * a1 + 3 * r - s * s) % p2:
                 continue
-            for t in range(p6):
+            for t in range(p3):
                 if (a3 + r * a1 + 2 * t) % p3:
                     continue
                 if (a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t) % p4:

@@ -8,13 +8,14 @@ Computational Approach, ch. 8).  A space keeps only the result: the
 coordinates of every Manin generator on a free basis and a generator for
 every basis vector.  That, with the Hecke matrices computed so far, is
 also what the disk cache stores; this module alone names the cache files
-and writes them.  Hecke operators act through paths: a Manin generator
-is a unimodular path, its Hecke image is a sum of paths, and Manin's
-continued-fraction trick splits each path into generators, which are
-counted as integers before they are mapped to coordinates.  All
-arithmetic is exact, and on ints wherever the values are integers."""
+and writes them.  Hecke operators act on Manin symbols directly, by
+Merel's matrices: the images of a generator are counted as integers
+before they are mapped to coordinates.  Manin's continued-fraction trick
+is used only to evaluate a symbol on a path {a/m -> oo}.  All arithmetic
+is exact, and on ints wherever the values are integers."""
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 from .cache import CacheError
@@ -39,21 +40,6 @@ def _xgcd(a, b):
     return a, x0, y0
 
 
-def _lift_unit(a, d, n):
-    """Lift a unit a mod d (d | n) to a unit mod n."""
-    if d == n:
-        return a % n
-    u, v = 1, n
-    g = gcd(v, d)
-    while g > 1:
-        u *= g
-        v //= g
-        g = gcd(v, g)
-    # n = u*v with u supported on primes of d and gcd(v, d) = 1
-    _, x, y = _xgcd(u, v)
-    return (u * x + a % n * y * v) % n
-
-
 class P1List:
     """Representatives of P^1(Z/N) in the canonical form of Stein's
     Algorithm 8.29, enumerated by divisor (Cremona, Algorithms for Modular
@@ -61,28 +47,42 @@ class P1List:
     1 < g < N the (g:v) with gcd(v, g) = 1 and v least in its orbit under
     the units t = 1 mod N/g.  One sieve per g walks v upwards: an unmarked
     v is a new representative, since a smaller member of its orbit would
-    have marked it, and its whole orbit is marked with it.  `reduce` reads
-    the marks `_canon[g][v]`, so the two cannot disagree.  O(N d(N)) work.
+    have marked it, and its whole orbit is marked with its position.
+
+    `index` reads two tables built with the list: per residue u mod N, a
+    unit s with s u = g = gcd(u, N) mod N, and per divisor g the position
+    of (g : v) for every v (None when gcd(v, g) > 1).  (u:v) is the point
+    (g : s v); any such s gives the same point, as two of them differ by
+    a unit t = 1 mod N/g.  O(N d(N)) work, O(1) per lookup.
     """
 
     def __init__(self, n):
         if n < 1:
             raise ModSymError("level must be positive")
         self.N = n
-        self._canon = {}
         reps = [(0, 0)] if n == 1 else [(0, 1)] + [(1, v) for v in range(n)]
+        pos = {1: list(range(1, n + 1))}
         for g in range(2, n):
             if n % g:
                 continue
             units = [t for t in range(1, n, n // g) if gcd(t, n) == 1]
-            canon = self._canon[g] = [None] * n
+            marks = pos[g] = [None] * n
             for v in range(n):
-                if canon[v] is None and gcd(v, g) == 1:
-                    reps.append((g, v))
+                if marks[v] is None and gcd(v, g) == 1:
+                    i = len(reps)
                     for t in units:
-                        canon[v * t % n] = v
+                        marks[v * t % n] = i
+                    reps.append((g, v))
+        pos[n] = [0 if gcd(v, n) == 1 else None for v in range(n)]  # (0:v) = (0:1)
+        unit = []
+        for u in range(n):
+            g = gcd(u, n)
+            s = pow(u // g, -1, n // g)
+            while gcd(s, n) != 1:
+                s += n // g
+            unit.append((s, pos[g]))
         self._reps = reps
-        self._index = {cd: i for i, cd in enumerate(reps)}
+        self._unit = unit
 
     def __len__(self):
         return len(self._reps)
@@ -90,28 +90,20 @@ class P1List:
     def __getitem__(self, i):
         return self._reps[i]
 
-    def reduce(self, u, v):
-        """Canonical representative of (u:v); Stein, Algorithm 8.29."""
-        n = self.N
-        if n == 1:
-            return (0, 0)
-        u %= n
-        v %= n
-        if u == 0:
-            if gcd(v, n) != 1:
-                raise ModSymError("not a projective point")
-            return (0, 1)
-        g, _, s = _xgcd(n, u)
-        if gcd(g, v) > 1:
-            raise ModSymError("not a projective point")
-        s = _lift_unit(s % n, n // g, n)
-        v = s * v % n
-        if g == 1:
-            return (1, v)
-        return (g, self._canon[g][v])
+    def position(self, u, v):
+        """Index of (u:v), or None when gcd(u, v, N) > 1."""
+        s, pos = self._unit[u % self.N]
+        return pos[s * v % self.N]
 
     def index(self, u, v):
-        return self._index[self.reduce(u, v)]
+        i = self.position(u, v)
+        if i is None:
+            raise ModSymError("not a projective point")
+        return i
+
+    def reduce(self, u, v):
+        """Canonical representative of (u:v); Stein, Algorithm 8.29."""
+        return self._reps[self.index(u, v)]
 
     def act_right(self, i, mat):
         """Index of (c:d)*mat for mat = [[a, b], [c, d]] acting on rows."""
@@ -137,27 +129,35 @@ def lift_to_sl2z(c, d, n):
     while gcd(c, dd) != 1:
         k += 1
         dd = d + k * n
-    g, x, y = _xgcd(c, dd)
-    assert g == 1
-    # y*dd + x*c = 1: take a = y, b = -x so a*dd - b*c = 1
-    return (y, -x, c, dd)
+    a = pow(dd, -1, c)  # then b = (a*dd - 1)/c gives a*dd - b*c = 1
+    return (a, (a * dd - 1) // c, c, dd)
 
 
-def _manin_pieces(a, m):
-    """Bottom rows (c, d) of the unimodular paths summing to {a/m -> oo},
-    for ints a and m > 0 (not necessarily coprime).
+@lru_cache(maxsize=None)
+def merel_matrices(ell):
+    """Merel's set X_ell of the [[a, b], [c, d]] with a > b >= 0,
+    d > c >= 0 and ad - bc = ell, as (a, b, c, d) tuples, cached per ell
+    (Merel, Universal Fourier expansions of modular forms, LNM 1585, 1994;
+    Stein, Modular Forms: A Computational Approach, 8.3).
 
-    Manin's continued-fraction trick: with convergent denominators q_k of
-    a/m, the k-th piece has bottom row (q_(k-1), (-1)^k q_k).  Euclid runs
-    on the two ints, so no Fraction is built.
-    """
-    x, y = m, a % m
-    c, d, sign = 0, 1, 1
-    yield c, d
-    while y:
-        q, x, y = x // y, y, x % y
-        c, d, sign = d, q * d + c, -sign
-        yield c, sign * d
+    a + d - 1 <= ell bounds a.  For b = 0, a divides ell and c is free
+    below d = ell/a.  For b > 0, with g = gcd(a, b) dividing ell, the d
+    solving (a/g) d = ell/g mod b/g form one residue class mod b/g, and
+    c >= 0, c < d confine d to [ell/a, ell/(a - b)): O(ell^2) work."""
+    out = []
+    for a in range(1, ell + 1):
+        if ell % a == 0:
+            out += [(a, 0, c, ell // a) for c in range(ell // a)]
+        for b in range(1, a):
+            g = gcd(a, b)
+            if ell % g:
+                continue
+            a1, b1, l1 = a // g, b // g, ell // g
+            lo = -(-l1 // a1)
+            lo += (l1 * pow(a1, -1, b1) - lo) % b1
+            for d in range(lo, (l1 - 1) // (a1 - b1) + 1, b1):
+                out.append((a, b, (a1 * d - l1) // b1, d))
+    return tuple(out)  # cached: shared by every caller
 
 
 class _SignedUF:
@@ -306,31 +306,30 @@ class SymbolSpace:
     # -- Hecke operators ---------------------------------------------------
 
     def hecke_matrix(self, ell):
-        """T_ell for ell prime to the level, U_ell for ell dividing it.  A
-        column counts the Manin generators on the image paths as integers,
-        then maps each distinct generator to coordinates once."""
+        """T_ell for ell prime to the level, U_ell for ell dividing it, by
+        Merel's formula T_ell (c:d) = sum of (c:d) h over h in X_ell; for
+        U_ell the images that are not projective points are dropped.  A
+        column counts the image generators as integers, then maps each
+        distinct generator to coordinates once."""
         if ell in self._hecke:
             return self._hecke[ell]
         dim = self.dimension
-        index = self.p1.index
+        position = self.p1.position
+        merel = merel_matrices(ell)
         cols = []
         for k in range(dim):
-            alpha, beta = self.generator_endpoints(self.basis_generator(k))
+            c, d = self.p1[self.basis_generator(k)]
             counts = {}
-            for img_a, img_b in _hecke_images(alpha, beta, ell, self.level):
-                for r, sgn in ((img_a, 1), (img_b, -1)):
-                    if r is INF:
-                        continue
-                    for c, d in _manin_pieces(r.numerator, r.denominator):
-                        i = index(c, d)
-                        counts[i] = counts.get(i, 0) + sgn
-            total = {}
+            for a, b, cc, dd in merel:
+                i = position(c * a + d * cc, c * b + d * dd)
+                if i is not None:
+                    counts[i] = counts.get(i, 0) + 1
+            col = [0] * dim
             for i, m in counts.items():
-                if m:
-                    for pos, val in self.gen_coords(i).items():
-                        total[pos] = total.get(pos, 0) + m * val
-            cols.append(total)
-        mat = [[cols[j].get(i, 0) for j in range(dim)] for i in range(dim)]
+                for pos, val in self.gen_coords(i).items():
+                    col[pos] += m * val
+            cols.append(col)
+        mat = [list(row) for row in zip(*cols)]
         self._hecke[ell] = mat
         return mat
 
@@ -430,29 +429,6 @@ def _nonzero(row):
             for c, v in row.items() if v}
 
 
-def _mobius(num_a, num_b, den_a, den_b, z):
-    """(num_a z + num_b) / (den_a z + den_b) on Q u {oo}."""
-    if z is INF:
-        if den_a == 0:
-            return INF
-        return Fraction(num_a, den_a)
-    z = Fraction(z)
-    den = den_a * z + den_b
-    if den == 0:
-        return INF
-    return (num_a * z + num_b) / den
-
-
-def _hecke_images(alpha, beta, ell, level):
-    """Endpoint pairs of the degree-ell Hecke correspondence."""
-    out = []
-    for k in range(ell):
-        out.append((_mobius(1, k, 0, ell, alpha), _mobius(1, k, 0, ell, beta)))
-    if level % ell:
-        out.append((_mobius(ell, 0, 0, 1, alpha), _mobius(ell, 0, 0, 1, beta)))
-    return out
-
-
 def _cusps_equivalent(a1, m1, a2, m2, n):
     """Gamma_0(N)-equivalence of cusps a1/m1 and a2/m2 (lowest terms)."""
     g1 = gcd(a1, m1)
@@ -519,7 +495,6 @@ class EigenSymbol:
         self.gen_values = gen_values
         self.eigenvalues = eigenvalues
         self.label = label
-        self._piece_index = {}  # packed bottom row mod N -> generator index
 
     def evaluate(self, a, m=1):
         """Value on the path {a/m -> oo}: a numerator a and a denominator
@@ -527,8 +502,8 @@ class EigenSymbol:
         the generator values are.
 
         Sums the generator values over the Manin pieces of the path, walked
-        on ints; the generator of each piece is memoised on its bottom row
-        mod N, packed into the int c*N + d.  The sign quotient gives
+        on ints; the generator of each piece is read from the P^1 tables in
+        O(1), with no call per piece.  The sign quotient gives
         [-r] = sign [r] (eta) and [r + 1] = [r] (translation), so
         [(m - a)/m] = sign [a/m]: `build_measure` evaluates half the units.
         """
@@ -536,15 +511,20 @@ class EigenSymbol:
             return 0
         if type(a) is not int:
             a, m = a.numerator, m * a.denominator
-        memo, vals, n = self._piece_index, self.gen_values, self.level
+        vals, n, unit = self.gen_values, self.level, self.space.p1._unit
+        # Manin's continued-fraction trick on the two ints: with convergent
+        # denominators q_k of a/m, the k-th piece has bottom row
+        # (q_(k-1), (-1)^k q_k), looked up as P1List.position does
+        x, y = m, a % m
+        c, d, sign = 0, 1, 1
         total = 0
-        for c, d in _manin_pieces(a, m):
-            key = c % n * n + d % n
-            i = memo.get(key)
-            if i is None:
-                i = memo[key] = self.space.p1.index(c, d)
-            total += vals[i]
-        return total
+        while True:
+            s, pos = unit[c % n]
+            total += vals[pos[s * sign * d % n]]
+            if not y:
+                return total
+            q, x, y = x // y, y, x % y
+            c, d, sign = d, q * d + c, -sign
 
     def hecke_eigenvalue(self, ell):
         """The eigenvalue of T_ell (U_ell for ell dividing the level) on

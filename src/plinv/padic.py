@@ -130,6 +130,17 @@ def _rho_divisor(n):
             return g
 
 
+def decimal(n):
+    """str(n) for an int n >= 0 of any size.  Python refuses to convert an
+    int longer than sys.get_int_max_str_digits() (4300 digits by default,
+    at least 640), so a long one is split at a power of 10 first."""
+    if n.bit_length() <= 2000:  # at most 603 digits
+        return str(n)
+    k = n.bit_length() * 3 // 20  # about half its digits
+    hi, lo = divmod(n, 10 ** k)
+    return decimal(hi) + decimal(lo).zfill(k)
+
+
 def frac_val(x, p):
     """p-adic valuation of a nonzero Fraction or int."""
     x = Fraction(x)
@@ -463,7 +474,7 @@ class PadicNumber(PadicElement):
         return {
             "p": self.p,
             "v": self.v,
-            "unit": str(self.u),
+            "unit": decimal(self.u),
             "n": self.n,
             "digits": self.digits(),
         }

@@ -54,7 +54,8 @@ def _base_key(base):
     if _is_exact_unramified(base):
         return ("E", base.ctx.p, base.ctx.f, base.ctx.modulus, base.coeffs)
     if isinstance(base, PadicElement):
-        return ("L", str(base.to_json()))
+        ctx = getattr(base, "ctx", None)  # None in Q_p
+        return ("L", base.p, ctx and ctx.modulus, base.v, tuple(base._coords()), base.n)
     raise PadicError(f"unsupported period base {base!r}")
 
 

@@ -145,37 +145,70 @@ def padic_digits(x):
 # -- symbol-space oracles: rational path coordinates, brute-force P^1 ------
 
 
+INF = None  # the cusp at infinity, as in plinv.modsym
+
+
+def manin_pieces(a, m):
+    """Bottom rows (c, d) of the unimodular paths summing to {a/m -> oo},
+    for ints a and m > 0 (not necessarily coprime): with convergent
+    denominators q_k of a/m, the k-th piece is (q_(k-1), (-1)^k q_k)."""
+    x, y = m, a % m
+    c, d, sign = 0, 1, 1
+    yield c, d
+    while y:
+        q, x, y = x // y, y, x % y
+        c, d, sign = d, q * d + c, -sign
+        yield c, sign * d
+
+
+def mobius(num_a, num_b, den_a, den_b, z):
+    """(num_a z + num_b) / (den_a z + den_b) on Q u {oo}."""
+    if z is INF:
+        return INF if den_a == 0 else Fraction(num_a, den_a)
+    z = Fraction(z)
+    den = den_a * z + den_b
+    if den == 0:
+        return INF
+    return (num_a * z + num_b) / den
+
+
+def hecke_images(alpha, beta, ell, level):
+    """Endpoint pairs of the degree-ell Hecke correspondence on the path
+    {alpha -> beta}: the ell paths moved by [[1, k], [0, ell]], and the
+    one moved by [[ell, 0], [0, 1]] when ell does not divide the level."""
+    out = [(mobius(1, k, 0, ell, alpha), mobius(1, k, 0, ell, beta)) for k in range(ell)]
+    if level % ell:
+        out.append((mobius(ell, 0, 0, 1, alpha), mobius(ell, 0, 0, 1, beta)))
+    return out
+
+
 def path_to_infinity(space, r):
     """Coordinates of the path {r -> oo} on the free basis of `space`: the
     sum of the rational generator coordinates over the Manin pieces."""
-    from plinv.modsym import INF, _manin_pieces
-
     if r is INF:
         return {}
     r = Fraction(r)
     total = {}
-    for c, d in _manin_pieces(r.numerator, r.denominator):
+    for c, d in manin_pieces(r.numerator, r.denominator):
         for pos, val in space.gen_coords(space.p1.index(c, d)).items():
-            total[pos] = total.get(pos, Fraction(0)) + val
+            total[pos] = total.get(pos, 0) + val
     return {k: v for k, v in total.items() if v}
 
 
 def hecke_matrix_reference(space, ell):
     """T_ell (U_ell when ell divides the level) from the rational
     coordinates of every image path, {a -> b} = {a -> oo} - {b -> oo}."""
-    from plinv.modsym import _hecke_images
-
     dim = space.dimension
     cols = []
     for k in range(dim):
         alpha, beta = space.generator_endpoints(space.basis_generator(k))
         total = {}
-        for img_a, img_b in _hecke_images(alpha, beta, ell, space.level):
+        for img_a, img_b in hecke_images(alpha, beta, ell, space.level):
             for r, sgn in ((img_a, 1), (img_b, -1)):
                 for pos, val in path_to_infinity(space, r).items():
-                    total[pos] = total.get(pos, Fraction(0)) + sgn * val
+                    total[pos] = total.get(pos, 0) + sgn * val
         cols.append(total)
-    return [[cols[j].get(i, Fraction(0)) for j in range(dim)] for i in range(dim)]
+    return [[cols[j].get(i, 0) for j in range(dim)] for i in range(dim)]
 
 
 def p1_orbit_minima(n):
@@ -384,3 +417,30 @@ def kronecker_reference(d, n):
             result = -result
         a %= n
     return result if n == 1 else 0
+
+
+# -- descent oracle: the u = p substitution searched over a wide box --------
+
+
+def descend_once_reference(a_invariants, p):
+    """The lexicographically first (s, r, t) with 0 <= s < p^4 and
+    0 <= r, t < p^6 making the substitution x = p^2 x' + r,
+    y = p^3 y' + s p^2 x' + t integral, as (r, s, t); None if there is
+    none.  For p in {2, 3}; at p = 3 the t with a3 + r a1 + 2t = 0 mod 27
+    are stepped through directly, as 2 is a unit."""
+    a1, a2, a3, a4, a6 = a_invariants
+    for s in range(p ** 4):
+        if (a1 + 2 * s) % p:
+            continue
+        for r in range(p ** 6):
+            if (a2 - s * a1 + 3 * r - s * s) % p ** 2:
+                continue
+            first = 0 if p == 2 else -(a3 + r * a1) * pow(2, -1, p ** 3) % p ** 3
+            for t in range(first, p ** 6, 1 if p == 2 else p ** 3):
+                if ((a3 + r * a1 + 2 * t) % p ** 3 == 0
+                        and (a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r
+                             - 2 * s * t) % p ** 4 == 0
+                        and (a6 + r * a4 + r * r * a2 + r ** 3 - t * a3 - t * t
+                             - r * t * a1) % p ** 6 == 0):
+                    return (r, s, t)
+    return None

@@ -132,6 +132,16 @@ class TestReports:
         value = sum(d * 5 ** (i + v) for i, d in enumerate(digits))
         assert value % 125 == 55
 
+    def test_li_period_past_the_int_string_limit(self):
+        # 7000 digits of log_5(30): a unit of some 4,900 decimal digits,
+        # more than str() converts under the interpreter's default limit
+        rc, low = run(["li-period", "30^1", "-p", "5", "--prec", "8"])
+        assert rc == 0
+        rc, high = run(["li-period", "30^1", "-p", "5", "--prec", "7000"])
+        assert rc == 0
+        assert high["li"]["v"] == low["li"]["v"] and high["li"]["n"] >= 7000
+        assert high["li"]["digits"][:len(low["li"]["digits"])] == low["li"]["digits"]
+
     def test_li_curve_11a1(self):
         rc, out = run(["li-curve", "--label", "11a1", "-p", "11", "--prec", "12"])
         assert rc == 0
@@ -208,6 +218,27 @@ class TestReports:
         assert main(argv, out=buf) == 0
         assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == (
             "61eb0aed006a478e3a5294c9736070b5dd40a373491a0f92d305f8e6d3df35f0")
+
+    @pytest.mark.parametrize("args,digest", [
+        (["--level", "389", "--hecke", "2,3"],
+         "1a602f1901dcb5240aef47ca2161c8469c7a890abc286aa7b9a4c92ad8522758"),
+        (["--level", "997", "--hecke", "2,3"],
+         "3e8e164504cd0305ab6ddaddb4c7d6f1f7964edaa9d25cf5859f31e90655acb7"),
+        (["--level", "1000", "--hecke", "2,3"],
+         "780ea7a9ea750a01c4b4f33bfa62f56ab7a4e5ee1c5281f36d0f975308aa1325"),
+        # U_2 and U_5 beside T_7
+        (["--level", "1000", "--hecke", "2,5,7"],
+         "ba48df1037d1a19ac1d9efa608b7d85830aa17ab1ac54bb2e4b74001938a811f"),
+        (["--level", "500", "--sign", "-", "--hecke", "2,3,5"],
+         "4142648c4b31b1a7eba5a4496450884c68e5b5521636e19d423ce53b10e2b1f1"),
+    ], ids=["389", "997", "1000", "1000-U2-U5", "500-minus"])
+    def test_modsym_dump_hecke_golden_sha256(self, args, digest):
+        # stdout bytes recorded while Hecke matrices were computed from the
+        # image paths, before Merel's matrices replaced them (level 500
+        # with --hecke 2,3 is test_modsym_dump_golden_sha256)
+        buf = io.StringIO()
+        assert main(["--no-cache", "--no-meta", "modsym", "dump", *args], out=buf) == 0
+        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
 
     def test_modsym_dump_golden_non_unit_pivot(self):
         # sign -1 at level 60 eliminates through a pivot that is not +-1;
@@ -390,18 +421,19 @@ class TestCacheRoundTrip:
         data = json.loads((tmp_path / "modsym_11_plus.json").read_text())
         assert sorted(data["payload"]["hecke"]) == ["11", "2"]
         stores, computed = [], []
-        real_store, real_images = Cache.store, modsym._hecke_images
+        real_store, real_merel = Cache.store, modsym.merel_matrices
 
         def counting_store(self, name, kind, payload):
             stores.append(name)
             real_store(self, name, kind, payload)
 
-        def counting_images(*a):
-            computed.append(a)
-            return real_images(*a)
+        def counting_merel(ell):
+            # every Hecke matrix hecke_matrix computes reads Merel's set
+            computed.append(ell)
+            return real_merel(ell)
 
         monkeypatch.setattr(Cache, "store", counting_store)
-        monkeypatch.setattr(modsym, "_hecke_images", counting_images)
+        monkeypatch.setattr(modsym, "merel_matrices", counting_merel)
         modsym._space_memo.clear()
         rc2, out2 = run(args, tmp_path)
         assert rc2 == 0 and out2 == out1
@@ -422,18 +454,19 @@ class TestCacheRoundTrip:
         data = json.loads((tmp_path / "modsym_11_plus.json").read_text())
         assert sorted(data["payload"]["hecke"]) == ["11", "2", "3"]
         stores, computed = [], []
-        real_store, real_images = Cache.store, modsym._hecke_images
+        real_store, real_merel = Cache.store, modsym.merel_matrices
 
         def counting_store(self, name, kind, payload):
             stores.append(name)
             real_store(self, name, kind, payload)
 
-        def counting_images(*a):
-            computed.append(a)
-            return real_images(*a)
+        def counting_merel(ell):
+            # every Hecke matrix hecke_matrix computes reads Merel's set
+            computed.append(ell)
+            return real_merel(ell)
 
         monkeypatch.setattr(Cache, "store", counting_store)
-        monkeypatch.setattr(modsym, "_hecke_images", counting_images)
+        monkeypatch.setattr(modsym, "merel_matrices", counting_merel)
         modsym._space_memo.clear()
         rc2, out2 = run(args, tmp_path)
         assert rc2 == 0 and out2 == out1

@@ -10,6 +10,7 @@ from plinv.curves import (
     SPLIT,
     CurveError,
     WeierstrassCurve,
+    _descend_once,
     bad_primes,
     conductor,
     curve_by_label,
@@ -29,9 +30,14 @@ from plinv.curves import (
 )
 from plinv.padic import PadicNumber
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from helpers import assert_same, j_q_product_reference, kronecker_reference
+from helpers import (
+    assert_same,
+    descend_once_reference,
+    j_q_product_reference,
+    kronecker_reference,
+)
 
 
 def scale_up(curve, u):
@@ -78,6 +84,23 @@ class TestMinimalModel:
         # v(disc) drops by exactly 12 and the result is 2-minimal
         assert e.discriminant == m.discriminant * 2 ** 12
         assert minimal_model_at(m, 2) == m
+
+    @settings(max_examples=60, deadline=None)
+    @given(p=st.sampled_from([2, 3]), scaled=st.booleans(),
+           x=st.lists(st.integers(-6, 6), min_size=5, max_size=5),
+           rst=st.tuples(*[st.integers(-9, 9)] * 3))
+    def test_descent_box_matches_the_wide_search(self, p, scaled, x, rst):
+        # a_i in p^i Z descends; the coarser lattice below need not, yet it
+        # keeps v(c4) >= 4 and v(c6) >= 6; an integral [1, r, s, t] hides
+        # the lattice from the search
+        mult = [p ** i for i in (1, 2, 3, 4, 6)] if scaled else {
+            2: (2, 2, 4, 4, 8), 3: (3, 9, 9, 27, 243)}[p]
+        try:
+            e = WeierstrassCurve(*(m * xi for m, xi in zip(mult, x))).transform(1, *rst)
+        except CurveError:
+            assume(False)  # singular
+        assert e.c4 % p ** 4 == 0 and e.c6 % p ** 6 == 0
+        assert _descend_once(e, p) == descend_once_reference(e.a_invariants, p)
 
     def test_good_prime_untouched(self):
         e = curve_by_label("11a1")

@@ -15,6 +15,7 @@ from plinv.modsym import (
     build_space,
     eigen_symbol,
     lift_to_sl2z,
+    merel_matrices,
 )
 
 from helpers import (
@@ -129,6 +130,39 @@ class TestP1:
                 if gcd(gcd(c, d), n) == 1:
                     assert p1.reduce(c, d) == p1_reduce_reference(n, c, d), (n, c, d)
 
+    def test_index_matches_orbit_minimum_below_80(self):
+        # exhaustive: one brute-force reduction per unit orbit, which every
+        # member of the orbit must share; the pairs off P^1 raise
+        for n in range(1, 80):
+            p1 = P1List(n)
+            position = {cd: i for i, cd in enumerate(p1)}
+            units = [s for s in range(1, max(n, 2)) if gcd(s, n) == 1]
+            known = {}
+            for c in range(n):
+                for d in range(n):
+                    if gcd(gcd(c, d), n) != 1:
+                        with pytest.raises(ModSymError):
+                            p1.index(c, d)
+                        continue
+                    if (c, d) not in known:
+                        want = position[p1_reduce_reference(n, c, d)]
+                        known.update(((s * c % n, s * d % n), want) for s in units)
+                    assert p1.index(c, d) == known[c, d], (n, c, d)
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 2000), c=st.integers(-10 ** 6, 10 ** 6),
+           d=st.integers(-10 ** 6, 10 ** 6), f=st.integers(1, 30))
+    def test_index_matches_orbit_minimum(self, n, c, d, f):
+        # a common factor f makes pairs off P^1 frequent
+        c, d = c * f, d * f
+        p1 = _p1_list(n)
+        if gcd(gcd(c, d), n) != 1:
+            with pytest.raises(ModSymError):
+                p1.index(c, d)
+            assert p1.position(c, d) is None
+        else:
+            assert p1[p1.index(c, d)] == p1_reduce_reference(n, c, d)
+
     def test_reduce_constant_on_orbits(self):
         # brute-force oracle for the canonical form
         for n in (6, 9, 10, 12, 15, 18, 22):
@@ -226,6 +260,24 @@ class TestHecke:
         sp = build_space(level, sign)
         for ell in (2, 3, 5, 7, 11):
             assert sp.hecke_matrix(ell) == hecke_matrix_reference(sp, ell), ell
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("level", range(1, 101))
+    def test_matches_path_reference_every_level(self, level, sign):
+        # Merel's matrices on Manin symbols against the ell + 1 (or ell)
+        # image paths, for T_ell and, where ell divides the level, U_ell
+        sp = build_space(level, sign)
+        for ell in (2, 3, 5, 7, 11, 13):
+            assert sp.hecke_matrix(ell) == hecke_matrix_reference(sp, ell), ell
+
+    def test_merel_set_matches_brute_force(self):
+        for ell in range(1, 51):
+            # a > b >= 0 and d > c >= 0 force a + d - 1 <= ell, so c < ell
+            brute = {(a, b, c, (ell + b * c) // a)
+                     for a in range(1, ell + 1) for b in range(a) for c in range(ell)
+                     if (ell + b * c) % a == 0 and (ell + b * c) // a > c}
+            got = merel_matrices(ell)
+            assert len(got) == len(brute) and set(got) == brute, ell
 
     def test_commutativity(self):
         for n in (11, 37):
@@ -369,6 +421,11 @@ def _moeb(a, b, c, d, z):
     if den == 0:
         return INF
     return (a * z + b) / den
+
+
+@lru_cache(maxsize=None)
+def _p1_list(n):
+    return P1List(n)
 
 
 @lru_cache(maxsize=None)

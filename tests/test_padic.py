@@ -10,6 +10,7 @@ from plinv.padic import (
     PadicNumber,
     branch_log,
     check_prime,
+    decimal,
     factor,
     int_val,
     iwasawa_log,
@@ -134,6 +135,24 @@ class TestSerialization:
 
     def test_json_zero(self):
         assert PadicNumber.zero(5).to_json()["zero"] is True
+
+    def test_json_roundtrip_past_the_int_string_limit(self):
+        # 1/3 to 7000 digits at p = 7: a unit of 5,916 decimal digits, more
+        # than str() converts under the interpreter's default limit
+        x = PadicNumber.from_fraction(7, Fraction(1, 3), 7000)
+        d = x.to_json()
+        text = d["unit"]
+        assert len(text) > 5000 and text[0] != "0"
+        u = 0
+        for i in range(0, len(text), 1000):
+            u = u * 10 ** len(text[i:i + 1000]) + int(text[i:i + 1000])
+        assert u == sum(c * 7 ** i for i, c in enumerate(d["digits"]))
+        assert_same(x, PadicNumber(d["p"], d["v"], u, d["n"]), 7000)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 10 ** 3000))
+    def test_decimal_is_str(self, n):
+        assert decimal(n) == str(n)
 
 
 class TestTeichmuller:
