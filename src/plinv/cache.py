@@ -62,7 +62,7 @@ class Cache:
                 fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
                 try:
                     with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                        json.dump(data, fh)
+                        fh.write(json.dumps(data))  # json.dump never uses the C encoder
                     os.replace(tmp, path)
                 except BaseException:
                     if os.path.exists(tmp):

@@ -9,6 +9,8 @@ import json
 import re
 import sys
 from fractions import Fraction
+from functools import lru_cache
+from itertools import chain
 
 from . import __version__
 from .cache import Cache, CacheError
@@ -336,7 +338,8 @@ def cmd_import_curve(args, cache):
         os.makedirs(os.path.dirname(path), exist_ok=True)
         existing = ""
         if os.path.exists(path):
-            existing = open(path, "r", encoding="utf-8").read()
+            with open(path, "r", encoding="utf-8") as fh:
+                existing = fh.read()
         line = f"{curve.label}\t{','.join(str(a) for a in curve.a_invariants)}\n"
         if line not in existing:
             with open(path, "a", encoding="utf-8") as fh:
@@ -356,6 +359,45 @@ HANDLERS = {
 }
 
 
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+@lru_cache(maxsize=None)
+def _layout(depth):
+    """json's C encoder writing each item on a line `depth` levels in."""
+    sep = ",\n" + "  " * depth
+    return json.JSONEncoder(sort_keys=True, separators=(sep, ": ")).encode, sep
+
+
+def _dumps(x, depth=1):
+    """`json.dumps` of x with an indent of 2 and sorted keys, byte for byte,
+    by json's C encoder, x's items `depth` levels in.  A container of
+    scalars is one encoder call, and so is a list of them, all lists or all
+    dicts, at the next depth, before each pair of brackets in it is broken
+    open; others are encoded with 0 for each value, replaced by its text.
+    The text searches are exact: encoded strings hold no raw newline."""
+    encode, sep = _layout(depth)
+    if not isinstance(x, (dict, list, tuple)) or not x:
+        return encode(x)
+    kinds = set(map(type, x.values() if isinstance(x, dict) else x))
+    if kinds <= _SCALARS:
+        body = encode(x)[1:-1]
+    elif not isinstance(x, dict) and kinds in ({list}, {dict}) and _SCALARS.issuperset(
+            map(type, chain.from_iterable(map(dict.values, x) if dict in kinds else x))):
+        inner, sep1 = _layout(depth + 1)
+        o, c = "{}" if dict in kinds else "[]"
+        nl, nl1 = sep[1:], sep1[1:]  # line breaks to the items of x and of its items
+        body = (o + nl1 + inner(x)[2:-2].replace(c + sep1 + o, nl + c + sep + o + nl1)
+                + nl + c).replace(o + nl1 + nl + c, o + c)  # empty items close again
+    else:
+        values = [x[k] for k in sorted(x)] if isinstance(x, dict) else x
+        text = encode(dict.fromkeys(x, 0) if isinstance(x, dict) else [0] * len(x))
+        body = sep.join([item[:-1] + _dumps(v, depth + 1)
+                         for item, v in zip(text[1:-1].split(sep), values)])
+    o, c = "{}" if isinstance(x, dict) else "[]"
+    return o + sep[1:] + body + sep[1:-2] + c
+
+
 def _emit(payload, args, out):
     if not args.no_meta:
         import datetime  # only the meta block needs it: kept off start-up
@@ -368,7 +410,7 @@ def _emit(payload, args, out):
         for key in sorted(payload):
             print(f"{key}\t{json.dumps(payload[key], sort_keys=True)}", file=out)
     else:
-        print(json.dumps(payload, indent=2, sort_keys=True), file=out)
+        print(_dumps(payload), file=out)
 
 
 def main(argv=None, out=None):

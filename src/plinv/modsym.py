@@ -11,8 +11,9 @@ also what the disk cache stores; this module alone names the cache files
 and writes them.  Hecke operators act on Manin symbols directly, by
 Merel's matrices: the images of a generator are counted as integers
 before they are mapped to coordinates.  Manin's continued-fraction trick
-is used only to evaluate a symbol on a path {a/m -> oo}.  All arithmetic
-is exact, and on ints wherever the values are integers."""
+is used only to evaluate a symbol on a path {a/m -> oo}.  Cusps are
+classed by a (d, x) key, `_cusp_key`, not by pairwise tests.  All
+arithmetic is exact, and on ints wherever the values are integers."""
 
 from fractions import Fraction
 from functools import lru_cache
@@ -29,15 +30,6 @@ class ModSymError(ValueError):
 
 
 INF = None  # the cusp at infinity in path endpoints
-
-
-def _xgcd(a, b):
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    return a, x0, y0
 
 
 class P1List:
@@ -339,30 +331,21 @@ class SymbolSpace:
     def cuspidal_dimension(self):
         """dimension - rank of the boundary map to the sign-quotient of the
         cusp space, where [cusp] = sign * [-cusp]; a self-negating cusp
-        dies when sign = -1."""
+        dies when sign = -1.  A cusp's row is found by its `_cusp_key`; a
+        new class files -cusp under the same row, with the sign."""
         n = self.level
-        cusps = []
-        dead = set()
-
-        def cusp_index(cusp):
-            a, m = (1, 0) if cusp is INF else (cusp.numerator, cusp.denominator)
-            for idx, (aa, mm) in enumerate(cusps):
-                if _cusps_equivalent(a, m, aa, mm, n):
-                    return idx, 0 if idx in dead else 1
-                if _cusps_equivalent(-a, m, aa, mm, n):
-                    return idx, 0 if idx in dead else self.sign
-            cusps.append((a, m))
-            if self.sign == -1 and _cusps_equivalent(a, m, -a, m, n):
-                dead.add(len(cusps) - 1)
-                return len(cusps) - 1, 0
-            return len(cusps) - 1, 1
-
+        classes = {}  # cusp key -> (row, factor)
         rows = {}
         for k, gen in enumerate(self._basis):
-            alpha, beta = self.generator_endpoints(gen)
-            for cusp, sgn in ((beta, 1), (alpha, -1)):
-                idx, s = cusp_index(cusp)
-                rows.setdefault(idx, [0] * self.dimension)[k] += sgn * s
+            for cusp, sgn in zip(self.generator_endpoints(gen), (-1, 1)):
+                a, m = (1, 0) if cusp is INF else (cusp.numerator, cusp.denominator)
+                key = _cusp_key(a, m, n)
+                if key not in classes:
+                    neg = _cusp_key(-a, m, n)
+                    classes[neg] = key, self.sign
+                    classes[key] = key, 0 if neg == key and self.sign == -1 else 1
+                row, factor = classes[key]
+                rows.setdefault(row, [0] * self.dimension)[k] += sgn * factor
         return self.dimension - rank(list(rows.values()))
 
     def to_json(self):
@@ -429,20 +412,14 @@ def _nonzero(row):
             for c, v in row.items() if v}
 
 
-def _cusps_equivalent(a1, m1, a2, m2, n):
-    """Gamma_0(N)-equivalence of cusps a1/m1 and a2/m2 (lowest terms)."""
-    g1 = gcd(a1, m1)
-    a1, m1 = a1 // g1, m1 // g1
-    g2 = gcd(a2, m2)
-    a2, m2 = a2 // g2, m2 // g2
-    if m1 < 0:
-        a1, m1 = -a1, -m1
-    if m2 < 0:
-        a2, m2 = -a2, -m2
-    _, s1, _ = _xgcd(a1, m1)
-    _, s2, _ = _xgcd(a2, m2)
-    g = gcd(n, m1 * m2)
-    return (s1 * m2 - s2 * m1) % g == 0
+def _cusp_key(a, m, n):
+    """The Gamma_0(N)-class of the cusp a/m (lowest terms, m >= 0, oo = 1/0)
+    as (d, x): d = gcd(m, N), x = s (m/d)^-1 mod gcd(d, N/d), s a = 1 mod m.
+    Cusps are equivalent iff s1 m2 = s2 m1 mod gcd(m1 m2, N) (Cremona,
+    Algorithms for Modular Elliptic Curves, 2.2): that is d1 = d2, x1 = x2."""
+    d = gcd(m, n)
+    h = gcd(d, n // d)
+    return d, pow(a * (m // d), -1, h)
 
 
 # -- spaces are memoized per (level, sign, cache directory) -------------

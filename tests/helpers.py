@@ -241,6 +241,33 @@ def p1_reduce_reference(n, c, d):
     return min((s * c % n, s * d % n) for s in range(1, max(n, 2)) if gcd(s, n) == 1)
 
 
+def cusps_equivalent(a1, m1, a2, m2, n):
+    """Gamma_0(N)-equivalence of the cusps a1/m1 and a2/m2 by Cremona's
+    criterion s1 m2 = s2 m1 mod gcd(m1 m2, N), where s_i a_i = 1 mod m_i
+    (Algorithms for Modular Elliptic Curves, 2.2), tested pair by pair."""
+    from math import gcd
+
+    g1 = gcd(a1, m1)
+    a1, m1 = a1 // g1, m1 // g1
+    g2 = gcd(a2, m2)
+    a2, m2 = a2 // g2, m2 // g2
+    if m1 < 0:
+        a1, m1 = -a1, -m1
+    if m2 < 0:
+        a2, m2 = -a2, -m2
+    return (_inverse(a1, m1) * m2 - _inverse(a2, m2) * m1) % gcd(n, m1 * m2) == 0
+
+
+def _inverse(a, m):
+    """s with s a = 1 mod m, by the extended Euclidean algorithm (s = 1
+    when m = 0, where a = +-1)."""
+    x0, x1 = 1, 0
+    while m:
+        q, a, m = a // m, m, a % m
+        x0, x1 = x1, x0 - q * x1
+    return x0
+
+
 # -- j-series oracle: the product multiplied out factor by factor ----------
 
 

@@ -3,8 +3,9 @@ import io
 import json
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from plinv.cli import main, parse_period_literal, parse_branch, UsageError
+from plinv.cli import _dumps, main, parse_period_literal, parse_branch, UsageError
 
 
 def _fresh_python(args, timeout, **env):
@@ -292,6 +293,25 @@ class TestReports:
         assert main(["--no-cache", "--no-meta", *args], out=buf) == 0
         assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("args,digest", [
+        # a period literal with a product and a rational base, cyclotomic branch
+        (["li-period", "(2/3)^-2 * 50^1", "-p", "5", "--branch", "cyc"],
+         "950ab34c7d7102cb6b0b8ab53a566097c1157dbf01ee8ec4033ba92755a2b4a3"),
+        (["stickelberger", "--label", "11a1", "-p", "11", "-n", "2", "--dual"],
+         "021b135ca4f968a8492fed0276fea7de70d648c2f0f4c42cdddbb672a0bb96e5"),
+        # the measure table beside the exceptional-zero block
+        (["lp", "--label", "11a1", "-p", "11", "--depth", "2", "--table"],
+         "9a5cbe2dfaf9045a979a4d1e276a0eee4dfef4e6e15c1c6b28c66b276f74dd81"),
+        (["--format", "table", "lp", "--label", "11a1", "-p", "11", "--depth", "2"],
+         "d4446dcdd1bea1cea7a84768ec8d3162acbba38bba9c589ce8dd4fbaced598b6"),
+    ], ids=["li-period-cyc", "stickelberger-dual", "lp-table", "format-table-lp"])
+    def test_report_shape_golden_sha256(self, args, digest):
+        # stdout bytes recorded while reports were printed by
+        # json.dumps(indent=2), before `_dumps` took its place
+        buf = io.StringIO()
+        assert main(["--no-cache", "--no-meta", *args], out=buf) == 0
+        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
+
     def test_modsym_dump(self):
         rc, out = run(["modsym", "dump", "--level", "11", "--hecke", "2,3"])
         assert rc == 0
@@ -340,6 +360,18 @@ class TestImporter:
     def test_import_rejects_malformed(self, tmp_path):
         rc, _ = run(["import-curve", "--row", "just-a-label"], tmp_path)
         assert rc == 2
+
+    def test_import_closes_the_table_file(self, tmp_path):
+        import gc
+        import warnings
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for _ in range(2):  # the second run reads the file the first wrote
+                assert run(["import-curve", "--row", "19a1 0,1,1,-9,-15"], tmp_path)[0] == 0
+            gc.collect()
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+        assert (tmp_path / "user_curves.tsv").read_text().count("19a1") == 1
 
     def test_discriminant_with_large_prime_factors(self):
         # disc = -3^3 67^2 73705545679^2: trial division alone ran for minutes
@@ -531,6 +563,19 @@ class TestCacheRoundTrip:
         assert data["format"] == 2
         assert sorted(data["payload"]) == ["basis", "gen_coords", "hecke", "level", "p1", "sign"]
 
+    def test_store_writes_the_json_dumps_text(self, tmp_path):
+        from plinv.cache import FORMAT_VERSION, Cache
+        from plinv.modsym import build_space
+
+        space = build_space(37, 1)
+        space.hecke_matrix(2)
+        payload = space.to_payload()
+        cache = Cache(str(tmp_path))
+        cache.store("modsym_37_plus", "modsym", payload)
+        data = {"format": FORMAT_VERSION, "kind": "modsym", "payload": payload}
+        assert (tmp_path / "modsym_37_plus.json").read_text() == json.dumps(data)
+        assert cache.load("modsym_37_plus", "modsym") == json.loads(json.dumps(payload))
+
     def test_ezc_identical_from_cache(self, tmp_path):
         rc1, out1 = run(["check-ezc", "--label", "11a1", "-p", "11",
                          "--depth", "2", "--prec", "8"], tmp_path)
@@ -540,6 +585,38 @@ class TestCacheRoundTrip:
         rc2, out2 = run(["check-ezc", "--label", "11a1", "-p", "11",
                          "--depth", "2", "--prec", "8"], tmp_path)
         assert (rc1, out1) == (rc2, out2)
+
+
+_JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.sampled_from([-10 ** 40, -(2 ** 64)])
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text() | st.sampled_from(['"', "\\", "\n", "a\nb", "\x00\x1f\x7f", "é€😀", "\u2028"]))
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda children: st.lists(children) | st.lists(children).map(tuple)
+    | st.dictionaries(st.text(), children) | st.dictionaries(st.integers(), children),
+    max_leaves=30)
+# lists of containers of scalars, as in the symbol-space payloads
+_JSON_BLOCKS = (st.lists(st.lists(_JSON_SCALARS, max_size=4), max_size=6)
+                | st.lists(st.dictionaries(st.text(max_size=3), _JSON_SCALARS, max_size=4),
+                           max_size=6))
+
+
+class TestDumps:
+    """`_dumps` against the indent=2 output of the pure-Python encoder."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_JSON_VALUES | _JSON_BLOCKS | st.dictionaries(st.text(max_size=2), _JSON_BLOCKS))
+    @example({})
+    @example([[], {}, [[]], {"": {}}])
+    @example([["]", "["], [], ["}, {", 1]])
+    @example([[1, [2]], [[]], [{"a": {}}]])
+    @example([{}, {"a": "}", "]": None}, {}, {"b": 1}])
+    @example([True, False, 1, 0, None, -0.0, float("inf"), float("-inf"), float("nan")])
+    @example({10: [1], 9: {"x": True}, -1: "\n"})
+    @example({"b": [1, [2, [3]]], "a": 1, "é\\\"\n": {"k": []}})
+    def test_matches_json_dumps_indent_2(self, value):
+        assert _dumps(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
 class TestStartUp:

@@ -12,6 +12,8 @@ from plinv.modsym import (
     INF,
     ModSymError,
     P1List,
+    SymbolSpace,
+    _cusp_key,
     build_space,
     eigen_symbol,
     lift_to_sl2z,
@@ -19,6 +21,7 @@ from plinv.modsym import (
 )
 
 from helpers import (
+    cusps_equivalent,
     fraction_space,
     hecke_matrix_reference,
     kernel_basis_reference,
@@ -50,7 +53,7 @@ def genus_gamma0(n):
             return 0
         out = 1
         for p in _prime_divisors(n):
-            out *= 1 + _kron(-1, p)
+            out *= 1 + _kron(-4, p)
         return out
 
     def nu3(n):
@@ -205,6 +208,91 @@ class TestSpaces:
         expected = {11: 1, 14: 1, 15: 1, 17: 1, 21: 1, 37: 2}
         for n, d in expected.items():
             assert build_space(n, 1).cuspidal_dimension == d
+
+
+def _cusp(a, m):
+    """a/m in lowest terms with m >= 0, as (a, m); oo is (+-1, 0)."""
+    g = gcd(a, m)
+    a, m = a // g, m // g
+    return (-a, -m) if m < 0 else (a, m)
+
+
+def _gamma0_image(a, m, n, c, d, k):
+    """The cusp a/m moved by [[p, q], [c, d]] in Gamma_0(N), c = 0 mod N:
+    p d - q c = 1, and k moves p by multiples of c."""
+    if c == 0:
+        p, q = d, k  # d = +-1
+    else:
+        p = pow(d, -1, abs(c)) + k * c
+        q = (p * d - 1) // c
+    return _cusp(p * a + q * m, c * a + d * m)
+
+
+@st.composite
+def _cusp_pairs(draw):
+    """A level, a random cusp, and one that is random or its image under a
+    random matrix of Gamma_0(N)."""
+    n = draw(st.sampled_from([500, 720, 1000, 2000]))
+    a, m = draw(st.tuples(st.integers(-8 * n, 8 * n), st.integers(0, 4 * n))
+                .filter(lambda am: am[0] or am[1]))
+    a, m = _cusp(a, m)
+    if draw(st.booleans()):
+        b, mm = draw(st.tuples(st.integers(-8 * n, 8 * n), st.integers(0, 4 * n))
+                     .filter(lambda am: am[0] or am[1]))
+        return n, (a, m), _cusp(b, mm), None
+    c, d = draw(st.tuples(st.integers(-3, 3), st.integers(-4 * n, 4 * n))
+                .map(lambda cd: (cd[0] * n, cd[1]))
+                .filter(lambda cd: gcd(*cd) == 1))
+    return n, (a, m), _gamma0_image(a, m, n, c, d, draw(st.integers(-5, 5))), True
+
+
+class TestCuspKey:
+    """`_cusp_key` against Cremona's pairwise criterion and the genus."""
+
+    @pytest.mark.parametrize("n", range(1, 151))
+    def test_keys_class_every_cusp_up_to_2n(self, n):
+        # every cusp a/m with m <= 2N, a taken mod m: key equality is the
+        # oracle's equivalence when each cusp matches the first cusp of its
+        # key and those first cusps are pairwise inequivalent
+        cusps = [(1, 0)] + [(a, m) for m in range(1, 2 * n + 1) for a in range(m)
+                            if gcd(a, m) == 1]
+        first = {}
+        for a, m in cusps:
+            key = _cusp_key(a, m, n)
+            if key in first:
+                assert cusps_equivalent(a, m, *first[key], n), (a, m, first[key])
+            else:
+                assert not any(cusps_equivalent(a, m, *c, n) for c in first.values()), (a, m)
+                first[key] = (a, m)
+        assert len(first) == genus_gamma0(n)[1]
+
+    @settings(max_examples=400, deadline=None)
+    @given(_cusp_pairs())
+    def test_keys_agree_with_the_oracle_at_large_levels(self, case):
+        n, (a1, m1), (a2, m2), equivalent = case
+        same = _cusp_key(a1, m1, n) == _cusp_key(a2, m2, n)
+        assert same == cusps_equivalent(a1, m1, a2, m2, n)
+        if equivalent:
+            assert same
+        assert (_cusp_key(-a1, m1, n) == _cusp_key(a2, m2, n)) == cusps_equivalent(
+            -a1, m1, a2, m2, n)
+
+    def test_key_count_is_the_number_of_cusps(self):
+        # every class has a cusp a/d with d | N
+        for n in range(1, 301):
+            keys = {_cusp_key(1, 0, n)} | {
+                _cusp_key(a, d, n) for d in range(1, n + 1) if n % d == 0
+                for a in range(d) if gcd(a, d) == 1}
+            assert len(keys) == genus_gamma0(n)[1], n
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_cuspidal_dimension_is_the_genus(self, sign):
+        # 1/2 is its own negative at level 4, and so dies under sign -1;
+        # at level 9, 1/3 and -1/3 are distinct cusps swapped by negation
+        assert _cusp_key(1, 2, 4) == _cusp_key(-1, 2, 4)
+        assert _cusp_key(1, 3, 9) != _cusp_key(-1, 3, 9)
+        for n in range(1, 201):
+            assert SymbolSpace(n, sign).cuspidal_dimension == genus_gamma0(n)[0], n
 
 
 class TestIntegerPresentation:
