@@ -282,8 +282,10 @@ def cmd_stickelberger(args, cache):
 
 def cmd_lp(args, cache):
     curve, symbol, measure = _symbol_and_measure(args, cache)
-    l0, l1 = lp_value_and_derivative(measure, args.prec)
-    if args.dual:
+    split = reduction_type(curve, args.p).kind == "split-multiplicative"
+    rep = ezc_report(curve, measure, args.prec, args.dual) if split else None
+    l0, l1 = (rep.lp0, rep.derivative) if split else lp_value_and_derivative(measure, args.prec)
+    if args.dual and not split:
         l1 = -l1
     out = {
         "command": "lp",
@@ -300,9 +302,7 @@ def cmd_lp(args, cache):
     }
     if args.table:
         out["measure"] = measure.to_json()
-    red = reduction_type(curve, args.p)
-    if red.kind == "split-multiplicative":
-        rep = ezc_report(curve, measure, args.prec, args.dual)
+    if split:
         out["exceptional_zero"] = rep.to_json()
     return out
 

@@ -457,6 +457,13 @@ def curve_table():
     return table
 
 
+def curve_level(curve):
+    """The conductor of `curve`, from the bundled table if it is there."""
+    table = curve_table()
+    label = getattr(curve, "label", "")
+    return table[label][1] if label in table else conductor(curve)
+
+
 def _validate_conductor(curve, cond):
     leftover = cond
     for p in bad_primes(curve):

@@ -1,7 +1,10 @@
-"""Dense exact linear algebra, sized for symbol spaces.  Elimination is
-fraction-free: rows are kept primitive (integer, content 1), and a row is
-cleared against a pivot row by cross-multiplying."""
+"""Exact linear algebra over Z, sized for symbol spaces.  `echelon` is the
+one Gaussian elimination in plinv, for the Manin relations
+(`SymbolSpace._build`), the eigen-lines (`kernel_basis`) and the cusp
+ranks (`rank`).  It is fraction-free: a row is cleared by a multiple of a
+pivot row, scaled first only where the pivot does not divide the entry."""
 
+from fractions import Fraction
 from math import gcd, lcm
 
 
@@ -22,30 +25,53 @@ def primitive(row):
     return [x // g for x in row] if g > 1 else row
 
 
-def rref(rows):
-    """Reduced row echelon form over Z; returns (rows, pivot_columns).
-    Each row is primitive, with zeros in every other pivot column."""
-    rows = [primitive(r) for r in rows]
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if piv is None:
+def _clear(row, f, p, prow):
+    """Cancel f, just popped from `row`, by the pivot row p x + prow, in
+    place; returns the factor `row` was scaled by first, 1 if p | f."""
+    scale = 1
+    if p != 1:
+        g = gcd(f, p)
+        f, scale = f // g, p // g
+        if scale != 1:
+            for c in row:
+                row[c] *= scale
+    for c, v in prow.items():
+        row[c] = row.get(c, 0) - f * v
+    return scale
+
+
+def _primitive(p, row):
+    g = gcd(p, *row.values())
+    return (p // g, {c: v // g for c, v in row.items()}) if g > 1 else (p, row)
+
+
+def echelon(rows):
+    """The reduced row echelon form over Q of the sparse integer `rows`
+    (dicts, or (column, value) pairs), eliminated over Z shortest first, as
+    {pivot column: (pivot, row)}: pivot > 0, `row` maps the free columns
+    to ints, and row / pivot is the unique reduced row.  A row is made
+    primitive only after it was scaled."""
+    pivots = {}
+    for row in sorted(rows, key=len):
+        row = dict(row)
+        scale = 1
+        for c in [c for c in row if c in pivots]:
+            scale *= _clear(row, row.pop(c), *pivots[c])
+        row = {c: v for c, v in row.items() if v}
+        if not row:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        a = rows[r][c]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = primitive([a * x - f * y for x, y in zip(rows[i], rows[r])])
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
+        pc = min(row)
+        p = row.pop(pc)
+        if p < 0:
+            p, row = -p, {c: -v for c, v in row.items()}
+        piv = _primitive(p, row) if scale != 1 else (p, row)
+        for opc, (op, orow) in pivots.items():  # replaces values only
+            if pc in orow:
+                s = _clear(orow, orow.pop(pc), *piv)
+                orow = {c: v for c, v in orow.items() if v}
+                pivots[opc] = _primitive(op * s, orow) if s != 1 else (op, orow)
+        pivots[pc] = piv
+    return pivots
 
 
 def kernel_basis(a):
@@ -54,14 +80,14 @@ def kernel_basis(a):
     if not a:
         return []
     ncols = len(a[0])
-    red, pivots = rref(a)
+    pivots = echelon({c: x for c, x in enumerate(r) if x} for r in a)
     basis = []
-    for fcol in (c for c in range(ncols) if c not in pivots):
-        scale = lcm(*(row[pcol] for row, pcol in zip(red, pivots) if row[fcol]))
+    for f in (c for c in range(ncols) if c not in pivots):
         vec = [0] * ncols
-        vec[fcol] = scale
-        for row, pcol in zip(red, pivots):
-            vec[pcol] = -row[fcol] * scale // row[pcol]
+        vec[f] = 1
+        for pc, (p, row) in pivots.items():
+            if f in row:
+                vec[pc] = Fraction(-row[f], p)
         basis.append(primitive(vec))
     return basis
 
@@ -69,20 +95,14 @@ def kernel_basis(a):
 def left_eigen_space(a, eigenvalue, restrict=None):
     """Basis of {w : w a = eigenvalue * w}, optionally within the row
     space spanned by `restrict`."""
-    n = len(a)
     if restrict is None:
         m = [[x - eigenvalue * (i == j) for j, x in enumerate(row)] for i, row in enumerate(a)]
         return kernel_basis(transpose(m))
     # rows c of the kernel of (restrict * a - eigenvalue * restrict)^T
-    m = mat_mul(restrict, a)
-    m = [[m[i][j] - eigenvalue * restrict[i][j] for j in range(n)] for i in range(len(restrict))]
-    combos = kernel_basis(transpose(m))
-    return [vec_mat(c, restrict) for c in combos]
-
-
-def vec_mat(v, m):
-    return [sum(v[i] * m[i][j] for i in range(len(m))) for j in range(len(m[0]))]
+    m = [[x - eigenvalue * y for x, y in zip(row, r)]
+         for row, r in zip(mat_mul(restrict, a), restrict)]
+    return mat_mul(kernel_basis(transpose(m)), restrict)
 
 
 def rank(a):
-    return len(rref(a)[0]) if a else 0
+    return len(echelon({c: x for c, x in enumerate(r) if x} for r in a))

@@ -28,9 +28,8 @@ from operator import add
 
 from .curves import (
     SPLIT,
-    conductor,
     curve_l_invariant,
-    curve_table,
+    curve_level,
     is_fundamental_discriminant,
     kronecker,
     quadratic_twist,
@@ -452,9 +451,7 @@ def twist_product_check(curve, d, p, depth=3, prec=20, sign=1, cache=None):
     """
     if not is_fundamental_discriminant(d):
         raise MeasureError("D must be a fundamental discriminant")
-    label = getattr(curve, "label", "")
-    table = curve_table()
-    n = table[label][1] if label in table else conductor(curve)
+    n = curve_level(curve)
     from math import gcd
 
     if gcd(d, n * p) != 1:
@@ -485,7 +482,7 @@ def twist_product_check(curve, d, p, depth=3, prec=20, sign=1, cache=None):
             },
         )
     if chi_p == -1:
-        l0_tw, _ = lp_value_and_derivative(measure_tw, prec)
+        l0_tw = measure_tw.mass()
         v0_tw = sym_tw.at_zero
         factor = l0_tw * Fraction(1, v0_tw) if v0_tw else None
         root = measure_tw.root

@@ -2,26 +2,26 @@
 
 The symbol space is presented on P^1(Z/N), enumerated by one orbit sieve
 per divisor of N: two-term (S and sign) relations are folded in by a
-signed union-find, the three-term T-relations by exact sparse elimination
-over Z, dividing only at a pivot other than +-1 (Stein, Modular Forms: A
-Computational Approach, ch. 8).  A space keeps only the result: the
-coordinates of every Manin generator on a free basis and a generator for
-every basis vector.  That, with the Hecke matrices computed so far, is
-also what the disk cache stores; this module alone names the cache files
-and writes them.  Hecke operators act on Manin symbols directly, by
-Merel's matrices: the images of a generator are counted as integers
-before they are mapped to coordinates.  Manin's continued-fraction trick
-is used only to evaluate a symbol on a path {a/m -> oo}.  Cusps are
-classed by a (d, x) key, `_cusp_key`, not by pairwise tests.  All
-arithmetic is exact, and on ints wherever the values are integers."""
+signed union-find, the three-term T-relations by `linalg.echelon`, the one
+elimination over Z (Stein, Modular Forms: A Computational Approach, ch.
+8).  A space keeps only the result: the coordinates of every Manin
+generator on a free basis and a generator for every basis vector.  That,
+with the Hecke matrices computed so far, is also what the disk cache
+stores; this module alone names the cache files and writes them.  Hecke
+operators act on Manin symbols directly, by Merel's matrices: the images
+of a generator are counted as integers before they are mapped to
+coordinates.  Manin's continued-fraction trick is used only to evaluate
+a symbol on a path {a/m -> oo}.  Cusps are classed by a (d, x) key,
+`_cusp_key`, not by pairwise tests.  All arithmetic is exact, and on
+ints wherever the values are integers."""
 
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
 from .cache import CacheError
-from .linalg import left_eigen_space, primitive, rank, vec_mat
-from .curves import conductor, curve_table, trace_of_frobenius
+from .linalg import echelon, left_eigen_space, mat_mul, primitive, rank
+from .curves import curve_level, trace_of_frobenius
 from .padic import _is_probable_prime, factor
 
 
@@ -237,30 +237,7 @@ class SymbolSpace:
             row = {c: v for c, v in row.items() if v}
             if row:
                 rows.add(tuple(sorted(row.items())))
-        # pivot rows are kept fully reduced: they hold free columns only, as
-        # ints unless a pivot other than +-1 divides them
-        pivots = {}
-        for row in sorted(rows, key=len):
-            row = dict(row)
-            for c in [c for c in row if c in pivots]:
-                f = row.pop(c)
-                for cc, vv in pivots[c].items():
-                    row[cc] = row.get(cc, 0) - f * vv
-            row = _nonzero(row)
-            if not row:
-                continue
-            pc = min(row)
-            piv = row.pop(pc)
-            inv = piv if piv in (1, -1) else Fraction(1, piv)  # +-1 is its own inverse
-            row = _nonzero({c: v * inv for c, v in row.items()})
-            for opc in list(pivots):
-                orow = pivots[opc]
-                if pc in orow:
-                    f = orow.pop(pc)
-                    for c, v in row.items():
-                        orow[c] = orow.get(c, 0) - f * v
-                    pivots[opc] = _nonzero(orow)
-            pivots[pc] = row
+        pivots = echelon(rows)
         free = [c for c in range(len(live)) if c not in pivots]
         free_pos = {c: k for k, c in enumerate(free)}
         coords = []
@@ -269,8 +246,11 @@ class SymbolSpace:
             if r in uf.dead:
                 coords.append({})
             elif col[r] in pivots:
-                # x_c = -sum vv * x_cc
-                coords.append({free_pos[cc]: -s * vv for cc, vv in pivots[col[r]].items()})
+                # p x_c = -sum vv * x_cc; a Fraction only where p does not divide
+                p, prow = pivots[col[r]]
+                coords.append({free_pos[cc]: -s * vv for cc, vv in prow.items()} if p == 1 else
+                              {free_pos[cc]: Fraction(-s * vv, p) if vv % p else -s * vv // p
+                               for cc, vv in prow.items()})
             else:
                 coords.append({free_pos[col[r]]: s})
         self._gen_coords = coords
@@ -327,12 +307,12 @@ class SymbolSpace:
 
     # -- the cuspidal subspace ---------------------------------------------
 
-    @property
-    def cuspidal_dimension(self):
-        """dimension - rank of the boundary map to the sign-quotient of the
-        cusp space, where [cusp] = sign * [-cusp]; a self-negating cusp
-        dies when sign = -1.  A cusp's row is found by its `_cusp_key`; a
-        new class files -cusp under the same row, with the sign."""
+    def boundary_rows(self):
+        """The boundary map to the cusps, [cusp] = sign * [-cusp], as rows on
+        the basis, one per `_cusp_key` class pair; a self-negating cusp dies
+        when sign = -1.  Filing -cusp with 1 instead of the sign keeps the
+        rank at every level tried, but from level 27 on (sign -1) its kernel
+        is no longer the Hecke-stable cuspidal subspace."""
         n = self.level
         classes = {}  # cusp key -> (row, factor)
         rows = {}
@@ -346,7 +326,11 @@ class SymbolSpace:
                     classes[key] = key, 0 if neg == key and self.sign == -1 else 1
                 row, factor = classes[key]
                 rows.setdefault(row, [0] * self.dimension)[k] += sgn * factor
-        return self.dimension - rank(list(rows.values()))
+        return list(rows.values())
+
+    @property
+    def cuspidal_dimension(self):
+        return self.dimension - rank(self.boundary_rows())
 
     def to_json(self):
         return {
@@ -404,12 +388,6 @@ def _encode_coords(coords):
 def _rational(text):
     """An int for an integral string such as "3", else a Fraction."""
     return Fraction(text) if "/" in text else int(text)
-
-
-def _nonzero(row):
-    """`row` without zero entries, integral Fractions turned into ints."""
-    return {c: v if type(v) is int else (v.numerator if v.denominator == 1 else v)
-            for c, v in row.items() if v}
 
 
 def _cusp_key(a, m, n):
@@ -507,7 +485,7 @@ class EigenSymbol:
         """The eigenvalue of T_ell (U_ell for ell dividing the level) on
         `weights`, or None when `weights` is not an eigenvector of it."""
         w = self.weights
-        img = vec_mat(w, self.space.hecke_matrix(ell))
+        img = mat_mul([w], self.space.hecke_matrix(ell))[0]
         k = next(i for i, x in enumerate(w) if x)
         mu = Fraction(img[k], w[k])
         return mu if img == [mu * x for x in w] else None
@@ -541,12 +519,7 @@ def eigen_symbol(curve, sign=1, level=None, cache=None, _eigen_override=None):
     nonnegative.
     """
     if level is None:
-        label = getattr(curve, "label", "")
-        table = curve_table()
-        if label and label in table:
-            level = table[label][1]
-        else:
-            level = conductor(curve)
+        level = curve_level(curve)
     space = build_space(level, sign, cache)
     basis = None
     probes = {}

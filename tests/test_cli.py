@@ -274,6 +274,12 @@ class TestReports:
          "66d57a116d20056483fb68d684a81d11992f3463ce58daac48f41e25eeec728c"),
         (["check-twist", "--label", "11a1", "-D", "-4", "-p", "11"],
          "e46ae762045f170852347796f1050c7d2a2ffcb5b744dcc5272486b820f4a868"),
+        # the eigen-line kernels of the dense path at levels 704 and 1859,
+        # recorded while they were solved by a dense elimination
+        (["check-twist", "--label", "11a1", "-D", "8", "-p", "11"],
+         "e965aac39afc7322e6b1c3394e5d4252f30f5ef3026fead0d5b6426fe6404559"),
+        (["check-twist", "--label", "11a1", "-D", "13", "-p", "11"],
+         "f24776ec95372d7b062ab61cc368d2235e09a64c4d78bfbfd77639818f25bd98"),
         # nonsplit multiplicative reduction at p = 2
         (["li-curve", "--label", "14a1", "-p", "2", "--prec", "30"],
          "2ce849416911faeddfcb1b129ad3876b94dbd538908a4c86f42882010be4bbfa"),
@@ -284,8 +290,8 @@ class TestReports:
         # bad primes and their reduction kinds, at 2 and 7
         (["import-curve", "--row", "14a1 1,0,1,4,-6"],
          "a922a916dda1bc4aa199e41d3934fdd6b32d8d62b051e399f1849c980f617037"),
-    ], ids=["twist-5", "twist-minus-4", "li-curve-14a1-p2", "li-curve-37b1-prec-1000",
-            "import-14a1"])
+    ], ids=["twist-5", "twist-minus-4", "twist-8", "twist-13", "li-curve-14a1-p2",
+            "li-curve-37b1-prec-1000", "import-14a1"])
     def test_arithmetic_golden_sha256(self, args, digest):
         # stdout bytes recorded before the factoring, split test and F_{p^f}
         # inverse each became one implementation
@@ -311,6 +317,33 @@ class TestReports:
         buf = io.StringIO()
         assert main(["--no-cache", "--no-meta", *args], out=buf) == 0
         assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("args,l_values,logs", [
+        (["lp", "--label", "11a1", "-p", "11", "--depth", "2"], 1, 2),
+        (["check-ezc", "--label", "11a1", "-p", "11", "--depth", "2"], 1, 2),
+        # inert: only the twist's mass is reported
+        (["check-twist", "--label", "11a1", "-D", "-4", "-p", "11"], 0, 0),
+    ], ids=["lp", "check-ezc", "check-twist-inert"])
+    def test_each_l_value_is_computed_once(self, monkeypatch, args, l_values, logs):
+        from plinv import cli, measures, padic, periods
+
+        calls = {"lp": 0, "log": 0}
+
+        def counting(key, fn):
+            def wrapped(*a, **k):
+                calls[key] += 1
+                return fn(*a, **k)
+            return wrapped
+
+        lp = counting("lp", measures.lp_value_and_derivative)
+        log = counting("log", padic.iwasawa_log)
+        for module in (cli, measures):
+            monkeypatch.setattr(module, "lp_value_and_derivative", lp)
+        for module in (padic, measures, periods):
+            monkeypatch.setattr(module, "iwasawa_log", log)
+        rc, _ = run(args)
+        assert rc == 0
+        assert calls == {"lp": l_values, "log": logs}
 
     def test_modsym_dump(self):
         rc, out = run(["modsym", "dump", "--level", "11", "--hecke", "2,3"])

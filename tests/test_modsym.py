@@ -4,10 +4,10 @@ from functools import lru_cache
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from plinv.curves import curve_by_label, curve_table, trace_of_frobenius
-from plinv.linalg import kernel_basis, mat_mul, rank
+from plinv.linalg import echelon, kernel_basis, mat_mul, primitive, rank
 from plinv.modsym import (
     INF,
     ModSymError,
@@ -31,6 +31,7 @@ from helpers import (
     path_to_infinity,
     rank_reference,
     real_period,
+    rref_reference,
 )
 
 
@@ -294,6 +295,20 @@ class TestCuspKey:
         for n in range(1, 201):
             assert SymbolSpace(n, sign).cuspidal_dimension == genus_gamma0(n)[0], n
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_cuspidal_subspace_is_hecke_stable(self, sign):
+        # the kernel of the boundary map is the cuspidal subspace, which
+        # every T_ell maps into itself; filing -cusp without the sign keeps
+        # the rank but moves the kernel off it, from level 27 on at sign -1
+        for n in range(11, 131):
+            sp = build_space(n, sign)
+            rows = sp.boundary_rows()
+            ell = 2 if n % 2 else 3
+            t = sp.hecke_matrix(ell)
+            for v in kernel_basis(rows):
+                tv = [sum(x * y for x, y in zip(row, v)) for row in t]
+                assert all(sum(x * y for x, y in zip(r, tv)) == 0 for r in rows), (n, ell)
+
 
 class TestIntegerPresentation:
     """Elimination over Z against elimination over Q with Fraction pivots."""
@@ -320,15 +335,40 @@ class TestIntegerPresentation:
     @given(st.integers(1, 5).flatmap(lambda m: st.lists(
         st.lists(st.integers(-4, 4), min_size=m, max_size=m), min_size=1, max_size=5)))
     def test_kernel_spans_the_fraction_kernel(self, a):
+        # the reduced row echelon form over Q is unique, so each kernel
+        # vector is the reference one up to a positive scale
         want = kernel_basis_reference(a)
-        got = kernel_basis(a)
+        assert kernel_basis(a) == [primitive(v) for v in want]
         assert rank(a) == rank_reference(a) == len(a[0]) - len(want)
-        assert len(got) == len(want)
-        for vec in got:
-            assert all(type(x) is int for x in vec)
-            assert gcd(*vec) == 1
-            assert all(sum(x * y for x, y in zip(row, vec)) == 0 for row in a)
-        assert rank_reference(got + want) == len(want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 7).flatmap(lambda m: st.lists(
+        st.one_of(st.just([0] * m),
+                  st.lists(st.integers(-9, 9), min_size=m, max_size=m),
+                  st.lists(st.sampled_from([0, 0, 2, -3, 4, 6, -9]), min_size=m, max_size=m)),
+        max_size=7)))
+    @example([])
+    @example([[0, 0], [0, 0]])
+    @example([[2, 3], [3, 2]])
+    @example([[0, 4, 6], [0, 6, 4], [3, 1, 0]])
+    def test_echelon_is_the_reduced_form(self, a):
+        # non-unit pivots that do and do not divide, zero rows, no rows
+        red, pivots = rref_reference(a)
+        got = echelon({c: x for c, x in enumerate(r) if x} for r in a)
+        assert sorted(got) == pivots
+        for pc, ref in zip(pivots, red):
+            p, row = got[pc]
+            assert p > 0 and pc not in row and all(type(x) is int and x for x in row.values())
+            assert [Fraction(p if c == pc else row.get(c, 0), p) for c in range(len(ref))] == ref
+
+    def test_echelon_makes_a_row_primitive_only_after_scaling(self):
+        # 2 does not divide 3: the second row is scaled to 5 x_1 = 0, then
+        # made primitive; 3 x_1 + 3 x_2 is never scaled, and keeps its
+        # content, while the back-substitution scales the first row by 3
+        assert echelon([{0: 2, 1: 3}, {0: 3, 1: 2}]) == {0: (2, {}), 1: (1, {})}
+        assert echelon([{0: 2, 1: 1}, {1: 3, 2: 3}]) == {0: (2, {2: -1}), 1: (3, {2: 3})}
+        # a -1 pivot is turned into 1
+        assert echelon([{0: -1, 1: 2}]) == {0: (1, {1: -2})}
 
 
 class TestHecke:
