@@ -133,9 +133,7 @@ def build_measure(symbol, p, depth, root=None, prec=20):
     else:
         multiplicative = False
     if root is None:
-        ap = symbol.eigenvalues.get(p)
-        if ap is None:
-            ap = symbol.hecke_eigenvalue(p)
+        ap = symbol.eigenvalue(p)
         if ap is None:
             raise MeasureError("symbol carries no eigenvalue at p")
         root = unit_root(p, int(ap), multiplicative, prec)

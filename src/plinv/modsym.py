@@ -10,10 +10,13 @@ with the Hecke matrices computed so far, is also what the disk cache
 stores; this module alone names the cache files and writes them.  Hecke
 operators act on Manin symbols directly, by Merel's matrices: the images
 of a generator are counted as integers before they are mapped to
-coordinates.  Manin's continued-fraction trick is used only to evaluate
-a symbol on a path {a/m -> oo}.  Cusps are classed by a (d, x) key,
-`_cusp_key`, not by pairwise tests.  All arithmetic is exact, and on
-ints wherever the values are integers."""
+coordinates.  An eigen-symbol is its content-1 integer value at every
+Manin generator; its weights are the values at the basis generators, and
+a Hecke eigenvalue is computed only when asked for.  Manin's
+continued-fraction trick is used only to evaluate a symbol on a path
+{a/m -> oo}.  Cusps are classed by a (d, x) key, `_cusp_key`, not by
+pairwise tests.  All arithmetic is exact, and on ints wherever the
+values are integers."""
 
 from fractions import Fraction
 from functools import lru_cache
@@ -22,7 +25,7 @@ from math import gcd
 from .cache import CacheError
 from .linalg import echelon, left_eigen_space, mat_mul, primitive, rank
 from .curves import curve_level, trace_of_frobenius
-from .padic import _is_probable_prime, factor
+from .padic import _is_probable_prime
 
 
 class ModSymError(ValueError):
@@ -359,24 +362,34 @@ class SymbolSpace:
         }
 
     @classmethod
-    def from_payload(cls, payload):
-        self = cls.__new__(cls)
-        self.level = payload["level"]
-        self.sign = payload["sign"]
-        self.p1 = P1List(self.level)
-        if payload["p1"] != [list(cd) for cd in self.p1]:
-            raise CacheError(f"stale P^1 list in the cached level-{self.level} space")
-        self._gen_coords = [{int(k): _rational(v) for k, v in c.items()}
-                            for c in payload["gen_coords"]]
-        self._basis = list(payload["basis"])
-        self.dimension = len(self._basis)
-        used = 1 + max((k for c in self._gen_coords for k in c), default=-1)
-        if len(self._gen_coords) != len(self.p1) or used != self.dimension:
-            raise CacheError(f"inconsistent cached level-{self.level} space")
-        self._hecke = {
-            int(l): [[_rational(x) for x in row] for row in mat]
-            for l, mat in payload["hecke"].items()
-        }
+    def from_payload(cls, payload, level, sign):
+        """The (level, sign) space stored in `payload`; CacheError when the
+        payload holds another space or does not decode to one."""
+        try:
+            if (payload["level"], payload["sign"]) != (level, sign):
+                raise CacheError(f"the cached level-{level} space holds level "
+                                 f"{payload['level']}, sign {payload['sign']}")
+            self = cls.__new__(cls)
+            self.level, self.sign = level, sign
+            self.p1 = P1List(level)
+            if payload["p1"] != [list(cd) for cd in self.p1]:
+                raise CacheError(f"stale P^1 list in the cached level-{level} space")
+            self._gen_coords = [{int(k): _rational(v) for k, v in c.items()}
+                                for c in payload["gen_coords"]]
+            self._basis = list(payload["basis"])
+            self.dimension = dim = len(self._basis)
+            used = 1 + max((k for c in self._gen_coords for k in c), default=-1)
+            self._hecke = {
+                int(l): [[_rational(x) for x in row] for row in mat]
+                for l, mat in payload["hecke"].items()
+            }
+            if (len(self._gen_coords) != len(self.p1) or used != dim
+                    or any(self._gen_coords[g] != {k: 1} for k, g in enumerate(self._basis))
+                    or any(len(mat) != dim or any(len(row) != dim for row in mat)
+                           for mat in self._hecke.values())):
+                raise CacheError(f"inconsistent cached level-{level} space")
+        except (LookupError, TypeError, ValueError, AttributeError, ZeroDivisionError) as exc:
+            raise CacheError(f"undecodable cached level-{level} space: {exc!r}") from exc
         self._stored = len(self._hecke)
         return self
 
@@ -418,7 +431,8 @@ def build_space(level, sign=1, cache=None):
     if key in _space_memo:
         return _space_memo[key]
     payload = None if cache is None else cache.load(_space_cache_name(level, sign), "modsym")
-    space = SymbolSpace.from_payload(payload) if payload is not None else SymbolSpace(level, sign)
+    space = (SymbolSpace(level, sign) if payload is None
+             else SymbolSpace.from_payload(payload, level, sign))
     _space_memo[key] = space
     return space
 
@@ -437,19 +451,30 @@ def store_spaces(cache):
 
 
 class EigenSymbol:
-    """A Hecke eigen-functional on a symbol space: `weights` is a left
-    eigenvector on the basis, `gen_values` its integer value at every Manin
-    generator (content 1), `eigenvalues` the T_ell (U_ell) eigenvalues
-    recorded so far."""
+    """A Hecke eigen-functional on a symbol space, held as `gen_values`, its
+    integer value at every Manin generator (content 1).  Its `weights`, a
+    left eigenvector on the basis, are the values at the basis generators,
+    each of which has coordinates {k: 1}.  `eigenvalues` holds the T_ell
+    (U_ell) eigenvalues known so far; `eigenvalue` computes any other on
+    demand."""
 
-    def __init__(self, level, sign, space, weights, gen_values, eigenvalues, label=""):
-        self.level = level
-        self.sign = sign
+    def __init__(self, space, gen_values, eigenvalues, label=""):
         self.space = space
-        self.weights = weights
         self.gen_values = gen_values
         self.eigenvalues = eigenvalues
         self.label = label
+
+    @property
+    def level(self):
+        return self.space.level
+
+    @property
+    def sign(self):
+        return self.space.sign
+
+    @property
+    def weights(self):
+        return [self.gen_values[g] for g in self.space._basis]
 
     def evaluate(self, a, m=1):
         """Value on the path {a/m -> oo}: a numerator a and a denominator
@@ -481,14 +506,19 @@ class EigenSymbol:
             q, x, y = x // y, y, x % y
             c, d, sign = d, q * d + c, -sign
 
-    def hecke_eigenvalue(self, ell):
+    def eigenvalue(self, ell):
         """The eigenvalue of T_ell (U_ell for ell dividing the level) on
-        `weights`, or None when `weights` is not an eigenvector of it."""
-        w = self.weights
-        img = mat_mul([w], self.space.hecke_matrix(ell))[0]
-        k = next(i for i, x in enumerate(w) if x)
-        mu = Fraction(img[k], w[k])
-        return mu if img == [mu * x for x in w] else None
+        `weights`, memoised in `eigenvalues`, or None when `weights` is not
+        an eigenvector of it.  The image of the integer row is tested by
+        cross-multiplication; only the quotient is a Fraction."""
+        if ell not in self.eigenvalues:
+            w = self.weights
+            img = mat_mul([w], self.space.hecke_matrix(ell))[0]
+            k = next(i for i, x in enumerate(w) if x)
+            if any(y * w[k] != img[k] * x for x, y in zip(w, img)):
+                return None
+            self.eigenvalues[ell] = Fraction(img[k], w[k])
+        return self.eigenvalues[ell]
 
     def evaluate_path(self, alpha, beta):
         return self.evaluate(alpha) - self.evaluate(beta)
@@ -511,12 +541,12 @@ class EigenSymbol:
 EIGEN_LMAX = 50  # the largest prime probed to isolate an eigenline
 
 
-def eigen_symbol(curve, sign=1, level=None, cache=None, _eigen_override=None):
-    """The rational Hecke eigen-functional attached to an elliptic curve.
+def eigen_symbol(curve, sign=1, level=None, cache=None):
+    """The integer Hecke eigen-symbol attached to an elliptic curve.
 
     Probes T_ell for good primes ell until the joint left-eigenspace is a
-    line; values are normalized to content 1 with value at {0 -> oo}
-    nonnegative.
+    line, and computes no other Hecke matrix; values are normalized to
+    content 1 with value at {0 -> oo} nonnegative.
     """
     if level is None:
         level = curve_level(curve)
@@ -526,10 +556,8 @@ def eigen_symbol(curve, sign=1, level=None, cache=None, _eigen_override=None):
     ell = 2
     while ell <= EIGEN_LMAX:
         if level % ell:
-            a_ell = _eigen_override.get(ell) if _eigen_override else trace_of_frobenius(curve, ell)
-            probes[ell] = a_ell
-            mat = space.hecke_matrix(ell)
-            basis = left_eigen_space(mat, a_ell, basis)
+            probes[ell] = a_ell = trace_of_frobenius(curve, ell)
+            basis = left_eigen_space(space.hecke_matrix(ell), a_ell, basis)
             if not basis:
                 raise ModSymError("curve not found at this level")
             if len(basis) == 1:
@@ -537,29 +565,12 @@ def eigen_symbol(curve, sign=1, level=None, cache=None, _eigen_override=None):
         ell = _next_prime(ell)
     else:
         raise ModSymError("eigenline not isolated by ell <= %d" % EIGEN_LMAX)
-    w = list(basis[0])
-    vals = []
-    for i in range(len(space.p1)):
-        coords = space.gen_coords(i)
-        vals.append(sum(w[k] * v for k, v in coords.items()))
-    # content-1 normalization over all generator values, kept as integers;
-    # the weights take the same positive scale
-    scaled = primitive(vals)
-    k = next((i for i, v in enumerate(vals) if v), None)
-    if k is not None:
-        w = [x * Fraction(scaled[k], vals[k]) for x in w]
-    vals = scaled
-    sym = EigenSymbol(level, sign, space, w, vals, probes,
-                      label=getattr(curve, "label", ""))
-    # record U_ell eigenvalues at bad primes (diagnostics and tests)
-    for ell in factor(level):
-        mu = sym.hecke_eigenvalue(ell)
-        if mu is not None:
-            probes[ell] = mu
+    w = basis[0]
+    vals = primitive([sum(w[k] * v for k, v in space.gen_coords(i).items())
+                      for i in range(len(space.p1))])
+    sym = EigenSymbol(space, vals, probes, label=getattr(curve, "label", ""))
     v0 = sym.at_zero
-    flip = v0 < 0 or (v0 == 0 and next((v for v in vals if v), 0) < 0)
-    if flip:
-        sym.weights = [-x for x in sym.weights]
+    if v0 < 0 or (v0 == 0 and next((v for v in vals if v), 0) < 0):
         sym.gen_values = [-v for v in vals]
     return sym
 

@@ -211,6 +211,16 @@ def hecke_matrix_reference(space, ell):
     return [[cols[j].get(i, 0) for j in range(dim)] for i in range(dim)]
 
 
+def eigenvalue_reference(weights, mat):
+    """The eigenvalue of `mat` on the row vector `weights`, in Fraction
+    arithmetic, or None when `weights` is not a left eigenvector of it."""
+    w = [Fraction(x) for x in weights]
+    img = [sum((x * row[j] for x, row in zip(w, mat)), Fraction(0)) for j in range(len(w))]
+    k = next(i for i, x in enumerate(w) if x)
+    mu = img[k] / w[k]
+    return mu if img == [mu * x for x in w] else None
+
+
 def p1_orbit_minima(n):
     """P^1(Z/N) by brute force over all N^2 pairs: each point (c:d) as the
     lexicographically least pair (s c mod N, s d mod N) over the units s.

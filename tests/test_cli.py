@@ -517,7 +517,7 @@ class TestCacheRoundTrip:
         rc1, out1 = run(args, tmp_path)
         assert rc1 == 0
         data = json.loads((tmp_path / "modsym_11_plus.json").read_text())
-        assert sorted(data["payload"]["hecke"]) == ["11", "2", "3"]
+        assert sorted(data["payload"]["hecke"]) == ["2", "3"]
         stores, computed = [], []
         real_store, real_merel = Cache.store, modsym.merel_matrices
 
@@ -536,6 +536,30 @@ class TestCacheRoundTrip:
         rc2, out2 = run(args, tmp_path)
         assert rc2 == 0 and out2 == out1
         assert stores == [] and computed == []
+
+    @pytest.mark.parametrize("args,space_file,used,unused", [
+        (["check-twist", "--label", "11a1", "-D", "5", "-p", "11"], "modsym_275_plus", 11, 5),
+        (["check-ezc", "--label", "14a1", "-p", "7"], "modsym_14_plus", 7, 2),
+    ], ids=["check-twist", "check-ezc"])
+    def test_cold_run_computes_only_the_u_p_it_reads(self, tmp_path, monkeypatch, args,
+                                                      space_file, used, unused):
+        from plinv import modsym
+
+        computed = []
+        real_merel = modsym.merel_matrices
+
+        def counting_merel(ell):
+            # every Hecke matrix hecke_matrix computes reads Merel's set
+            computed.append(ell)
+            return real_merel(ell)
+
+        monkeypatch.setattr(modsym, "merel_matrices", counting_merel)
+        modsym._space_memo.clear()
+        assert run(args, tmp_path)[0] == 0
+        # the measure at p reads U_p; no U_ell at another bad prime is computed
+        assert used in computed and unused not in computed
+        data = json.loads((tmp_path / f"{space_file}.json").read_text())
+        assert str(used) in data["payload"]["hecke"] and str(unused) not in data["payload"]["hecke"]
 
     def test_failed_command_stores_nothing(self, tmp_path):
         from plinv import modsym
@@ -556,6 +580,36 @@ class TestCacheRoundTrip:
         path.write_text(json.dumps(data))
         modsym._space_memo.clear()
         assert run(["modsym", "dump", "--level", "14"], tmp_path)[0] == 4
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda payload, minus: minus[37],
+        lambda payload, minus: minus[11],
+        lambda payload, minus: {},
+        lambda payload, minus: [],
+        lambda payload, minus: {**payload, "gen_coords": [{"a": "1"}] + payload["gen_coords"][1:]},
+        lambda payload, minus: {**payload, "hecke": {**payload["hecke"], "2": [["1"]]}},
+        lambda payload, minus: {**payload, "basis": payload["basis"][::-1]},
+    ], ids=["level-37-minus", "level-11-minus", "empty-dict", "list", "coordinate-key",
+            "hecke-shape", "basis-order"])
+    def test_wrong_payload_exits_4(self, tmp_path, capsys, corrupt):
+        from plinv import modsym
+
+        args = ["check-ezc", "--label", "11a1", "-p", "11"]
+        minus = {}
+        for level in (11, 37):
+            assert run(["modsym", "dump", "--level", str(level), "--sign", "-"], tmp_path)[0] == 0
+            path = tmp_path / f"modsym_{level}_minus.json"
+            minus[level] = json.loads(path.read_text())["payload"]
+        assert run(args, tmp_path)[0] == 0
+        path = tmp_path / "modsym_11_plus.json"
+        data = json.loads(path.read_text())
+        data["payload"] = corrupt(data["payload"], minus)
+        path.write_text(json.dumps(data))
+        capsys.readouterr()
+        for argv in (args, ["modsym", "dump", "--level", "11", "--hecke", "2"]):
+            modsym._space_memo.clear()
+            assert run(argv, tmp_path) == (4, "")
+            assert "cache corruption" in capsys.readouterr().err
 
     def test_space_memo_follows_the_cache(self, tmp_path):
         from plinv.cache import Cache

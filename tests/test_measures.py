@@ -164,16 +164,15 @@ class TestMeasure:
         sym = symbol_for("11a1")
         assert 3 not in sym.eigenvalues
         a3 = trace_of_frobenius(curve_by_label("11a1"), 3)
-        assert sym.hecke_eigenvalue(3) == a3
+        assert sym.eigenvalue(3) == a3
         m = build_measure(sym, 3, 2)
         hand = build_measure(sym, 3, 2, root=unit_root(3, a3, False, 20))
         assert m.root.to_json() == hand.root.to_json()
         assert {a: v.to_json() for a, v in m.values.items()} == \
             {a: v.to_json() for a, v in hand.values.items()}
         # weights off every eigenline carry no eigenvalue at 3
-        mixed = EigenSymbol(sym.level, sym.sign, sym.space, [x + 1 for x in sym.weights],
-                            sym.gen_values, dict(sym.eigenvalues), label=sym.label)
-        assert mixed.hecke_eigenvalue(3) is None
+        mixed = EigenSymbol(sym.space, [v + 1 for v in sym.gen_values], {}, label=sym.label)
+        assert mixed.eigenvalue(3) is None
         with pytest.raises(MeasureError, match="no eigenvalue"):
             build_measure(mixed, 3, 2)
 

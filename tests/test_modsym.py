@@ -22,6 +22,7 @@ from plinv.modsym import (
 
 from helpers import (
     cusps_equivalent,
+    eigenvalue_reference,
     fraction_space,
     hecke_matrix_reference,
     kernel_basis_reference,
@@ -446,7 +447,7 @@ class TestHecke:
         syms = {}
         for (label, p), want in expected.items():
             sym = syms.setdefault(label, eigen_symbol(curve_by_label(label)))
-            assert sym.eigenvalues[p] == want, (label, p)
+            assert sym.eigenvalue(p) == want, (label, p)
             # cross-oracle: the geometric split test gives the same sign
             from plinv.curves import reduction_type
 
@@ -461,12 +462,12 @@ class TestEigenSymbol:
 
     def test_37b1_selected_by_a2(self):
         sym = eigen_symbol(curve_by_label("37b1"))
-        assert sym.eigenvalues[2] == 0  # a_2(37b1) = 0 != a_2(37a1) = -2
-        assert sym.eigenvalues[37] == 1
+        assert sym.eigenvalue(2) == 0  # a_2(37b1) = 0 != a_2(37a1) = -2
+        assert sym.eigenvalue(37) == 1
 
     def test_corrupted_probe_errors(self):
         with pytest.raises(ModSymError, match="curve not found"):
-            eigen_symbol(curve_by_label("11a1"), _eigen_override={2: 17, 3: 20, 5: 1, 7: 1, 13: 1})
+            eigen_symbol(curve_by_label("37b1"), level=11)
 
     def test_values_are_integral_content_one(self):
         for label in ("11a1", "37b1", "15a1"):
@@ -482,6 +483,23 @@ class TestEigenSymbol:
         s1 = eigen_symbol(curve_by_label("11a1"))
         s2 = eigen_symbol(curve_by_label("11a1"))
         assert s1.gen_values == s2.gen_values
+
+
+class TestEigenvalueOnDemand:
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("label,level", [*BUNDLED_LEVELS.items(),
+                                             ("11a1tw5", 275), ("11a1tw-4", 176)])
+    def test_eigenvalues_match_the_fraction_oracle(self, label, level, sign):
+        sym = eigen_symbol(curve_by_label(label), sign, level=level)
+        space, w = sym.space, sym.weights
+        assert all(type(x) is int for x in w)
+        assert w == [sym.gen_values[space.basis_generator(k)] for k in range(space.dimension)]
+        # the generator values are the functional with these weights
+        assert sym.gen_values == [sum(w[k] * v for k, v in space.gen_coords(i).items())
+                                  for i in range(len(space.p1))]
+        for ell in (2, 3, 5, 7, 11, 13):  # good and bad
+            want = eigenvalue_reference(w, space.hecke_matrix(ell))
+            assert want is not None and sym.eigenvalue(ell) == want, (label, sign, ell)
 
 
 class TestEvaluate:
@@ -611,10 +629,10 @@ class TestFastEvaluate:
 class TestTwistLevels:
     def test_twist_eigen_symbols(self):
         sym5 = eigen_symbol(curve_by_label("11a1tw5"), level=275)
-        assert sym5.eigenvalues[2] == 2       # chi_5(2) * a_2(11a1)
-        assert sym5.eigenvalues[11] == 1      # still split at 11
-        assert sym5.eigenvalues[5] == 0       # additive at 5
+        assert sym5.eigenvalue(2) == 2        # chi_5(2) * a_2(11a1)
+        assert sym5.eigenvalue(11) == 1       # still split at 11
+        assert sym5.eigenvalue(5) == 0        # additive at 5
         assert sym5.at_zero != 0
         sym4 = eigen_symbol(curve_by_label("11a1tw-4"), level=176)
-        assert sym4.eigenvalues[11] == -1     # nonsplit at 11
+        assert sym4.eigenvalue(11) == -1      # nonsplit at 11
         assert sym4.at_zero != 0
