@@ -2,17 +2,17 @@
 
 The only cached objects are symbol spaces; `modsym` decides their file
 names and payloads, which hold exact data (integer, or rarely Fraction,
-generator coordinates and Hecke matrices, as strings), so a format bump
-invalidates rather than migrates.  Format 2 stores the resolved
-presentation, and format-1 files are ignored and rewritten.  A corrupt file raises CacheError instead of
-being silently rebuilt.
+generator coordinates, as strings), so a format bump invalidates rather
+than migrates.  Format 3 stores the resolved presentation alone, and
+files of another format are ignored and rewritten.  A corrupt file raises
+CacheError instead of being silently rebuilt.
 """
 
 import fcntl
 import json
 import os
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 class CacheError(RuntimeError):
@@ -41,13 +41,17 @@ class Cache:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: bad JSON or bad UTF-8
             raise CacheError(f"corrupt cache file {path}: {exc}") from exc
-        if not isinstance(data, dict) or data.get("format") != FORMAT_VERSION:
+        if not isinstance(data, dict):
+            raise CacheError(f"corrupt cache file {path}: not a JSON object")
+        if data.get("format") != FORMAT_VERSION:
             return None  # stale format: ignore, will be rewritten
         if data.get("kind") != kind:
             raise CacheError(f"cache file {path} holds {data.get('kind')!r}, wanted {kind!r}")
-        return data.get("payload")
+        if data.get("payload") is None:
+            raise CacheError(f"corrupt cache file {path}: no payload")
+        return data["payload"]
 
     def store(self, name, kind, payload):
         import tempfile  # with its shutil and random: only writers pay for it

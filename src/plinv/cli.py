@@ -31,7 +31,7 @@ from .measures import (
     stickelberger,
     twist_product_check,
 )
-from .modsym import ModSymError, build_space, eigen_symbol, store_spaces
+from .modsym import ModSymError, build_space, eigen_symbol
 from .padic import PadicError, check_prime
 from .periods import NotAPeriodError, Period, li
 
@@ -423,8 +423,6 @@ def main(argv=None, out=None):
             payload = cmd_modsym_dump(args, cache)
         else:
             payload = HANDLERS[args.command](args, cache)
-        if cache is not None:
-            store_spaces(cache)
         _emit(payload, args, out)
         return 0
     except UsageError as exc:

@@ -5,17 +5,17 @@ per divisor of N: two-term (S and sign) relations are folded in by a
 signed union-find, the three-term T-relations by `linalg.echelon`, the one
 elimination over Z (Stein, Modular Forms: A Computational Approach, ch.
 8).  A space keeps only the result: the coordinates of every Manin
-generator on a free basis and a generator for every basis vector.  That,
-with the Hecke matrices computed so far, is also what the disk cache
-stores; this module alone names the cache files and writes them.  Hecke
-operators act on Manin symbols directly, by Merel's matrices: the images
-of a generator are counted as integers before they are mapped to
-coordinates.  An eigen-symbol is its content-1 integer value at every
-Manin generator; its weights are the values at the basis generators, and
-a Hecke eigenvalue is computed only when asked for.  Manin's
-continued-fraction trick is used only to evaluate a symbol on a path
-{a/m -> oo}.  Cusps are classed by a (d, x) key, `_cusp_key`, not by
-pairwise tests.  All arithmetic is exact, and on ints wherever the
+generator on a free basis and a generator for every basis vector.  That
+alone is what the disk cache stores, once, when the space is built; this
+module alone names the cache files and writes them.  Hecke operators act
+on Manin symbols directly, by Merel's matrices, and are never read from
+disk: the images of a generator are counted as integers before they are
+mapped to coordinates.  An eigen-symbol is its content-1 integer value at
+every Manin generator; its weights are the values at the basis
+generators, and a Hecke eigenvalue is computed only when asked for.
+Manin's continued-fraction trick is used only to evaluate a symbol on a
+path {a/m -> oo}.  Cusps are classed by a (d, x) key, `_cusp_key`, not
+by pairwise tests.  All arithmetic is exact, and on ints wherever the
 values are integers."""
 
 from fractions import Fraction
@@ -24,8 +24,8 @@ from math import gcd
 
 from .cache import CacheError
 from .linalg import echelon, left_eigen_space, mat_mul, primitive, rank
-from .curves import curve_level, trace_of_frobenius
-from .padic import _is_probable_prime
+from .curves import bad_primes, curve_level, trace_of_frobenius
+from .padic import _is_probable_prime, factor
 
 
 class ModSymError(ValueError):
@@ -208,7 +208,6 @@ class SymbolSpace:
         self.sign = sign
         self.p1 = P1List(level)
         self._hecke = {}
-        self._stored = None  # Hecke matrices in the disk copy; None: no copy
         self._build()
 
     # -- presentation ----------------------------------------------------
@@ -355,17 +354,16 @@ class SymbolSpace:
             "p1": [list(cd) for cd in self.p1],
             "gen_coords": _encode_coords(self._gen_coords),
             "basis": self._basis,
-            "hecke": {
-                str(l): [[str(x) for x in row] for row in mat]
-                for l, mat in self._hecke.items()
-            },
         }
 
     @classmethod
     def from_payload(cls, payload, level, sign):
         """The (level, sign) space stored in `payload`; CacheError when the
-        payload holds another space or does not decode to one."""
+        payload holds another space, another key, or does not decode to one."""
         try:
+            if sorted(payload) != ["basis", "gen_coords", "level", "p1", "sign"]:
+                raise CacheError(f"the cached level-{level} space holds the keys "
+                                 f"{sorted(payload)}")
             if (payload["level"], payload["sign"]) != (level, sign):
                 raise CacheError(f"the cached level-{level} space holds level "
                                  f"{payload['level']}, sign {payload['sign']}")
@@ -377,20 +375,14 @@ class SymbolSpace:
             self._gen_coords = [{int(k): _rational(v) for k, v in c.items()}
                                 for c in payload["gen_coords"]]
             self._basis = list(payload["basis"])
-            self.dimension = dim = len(self._basis)
+            self.dimension = len(self._basis)
+            self._hecke = {}
             used = 1 + max((k for c in self._gen_coords for k in c), default=-1)
-            self._hecke = {
-                int(l): [[_rational(x) for x in row] for row in mat]
-                for l, mat in payload["hecke"].items()
-            }
-            if (len(self._gen_coords) != len(self.p1) or used != dim
-                    or any(self._gen_coords[g] != {k: 1} for k, g in enumerate(self._basis))
-                    or any(len(mat) != dim or any(len(row) != dim for row in mat)
-                           for mat in self._hecke.values())):
+            if (len(self._gen_coords) != len(self.p1) or used != self.dimension
+                    or any(self._gen_coords[g] != {k: 1} for k, g in enumerate(self._basis))):
                 raise CacheError(f"inconsistent cached level-{level} space")
         except (LookupError, TypeError, ValueError, AttributeError, ZeroDivisionError) as exc:
             raise CacheError(f"undecodable cached level-{level} space: {exc!r}") from exc
-        self._stored = len(self._hecke)
         return self
 
 
@@ -423,28 +415,23 @@ def _space_cache_name(level, sign):
 
 
 def build_space(level, sign=1, cache=None):
-    """The space of (level, sign): read from `cache` when it holds it,
-    else built; memoized per cache directory.  A space reaches the cache
-    once, through `store_spaces` when the command ends, with every Hecke
-    matrix the command computed."""
+    """The space of (level, sign): read from `cache` when it holds it, else
+    built and, under a cache, stored at once; memoized per cache directory.
+    The presentation is all a space ever holds on disk, so it is written
+    once, even when the command that built it goes on to fail."""
     key = (level, sign, None if cache is None else cache.directory)
     if key in _space_memo:
         return _space_memo[key]
-    payload = None if cache is None else cache.load(_space_cache_name(level, sign), "modsym")
-    space = (SymbolSpace(level, sign) if payload is None
-             else SymbolSpace.from_payload(payload, level, sign))
+    name = _space_cache_name(level, sign)
+    payload = None if cache is None else cache.load(name, "modsym")
+    if payload is None:
+        space = SymbolSpace(level, sign)
+        if cache is not None:
+            cache.store(name, "modsym", space.to_payload())
+    else:
+        space = SymbolSpace.from_payload(payload, level, sign)
     _space_memo[key] = space
     return space
-
-
-def store_spaces(cache):
-    """Store each space memoized under `cache` whose disk copy is missing
-    or holds fewer Hecke matrices than the space."""
-    for (level, sign, directory), space in _space_memo.items():
-        held = len(space._hecke)
-        if directory == cache.directory and (space._stored is None or held > space._stored):
-            cache.store(_space_cache_name(level, sign), "modsym", space.to_payload())
-            space._stored = held
 
 
 # -- eigen-symbols -------------------------------------------------------
@@ -527,16 +514,6 @@ class EigenSymbol:
     def at_zero(self):
         return self.evaluate(0)
 
-    def to_json(self):
-        return {
-            "level": self.level,
-            "sign": self.sign,
-            "label": self.label or None,
-            "weights": [str(w) for w in self.weights],
-            "eigenvalues": {str(k): str(v) for k, v in self.eigenvalues.items()},
-            "value_at_zero": str(self.at_zero),
-        }
-
 
 EIGEN_LMAX = 50  # the largest prime probed to isolate an eigenline
 
@@ -546,10 +523,15 @@ def eigen_symbol(curve, sign=1, level=None, cache=None):
 
     Probes T_ell for good primes ell until the joint left-eigenspace is a
     line, and computes no other Hecke matrix; values are normalized to
-    content 1 with value at {0 -> oo} nonnegative.
+    content 1 with value at {0 -> oo} nonnegative.  A `level` whose prime
+    divisors are not the curve's bad primes cannot be its level, and is
+    refused before any probe could pick another curve's line there.
     """
     if level is None:
         level = curve_level(curve)
+    elif level < 1 or list(factor(level)) != bad_primes(curve):
+        raise ModSymError(f"curve not found at level {level}: its bad primes are "
+                          f"{bad_primes(curve)}")
     space = build_space(level, sign, cache)
     basis = None
     probes = {}

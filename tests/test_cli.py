@@ -36,6 +36,31 @@ def run(args, tmp_path=None):
 
 
 SPLIT_PAIRS = [("11a1", 11), ("14a1", 7), ("15a1", 5), ("17a1", 17), ("21a1", 3), ("37b1", 37)]
+PRESENTATION_KEYS = ["basis", "gen_coords", "level", "p1", "sign"]
+
+
+@pytest.fixture
+def recorded(monkeypatch):
+    """(stores, computed): the names `Cache.store` writes, and the ell of
+    every Hecke matrix that `hecke_matrix` computes, each reading Merel's
+    set once."""
+    from plinv import modsym
+    from plinv.cache import Cache
+
+    stores, computed = [], []
+    real_store, real_merel = Cache.store, modsym.merel_matrices
+
+    def counting_store(self, name, kind, payload):
+        stores.append(name)
+        real_store(self, name, kind, payload)
+
+    def counting_merel(ell):
+        computed.append(ell)
+        return real_merel(ell)
+
+    monkeypatch.setattr(Cache, "store", counting_store)
+    monkeypatch.setattr(modsym, "merel_matrices", counting_merel)
+    return stores, computed
 
 
 class TestPeriodGrammar:
@@ -429,25 +454,21 @@ class TestCacheRoundTrip:
         assert rc2 == 0
         assert out1 == out2
 
-    def test_warm_modsym_dump_stores_nothing(self, tmp_path, monkeypatch):
+    def test_warm_modsym_dump_stores_nothing(self, tmp_path, recorded):
         from plinv import modsym
-        from plinv.cache import Cache
 
-        assert run(["modsym", "dump", "--level", "11"], tmp_path)[0] == 0
-        stores = []
-        real_store = Cache.store
-
-        def counting_store(self, name, kind, payload):
-            stores.append(name)
-            real_store(self, name, kind, payload)
-
-        monkeypatch.setattr(Cache, "store", counting_store)
+        stores, computed = recorded
         modsym._space_memo.clear()
         assert run(["modsym", "dump", "--level", "11"], tmp_path)[0] == 0
-        assert stores == []
-        # a Hecke matrix that the cached space lacks is computed and stored
-        modsym._space_memo.clear()
-        assert run(["modsym", "dump", "--level", "11", "--hecke", "5"], tmp_path)[0] == 0
+        assert stores == ["modsym_11_plus"]
+        # a warm run computes every Hecke matrix it prints, one that no run
+        # asked for before included, and writes nothing
+        for hecke in ([2, 3], [5]):
+            modsym._space_memo.clear()
+            computed.clear()
+            argv = ["modsym", "dump", "--level", "11", "--hecke", ",".join(map(str, hecke))]
+            assert run(argv, tmp_path)[0] == 0
+            assert computed == hecke
         assert stores == ["modsym_11_plus"]
 
     @pytest.mark.parametrize("args,space_file", [
@@ -455,18 +476,10 @@ class TestCacheRoundTrip:
         (["modsym", "dump", "--level", "14", "--hecke", "2,3"], "modsym_14_plus"),
         (["modsym", "dump", "--level", "14", "--hecke", ""], "modsym_14_plus"),
     ], ids=["check-ezc", "modsym-dump", "modsym-dump-no-hecke"])
-    def test_cold_run_stores_the_space_once(self, tmp_path, monkeypatch, args, space_file):
+    def test_cold_run_stores_the_space_once(self, tmp_path, recorded, args, space_file):
         from plinv import modsym
-        from plinv.cache import Cache
 
-        stores = []
-        real_store = Cache.store
-
-        def counting_store(self, name, kind, payload):
-            stores.append(name)
-            real_store(self, name, kind, payload)
-
-        monkeypatch.setattr(Cache, "store", counting_store)
+        stores = recorded[0]
         assert run(args, tmp_path)[0] == 0
         assert stores == [space_file]
         # neither the memoized space nor one read back from disk is stored again
@@ -475,99 +488,62 @@ class TestCacheRoundTrip:
         assert run(args, tmp_path)[0] == 0
         assert stores == [space_file]
 
-    def test_warm_check_ezc_reads_its_hecke_matrices(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("args,ells", [
+        (["check-ezc", "--label", "11a1", "-p", "11"], [2, 11]),
+        # a_3 comes from T_3, computed after T_2 isolates the eigenline
+        (["lp", "--label", "11a1", "-p", "3", "--depth", "2"], [2, 3]),
+    ], ids=["check-ezc", "lp-good-ordinary"])
+    def test_warm_run_computes_what_the_cold_run_computes(self, tmp_path, recorded,
+                                                         args, ells):
         from plinv import modsym
         from plinv.cache import Cache
 
-        args = ["check-ezc", "--label", "11a1", "-p", "11"]
+        stores, computed = recorded
+        modsym._space_memo.clear()
         rc1, out1 = run(args, tmp_path)
-        assert rc1 == 0
-        # T_2 isolates the eigenline at level 11; U_11 gives the bad-prime eigenvalue
+        assert rc1 == 0 and stores == ["modsym_11_plus"] and sorted(computed) == ells
+        cold = list(computed)
         data = json.loads((tmp_path / "modsym_11_plus.json").read_text())
-        assert sorted(data["payload"]["hecke"]) == ["11", "2"]
-        stores, computed = [], []
-        real_store, real_merel = Cache.store, modsym.merel_matrices
-
-        def counting_store(self, name, kind, payload):
-            stores.append(name)
-            real_store(self, name, kind, payload)
-
-        def counting_merel(ell):
-            # every Hecke matrix hecke_matrix computes reads Merel's set
-            computed.append(ell)
-            return real_merel(ell)
-
-        monkeypatch.setattr(Cache, "store", counting_store)
-        monkeypatch.setattr(modsym, "merel_matrices", counting_merel)
+        assert sorted(data["payload"]) == PRESENTATION_KEYS
+        computed.clear()
         modsym._space_memo.clear()
         rc2, out2 = run(args, tmp_path)
         assert rc2 == 0 and out2 == out1
-        assert stores == [] and computed == []
+        assert stores == ["modsym_11_plus"] and computed == cold
         # the payload's strings are read back as ints, not Fractions
         space = modsym.build_space(11, 1, Cache(str(tmp_path)))
         assert all(type(v) is int for c in space._gen_coords for v in c.values())
-        assert all(type(x) is int for mat in space._hecke.values() for row in mat for x in row)
-
-    def test_warm_good_ordinary_lp_reads_its_hecke_matrices(self, tmp_path, monkeypatch):
-        from plinv import modsym
-        from plinv.cache import Cache
-
-        # a_3 comes from T_3, computed after the eigenline is isolated
-        args = ["lp", "--label", "11a1", "-p", "3", "--depth", "2"]
-        rc1, out1 = run(args, tmp_path)
-        assert rc1 == 0
-        data = json.loads((tmp_path / "modsym_11_plus.json").read_text())
-        assert sorted(data["payload"]["hecke"]) == ["2", "3"]
-        stores, computed = [], []
-        real_store, real_merel = Cache.store, modsym.merel_matrices
-
-        def counting_store(self, name, kind, payload):
-            stores.append(name)
-            real_store(self, name, kind, payload)
-
-        def counting_merel(ell):
-            # every Hecke matrix hecke_matrix computes reads Merel's set
-            computed.append(ell)
-            return real_merel(ell)
-
-        monkeypatch.setattr(Cache, "store", counting_store)
-        monkeypatch.setattr(modsym, "merel_matrices", counting_merel)
-        modsym._space_memo.clear()
-        rc2, out2 = run(args, tmp_path)
-        assert rc2 == 0 and out2 == out1
-        assert stores == [] and computed == []
 
     @pytest.mark.parametrize("args,space_file,used,unused", [
         (["check-twist", "--label", "11a1", "-D", "5", "-p", "11"], "modsym_275_plus", 11, 5),
         (["check-ezc", "--label", "14a1", "-p", "7"], "modsym_14_plus", 7, 2),
     ], ids=["check-twist", "check-ezc"])
-    def test_cold_run_computes_only_the_u_p_it_reads(self, tmp_path, monkeypatch, args,
+    def test_cold_run_computes_only_the_u_p_it_reads(self, tmp_path, recorded, args,
                                                       space_file, used, unused):
         from plinv import modsym
 
-        computed = []
-        real_merel = modsym.merel_matrices
-
-        def counting_merel(ell):
-            # every Hecke matrix hecke_matrix computes reads Merel's set
-            computed.append(ell)
-            return real_merel(ell)
-
-        monkeypatch.setattr(modsym, "merel_matrices", counting_merel)
+        computed = recorded[1]
         modsym._space_memo.clear()
         assert run(args, tmp_path)[0] == 0
         # the measure at p reads U_p; no U_ell at another bad prime is computed
         assert used in computed and unused not in computed
+        # and none reaches the disk: the file holds the presentation alone
         data = json.loads((tmp_path / f"{space_file}.json").read_text())
-        assert str(used) in data["payload"]["hecke"] and str(unused) not in data["payload"]["hecke"]
+        assert sorted(data["payload"]) == PRESENTATION_KEYS
 
-    def test_failed_command_stores_nothing(self, tmp_path):
+    def test_failed_command_keeps_the_space_it_built(self, tmp_path, recorded):
         from plinv import modsym
 
+        stores = recorded[0]
         # the space is built and probed before the supersingular p = 2 is refused
         modsym._space_memo.clear()
         assert run(["lp", "--label", "11a1", "-p", "2"], tmp_path)[0] == 2
-        assert modsym._space_memo and not (tmp_path / "modsym_11_plus.json").exists()
+        assert stores == ["modsym_11_plus"]
+        # the space is correct whatever the command did after building it
+        args = ["lp", "--label", "11a1", "-p", "3", "--depth", "2"]
+        modsym._space_memo.clear()
+        assert run(args, tmp_path) == run(args)
+        assert stores == ["modsym_11_plus"]
 
     def test_stale_p1_list_exits_4(self, tmp_path):
         from plinv import modsym
@@ -587,10 +563,10 @@ class TestCacheRoundTrip:
         lambda payload, minus: {},
         lambda payload, minus: [],
         lambda payload, minus: {**payload, "gen_coords": [{"a": "1"}] + payload["gen_coords"][1:]},
-        lambda payload, minus: {**payload, "hecke": {**payload["hecke"], "2": [["1"]]}},
+        lambda payload, minus: {**payload, "hecke": {}},
         lambda payload, minus: {**payload, "basis": payload["basis"][::-1]},
     ], ids=["level-37-minus", "level-11-minus", "empty-dict", "list", "coordinate-key",
-            "hecke-shape", "basis-order"])
+            "extra-key", "basis-order"])
     def test_wrong_payload_exits_4(self, tmp_path, capsys, corrupt):
         from plinv import modsym
 
@@ -613,14 +589,13 @@ class TestCacheRoundTrip:
 
     def test_space_memo_follows_the_cache(self, tmp_path):
         from plinv.cache import Cache
-        from plinv.modsym import build_space, store_spaces
+        from plinv.modsym import build_space
 
-        first, second = tmp_path / "a", tmp_path / "b"
-        for directory in (first, second):
-            cache = Cache(str(directory))
-            build_space(14, 1, cache)
-            store_spaces(cache)
-        assert (second / "modsym_14_plus.json").exists()
+        # the space memoized under the first directory is built (and so
+        # stored) again under the second
+        for directory in (tmp_path / "a", tmp_path / "b"):
+            build_space(14, 1, Cache(str(directory)))
+            assert (directory / "modsym_14_plus.json").exists()
 
     def test_inconsistent_gen_coords_exit_4(self, tmp_path):
         from plinv import modsym
@@ -637,18 +612,79 @@ class TestCacheRoundTrip:
         from plinv import modsym
         from plinv.cache import FORMAT_VERSION
 
-        assert FORMAT_VERSION == 2
+        assert FORMAT_VERSION == 3
         rc1, out1 = run(["modsym", "dump", "--level", "14"], tmp_path)
         path = tmp_path / "modsym_14_plus.json"
-        # a format-1 file of the same name: its payload layout is unreadable now
-        path.write_text(json.dumps({"format": 1, "kind": "modsym",
-                                    "payload": {"level": 14, "uf_parent": []}}))
+        presentation = json.loads(path.read_text())["payload"]
+        # files of the same name in older formats: format 1 held the
+        # union-find, format 2 the Hecke matrices computed so far as well
+        for stale in ({"format": 1, "kind": "modsym",
+                       "payload": {"level": 14, "uf_parent": []}},
+                      {"format": 2, "kind": "modsym",
+                       "payload": {**presentation, "hecke": {"2": [["1"]]}}}):
+            path.write_text(json.dumps(stale))
+            modsym._space_memo.clear()
+            rc2, out2 = run(["modsym", "dump", "--level", "14"], tmp_path)
+            assert rc1 == rc2 == 0 and out1 == out2
+            data = json.loads(path.read_text())
+            assert data["format"] == 3 and data["payload"] == presentation
+
+    def test_tampered_format_2_hecke_matrix_is_not_read(self, tmp_path):
+        from plinv import modsym
+
+        # a format-2 file whose U_11 is negated: were it read, matched_sign would flip
+        args = ["check-ezc", "--label", "11a1", "-p", "11", "--depth", "3"]
+        space = modsym.build_space(11, 1)
+        hecke = {str(l): [[str(-x if l == 11 else x) for x in row]
+                          for row in space.hecke_matrix(l)] for l in (2, 11)}
+        path = tmp_path / "modsym_11_plus.json"
+        path.write_text(json.dumps({"format": 2, "kind": "modsym",
+                                    "payload": {**space.to_payload(), "hecke": hecke}}))
         modsym._space_memo.clear()
-        rc2, out2 = run(["modsym", "dump", "--level", "14"], tmp_path)
-        assert rc1 == rc2 == 0 and out1 == out2
+        assert run(args, tmp_path) == run(args)
         data = json.loads(path.read_text())
-        assert data["format"] == 2
-        assert sorted(data["payload"]) == ["basis", "gen_coords", "hecke", "level", "p1", "sign"]
+        assert data["format"] == 3 and sorted(data["payload"]) == PRESENTATION_KEYS
+
+    @pytest.mark.parametrize("text", [
+        b"\xff\xfe not UTF-8",
+        b"[1, 2]",
+        b'{"format": 3, "kind": "modsym"}',
+        b'{"format": 3, "kind": "modsym", "payload": null}',
+    ], ids=["not-utf8", "not-an-object", "no-payload", "null-payload"])
+    def test_corrupt_file_exits_4(self, tmp_path, capsys, text):
+        from plinv import modsym
+
+        path = tmp_path / "modsym_11_plus.json"
+        path.write_bytes(text)
+        modsym._space_memo.clear()
+        assert run(["modsym", "dump", "--level", "11"], tmp_path) == (4, "")
+        assert "cache corruption" in capsys.readouterr().err
+        assert path.read_bytes() == text  # left for the user, not rebuilt
+
+    @pytest.mark.parametrize("args", [
+        ["check-ezc", "--label", "11a1", "-p", "11", "--depth", "3"],
+        ["check-twist", "--label", "11a1", "-D", "5", "-p", "11"],
+        ["check-twist", "--label", "11a1", "-D", "-4", "-p", "11"],
+        ["lp", "--label", "11a1", "-p", "3", "--table"],
+        ["stickelberger", "--label", "11a1", "-p", "11"],
+        ["modsym", "dump", "--level", "500", "--sign", "-", "--hecke", "2,3,5"],
+    ], ids=["check-ezc", "check-twist-split", "check-twist-inert", "lp", "stickelberger",
+            "modsym-dump"])
+    def test_warm_run_equals_cold_run(self, tmp_path, args):
+        from plinv import modsym
+
+        def output(cache_args):
+            buf = io.StringIO()
+            rc = main(["--no-meta", *cache_args, *args], out=buf)
+            return rc, buf.getvalue()
+
+        cache_args = ["--cache-dir", str(tmp_path)]
+        no_cache = output(["--no-cache"])
+        assert no_cache[0] == 0
+        modsym._space_memo.clear()
+        assert output(cache_args) == no_cache  # cold: builds and stores
+        modsym._space_memo.clear()
+        assert output(cache_args) == no_cache  # warm: reads the files back
 
     def test_store_writes_the_json_dumps_text(self, tmp_path):
         from plinv.cache import FORMAT_VERSION, Cache
@@ -657,6 +693,7 @@ class TestCacheRoundTrip:
         space = build_space(37, 1)
         space.hecke_matrix(2)
         payload = space.to_payload()
+        assert sorted(payload) == PRESENTATION_KEYS  # no Hecke matrix reaches it
         cache = Cache(str(tmp_path))
         cache.store("modsym_37_plus", "modsym", payload)
         data = {"format": FORMAT_VERSION, "kind": "modsym", "payload": payload}

@@ -466,8 +466,15 @@ class TestEigenSymbol:
         assert sym.eigenvalue(37) == 1
 
     def test_corrupted_probe_errors(self):
-        with pytest.raises(ModSymError, match="curve not found"):
-            eigen_symbol(curve_by_label("37b1"), level=11)
+        # 55 has the primes of 11a1tw5 (conductor 275), but T_2 finds no a_2 = 2 there
+        with pytest.raises(ModSymError, match="curve not found at this level"):
+            eigen_symbol(curve_by_label("11a1tw5"), level=55)
+
+    @pytest.mark.parametrize("label,level", [("11a1", 37), ("37b1", 11)])
+    def test_level_with_other_primes_is_refused(self, label, level):
+        # a_2 = -2 alone would pick 37a1's line at level 37 for 11a1
+        with pytest.raises(ModSymError, match="its bad primes are"):
+            eigen_symbol(curve_by_label(label), level=level)
 
     def test_values_are_integral_content_one(self):
         for label in ("11a1", "37b1", "15a1"):
