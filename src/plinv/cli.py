@@ -2,6 +2,9 @@
 
 Exit codes: 0 success, 2 domain errors (not a period, no Tate period,
 unknown label, ...), 3 parse/usage errors, 4 cache corruption.
+
+Each command imports the modules it runs when it runs, so `modsym dump`
+never loads curves, measures or periods.
 """
 
 import argparse
@@ -14,26 +17,7 @@ from itertools import chain
 
 from . import __version__
 from .cache import Cache, CacheError
-from .curves import (
-    CurveError,
-    curve_by_label,
-    curve_from_ainvs,
-    conductor,
-    reduction_type,
-    tate_period,
-)
-from .measures import (
-    MeasureError,
-    build_measure,
-    exceptional_zero_check,
-    ezc_report,
-    lp_value_and_derivative,
-    stickelberger,
-    twist_product_check,
-)
-from .modsym import ModSymError, build_space, eigen_symbol
-from .padic import PadicError, check_prime
-from .periods import NotAPeriodError, Period, li
+from .padic import DomainError, PadicError, check_prime
 
 
 class UsageError(Exception):
@@ -55,6 +39,8 @@ _FACTOR_RE = re.compile(
 def parse_period_literal(text, p):
     """Grammar: factor ('*' factor)*, factor = base ['^' int],
     base = rational or (rational); e.g. "5^1 * (2/3)^-2"."""
+    from .periods import Period
+
     if not text or not text.strip():
         raise UsageError("empty period literal")
     factors = []
@@ -126,6 +112,8 @@ def _user_table_path(cache):
 
 
 def _resolve_curve(args, cache=None):
+    from .curves import curve_by_label, curve_from_ainvs
+
     if getattr(args, "label", None):
         return curve_by_label(args.label, _user_table_path(cache))
     if getattr(args, "curve", None):
@@ -212,6 +200,8 @@ def build_parser():
 
 
 def cmd_li_period(args, cache):
+    from .periods import li
+
     period = parse_period_literal(args.literal, args.p)
     branch = parse_branch(args.branch, args.p)
     value = li(period, branch=branch, prec=args.prec)
@@ -226,6 +216,9 @@ def cmd_li_period(args, cache):
 
 
 def cmd_li_curve(args, cache):
+    from .curves import reduction_type, tate_period
+    from .periods import li
+
     curve = _resolve_curve(args, cache)
     red = reduction_type(curve, args.p)
     tp = tate_period(curve, args.p, args.prec)
@@ -241,6 +234,8 @@ def cmd_li_curve(args, cache):
 
 
 def cmd_check_ezc(args, cache):
+    from .measures import exceptional_zero_check
+
     curve = _resolve_curve(args, cache)
     rep = exceptional_zero_check(curve, args.p, args.depth, args.prec,
                                  args.sign, args.dual, cache=cache)
@@ -248,6 +243,8 @@ def cmd_check_ezc(args, cache):
 
 
 def cmd_check_twist(args, cache):
+    from .measures import twist_product_check
+
     curve = _resolve_curve(args, cache)
     rep = twist_product_check(curve, args.disc, args.p, args.depth, args.prec,
                               cache=cache)
@@ -255,6 +252,9 @@ def cmd_check_twist(args, cache):
 
 
 def _symbol_and_measure(args, cache):
+    from .measures import build_measure
+    from .modsym import eigen_symbol
+
     curve = _resolve_curve(args, cache)
     symbol = eigen_symbol(curve, level=None, cache=cache)
     measure = build_measure(symbol, args.p, args.depth, prec=args.prec)
@@ -262,6 +262,8 @@ def _symbol_and_measure(args, cache):
 
 
 def cmd_stickelberger(args, cache):
+    from .measures import build_measure, stickelberger
+
     curve, symbol, measure = _symbol_and_measure(args, cache)
     theta = stickelberger(measure, dual=args.dual)
     out = {
@@ -281,6 +283,9 @@ def cmd_stickelberger(args, cache):
 
 
 def cmd_lp(args, cache):
+    from .curves import reduction_type
+    from .measures import ezc_report, lp_value_and_derivative
+
     curve, symbol, measure = _symbol_and_measure(args, cache)
     split = reduction_type(curve, args.p).kind == "split-multiplicative"
     rep = ezc_report(curve, measure, args.prec, args.dual) if split else None
@@ -308,6 +313,8 @@ def cmd_lp(args, cache):
 
 
 def cmd_modsym_dump(args, cache):
+    from .modsym import build_space
+
     space = build_space(args.level, args.sign, cache)
     primes = [_prime(tok.strip()) for tok in args.hecke.split(",") if tok.strip()]
     out = space.to_json()
@@ -318,7 +325,7 @@ def cmd_modsym_dump(args, cache):
 
 
 def cmd_import_curve(args, cache):
-    from .curves import bad_primes, parse_table_row
+    from .curves import CurveError, bad_primes, conductor, parse_table_row, reduction_type
 
     curve = parse_table_row(args.row)
     try:
@@ -431,7 +438,7 @@ def main(argv=None, out=None):
     except CacheError as exc:
         print(f"plinv: cache corruption: {exc}", file=sys.stderr)
         return 4
-    except (CurveError, MeasureError, ModSymError, NotAPeriodError, PadicError) as exc:
+    except DomainError as exc:
         print(f"plinv: {exc}", file=sys.stderr)
         return 2
 

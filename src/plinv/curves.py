@@ -6,11 +6,11 @@ import os
 from fractions import Fraction
 from functools import lru_cache
 
-from .padic import PadicNumber, check_prime, factor, hensel, int_val
-from .periods import Period, li
+from . import periods
+from .padic import DomainError, PadicNumber, check_prime, factor, hensel, int_val
 
 
-class CurveError(ValueError):
+class CurveError(DomainError):
     pass
 
 
@@ -407,7 +407,7 @@ def tate_period(curve, p, prec=20):
     q = hensel(step, 0, p, m + prec)
     assert int_val(q, p) == m
     q = PadicNumber(p, m, q // p ** m, prec)
-    return TatePeriod(Period(p, [(q, 1)]), q, curve, p, m)
+    return TatePeriod(periods.Period(p, [(q, 1)]), q, curve, p, m)
 
 
 def j_of_q(q, nterms=None):
@@ -425,7 +425,7 @@ def j_of_q(q, nterms=None):
 def curve_l_invariant(curve, p, prec=20):
     """LI_p of the Tate period: log_p(q)/ord_p(q)."""
     tp = tate_period(curve, p, prec)
-    return li(tp.period, "iwasawa", prec=prec)
+    return periods.li(tp.period, "iwasawa", prec=prec)
 
 
 # -- bundled curve table ------------------------------------------------

@@ -50,8 +50,10 @@ def echelon(rows):
     (dicts, or (column, value) pairs), eliminated over Z shortest first, as
     {pivot column: (pivot, row)}: pivot > 0, `row` maps the free columns
     to ints, and row / pivot is the unique reduced row.  A row is made
-    primitive only after it was scaled."""
-    pivots = {}
+    primitive only after it was scaled.  `holders` indexes, per free
+    column, the pivot rows that may hold it, so a new pivot revisits only
+    those."""
+    pivots, holders = {}, {}
     for row in sorted(rows, key=len):
         row = dict(row)
         scale = 1
@@ -65,12 +67,19 @@ def echelon(rows):
         if p < 0:
             p, row = -p, {c: -v for c, v in row.items()}
         piv = _primitive(p, row) if scale != 1 else (p, row)
-        for opc, (op, orow) in pivots.items():  # replaces values only
+        for opc in holders.pop(pc, ()):  # replaces values only
+            op, orow = pivots[opc]
             if pc in orow:
                 s = _clear(orow, orow.pop(pc), *piv)
-                orow = {c: v for c, v in orow.items() if v}
+                for c in piv[1]:  # the only entries _clear changed
+                    if orow[c]:
+                        holders.setdefault(c, set()).add(opc)
+                    else:
+                        del orow[c]
                 pivots[opc] = _primitive(op * s, orow) if s != 1 else (op, orow)
         pivots[pc] = piv
+        for c in piv[1]:
+            holders.setdefault(c, set()).add(pc)
     return pivots
 
 

@@ -26,6 +26,7 @@ from fractions import Fraction
 from functools import reduce
 from operator import add
 
+from . import curves, modsym, padic
 from .curves import (
     SPLIT,
     curve_l_invariant,
@@ -33,13 +34,11 @@ from .curves import (
     is_fundamental_discriminant,
     kronecker,
     quadratic_twist,
-    reduction_type,
 )
-from .modsym import eigen_symbol
-from .padic import PadicNumber, check_prime, hensel, iwasawa_log
+from .padic import DomainError, PadicNumber, check_prime, hensel
 
 
-class MeasureError(ValueError):
+class MeasureError(DomainError):
     pass
 
 
@@ -277,7 +276,7 @@ def _log_moment(values, p, n, j, prec):
     for k, units in _log_walk(p, n):
         if k:
             s += k ** j * sum(values[a] for a in units)
-    log_gamma = iwasawa_log(PadicNumber.from_int(p, 5 if p == 2 else 1 + p, prec))
+    log_gamma = padic.iwasawa_log(PadicNumber.from_int(p, 5 if p == 2 else 1 + p, prec))
     # the p-adic entries' denominators; an int entry has none
     loss = max([0] + [-v.ord() for v in values.values()
                       if type(v) is not int and not v.is_zero])
@@ -364,10 +363,10 @@ def exceptional_zero_check(curve, p, depth=3, prec=20, sign=1, dual=False, cache
     """Compare L_p'(0)/[0->oo] with +-LI_p(q_E) for a split
     multiplicative prime; both sides are linear in the same symbol scale,
     so the normalization cancels."""
-    red = reduction_type(curve, p)
+    red = curves.reduction_type(curve, p)
     if red.kind != SPLIT:
         raise MeasureError("not an exceptional (split multiplicative) prime")
-    symbol = eigen_symbol(curve, sign, cache=cache)
+    symbol = modsym.eigen_symbol(curve, sign, cache=cache)
     return ezc_report(curve, build_measure(symbol, p, depth, prec=prec), prec, dual)
 
 
@@ -457,7 +456,7 @@ def twist_product_check(curve, d, p, depth=3, prec=20, sign=1, cache=None):
     chi_p = kronecker(d, p)
     twist = quadratic_twist(curve, d)
     level_tw = n * d * d
-    sym_tw = eigen_symbol(twist, sign, level=level_tw, cache=cache)
+    sym_tw = modsym.eigen_symbol(twist, sign, level=level_tw, cache=cache)
     measure_tw = build_measure(sym_tw, p, depth, prec=prec)
 
     if chi_p == 1:

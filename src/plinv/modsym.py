@@ -22,13 +22,13 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
+from . import linalg
 from .cache import CacheError
-from .linalg import echelon, left_eigen_space, mat_mul, primitive, rank
-from .curves import bad_primes, curve_level, trace_of_frobenius
-from .padic import _is_probable_prime, factor
+from .linalg import echelon, mat_mul, primitive, rank
+from .padic import DomainError, _is_probable_prime, factor
 
 
-class ModSymError(ValueError):
+class ModSymError(DomainError):
     pass
 
 
@@ -527,6 +527,8 @@ def eigen_symbol(curve, sign=1, level=None, cache=None):
     divisors are not the curve's bad primes cannot be its level, and is
     refused before any probe could pick another curve's line there.
     """
+    from .curves import bad_primes, curve_level, trace_of_frobenius  # not on `modsym dump`
+
     if level is None:
         level = curve_level(curve)
     elif level < 1 or list(factor(level)) != bad_primes(curve):
@@ -539,7 +541,7 @@ def eigen_symbol(curve, sign=1, level=None, cache=None):
     while ell <= EIGEN_LMAX:
         if level % ell:
             probes[ell] = a_ell = trace_of_frobenius(curve, ell)
-            basis = left_eigen_space(space.hecke_matrix(ell), a_ell, basis)
+            basis = linalg.left_eigen_space(space.hecke_matrix(ell), a_ell, basis)
             if not basis:
                 raise ModSymError("curve not found at this level")
             if len(basis) == 1:

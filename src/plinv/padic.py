@@ -28,7 +28,13 @@ from fractions import Fraction
 from math import gcd, inf
 
 
-class PadicError(ValueError):
+class DomainError(ValueError):
+    """An input outside what plinv computes: a non-period, an unknown
+    curve, a bad level, ...  Every module's error derives from it, so the
+    command line maps them all to exit 2 without loading those modules."""
+
+
+class PadicError(DomainError):
     pass
 
 

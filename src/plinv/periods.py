@@ -14,7 +14,8 @@ Supported branches of lambda:
 
 from fractions import Fraction
 
-from .padic import PadicElement, PadicError, PadicNumber, frac_val, iwasawa_log
+from . import padic
+from .padic import PadicElement, PadicError, PadicNumber, frac_val
 
 
 class NotAPeriodError(PadicError):
@@ -144,8 +145,8 @@ def _as_local(base, p, prec, ctx):
 def _log_cyclotomic(x, f):
     """log_p of the norm down to Q_p."""
     if isinstance(x, PadicNumber):
-        return iwasawa_log(x) * f
-    return iwasawa_log(x.norm().as_padic())
+        return padic.iwasawa_log(x) * f
+    return padic.iwasawa_log(x.norm().as_padic())
 
 
 def _parse_branch(branch):

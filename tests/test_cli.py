@@ -350,7 +350,7 @@ class TestReports:
         (["check-twist", "--label", "11a1", "-D", "-4", "-p", "11"], 0, 0),
     ], ids=["lp", "check-ezc", "check-twist-inert"])
     def test_each_l_value_is_computed_once(self, monkeypatch, args, l_values, logs):
-        from plinv import cli, measures, padic, periods
+        from plinv import measures, padic
 
         calls = {"lp": 0, "log": 0}
 
@@ -360,12 +360,10 @@ class TestReports:
                 return fn(*a, **k)
             return wrapped
 
-        lp = counting("lp", measures.lp_value_and_derivative)
-        log = counting("log", padic.iwasawa_log)
-        for module in (cli, measures):
-            monkeypatch.setattr(module, "lp_value_and_derivative", lp)
-        for module in (padic, measures, periods):
-            monkeypatch.setattr(module, "iwasawa_log", log)
+        # every caller reaches these through their home module
+        monkeypatch.setattr(measures, "lp_value_and_derivative",
+                            counting("lp", measures.lp_value_and_derivative))
+        monkeypatch.setattr(padic, "iwasawa_log", counting("log", padic.iwasawa_log))
         rc, _ = run(args)
         assert rc == 0
         assert calls == {"lp": l_values, "log": logs}
@@ -769,6 +767,73 @@ print(json.dumps({"loaded": loaded, "meta": json.loads(buf.getvalue())["meta"]})
         report = json.loads(proc.stdout)
         assert report["loaded"] == []
         assert report["meta"]["timestamp"]
+
+    # One command in a fresh process: its exit code, the plinv modules it
+    # loaded, and the class of the error its handler raises, if any.
+    COMMAND = """
+import io, json, sys
+from plinv import cli
+
+argv = ["--no-meta", *sys.argv[1:]]
+rc = cli.main(argv, out=io.StringIO())
+modules = sorted(name[6:] for name in sys.modules if name.startswith("plinv."))
+args = cli.build_parser().parse_args(argv)
+try:
+    cli.HANDLERS.get(args.command, cli.cmd_modsym_dump)(args, None)
+    error = None
+except Exception as exc:
+    error = type(exc).__name__
+print(json.dumps({"rc": rc, "modules": modules, "error": error}))
+"""
+
+    def _command(self, tmp_path, *argv):
+        proc = _fresh_python(["-S", "-c", self.COMMAND, *argv], timeout=120,
+                             PLINV_CACHE_DIR=str(tmp_path))
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    @pytest.mark.parametrize("argv,modules", [
+        (["--no-cache", "modsym", "dump", "--level", "11"],
+         ["cache", "cli", "linalg", "modsym", "padic"]),
+        (["li-period", "30^1", "-p", "5"], ["cache", "cli", "padic", "periods"]),
+        (["--no-cache", "li-curve", "--label", "11a1", "-p", "11"],
+         ["cache", "cli", "curves", "padic", "periods"]),
+        (["--no-cache", "check-ezc", "--label", "11a1", "-p", "11", "--depth", "1"],
+         ["cache", "cli", "curves", "linalg", "measures", "modsym", "padic", "periods"]),
+    ], ids=["modsym-dump", "li-period", "li-curve", "check-ezc"])
+    def test_each_command_loads_the_modules_it_runs(self, tmp_path, argv, modules):
+        report = self._command(tmp_path, *argv)
+        assert report == {"rc": 0, "modules": modules, "error": None}
+
+    @pytest.mark.parametrize("argv,error", [
+        (["li-period", "1^1", "-p", "5"], "NotAPeriodError"),
+        (["--no-cache", "li-curve", "--label", "11a1", "-p", "5"], "CurveError"),
+        (["--no-cache", "check-ezc", "--label", "11a1", "-p", "5", "--depth", "2"],
+         "MeasureError"),
+        (["--no-cache", "modsym", "dump", "--level", "0"], "ModSymError"),
+    ], ids=["not-a-period", "curve", "measure", "modsym"])
+    def test_lazily_loaded_errors_exit_2(self, tmp_path, argv, error):
+        report = self._command(tmp_path, *argv)
+        assert (report["rc"], report["error"]) == (2, error)
+
+    def test_star_import_binds_each_name_to_its_home(self):
+        import importlib
+
+        import plinv
+
+        names = {}
+        exec("from plinv import *", names)
+        for name in plinv.__all__:
+            home = importlib.import_module(f"plinv.{plinv._HOME[name]}")
+            assert names[name] is getattr(home, name), name
+            assert name not in vars(plinv), name  # resolved on each use
+        assert set(names) - {"__builtins__"} == set(plinv.__all__)
+
+    def test_unknown_name_is_an_attribute_error(self):
+        import plinv
+
+        with pytest.raises(AttributeError, match="no_such_name"):
+            plinv.no_such_name
 
 
 class TestSchemas:
