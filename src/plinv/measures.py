@@ -16,10 +16,22 @@ analogue at Steinberg primes, where the local L-factor has a single
 root.
 
 Each [a/m] is a sum of integer generator values along the continued
-fraction of a/m, walked on the two ints.  On the sign-eps quotient
-[-r] = eps [r] and [r + 1] = [r], so mu(p^n - a) = eps mu(a) in both
-cases (Mazur-Tate-Teitelbaum, Invent. Math. 1986, I.8): the table
-evaluates the units a < p^n/2 and fills the rest by that symmetry.
+fraction of a/m, walked on the two ints.  A table evaluates one unit per
+orbit of its symmetries and fills the rest of the orbit from it:
+
+  * On the sign-eps quotient [-r] = eps [r] and [r + 1] = [r], so
+    mu(p^n - a) = eps mu(a) in both cases (Mazur-Tate-Teitelbaum,
+    Invent. Math. 1986, I.8).
+  * When the level N is p itself, also mu(a') = -eps mu(a) for the
+    inverse a' of a mod p^n.  With a' a - b p^n = 1, the matrix
+    [[a', b], [p^n, a]] lies in Gamma_0(N), because N | p^n, and maps the
+    path {-a/p^n -> oo} to {oo -> a'/p^n} (Cremona, Algorithms for
+    Modular Elliptic Curves, 2.2); so [-a/p^n] = -[a'/p^n], and
+    [-r] = eps [r] does the rest.  Where N does not divide p^n the matrix
+    is not in Gamma_0(N), and the rule fails (14a1 at 7, 15a1 at 5).
+
+So a table at level p evaluates about a quarter of the units, any other
+a half.
 """
 
 from fractions import Fraction
@@ -120,7 +132,13 @@ def _total(values):
 
 
 def build_measure(symbol, p, depth, root=None, prec=20):
-    """Measure table on (Z/p^depth)^*; exact integers when alpha = +-1."""
+    """Measure table on (Z/p^depth)^*; exact integers when alpha = +-1.
+
+    One unit per symmetry orbit (module docstring) is evaluated, all in one
+    `values_at` batch, and the rest of the table is filled from them.  In
+    the coordinates zeta gamma^k of `_log_coordinates`, -zeta is the mirror
+    of zeta, so half of the roots of unity are evaluated, for every k or,
+    at level p, for the k <= order/2 that hold an inverse of every unit."""
     check_prime(p)
     if depth < 1:
         raise MeasureError("depth must be at least 1")
@@ -139,24 +157,41 @@ def build_measure(symbol, p, depth, root=None, prec=20):
     if not root.ordinary:
         raise MeasureError("supersingular not supported")
     pn = p ** depth
-    pn1 = pn // p
-    evaluate, sign = symbol.evaluate, symbol.sign
+    gamma, torsion = _log_coordinates(p, depth)
+    order = (pn - pn // p) // len(torsion)  # the order of gamma mod p^n
+    powers = [1]  # the gamma^k whose rows are evaluated: k <= order/2 at level p
+    while len(powers) < (order // 2 + 1 if level == p else order):
+        powers.append(powers[-1] * gamma % pn)
+    half = torsion[:(len(torsion) + 1) // 2]
+
+    def reps(m):  # the evaluated units zeta gamma^k, reduced mod m
+        return (z * g % m for g in powers for z in half)
+
+    lead = symbol.values_at(pn, reps(pn))
     if root.multiplicative:
-        a_inv_n = root.alpha_exact ** depth  # alpha^(-n) = alpha^n for alpha = +-1
-        cell = lambda a: a_inv_n * evaluate(a, pn)
+        # alpha^(-n) = alpha^n = +-1
+        cells = lead if root.alpha_exact ** depth == 1 else [-v for v in lead]
     else:
-        ai = root.alpha ** (-depth)
-        ai1 = root.alpha ** (-depth - 1)
-        cell = lambda a: ai * evaluate(a, pn) - ai1 * evaluate(a, pn1)
-    values = {}
-    for a in range(1, pn):
-        if a % p == 0:
-            continue
-        b = pn - a
-        if b < a:  # mu(a) = sign * mu(b), already in the table
-            values[a] = values[b] if sign == 1 else -values[b]
-        else:      # b = a only when p^n = 2
-            values[a] = cell(a)
+        pn1 = pn // p
+        ai, ai1 = root.alpha ** (-depth), root.alpha ** (-depth - 1)
+        # [a/p^(n-1)] depends on a mod p^(n-1) alone, since [r + 1] = [r]
+        tail = [ai1 * v for v in symbol.values_at(pn1, range(pn1))]
+        cells = [ai * v - tail[r] for v, r in zip(lead, reps(pn1))]
+    sign = symbol.sign
+    table = [None] * pn
+    for a, v in zip(reps(pn), cells):
+        table[pn - a] = v if sign == 1 else -v  # before a: when p^n = 2, 1 = -1
+        table[a] = v
+    # the other rows at level p: mu(a^-1) = -sign mu(a), and zeta gamma^k
+    # has the inverse zeta^-1 gamma^(order - k)
+    inverse = [pow(z, -1, pn) for z in torsion]
+    g = powers[-1]
+    for k in range(len(powers), order):
+        g, back = g * gamma % pn, powers[order - k]
+        for z, t in zip(torsion, inverse):
+            v = table[t * back % pn]
+            table[z * g % pn] = -v if sign == 1 else v
+    values = {a: table[a] for a in range(1, pn) if a % p}
     return PadicMeasure(p, depth, root, symbol, values, root.multiplicative)
 
 
@@ -206,7 +241,7 @@ class StickelbergerElement:
         proves (see `_log_moment`); the augmentation when j = 0."""
         if j == 0:
             return self.augmentation()
-        return _log_moment(self.coeffs, self.p, self.depth, j, prec)
+        return _log_moment(self.coeffs, self.p, self.depth, j, prec, self.exact)
 
     def leading_term(self, r, prec=20):
         """The I^r/I^(r+1) leading coefficient via moments; requires all
@@ -246,15 +281,21 @@ def stickelberger(measure, dual=False):
 # -- L-values -------------------------------------------------------------
 
 
-def _log_walk(p, n):
-    """Yield (k, units) for k = 0, 1, ...: the units of Z/p^n equal to
-    zeta * gamma^k for a root of unity zeta, with gamma = 1 + p (5 when
-    p = 2).  Every unit occurs once."""
+def _log_coordinates(p, n):
+    """(gamma, torsion): every unit of Z/p^n is zeta * gamma^k for one
+    root of unity zeta in `torsion` and one k below the order of gamma,
+    with gamma = 1 + p (5 when p = 2); torsion[-1 - i] = -torsion[i]."""
     pn = p ** n
     if p == 2:
-        gamma, torsion = 5, sorted({1, pn - 1})
-    else:
-        gamma, torsion = 1 + p, [pow(t, pn // p, pn) for t in range(1, p)]
+        return 5, sorted({1, pn - 1})
+    return 1 + p, [pow(t, pn // p, pn) for t in range(1, p)]
+
+
+def _log_walk(p, n):
+    """Yield (k, units) for k = 0, 1, ...: the units of Z/p^n equal to
+    zeta * gamma^k (`_log_coordinates`).  Every unit occurs once."""
+    pn = p ** n
+    gamma, torsion = _log_coordinates(p, n)
     g, k = 1, 0
     while True:
         yield k, [z * g % pn for z in torsion]
@@ -263,7 +304,7 @@ def _log_walk(p, n):
             return
 
 
-def _log_moment(values, p, n, j, prec):
+def _log_moment(values, p, n, j, prec, exact):
     """sum values[a] * log_p<a>^j over the units a of Z/p^n, capped at the
     absolute precision n - loss that depth n proves.
 
@@ -275,11 +316,10 @@ def _log_moment(values, p, n, j, prec):
     s = 0
     for k, units in _log_walk(p, n):
         if k:
-            s += k ** j * sum(values[a] for a in units)
+            s += k ** j * sum(map(values.__getitem__, units))
     log_gamma = padic.iwasawa_log(PadicNumber.from_int(p, 5 if p == 2 else 1 + p, prec))
-    # the p-adic entries' denominators; an int entry has none
-    loss = max([0] + [-v.ord() for v in values.values()
-                      if type(v) is not int and not v.is_zero])
+    # the p-adic entries' denominators; an exact (int) table has none
+    loss = 0 if exact else max([0] + [-v.ord() for v in values.values() if not v.is_zero])
     return (log_gamma ** j * s).cap_abs_prec(n - loss)
 
 
@@ -292,7 +332,8 @@ def lp_value_and_derivative(measure, prec=20):
     Weighting a = zeta * gamma^k by k log_p(gamma) instead of log_p<a>
     changes nothing mod p^depth, hence nothing that is reported.
     """
-    return measure.mass(), _log_moment(measure.values, measure.p, measure.depth, 1, prec)
+    return measure.mass(), _log_moment(measure.values, measure.p, measure.depth, 1, prec,
+                                       measure.exact)
 
 
 def euler_factor(root, chi_p):

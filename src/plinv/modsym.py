@@ -77,6 +77,7 @@ class P1List:
                 s += n // g
             unit.append((s, pos[g]))
         self._reps = reps
+        self._pos = pos
         self._unit = unit
 
     def __len__(self):
@@ -450,6 +451,7 @@ class EigenSymbol:
         self.gen_values = gen_values
         self.eigenvalues = eigenvalues
         self.label = label
+        self._walk_table = None, None  # (the gen_values it was built from, table)
 
     @property
     def level(self):
@@ -466,32 +468,44 @@ class EigenSymbol:
     def evaluate(self, a, m=1):
         """Value on the path {a/m -> oo}: a numerator a and a denominator
         m > 0 as ints, or one rational a (int or Fraction); an int, since
-        the generator values are.
-
-        Sums the generator values over the Manin pieces of the path, walked
-        on ints; the generator of each piece is read from the P^1 tables in
-        O(1), with no call per piece.  The sign quotient gives
-        [-r] = sign [r] (eta) and [r + 1] = [r] (translation), so
-        [(m - a)/m] = sign [a/m]: `build_measure` evaluates half the units.
-        """
+        the generator values are.  The one-path case of `values_at`."""
         if a is INF:
             return 0
         if type(a) is not int:
             a, m = a.numerator, m * a.denominator
-        vals, n, unit = self.gen_values, self.level, self.space.p1._unit
-        # Manin's continued-fraction trick on the two ints: with convergent
-        # denominators q_k of a/m, the k-th piece has bottom row
-        # (q_(k-1), (-1)^k q_k), looked up as P1List.position does
-        x, y = m, a % m
-        c, d, sign = 0, 1, 1
-        total = 0
-        while True:
-            s, pos = unit[c % n]
-            total += vals[pos[s * sign * d % n]]
-            if not y:
-                return total
-            q, x, y = x // y, y, x % y
-            c, d, sign = d, q * d + c, -sign
+        return self.values_at(m, (a,))[0]
+
+    def values_at(self, m, numerators):
+        """The values on the paths {a/m -> oo}, one per int a, for one
+        denominator m > 0.
+
+        Manin's continued-fraction trick, walked on the two ints: with
+        convergent denominators q_k of a/m, the k-th piece is the generator
+        (q_(k-1) : (-1)^k q_k), whose value is read in two steps from one
+        table per symbol: per residue c mod N, a unit s and the row of
+        generator values over the divisor gcd(c, N), so that (c:d) has the
+        value row[s d mod N].  The table is built from `gen_values` on first
+        use and again whenever they are replaced.  The sign quotient gives
+        [-r] = sign [r] (eta) and [r + 1] = [r] (translation).
+        """
+        n, p1, vals = self.level, self.space.p1, self.gen_values
+        if self._walk_table[0] is not vals:
+            rows = {g: [0 if i is None else vals[i] for i in pos] for g, pos in p1._pos.items()}
+            self._walk_table = vals, [(s, rows[gcd(u, n)]) for u, (s, _) in enumerate(p1._unit)]
+        table = self._walk_table[1]
+        s, row = table[0]
+        first = row[s % n]  # the piece (0:1)
+        out = []
+        for a in numerators:
+            x, y = m, a % m
+            c, d, sign, total = 0, 1, 1, first
+            while y:
+                q, x, y = x // y, y, x % y
+                c, d, sign = d, q * d + c, -sign
+                s, row = table[c % n]
+                total += row[s * sign * d % n]
+            out.append(total)
+        return out
 
     def eigenvalue(self, ell):
         """The eigenvalue of T_ell (U_ell for ell dividing the level) on
@@ -552,11 +566,10 @@ def eigen_symbol(curve, sign=1, level=None, cache=None):
     w = basis[0]
     vals = primitive([sum(w[k] * v for k, v in space.gen_coords(i).items())
                       for i in range(len(space.p1))])
-    sym = EigenSymbol(space, vals, probes, label=getattr(curve, "label", ""))
-    v0 = sym.at_zero
+    v0 = vals[space.p1.index(0, 1)]  # {0 -> oo} is the generator (0:1)
     if v0 < 0 or (v0 == 0 and next((v for v in vals if v), 0) < 0):
-        sym.gen_values = [-v for v in vals]
-    return sym
+        vals = [-v for v in vals]
+    return EigenSymbol(space, vals, probes, label=getattr(curve, "label", ""))
 
 
 def _next_prime(n):

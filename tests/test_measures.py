@@ -328,8 +328,9 @@ class TestRiemannSumOracle:
 
 
 class TestSymmetricFill:
-    """build_measure evaluates the units below p^n/2 and fills the rest by
-    mu(p^n - a) = sign * mu(a); the reference evaluates every unit."""
+    """build_measure evaluates one unit per orbit and fills the rest by
+    mu(p^n - a) = sign * mu(a) and, at level p, mu(a^-1) = -sign * mu(a);
+    the reference evaluates every unit on its own Fraction."""
 
     @staticmethod
     def _check(sym, p, depth):
@@ -354,6 +355,28 @@ class TestSymmetricFill:
     ])
     def test_good_ordinary_and_self_mirrored_unit(self, label, p, depth, sign):
         self._check(eigen_symbol(curve_by_label(label), sign), p, depth)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_benchmark_depth_4(self, sign):
+        # ezc-deep's deepest table; its 17a1 and 37b1 tables are
+        # test_split_pairs' depth 3
+        self._check(eigen_symbol(curve_by_label("11a1"), sign), 11, 4)
+
+    def test_one_walk_per_orbit(self, monkeypatch):
+        syms = [eigen_symbol(curve_by_label(label)) for label in ("37b1", "14a1", "11a1")]
+        walks = []
+        values_at = EigenSymbol.values_at
+
+        def counting(self, m, nums):
+            nums = list(nums)
+            walks.append((m, len(nums)))
+            return values_at(self, m, nums)
+
+        monkeypatch.setattr(EigenSymbol, "values_at", counting)
+        build_measure(syms[0], 37, 2)  # level p: rows k <= 18 of 37, half of each
+        build_measure(syms[1], 7, 3)   # level 14: half of the 294 units
+        build_measure(syms[2], 3, 3)   # good ordinary: each [a/9] once
+        assert walks == [(37 ** 2, 19 * 18), (7 ** 3, 147), (27, 9), (9, 9)]
 
 
 GOLDEN = Path(__file__).parent / "golden"

@@ -582,8 +582,8 @@ def _p1_list(n):
 
 
 @lru_cache(maxsize=None)
-def _eigen_symbol(label, sign):
-    return eigen_symbol(curve_by_label(label), sign)
+def _eigen_symbol(label, sign, level=None):
+    return eigen_symbol(curve_by_label(label), sign, level=level)
 
 
 def _dot_product_value(sym, r):
@@ -626,11 +626,62 @@ class TestFastEvaluate:
         r = Fraction(a, m)
         assert sym.evaluate(a, m) == sym.evaluate(r) == _dot_product_value(sym, r)
 
+    @settings(max_examples=200, deadline=None)
+    @given(case=st.sampled_from([("11a1", None), ("37b1", None), ("11a1tw5", 275)]),
+           sign=st.sampled_from([1, -1]), m=st.integers(1, 10 ** 5),
+           nums=st.lists(st.integers(-10 ** 6, 10 ** 6) | st.just(0), max_size=12))
+    @example(case=("11a1tw5", 275), sign=-1, m=275, nums=[-826, -275, -1, 0, 1, 275, 276, 1927])
+    def test_batch_matches_one_path_walks(self, case, sign, m, nums):
+        # numerators of any sign, 0 and beyond m, in one batch
+        label, level = case
+        sym = _eigen_symbol(label, sign, level)
+        batch = sym.values_at(m, nums)
+        assert batch == [sym.evaluate(a, m) for a in nums]
+        assert batch == [_dot_product_value(sym, Fraction(a, m)) for a in nums]
+
     def test_value_at_zero_sign_follows_normalization(self):
-        # the sign flip in eigen_symbol must reach the generator values too
+        # the sign flip in eigen_symbol must reach the generator values, and
+        # every path after it: no table read from the unflipped values survives
+        rng = random.Random(7)
         for label in BUNDLED_LEVELS:
-            sym = eigen_symbol(curve_by_label(label))
-            assert sym.at_zero == _dot_product_value(sym, 0) >= 0
+            for sign in (1, -1):
+                sym = eigen_symbol(curve_by_label(label), sign)
+                assert sym.at_zero == _dot_product_value(sym, 0) >= 0
+                for _ in range(6):
+                    r = Fraction(rng.randrange(-10 ** 4, 10 ** 4), rng.randrange(1, 10 ** 4))
+                    assert sym.evaluate(r) == _dot_product_value(sym, r), (label, sign, r)
+
+
+class TestInversionAtPrimeLevel:
+    """At level p, [a'/p^n] = -sign [a/p^n] for a' = a^-1 mod p^n: with
+    a' a - b p^n = 1, [[a', b], [p^n, a]] is in Gamma_0(p) and maps
+    {-a/p^n -> oo} to {oo -> a'/p^n}.  build_measure fills tables at
+    level p by this rule, and only there."""
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("label,depth", [
+        ("11a1", 3), ("11a2", 3), ("11a3", 3), ("17a1", 3), ("37b1", 2),
+    ])
+    def test_prime_levels(self, label, depth, sign):
+        sym = eigen_symbol(curve_by_label(label), sign)
+        p = sym.level
+        for n in range(1, depth + 1):
+            pn = p ** n
+            for a in range(1, pn):
+                if a % p:
+                    assert sym.evaluate(pow(a, -1, pn), pn) == -sign * sym.evaluate(a, pn), \
+                        (label, n, a)
+
+    @pytest.mark.parametrize("label,p,violations", [("14a1", 7, 294), ("15a1", 5, 100),
+                                                    ("21a1", 3, 16)])
+    def test_fails_where_the_level_is_not_p(self, label, p, violations):
+        # the matrix is not in Gamma_0(N) when N does not divide p^n: the
+        # level == p gate of build_measure cannot be widened to these
+        sym = eigen_symbol(curve_by_label(label))
+        pn = p ** 3
+        bad = [a for a in range(1, pn)
+               if a % p and sym.evaluate(pow(a, -1, pn), pn) != -sym.evaluate(a, pn)]
+        assert len(bad) == violations
 
 
 class TestTwistLevels:
