@@ -157,7 +157,6 @@ def build_parser():
     s.add_argument("-p", type=_prime, required=True)
     s.add_argument("--depth", type=_depth, default=3)
     s.add_argument("--prec", type=_precision, default=20)
-    s.add_argument("--sign", type=_sign, default=1)
     s.add_argument("--dual", action="store_true")
 
     s = sub.add_parser("check-twist", help="quadratic-twist product bookkeeping")
@@ -238,7 +237,7 @@ def cmd_check_ezc(args, cache):
 
     curve = _resolve_curve(args, cache)
     rep = exceptional_zero_check(curve, args.p, args.depth, args.prec,
-                                 args.sign, args.dual, cache=cache)
+                                 dual=args.dual, cache=cache)
     return {"command": "check-ezc", **rep.to_json()}
 
 
@@ -283,11 +282,11 @@ def cmd_stickelberger(args, cache):
 
 
 def cmd_lp(args, cache):
-    from .curves import reduction_type
+    from .curves import SPLIT, reduction_type
     from .measures import ezc_report, lp_value_and_derivative
 
     curve, symbol, measure = _symbol_and_measure(args, cache)
-    split = reduction_type(curve, args.p).kind == "split-multiplicative"
+    split = reduction_type(curve, args.p).kind == SPLIT
     rep = ezc_report(curve, measure, args.prec, args.dual) if split else None
     l0, l1 = (rep.lp0, rep.derivative) if split else lp_value_and_derivative(measure, args.prec)
     if args.dual and not split:
@@ -325,7 +324,8 @@ def cmd_modsym_dump(args, cache):
 
 
 def cmd_import_curve(args, cache):
-    from .curves import CurveError, bad_primes, conductor, parse_table_row, reduction_type
+    from .curves import (CurveError, add_user_row, bad_primes, conductor, parse_table_row,
+                         reduction_type)
 
     curve = parse_table_row(args.row)
     try:
@@ -339,18 +339,8 @@ def cmd_import_curve(args, cache):
         "bad_primes": {str(p): reduction_type(curve, p).kind for p in bad_primes(curve)},
     }
     path = _user_table_path(cache)
+    add_user_row(curve, path)
     if path is not None:
-        import os
-
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        existing = ""
-        if os.path.exists(path):
-            with open(path, "r", encoding="utf-8") as fh:
-                existing = fh.read()
-        line = f"{curve.label}\t{','.join(str(a) for a in curve.a_invariants)}\n"
-        if line not in existing:
-            with open(path, "a", encoding="utf-8") as fh:
-                fh.write(line)
         entry["registered"] = path
     return entry
 
@@ -363,6 +353,7 @@ HANDLERS = {
     "stickelberger": cmd_stickelberger,
     "lp": cmd_lp,
     "import-curve": cmd_import_curve,
+    "modsym": cmd_modsym_dump,
 }
 
 
@@ -426,10 +417,7 @@ def main(argv=None, out=None):
     try:
         args = parser.parse_args(argv)
         cache = None if args.no_cache else Cache(args.cache_dir)
-        if args.command == "modsym":
-            payload = cmd_modsym_dump(args, cache)
-        else:
-            payload = HANDLERS[args.command](args, cache)
+        payload = HANDLERS[args.command](args, cache)
         _emit(payload, args, out)
         return 0
     except UsageError as exc:

@@ -410,11 +410,10 @@ def tate_period(curve, p, prec=20):
     return TatePeriod(periods.Period(p, [(q, 1)]), q, curve, p, m)
 
 
-def j_of_q(q, nterms=None):
+def j_of_q(q):
     """Evaluate the j-series at a p-adic q (for round-trip checks)."""
     m = q.ord()
-    if nterms is None:
-        nterms = (q.n + m) // m + 2
+    nterms = (q.n + m) // m + 2
     coeffs = j_q_coefficients(nterms)
     s = coeffs[nterms] * q
     for n in range(nterms - 1, 0, -1):
@@ -431,18 +430,10 @@ def curve_l_invariant(curve, p, prec=20):
 # -- bundled curve table ------------------------------------------------
 
 
-def _table_rows():
-    path = os.path.join(os.path.dirname(__file__), "curves.tsv")
+def _table_lines(path):
+    """The rows of a curve table file: its lines less blanks and # comments."""
     with open(path, "r", encoding="utf-8") as fh:
-        data = fh.read()
-    rows = []
-    for line in data.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        label, ainvs, cond = line.split("\t")
-        rows.append((label, tuple(int(x) for x in ainvs.split(",")), int(cond)))
-    return rows
+        return [line for line in map(str.strip, fh) if line and not line.startswith("#")]
 
 
 @lru_cache(maxsize=1)
@@ -450,10 +441,10 @@ def curve_table():
     """label -> (curve, conductor); derived data is recomputed, never
     trusted from the file."""
     table = {}
-    for label, ainvs, cond in _table_rows():
-        curve = WeierstrassCurve(*ainvs, label=label)
+    for line in _table_lines(os.path.join(os.path.dirname(__file__), "curves.tsv")):
+        curve, cond = parse_table_row(line), int(line.split("\t")[2])
         _validate_conductor(curve, cond)
-        table[label] = (curve, cond)
+        table[curve.label] = (curve, cond)
     return table
 
 
@@ -484,11 +475,13 @@ def _validate_conductor(curve, cond):
 
 def parse_table_row(row):
     """Parse `label <sep> a1,a2,a3,a4,a6` (tab or whitespace separated);
-    derived data is always recomputed, never read."""
+    derived data, such as the bundled table's conductor, is never read."""
     parts = row.replace("\t", " ").split()
     if len(parts) < 2:
         raise CurveError("row wants: label a1,a2,a3,a4,a6")
     label = parts[0]
+    if label.startswith("#"):
+        raise CurveError("a label cannot start with '#', which marks a comment row")
     try:
         ainvs = [int(x) for x in parts[1].split(",")]
     except ValueError as exc:
@@ -499,29 +492,32 @@ def parse_table_row(row):
 
 
 def load_user_table(path):
-    """Optional user extension table; same validation discipline as the
-    bundled file."""
-    table = {}
+    """label -> curve of the optional user table, a later row of a label
+    replacing an earlier one; rows are validated as the bundled ones."""
     if not os.path.exists(path):
-        return table
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            curve = parse_table_row(line)
-            table[curve.label] = (curve, None)
-    return table
+        return {}
+    return {curve.label: curve for curve in map(parse_table_row, _table_lines(path))}
+
+
+def add_user_row(curve, path):
+    """Append the row of `curve` to the user table at `path` (None: none)
+    unless its label resolves to this model there already; refuse a
+    bundled label with another model, which the bundled curve would shadow."""
+    if curve_table().get(curve.label, (curve,))[0] != curve:
+        raise CurveError(f"label {curve.label!r} is bundled with another model")
+    if path is not None and load_user_table(path).get(curve.label) != curve:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(f"{curve.label}\t{','.join(map(str, curve.a_invariants))}\n")
 
 
 def curve_by_label(label, user_table_path=None):
     table = curve_table()
     if label in table:
         return table[label][0]
-    if user_table_path:
-        user = load_user_table(user_table_path)
-        if label in user:
-            return user[label][0]
+    user = load_user_table(user_table_path) if user_table_path else {}
+    if label in user:
+        return user[label]
     raise CurveError(f"unknown curve label {label!r}")
 
 

@@ -369,7 +369,7 @@ class EzcReport:
     """L_p'(0)/[0->oo] against the Tate L-invariant at a split prime."""
 
     def __init__(self, label, p, depth, lp0_is_zero, lp0, derivative, value_at_zero,
-                 ratio, l_invariant, matched_sign, agreement_digits, conventions=None):
+                 ratio, l_invariant, matched_sign, agreement_digits):
         self.label = label
         self.p = p
         self.depth = depth
@@ -381,7 +381,6 @@ class EzcReport:
         self.l_invariant = l_invariant
         self.matched_sign = matched_sign
         self.agreement_digits = agreement_digits
-        self.conventions = dict(CONVENTIONS) if conventions is None else conventions
 
     def to_json(self):
         return {
@@ -396,18 +395,19 @@ class EzcReport:
             "tate_l_invariant": self.l_invariant.to_json(),
             "matched_sign": self.matched_sign,
             "agreement_digits": self.agreement_digits,
-            "conventions": self.conventions,
+            "conventions": dict(CONVENTIONS),
         }
 
 
-def exceptional_zero_check(curve, p, depth=3, prec=20, sign=1, dual=False, cache=None):
+def exceptional_zero_check(curve, p, depth=3, prec=20, *, dual=False, cache=None):
     """Compare L_p'(0)/[0->oo] with +-LI_p(q_E) for a split
     multiplicative prime; both sides are linear in the same symbol scale,
-    so the normalization cancels."""
+    so the normalization cancels.  The symbol is the plus one: on the
+    minus quotient [0->oo] is always 0."""
     red = curves.reduction_type(curve, p)
     if red.kind != SPLIT:
         raise MeasureError("not an exceptional (split multiplicative) prime")
-    symbol = modsym.eigen_symbol(curve, sign, cache=cache)
+    symbol = modsym.eigen_symbol(curve, cache=cache)
     return ezc_report(curve, build_measure(symbol, p, depth, prec=prec), prec, dual)
 
 
@@ -447,14 +447,13 @@ def ezc_report(curve, measure, prec=20, dual=False):
 class TwistReport:
     """The quadratic-twist product bookkeeping of one case."""
 
-    def __init__(self, label, d, p, chi_p, case, data, conventions=None):
+    def __init__(self, label, d, p, chi_p, case, data):
         self.label = label
         self.d = d
         self.p = p
         self.chi_p = chi_p
         self.case = case
         self.data = data
-        self.conventions = dict(CONVENTIONS) if conventions is None else conventions
 
     # exact rationals (int or Fraction), emitted as strings like Fractions
     RATIONAL = ("twist_L0", "twist_value_at_zero", "euler_factor", "ratio",
@@ -475,11 +474,11 @@ class TwistReport:
             "chi_p": self.chi_p,
             "case": self.case,
             **{k: enc(k, v) for k, v in self.data.items()},
-            "conventions": self.conventions,
+            "conventions": dict(CONVENTIONS),
         }
 
 
-def twist_product_check(curve, d, p, depth=3, prec=20, sign=1, cache=None):
+def twist_product_check(curve, d, p, depth=3, prec=20, *, cache=None):
     """Quadratic-twist bookkeeping for the product of p-adic L-functions.
 
     chi_d(p) = 1 (split): both factors are exceptional; the derivative
@@ -497,11 +496,11 @@ def twist_product_check(curve, d, p, depth=3, prec=20, sign=1, cache=None):
     chi_p = kronecker(d, p)
     twist = quadratic_twist(curve, d)
     level_tw = n * d * d
-    sym_tw = modsym.eigen_symbol(twist, sign, level=level_tw, cache=cache)
+    sym_tw = modsym.eigen_symbol(twist, level=level_tw, cache=cache)
     measure_tw = build_measure(sym_tw, p, depth, prec=prec)
 
     if chi_p == 1:
-        base = exceptional_zero_check(curve, p, depth, prec, sign, cache=cache)
+        base = exceptional_zero_check(curve, p, depth, prec, cache=cache)
         tw = ezc_report(twist, measure_tw, prec)
         ratio_match = max(base.ratio.agreement(tw.ratio),
                           base.ratio.agreement(-tw.ratio))

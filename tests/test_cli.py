@@ -116,6 +116,12 @@ class TestExitCodes:
         rc, _ = run(["check-ezc", "--label", "11a1", "-p", "11", "--depth", "9"])
         assert rc == 3
 
+    @pytest.mark.parametrize("sign", ["+", "-"])
+    def test_check_ezc_takes_no_sign(self, sign):
+        # [0 -> oo] is 0 on every minus quotient, so only + ever worked
+        rc, _ = run(["check-ezc", "--label", "11a1", "-p", "11", "--sign", sign])
+        assert rc == 3
+
     def test_domain_error_no_tate_period(self, capsys):
         rc, _ = run(["li-curve", "--label", "11a1", "-p", "7"])
         assert rc == 2
@@ -416,6 +422,9 @@ class TestImporter:
     def test_import_rejects_malformed(self, tmp_path):
         rc, _ = run(["import-curve", "--row", "just-a-label"], tmp_path)
         assert rc == 2
+        # the table would read the row back as a comment
+        rc, _ = run(["import-curve", "--row", "#x 0,-1,1,-10,-20"], tmp_path)
+        assert rc == 2 and not (tmp_path / "user_curves.tsv").exists()
 
     def test_import_closes_the_table_file(self, tmp_path):
         import gc
@@ -428,6 +437,33 @@ class TestImporter:
             gc.collect()
         assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
         assert (tmp_path / "user_curves.tsv").read_text().count("19a1") == 1
+
+    def test_a_label_inside_another_is_registered(self, tmp_path):
+        # "11z<TAB>..." is a substring of "my11z<TAB>...": rows are compared whole
+        assert run(["import-curve", "--row", "my11z 0,-1,1,-10,-20"], tmp_path)[0] == 0
+        rc, out = run(["import-curve", "--row", "11z 0,-1,1,-10,-20"], tmp_path)
+        assert rc == 0 and "registered" in out
+        rc, out = run(["li-curve", "--label", "11z", "-p", "11"], tmp_path)
+        assert rc == 0 and out["curve"]["label"] == "11z"
+        assert (tmp_path / "user_curves.tsv").read_text().splitlines() == [
+            "my11z\t0,-1,1,-10,-20", "11z\t0,-1,1,-10,-20"]
+
+    def test_an_earlier_model_is_registered_again(self, tmp_path):
+        # the last row of a label wins, so a model given again is appended again
+        for ainvs in ("0,-1,1,-10,-20", "0,-1,1,0,0", "0,-1,1,-10,-20"):
+            assert run(["import-curve", "--row", f"11w {ainvs}"], tmp_path)[0] == 0
+            rc, out = run(["li-curve", "--label", "11w", "-p", "11"], tmp_path)
+            assert rc == 0 and out["curve"]["a_invariants"] == [int(a) for a in ainvs.split(",")]
+        assert (tmp_path / "user_curves.tsv").read_text().count("11w") == 3
+
+    def test_bundled_label_with_another_model_exits_2(self, tmp_path, capsys):
+        # 37a1's model under the label 11a1, which the bundled 11a1 would shadow
+        for cache in (tmp_path, None):
+            assert run(["import-curve", "--row", "11a1 0,0,1,-1,0"], cache) == (2, "")
+            assert "bundled with another model" in capsys.readouterr().err
+        assert not (tmp_path / "user_curves.tsv").exists()
+        rc, out = run(["import-curve", "--row", "11a1 0,-1,1,-10,-20"], tmp_path)
+        assert rc == 0 and out["registered"] == str(tmp_path / "user_curves.tsv")
 
     def test_discriminant_with_large_prime_factors(self):
         # disc = -3^3 67^2 73705545679^2: trial division alone ran for minutes
@@ -834,6 +870,34 @@ print(json.dumps({"rc": rc, "modules": modules, "error": error}))
 
         with pytest.raises(AttributeError, match="no_such_name"):
             plinv.no_such_name
+
+
+def _readme_commands():
+    """The argument lists of the `plinv` lines in README's "Command line" block."""
+    import re
+    import shlex
+    from pathlib import Path
+
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = re.search(r"^## Command line\n\n```sh\n(.*?)^```", text, re.S | re.M).group(1)
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("plinv ")]
+
+
+class TestReadme:
+    """Every command README shows runs, and its report validates against the
+    command's schema: a flag the README shows and the parser lost fails here."""
+
+    def test_every_command_is_shown(self):
+        from plinv.cli import HANDLERS
+
+        assert {argv[0] for argv in _readme_commands()} == set(HANDLERS)
+
+    @pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+    def test_command_runs_and_validates(self, tmp_path, argv):
+        rc, out = run(argv, tmp_path)
+        assert rc == 0, argv
+        schema = "modsym_dump" if argv[0] == "modsym" else argv[0].replace("-", "_")
+        TestSchemas._validate(out, schema + ".json")
 
 
 class TestSchemas:

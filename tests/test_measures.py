@@ -459,6 +459,32 @@ class TestTwistChecks:
             twist_product_check(curve_by_label("11a1"), -11, 11)
 
 
+class TestPlusSymbolOnly:
+    """The verifiers divide by [0 -> oo], which is 0 on every minus
+    quotient (`test_modsym.py`), so they take no sign."""
+
+    def test_no_dead_parameters(self):
+        import inspect
+
+        from plinv.curves import j_of_q
+        from plinv.measures import EzcReport, TwistReport
+
+        for fn, name in [(exceptional_zero_check, "sign"), (twist_product_check, "sign"),
+                         (EzcReport, "conventions"), (TwistReport, "conventions"),
+                         (j_of_q, "nterms")]:
+            assert name not in inspect.signature(fn).parameters, (fn, name)
+
+    def test_sign_is_a_type_error(self):
+        curve = curve_by_label("11a1")
+        for call in (lambda: twist_product_check(curve, -4, 11, sign=-1),
+                     lambda: exceptional_zero_check(curve, 11, sign=-1),
+                     # an old positional sign no longer lands in dual or cache
+                     lambda: exceptional_zero_check(curve, 11, 3, 20, -1),
+                     lambda: twist_product_check(curve, -4, 11, 3, 20, -1)):
+            with pytest.raises(TypeError):
+                call()
+
+
 class TestCyclotomic:
     def test_small_cases(self):
         assert one_minus_zeta_product(2) == 2

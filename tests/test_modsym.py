@@ -211,6 +211,15 @@ class TestSpaces:
         for n, d in expected.items():
             assert build_space(n, 1).cuspidal_dimension == d
 
+    def test_zero_to_infinity_vanishes_on_the_minus_quotient(self):
+        # eta fixes (0:1) with factor -1, so [0 -> oo] is 0 on every sign -1
+        # space, and the exceptional-zero check, which divides by it, takes
+        # the plus symbol only; on the plus quotient (0:1) survives from N = 2
+        for n in range(1, 301):
+            minus, plus = SymbolSpace(n, -1), SymbolSpace(n, 1)
+            assert minus.gen_coords(minus.p1.index(0, 1)) == {}, n
+            assert (plus.gen_coords(plus.p1.index(0, 1)) == {}) == (n == 1), n
+
 
 def _cusp(a, m):
     """a/m in lowest terms with m >= 0, as (a, m); oo is (+-1, 0)."""
