@@ -270,14 +270,12 @@ def cmd_stickelberger(args, cache):
         "curve": curve.to_json(),
         "p": args.p,
         "depth": args.depth,
-        "theta": theta.to_json(),
+        "theta": theta.to_json(element=True),
     }
     if args.depth >= 2:
-        push = theta.pushforward()
-        finer_ok = stickelberger(build_measure(symbol, args.p, args.depth - 1,
-                                               prec=args.prec),
-                                 dual=args.dual).coeffs == push.coeffs
-        out["projection_compatible"] = finer_ok
+        finer = build_measure(symbol, args.p, args.depth - 1, prec=args.prec)
+        out["projection_compatible"] = (stickelberger(finer, dual=args.dual).values
+                                        == theta.pushforward().values)
     return out
 
 

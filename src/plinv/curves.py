@@ -368,20 +368,10 @@ def j_q_coefficients(nterms):
 class TatePeriod:
     """The Tate parameter q of a curve at p, and q as a Period."""
 
-    def __init__(self, period, q, curve, p, v_delta):
+    def __init__(self, period, q, v_delta):
         self.period = period
         self.q = q
-        self.curve = curve
-        self.p = p
         self.v_delta = v_delta
-
-    def to_json(self):
-        return {
-            "p": self.p,
-            "q": self.q.to_json(),
-            "ord_q": self.v_delta,
-            "curve": self.curve.to_json(),
-        }
 
 
 def tate_period(curve, p, prec=20):
@@ -407,7 +397,7 @@ def tate_period(curve, p, prec=20):
     q = hensel(step, 0, p, m + prec)
     assert int_val(q, p) == m
     q = PadicNumber(p, m, q // p ** m, prec)
-    return TatePeriod(periods.Period(p, [(q, 1)]), q, curve, p, m)
+    return TatePeriod(periods.Period(p, [(q, 1)]), q, m)
 
 
 def j_of_q(q):
@@ -431,9 +421,11 @@ def curve_l_invariant(curve, p, prec=20):
 
 
 def _table_lines(path):
-    """The rows of a curve table file: its lines less blanks and # comments."""
+    """(line number from 1, row) for the rows of a curve table file: its
+    lines less blanks and # comments."""
     with open(path, "r", encoding="utf-8") as fh:
-        return [line for line in map(str.strip, fh) if line and not line.startswith("#")]
+        return [(i, line) for i, line in enumerate(map(str.strip, fh), 1)
+                if line and not line.startswith("#")]
 
 
 @lru_cache(maxsize=1)
@@ -441,7 +433,7 @@ def curve_table():
     """label -> (curve, conductor); derived data is recomputed, never
     trusted from the file."""
     table = {}
-    for line in _table_lines(os.path.join(os.path.dirname(__file__), "curves.tsv")):
+    for _, line in _table_lines(os.path.join(os.path.dirname(__file__), "curves.tsv")):
         curve, cond = parse_table_row(line), int(line.split("\t")[2])
         _validate_conductor(curve, cond)
         table[curve.label] = (curve, cond)
@@ -493,10 +485,18 @@ def parse_table_row(row):
 
 def load_user_table(path):
     """label -> curve of the optional user table, a later row of a label
-    replacing an earlier one; rows are validated as the bundled ones."""
+    replacing an earlier one; rows are validated as the bundled ones, and
+    a malformed one is refused with the file and its line."""
     if not os.path.exists(path):
         return {}
-    return {curve.label: curve for curve in map(parse_table_row, _table_lines(path))}
+    table = {}
+    for i, line in _table_lines(path):
+        try:
+            curve = parse_table_row(line)
+        except CurveError as exc:
+            raise CurveError(f"{path}, line {i}: {exc}") from None
+        table[curve.label] = curve
+    return table
 
 
 def add_user_row(curve, path):

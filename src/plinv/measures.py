@@ -1,6 +1,7 @@
-"""Mazur-Tate measures on Z_p^*, Stickelberger elements, cyclotomic
-p-adic L-values and derivatives, and the exceptional-zero / twist /
-product verifiers.
+"""Mazur-Tate measures on Z_p^*, cyclotomic p-adic L-values and
+derivatives, and the exceptional-zero / twist / product verifiers.  A
+measure's table is also its Stickelberger element: one `PadicMeasure`
+holds both.
 
 For a p-ordinary eigen-symbol with unit root alpha the measure of the
 residue disc a + p^n Z_p is built from symbol values [r] at rationals:
@@ -102,27 +103,71 @@ def unit_root(p, ap, multiplicative, prec=20):
 
 
 class PadicMeasure:
-    """The table a (unit mod p^depth) -> int | PadicNumber of a measure."""
+    """The table a (unit mod p^depth) -> int | PadicNumber of a measure.
 
-    def __init__(self, p, depth, root, symbol, values, exact):
+    The table is also the Stickelberger element sum values[a] [sigma_a]
+    (Mazur-Tate, Duke Math. J. 54, 1987), with sigma_a indexed by a, or by
+    a^(-1) when `dual`; its mass is the element's augmentation."""
+
+    def __init__(self, p, depth, root, symbol, values, exact, dual=False):
         self.p = p
         self.depth = depth
         self.root = root
         self.symbol = symbol
         self.values = values
         self.exact = exact
+        self.dual = dual
 
     def mass(self):
         return _total(self.values.values())
 
-    def to_json(self):
-        enc = (lambda v: str(v)) if self.exact else (lambda v: v.to_json())
-        return {
-            "p": self.p,
-            "depth": self.depth,
-            "exact": self.exact,
-            "values": {str(a): enc(v) for a, v in sorted(self.values.items())},
-        }
+    def pushforward(self):
+        """Image under (Z/p^depth)^* -> (Z/p^(depth-1))^*."""
+        if self.depth < 2:
+            raise MeasureError("already at depth 1")
+        pm = self.p ** (self.depth - 1)
+        out = {}
+        for a, v in self.values.items():
+            b = a % pm
+            out[b] = out[b] + v if b in out else v
+        return PadicMeasure(self.p, self.depth - 1, self.root, self.symbol, out, self.exact,
+                            self.dual)
+
+    def chi_twisted_sum(self, chi):
+        """sum chi(a) * values[a] for a map a -> Fraction."""
+        return _total(v * chi(a) for a, v in self.values.items())
+
+    def moment(self, j, prec=20):
+        """sum values[a] * log_p<a>^j, to the absolute precision the depth
+        proves (see `_log_moment`); the mass when j = 0."""
+        if j == 0:
+            return self.mass()
+        return _log_moment(self.values, self.p, self.depth, j, prec, self.exact)
+
+    def leading_term(self, r, prec=20):
+        """The I^r/I^(r+1) leading coefficient via moments; requires all
+        moments of degree < r to vanish."""
+        if r < 1:
+            raise MeasureError("order must be at least 1")
+        for j in range(r):
+            m = self.moment(j, prec)
+            vanishes = m.is_zero if isinstance(m, PadicNumber) else m == 0
+            if not vanishes:
+                raise MeasureError("order of vanishing less than %d" % r)
+        return self.moment(r, prec)
+
+    def to_json(self, element=False):
+        """The measure form (`exact`, `values`), or with `element` the
+        Stickelberger element form (`dual`, `coefficients`, `augmentation`)."""
+        table = {str(a): _encode(v) for a, v in sorted(self.values.items())}
+        if element:
+            return {"p": self.p, "depth": self.depth, "dual": self.dual, "coefficients": table,
+                    "augmentation": _encode(self.mass())}
+        return {"p": self.p, "depth": self.depth, "exact": self.exact, "values": table}
+
+
+def _encode(v):
+    return v.to_json() if isinstance(v, PadicNumber) else str(v)
 
 
 def _total(values):
@@ -200,82 +245,20 @@ def distribution_defect(measure, finer):
     distribution property holds."""
     if finer.depth != measure.depth + 1 or finer.p != measure.p:
         raise MeasureError("need measures at consecutive depths")
-    p, pn = measure.p, measure.p ** measure.depth
-    return {a: v - _total(finer.values[a + k * pn] for k in range(p))
-            for a, v in measure.values.items()}
-
-
-# -- Stickelberger elements ----------------------------------------------
-
-
-class StickelbergerElement:
-    """sum coeffs[a] [sigma_a] over a in (Z/p^depth)^*."""
-
-    def __init__(self, p, depth, coeffs, exact, dual=False):
-        self.p = p
-        self.depth = depth
-        self.coeffs = coeffs
-        self.exact = exact
-        self.dual = dual
-
-    def augmentation(self):
-        return _total(self.coeffs.values())
-
-    def pushforward(self):
-        """Image under (Z/p^depth)^* -> (Z/p^(depth-1))^*."""
-        if self.depth < 2:
-            raise MeasureError("already at depth 1")
-        pm = self.p ** (self.depth - 1)
-        out = {}
-        for a, v in self.coeffs.items():
-            b = a % pm
-            out[b] = out[b] + v if b in out else v
-        return StickelbergerElement(self.p, self.depth - 1, out, self.exact, self.dual)
-
-    def chi_twisted_sum(self, chi):
-        """sum chi(a) * coeff(a) for a map a -> Fraction."""
-        return _total(v * chi(a) for a, v in self.coeffs.items())
-
-    def moment(self, j, prec=20):
-        """sum coeff(a) * log_p<a>^j, to the absolute precision the depth
-        proves (see `_log_moment`); the augmentation when j = 0."""
-        if j == 0:
-            return self.augmentation()
-        return _log_moment(self.coeffs, self.p, self.depth, j, prec, self.exact)
-
-    def leading_term(self, r, prec=20):
-        """The I^r/I^(r+1) leading coefficient via moments; requires all
-        moments of degree < r to vanish."""
-        if r < 1:
-            raise MeasureError("order must be at least 1")
-        for j in range(r):
-            m = self.moment(j, prec)
-            vanishes = m.is_zero if isinstance(m, PadicNumber) else m == 0
-            if not vanishes:
-                raise MeasureError("order of vanishing less than %d" % r)
-        return self.moment(r, prec)
-
-    def to_json(self):
-        enc = (lambda v: str(v)) if self.exact else (lambda v: v.to_json())
-        aug = self.augmentation()
-        return {
-            "p": self.p,
-            "depth": self.depth,
-            "dual": self.dual,
-            "coefficients": {str(a): enc(v) for a, v in sorted(self.coeffs.items())},
-            "augmentation": enc(aug),
-        }
+    push = finer.pushforward().values
+    return {a: v - push[a] for a, v in measure.values.items()}
 
 
 def stickelberger(measure, dual=False):
-    """Theta_n = sum mu(a + p^n) [sigma_a]; sigma_a indexed by a itself
-    (arithmetic normalization), or by a^(-1) when dual."""
+    """Theta_n = sum mu(a + p^n) [sigma_a]: the measure itself, with sigma_a
+    indexed by a (arithmetic normalization), or its re-indexing by a^(-1)
+    when dual."""
+    if not dual:
+        return measure
     pn = measure.p ** measure.depth
-    coeffs = {}
-    for a, v in measure.values.items():
-        key = pow(a, -1, pn) if dual else a
-        coeffs[key] = v
-    return StickelbergerElement(measure.p, measure.depth, coeffs, measure.exact, dual)
+    values = {pow(a, -1, pn): v for a, v in measure.values.items()}
+    return PadicMeasure(measure.p, measure.depth, measure.root, measure.symbol, values,
+                        measure.exact, True)
 
 
 # -- L-values -------------------------------------------------------------
@@ -332,8 +315,7 @@ def lp_value_and_derivative(measure, prec=20):
     Weighting a = zeta * gamma^k by k log_p(gamma) instead of log_p<a>
     changes nothing mod p^depth, hence nothing that is reported.
     """
-    return measure.mass(), _log_moment(measure.values, measure.p, measure.depth, 1, prec,
-                                       measure.exact)
+    return measure.mass(), measure.moment(1, prec)
 
 
 def euler_factor(root, chi_p):

@@ -14,9 +14,10 @@ mapped to coordinates.  An eigen-symbol is its content-1 integer value at
 every Manin generator; its weights are the values at the basis
 generators, and a Hecke eigenvalue is computed only when asked for.
 Manin's continued-fraction trick is used only to evaluate a symbol on a
-path {a/m -> oo}.  Cusps are classed by a (d, x) key, `_cusp_key`, not
-by pairwise tests.  All arithmetic is exact, and on ints wherever the
-values are integers."""
+path {a/m -> oo}.  Cusps are classed by a (g, x) key, `_cusp_key`, not
+by pairwise tests, and a generator (c:d) keys both of its ends from c and
+d, with no lift to SL_2(Z).  All arithmetic is exact, and on ints wherever
+the values are integers."""
 
 from fractions import Fraction
 from functools import lru_cache
@@ -106,27 +107,6 @@ class P1List:
         c, d = self._reps[i]
         a, b, cc, dd = mat
         return self.index(c * a + d * cc, c * b + d * dd)
-
-
-def lift_to_sl2z(c, d, n):
-    """A matrix [[a, b], [c', d']] in SL_2(Z) whose bottom row is
-    projectively congruent to (c:d) mod n; any such lift represents the
-    same Gamma_0(n)-coset."""
-    if n == 1:
-        return (1, 0, 0, 1)
-    c %= n
-    d %= n
-    if c == 0:
-        if gcd(d, n) != 1:
-            raise ModSymError("not liftable")
-        return (1, 0, 0, 1)  # (0:d) ~ (0:1)
-    k = 0
-    dd = d
-    while gcd(c, dd) != 1:
-        k += 1
-        dd = d + k * n
-    a = pow(dd, -1, c)  # then b = (a*dd - 1)/c gives a*dd - b*c = 1
-    return (a, (a * dd - 1) // c, c, dd)
 
 
 @lru_cache(maxsize=None)
@@ -268,16 +248,6 @@ class SymbolSpace:
         """A Manin generator mapping to the k-th basis vector."""
         return self._basis[k]
 
-    # -- paths -----------------------------------------------------------
-
-    def generator_endpoints(self, i):
-        """(alpha, beta) with generator i = {alpha -> beta}."""
-        c, d = self.p1[i]
-        a, b, cc, dd = lift_to_sl2z(c, d, self.level)
-        alpha = INF if dd == 0 else Fraction(b, dd)
-        beta = INF if cc == 0 else Fraction(a, cc)
-        return alpha, beta
-
     # -- Hecke operators ---------------------------------------------------
 
     def hecke_matrix(self, ell):
@@ -320,11 +290,13 @@ class SymbolSpace:
         classes = {}  # cusp key -> (row, factor)
         rows = {}
         for k, gen in enumerate(self._basis):
-            for cusp, sgn in zip(self.generator_endpoints(gen), (-1, 1)):
-                a, m = (1, 0) if cusp is INF else (cusp.numerator, cusp.denominator)
-                key = _cusp_key(a, m, n)
+            c, d = self.p1[gen]
+            # (c:d) = {b/d -> a/c} for [[a, b], [c, d]] in SL_2(Z), where
+            # a d = 1 mod c and -b c = 1 mod d
+            for m, s, sgn in ((d, -c, -1), (c, d, 1)):
+                key = _cusp_key(m, s, n)
                 if key not in classes:
-                    neg = _cusp_key(-a, m, n)
+                    neg = _cusp_key(m, -s, n)
                     classes[neg] = key, self.sign
                     classes[key] = key, 0 if neg == key and self.sign == -1 else 1
                 row, factor = classes[key]
@@ -396,14 +368,15 @@ def _rational(text):
     return Fraction(text) if "/" in text else int(text)
 
 
-def _cusp_key(a, m, n):
-    """The Gamma_0(N)-class of the cusp a/m (lowest terms, m >= 0, oo = 1/0)
-    as (d, x): d = gcd(m, N), x = s (m/d)^-1 mod gcd(d, N/d), s a = 1 mod m.
-    Cusps are equivalent iff s1 m2 = s2 m1 mod gcd(m1 m2, N) (Cremona,
-    Algorithms for Modular Elliptic Curves, 2.2): that is d1 = d2, x1 = x2."""
-    d = gcd(m, n)
-    h = gcd(d, n // d)
-    return d, pow(a * (m // d), -1, h)
+def _cusp_key(m, s, n):
+    """The Gamma_0(N)-class of a cusp a/m (gcd(a, m) = 1, oo = 1/0) from its
+    denominator m and an inverse s a = 1 mod m of its numerator, as (g, x):
+    g = gcd(m, N), x = s (m/g)^-1 mod gcd(g, N/g).  Cusps are equivalent
+    iff s1 m2 = s2 m1 mod gcd(m1 m2, N) (Cremona, Algorithms for Modular
+    Elliptic Curves, 2.2): that is g1 = g2, x1 = x2."""
+    g = gcd(m, n)
+    h = gcd(g, n // g)
+    return g, s * pow(m // g, -1, h) % h
 
 
 # -- spaces are memoized per (level, sign, cache directory) -------------

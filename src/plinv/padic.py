@@ -19,9 +19,10 @@ pessimistically, so every reported digit is provable:
 An exact scalar (int or Fraction) has as many digits as anyone asks for, so
 it takes the precision of the element x it meets: in x * c and x / c the
 relative precision n of x, in x + c, x - c and x == c the absolute precision
-of x (at least one significant digit either way).  Exact 0 stays exact.
-Precision is never capped: an exact scalar that meets an exact zero, and
-zero ** 0, raise PadicError instead of inventing digits.
+of x (at least one significant digit either way).  Exact 0 stays exact,
+and so do 0 * c and 0 / c for an exact zero.  Precision is never capped:
+an exact scalar that meets an exact zero in +, - or ==, and zero ** 0,
+raise PadicError instead of inventing digits.
 """
 
 from fractions import Fraction
@@ -225,10 +226,11 @@ class PadicElement:
             return self._lift(other)
         if other == 0:
             return self._zero(inf)
+        if relative and (self.v == inf or not self.is_zero):
+            # an exact zero times or over c is exactly 0: any precision will do
+            return self._exact(Fraction(other), max(self.n, 1))
         if self.v == inf:
             raise PadicError("an exact scalar meets an exact zero: no precision to give it")
-        if relative and not self.is_zero:
-            return self._exact(Fraction(other), self.n)
         return self._exact(Fraction(other), max(self.abs_prec - frac_val(other, self.p), 1))
 
     def __add__(self, other):

@@ -1,6 +1,7 @@
 """Shared test oracles, independent of the library internals."""
 
 from fractions import Fraction
+from math import gcd
 
 
 def frac_mod(x, p, k):
@@ -195,13 +196,50 @@ def path_to_infinity(space, r):
     return {k: v for k, v in total.items() if v}
 
 
+def lift_to_sl2z(c, d, n):
+    """A matrix [[a, b], [c', d']] in SL_2(Z) whose bottom row is
+    projectively congruent to (c:d) mod n; any such lift represents the
+    same Gamma_0(n)-coset."""
+    if n == 1:
+        return (1, 0, 0, 1)
+    c %= n
+    d %= n
+    if c == 0:
+        if gcd(d, n) != 1:
+            raise ValueError("not liftable")
+        return (1, 0, 0, 1)  # (0:d) ~ (0:1)
+    k = 0
+    dd = d
+    while gcd(c, dd) != 1:
+        k += 1
+        dd = d + k * n
+    a = pow(dd, -1, c)  # then b = (a*dd - 1)/c gives a*dd - b*c = 1
+    return (a, (a * dd - 1) // c, c, dd)
+
+
+def generator_endpoints(space, i):
+    """(alpha, beta) with Manin generator i = {alpha -> beta}: the images
+    of 0 and oo under a lift of its bottom row to SL_2(Z)."""
+    a, b, c, d = lift_to_sl2z(*space.p1[i], space.level)
+    return mobius(a, b, c, d, 0), mobius(a, b, c, d, INF)
+
+
+def cusp_inverse_numerator(z):
+    """(m, s) for a cusp z = a/m in lowest terms, m >= 0: s a = 1 mod m,
+    and (0, 1) for oo."""
+    if z is INF:
+        return 0, 1
+    z = Fraction(z)
+    return z.denominator, _inverse(z.numerator, z.denominator)
+
+
 def hecke_matrix_reference(space, ell):
     """T_ell (U_ell when ell divides the level) from the rational
     coordinates of every image path, {a -> b} = {a -> oo} - {b -> oo}."""
     dim = space.dimension
     cols = []
     for k in range(dim):
-        alpha, beta = space.generator_endpoints(space.basis_generator(k))
+        alpha, beta = generator_endpoints(space, space.basis_generator(k))
         total = {}
         for img_a, img_b in hecke_images(alpha, beta, ell, space.level):
             for r, sgn in ((img_a, 1), (img_b, -1)):
@@ -229,8 +267,6 @@ def p1_orbit_minima(n):
     gcd(c, N) (0 when N | c), and its second the least one reachable."""
     if n == 1:
         return [(0, 0)]
-    from math import gcd
-
     units = [s for s in range(1, n) if gcd(s, n) == 1]
     seen = bytearray(n * n)
     reps = []
@@ -246,8 +282,6 @@ def p1_orbit_minima(n):
 
 def p1_reduce_reference(n, c, d):
     """The least pair of the unit orbit of (c, d) mod N, by brute force."""
-    from math import gcd
-
     return min((s * c % n, s * d % n) for s in range(1, max(n, 2)) if gcd(s, n) == 1)
 
 
@@ -255,8 +289,6 @@ def cusps_equivalent(a1, m1, a2, m2, n):
     """Gamma_0(N)-equivalence of the cusps a1/m1 and a2/m2 by Cremona's
     criterion s1 m2 = s2 m1 mod gcd(m1 m2, N), where s_i a_i = 1 mod m_i
     (Algorithms for Modular Elliptic Curves, 2.2), tested pair by pair."""
-    from math import gcd
-
     g1 = gcd(a1, m1)
     a1, m1 = a1 // g1, m1 // g1
     g2 = gcd(a2, m2)

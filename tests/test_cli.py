@@ -465,6 +465,16 @@ class TestImporter:
         rc, out = run(["import-curve", "--row", "11a1 0,-1,1,-10,-20"], tmp_path)
         assert rc == 0 and out["registered"] == str(tmp_path / "user_curves.tsv")
 
+    def test_a_malformed_row_is_named_with_its_file_and_line(self, tmp_path, capsys):
+        assert run(["import-curve", "--row", "19a1 0,1,1,-9,-15"], tmp_path)[0] == 0
+        table = tmp_path / "user_curves.tsv"
+        with open(table, "a", encoding="utf-8") as fh:
+            fh.write("oops 1,2\n")
+        for args in (["li-curve", "--label", "19a1", "-p", "19"],
+                     ["import-curve", "--row", "my11z 0,-1,1,-10,-20"]):
+            assert run(args, tmp_path) == (2, "")
+            assert f"{table}, line 2: need five a-invariants" in capsys.readouterr().err
+
     def test_discriminant_with_large_prime_factors(self):
         # disc = -3^3 67^2 73705545679^2: trial division alone ran for minutes
         proc = _fresh_python(["-m", "plinv.cli", "--no-cache", "--no-meta", "import-curve",
@@ -932,6 +942,13 @@ class TestSchemas:
             rc, out = run(args, tmp_path)
             assert rc == 0, args
             self._validate(out, schema)
+
+    @pytest.mark.parametrize("label,p", [("11a1tw5", 7), ("11a1tw-7", 5)])
+    def test_lp_where_a_row_of_the_log_walk_is_exactly_zero(self, label, p):
+        # the row sum is an exact zero, and k^j times it is exactly 0
+        rc, out = run(["lp", "--label", label, "-p", str(p), "--depth", "2"])
+        assert rc == 0
+        self._validate(out, "lp.json")
 
     def test_references_resolve(self):
         import jsonschema

@@ -6,6 +6,7 @@ from math import gcd
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from plinv import modsym
 from plinv.curves import curve_by_label, curve_table, trace_of_frobenius
 from plinv.linalg import echelon, kernel_basis, mat_mul, primitive, rank
 from plinv.modsym import (
@@ -16,17 +17,19 @@ from plinv.modsym import (
     _cusp_key,
     build_space,
     eigen_symbol,
-    lift_to_sl2z,
     merel_matrices,
 )
 
 from helpers import (
+    cusp_inverse_numerator,
     cusps_equivalent,
     eigenvalue_reference,
     fraction_space,
+    generator_endpoints,
     hecke_matrix_reference,
     kernel_basis_reference,
     l_value_at_one,
+    lift_to_sl2z,
     p1_orbit_minima,
     p1_reduce_reference,
     path_to_infinity,
@@ -184,6 +187,7 @@ class TestP1:
                         assert p1.reduce(s * c % n, s * d % n) == canon
 
     def test_lift_bottom_row(self):
+        # the test oracle's lift, behind `generator_endpoints`
         for n in (11, 14, 15, 37, 45):
             p1 = P1List(n)
             for i in range(len(p1)):
@@ -257,6 +261,11 @@ def _cusp_pairs(draw):
     return n, (a, m), _gamma0_image(a, m, n, c, d, draw(st.integers(-5, 5))), True
 
 
+def _key(a, m, n):
+    """`_cusp_key` of the cusp a/m (gcd(a, m) = 1, oo = 1/0)."""
+    return _cusp_key(m, pow(a, -1, m) if m else 1, n)
+
+
 class TestCuspKey:
     """`_cusp_key` against Cremona's pairwise criterion and the genus."""
 
@@ -269,7 +278,7 @@ class TestCuspKey:
                             if gcd(a, m) == 1]
         first = {}
         for a, m in cusps:
-            key = _cusp_key(a, m, n)
+            key = _key(a, m, n)
             if key in first:
                 assert cusps_equivalent(a, m, *first[key], n), (a, m, first[key])
             else:
@@ -281,18 +290,18 @@ class TestCuspKey:
     @given(_cusp_pairs())
     def test_keys_agree_with_the_oracle_at_large_levels(self, case):
         n, (a1, m1), (a2, m2), equivalent = case
-        same = _cusp_key(a1, m1, n) == _cusp_key(a2, m2, n)
+        same = _key(a1, m1, n) == _key(a2, m2, n)
         assert same == cusps_equivalent(a1, m1, a2, m2, n)
         if equivalent:
             assert same
-        assert (_cusp_key(-a1, m1, n) == _cusp_key(a2, m2, n)) == cusps_equivalent(
+        assert (_key(-a1, m1, n) == _key(a2, m2, n)) == cusps_equivalent(
             -a1, m1, a2, m2, n)
 
     def test_key_count_is_the_number_of_cusps(self):
         # every class has a cusp a/d with d | N
         for n in range(1, 301):
-            keys = {_cusp_key(1, 0, n)} | {
-                _cusp_key(a, d, n) for d in range(1, n + 1) if n % d == 0
+            keys = {_key(1, 0, n)} | {
+                _key(a, d, n) for d in range(1, n + 1) if n % d == 0
                 for a in range(d) if gcd(a, d) == 1}
             assert len(keys) == genus_gamma0(n)[1], n
 
@@ -300,10 +309,37 @@ class TestCuspKey:
     def test_cuspidal_dimension_is_the_genus(self, sign):
         # 1/2 is its own negative at level 4, and so dies under sign -1;
         # at level 9, 1/3 and -1/3 are distinct cusps swapped by negation
-        assert _cusp_key(1, 2, 4) == _cusp_key(-1, 2, 4)
-        assert _cusp_key(1, 3, 9) != _cusp_key(-1, 3, 9)
+        assert _key(1, 2, 4) == _key(-1, 2, 4)
+        assert _key(1, 3, 9) != _key(-1, 3, 9)
         for n in range(1, 201):
             assert SymbolSpace(n, sign).cuspidal_dimension == genus_gamma0(n)[0], n
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_boundary_keys_are_those_of_the_lifted_endpoints(self, sign, monkeypatch):
+        # boundary_rows keys the two ends of a generator (c:d) from c and d;
+        # the oracle lifts (c:d) to SL_2(Z) and keys the cusps it moves 0
+        # and oo to, then a new class's negative, in the order of the rows
+        got = []
+
+        def recorded(m, s, n):
+            got.append(_cusp_key(m, s, n))
+            return got[-1]
+
+        for n in range(1, 301):
+            space = SymbolSpace(n, sign)
+            got.clear()
+            monkeypatch.setattr(modsym, "_cusp_key", recorded)
+            space.boundary_rows()
+            monkeypatch.undo()
+            want, seen = [], set()
+            for k in range(space.dimension):
+                for z in generator_endpoints(space, space.basis_generator(k)):
+                    m, s = cusp_inverse_numerator(z)
+                    want.append(_cusp_key(m, s, n))
+                    if want[-1] not in seen:
+                        want.append(_cusp_key(m, -s, n))
+                        seen.update(want[-2:])
+            assert got == want, n
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_cuspidal_subspace_is_hecke_stable(self, sign):

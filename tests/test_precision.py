@@ -112,7 +112,7 @@ class TestExactScalarRules:
 
     def test_exact_zero_and_scalar_raise(self):
         z = PadicNumber.zero(5)
-        for op in (lambda: z + 3, lambda: 3 - z, lambda: z * Fraction(1, 2), lambda: z == 1):
+        for op in (lambda: z + 3, lambda: 3 - z, lambda: z == 1):
             with pytest.raises(PadicError, match="exact zero"):
                 op()
         ctx = UnramifiedContext(5, 2)
@@ -122,6 +122,10 @@ class TestExactScalarRules:
     def test_exact_zero_scalar_stays_exact(self):
         z = PadicNumber.zero(5)
         assert (z + 0).is_exact_zero and (z * 0).is_exact_zero
+        # 0 * c and 0 / c invent no digit: they are exactly 0
+        assert (z * Fraction(1, 2)).is_exact_zero and (3 * z).is_exact_zero
+        assert (z / 3).is_exact_zero and (z / Fraction(5, 2)).is_exact_zero
+        assert (UnramifiedContext(5, 2).from_vector([0, 0], 4) * 7).is_exact_zero
         x = PadicNumber.from_int(5, 7, 4)
         assert (x * 0).is_exact_zero and (x + 0) == x
 

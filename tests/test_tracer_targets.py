@@ -1,4 +1,5 @@
-"""Every function the benchmark's tracer wraps must exist in plinv.
+"""Every function the benchmark's tracer wraps must exist in plinv, and
+a traced command must print what a plain one does.
 
 `perfbench/tracer.py` rebinds each (module, attribute path) of its TARGETS
 when `--trace 1` runs; a refactor that renames or deletes one of them
@@ -7,11 +8,14 @@ would break tracing without failing any other test.
 
 import importlib
 import importlib.util
+import json
+import time
 from pathlib import Path
 
 import pytest
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 
 
 def _targets():
@@ -60,3 +64,36 @@ def test_every_binding_is_patched():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-ezc", "--label", "11a1", "-p", "11", "--depth", "2"],
+    ["lp", "--label", "11a1", "-p", "3", "--depth", "2", "--table"],
+    ["stickelberger", "--label", "11a1", "-p", "11", "-n", "2", "--dual"],
+    ["modsym", "dump", "--level", "37", "--hecke", "2,3"],
+], ids=["check-ezc", "lp", "stickelberger", "modsym-dump"])
+def test_traced_command_prints_what_a_plain_one_does(argv, tmp_path):
+    """The same exit code and stdout bytes under `perfbench/traced_cli.py`
+    as under `python -m plinv.cli`, and size counters that saw the P^1
+    list, the space and, on a measure command, the measure table."""
+    import os
+    import subprocess
+    import sys
+
+    import plinv
+
+    argv = ["--no-cache", "--no-meta", *argv]
+    src = os.path.dirname(os.path.dirname(plinv.__file__))
+    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1",
+               PERFBENCH_SPAWN_NS=str(time.perf_counter_ns()))
+    spans = tmp_path / "spans.json"
+    traced, plain = [subprocess.run([sys.executable, *head, *argv], env=env, cwd=tmp_path,
+                                    capture_output=True, timeout=120)
+                     for head in ([str(PERFBENCH / "traced_cli.py"), str(spans)],
+                                  ["-m", "plinv.cli"])]
+    assert plain.returncode == 0, plain.stderr
+    assert (traced.returncode, traced.stdout) == (plain.returncode, plain.stdout), traced.stderr
+    counters = json.loads(spans.read_text())["counters"]
+    assert counters["modsym.p1_size"] > 0 and counters["modsym.dimension"] > 0, counters
+    if argv[2] != "modsym":
+        assert counters["measures.cells"] > 0, counters
