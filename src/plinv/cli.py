@@ -255,7 +255,7 @@ def _symbol_and_measure(args, cache):
     from .modsym import eigen_symbol
 
     curve = _resolve_curve(args, cache)
-    symbol = eigen_symbol(curve, level=None, cache=cache)
+    symbol = eigen_symbol(curve, cache=cache)
     measure = build_measure(symbol, args.p, args.depth, prec=args.prec)
     return curve, symbol, measure
 

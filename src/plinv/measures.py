@@ -38,6 +38,7 @@ a half.
 from fractions import Fraction
 from functools import reduce
 from operator import add
+from types import SimpleNamespace
 
 from . import curves, modsym, padic
 from .curves import (
@@ -426,6 +427,37 @@ def ezc_report(curve, measure, prec=20, dual=False):
     )
 
 
+class TwistedSymbol(modsym.EigenSymbol):
+    """The eigen-symbol of E^D for D prime to N, of sign chi_D(-1) times
+    that of `base`, E's level-N symbol, on P^1(Z/N D^2) by the twisted sums
+    of Mazur-Tate-Teitelbaum (Invent. Math. 84, 1986, I.8): with
+    T(r) = sum_{b mod |D|} chi_D(b) [r + b/|D|] and T(oo) = 0, the
+    generator (c:d) = {b/d -> a/c}, a d - b c = 1, takes T(b/d) - T(a/c).
+    Its space holds only what the walk reads; T_ell acts by
+    chi_D(ell) a_ell(E), read from `base` on demand."""
+
+    def __init__(self, base, d):
+        k, level = abs(d), base.level * d * d
+        chars = [(b, kronecker(d, b)) for b in range(1, k) if kronecker(d, b)]
+
+        def t(x, y):  # T(x/y) for y >= 0
+            vals = base.values_at(y * k, [x * k + b * y for b, _ in chars]) if y else ()
+            return sum(c * v for (_, c), v in zip(chars, vals))
+
+        p1 = modsym.P1List(level)
+        vals = []
+        for c, e in p1:  # a = 1 when c = 0, and the lift is [[1, 0], [0, 1]]
+            a = pow(e, -1, c) if c else 1
+            vals.append(t((a * e - 1) // c if c else 0, e) - t(a, c))
+        space = SimpleNamespace(p1=p1, level=level, sign=base.sign * (1 if d > 0 else -1))
+        super().__init__(space, modsym.normalized(vals), {})
+        self.base, self.d = base, d
+
+    def eigenvalue(self, ell):
+        chi = kronecker(self.d, ell)
+        return chi and chi * self.base.eigenvalue(ell)
+
+
 class TwistReport:
     """The quadratic-twist product bookkeeping of one case."""
 
@@ -477,8 +509,7 @@ def twist_product_check(curve, d, p, depth=3, prec=20, *, cache=None):
         raise MeasureError("D must be coprime to p and the conductor")
     chi_p = kronecker(d, p)
     twist = quadratic_twist(curve, d)
-    level_tw = n * d * d
-    sym_tw = modsym.eigen_symbol(twist, level=level_tw, cache=cache)
+    sym_tw = TwistedSymbol(modsym.eigen_symbol(curve, 1 if d > 0 else -1, cache=cache), d)
     measure_tw = build_measure(sym_tw, p, depth, prec=prec)
 
     if chi_p == 1:

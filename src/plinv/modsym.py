@@ -11,13 +11,14 @@ module alone names the cache files and writes them.  Hecke operators act
 on Manin symbols directly, by Merel's matrices, and are never read from
 disk: the images of a generator are counted as integers before they are
 mapped to coordinates.  An eigen-symbol is its content-1 integer value at
-every Manin generator; its weights are the values at the basis
-generators, and a Hecke eigenvalue is computed only when asked for.
-Manin's continued-fraction trick is used only to evaluate a symbol on a
-path {a/m -> oo}.  Cusps are classed by a (g, x) key, `_cusp_key`, not
-by pairwise tests, and a generator (c:d) keys both of its ends from c and
-d, with no lift to SL_2(Z).  All arithmetic is exact, and on ints wherever
-the values are integers."""
+every Manin generator, on the space of its curve's own level (a quadratic
+twist's is summed from its curve's, `measures.TwistedSymbol`); its
+weights are the values at the basis generators, and a Hecke eigenvalue
+is computed only when asked for.  Manin's continued-fraction trick is
+used only to evaluate a symbol on a path {a/m -> oo}.  Cusps are classed
+by a (g, x) key, `_cusp_key`, not by pairwise tests, and a generator
+(c:d) keys both of its ends from c and d, with no lift to SL_2(Z).  All
+arithmetic is exact, and on ints wherever the values are integers."""
 
 from fractions import Fraction
 from functools import lru_cache
@@ -26,14 +27,11 @@ from math import gcd
 from . import linalg
 from .cache import CacheError
 from .linalg import echelon, mat_mul, primitive, rank
-from .padic import DomainError, _is_probable_prime, factor
+from .padic import DomainError, _is_probable_prime
 
 
 class ModSymError(DomainError):
     pass
-
-
-INF = None  # the cusp at infinity in path endpoints
 
 
 class P1List:
@@ -442,8 +440,6 @@ class EigenSymbol:
         """Value on the path {a/m -> oo}: a numerator a and a denominator
         m > 0 as ints, or one rational a (int or Fraction); an int, since
         the generator values are.  The one-path case of `values_at`."""
-        if a is INF:
-            return 0
         if type(a) is not int:
             a, m = a.numerator, m * a.denominator
         return self.values_at(m, (a,))[0]
@@ -494,9 +490,6 @@ class EigenSymbol:
             self.eigenvalues[ell] = Fraction(img[k], w[k])
         return self.eigenvalues[ell]
 
-    def evaluate_path(self, alpha, beta):
-        return self.evaluate(alpha) - self.evaluate(beta)
-
     @property
     def at_zero(self):
         return self.evaluate(0)
@@ -505,22 +498,17 @@ class EigenSymbol:
 EIGEN_LMAX = 50  # the largest prime probed to isolate an eigenline
 
 
-def eigen_symbol(curve, sign=1, level=None, cache=None):
-    """The integer Hecke eigen-symbol attached to an elliptic curve.
+def eigen_symbol(curve, sign=1, cache=None):
+    """The integer Hecke eigen-symbol attached to an elliptic curve, on the
+    space of its own level.
 
     Probes T_ell for good primes ell until the joint left-eigenspace is a
-    line, and computes no other Hecke matrix; values are normalized to
-    content 1 with value at {0 -> oo} nonnegative.  A `level` whose prime
-    divisors are not the curve's bad primes cannot be its level, and is
-    refused before any probe could pick another curve's line there.
+    line, and computes no other Hecke matrix; values are normalized by
+    `normalized`.
     """
-    from .curves import bad_primes, curve_level, trace_of_frobenius  # not on `modsym dump`
+    from .curves import curve_level, trace_of_frobenius  # not on `modsym dump`
 
-    if level is None:
-        level = curve_level(curve)
-    elif level < 1 or list(factor(level)) != bad_primes(curve):
-        raise ModSymError(f"curve not found at level {level}: its bad primes are "
-                          f"{bad_primes(curve)}")
+    level = curve_level(curve)
     space = build_space(level, sign, cache)
     basis = None
     probes = {}
@@ -537,12 +525,17 @@ def eigen_symbol(curve, sign=1, level=None, cache=None):
     else:
         raise ModSymError("eigenline not isolated by ell <= %d" % EIGEN_LMAX)
     w = basis[0]
-    vals = primitive([sum(w[k] * v for k, v in space.gen_coords(i).items())
-                      for i in range(len(space.p1))])
-    v0 = vals[space.p1.index(0, 1)]  # {0 -> oo} is the generator (0:1)
-    if v0 < 0 or (v0 == 0 and next((v for v in vals if v), 0) < 0):
-        vals = [-v for v in vals]
+    vals = normalized([sum(w[k] * v for k, v in space.gen_coords(i).items())
+                       for i in range(len(space.p1))])
     return EigenSymbol(space, vals, probes, label=getattr(curve, "label", ""))
+
+
+def normalized(values):
+    """Generator values scaled to content 1, with the first nonzero one
+    positive: the value at (0:1) = {0 -> oo}, the first generator, is then
+    nonnegative."""
+    values = primitive(values)
+    return [-v for v in values] if next((v for v in values if v), 0) < 0 else values
 
 
 def _next_prime(n):

@@ -146,7 +146,7 @@ def padic_digits(x):
 # -- symbol-space oracles: rational path coordinates, brute-force P^1 ------
 
 
-INF = None  # the cusp at infinity, as in plinv.modsym
+INF = None  # the cusp at infinity
 
 
 def manin_pieces(a, m):
@@ -257,6 +257,42 @@ def eigenvalue_reference(weights, mat):
     k = next(i for i, x in enumerate(w) if x)
     mu = img[k] / w[k]
     return mu if img == [mu * x for x in w] else None
+
+
+def twist_symbol_reference(curve, d, sign=1):
+    """(space, weights, generator values) of the quadratic twist E^D on the
+    space of level N D^2, its line isolated by T_ell probes with the twist's
+    point counts through `linalg.left_eigen_space`; the values have
+    content 1, and the value at (0:1) is nonnegative (if it is 0, the
+    first nonzero value is positive)."""
+    from plinv import linalg
+    from plinv.curves import curve_level, quadratic_twist, trace_of_frobenius
+    from plinv.modsym import SymbolSpace
+
+    twist = quadratic_twist(curve, d)
+    space = SymbolSpace(curve_level(curve) * d * d, sign)
+    basis = None
+    for ell in range(2, 51):
+        if space.level % ell and all(ell % q for q in range(2, ell)):
+            basis = linalg.left_eigen_space(space.hecke_matrix(ell),
+                                            trace_of_frobenius(twist, ell), basis)
+            if len(basis) == 1:
+                break
+    assert len(basis) == 1, "eigenline not isolated by ell <= 50"
+    w = [Fraction(x) for x in basis[0]]
+    vals = [sum((w[k] * v for k, v in space.gen_coords(i).items()), Fraction(0))
+            for i in range(len(space.p1))]
+    den = 1
+    for v in vals:
+        den = den * v.denominator // gcd(den, v.denominator)
+    num = 0
+    for v in vals:
+        num = gcd(num, (v * den).numerator)
+    vals = [int(v * den / num) for v in vals]
+    v0 = vals[space.p1.index(0, 1)]
+    if v0 < 0 or (v0 == 0 and next(v for v in vals if v) < 0):
+        vals = [-v for v in vals]
+    return space, basis[0], vals
 
 
 def p1_orbit_minima(n):

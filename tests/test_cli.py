@@ -311,6 +311,9 @@ class TestReports:
          "e965aac39afc7322e6b1c3394e5d4252f30f5ef3026fead0d5b6426fe6404559"),
         (["check-twist", "--label", "11a1", "-D", "13", "-p", "11"],
          "f24776ec95372d7b062ab61cc368d2235e09a64c4d78bfbfd77639818f25bd98"),
+        # recorded from the level-9251 space that the twisted sums replaced
+        (["check-twist", "--label", "11a1", "-D", "29", "-p", "11"],
+         "2125aac054facd8dc986a009b4afe8455e01c81aa728d499db81c6cf601958d3"),
         # nonsplit multiplicative reduction at p = 2
         (["li-curve", "--label", "14a1", "-p", "2", "--prec", "30"],
          "2ce849416911faeddfcb1b129ad3876b94dbd538908a4c86f42882010be4bbfa"),
@@ -321,7 +324,7 @@ class TestReports:
         # bad primes and their reduction kinds, at 2 and 7
         (["import-curve", "--row", "14a1 1,0,1,4,-6"],
          "a922a916dda1bc4aa199e41d3934fdd6b32d8d62b051e399f1849c980f617037"),
-    ], ids=["twist-5", "twist-minus-4", "twist-8", "twist-13", "li-curve-14a1-p2",
+    ], ids=["twist-5", "twist-minus-4", "twist-8", "twist-13", "twist-29", "li-curve-14a1-p2",
             "li-curve-37b1-prec-1000", "import-14a1"])
     def test_arithmetic_golden_sha256(self, args, digest):
         # stdout bytes recorded before the factoring, split test and F_{p^f}
@@ -559,21 +562,38 @@ class TestCacheRoundTrip:
         assert all(type(v) is int for c in space._gen_coords for v in c.values())
 
     @pytest.mark.parametrize("args,space_file,used,unused", [
-        (["check-twist", "--label", "11a1", "-D", "5", "-p", "11"], "modsym_275_plus", 11, 5),
+        # the twist's symbol is summed from 11a1's own: no level-275 space
+        (["check-twist", "--label", "11a1", "-D", "5", "-p", "11"], "modsym_11_plus", 11, 5),
         (["check-ezc", "--label", "14a1", "-p", "7"], "modsym_14_plus", 7, 2),
     ], ids=["check-twist", "check-ezc"])
     def test_cold_run_computes_only_the_u_p_it_reads(self, tmp_path, recorded, args,
                                                       space_file, used, unused):
         from plinv import modsym
 
-        computed = recorded[1]
+        stores, computed = recorded
         modsym._space_memo.clear()
         assert run(args, tmp_path)[0] == 0
+        assert stores == [space_file]
         # the measure at p reads U_p; no U_ell at another bad prime is computed
         assert used in computed and unused not in computed
         # and none reaches the disk: the file holds the presentation alone
         data = json.loads((tmp_path / f"{space_file}.json").read_text())
         assert sorted(data["payload"]) == PRESENTATION_KEYS
+
+    @pytest.mark.parametrize("disc", ["5", "-4"])
+    def test_check_twist_builds_only_the_curve_level(self, monkeypatch, disc):
+        # E^D's symbol is the twisted sum of E's, so no space of level N D^2
+        from plinv import modsym
+
+        built, real = [], modsym.build_space
+
+        def recording(level, sign=1, cache=None):
+            built.append(level)
+            return real(level, sign, cache)
+
+        monkeypatch.setattr(modsym, "build_space", recording)
+        assert run(["check-twist", "--label", "11a1", "-D", disc, "-p", "11"])[0] == 0
+        assert built and set(built) == {11}
 
     def test_failed_command_keeps_the_space_it_built(self, tmp_path, recorded):
         from plinv import modsym

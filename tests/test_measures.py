@@ -9,6 +9,7 @@ from plinv.cli import main
 from plinv.curves import curve_by_label, trace_of_frobenius
 from plinv.measures import (
     MeasureError,
+    TwistedSymbol,
     build_measure,
     cyclotomic_polynomial,
     distribution_defect,
@@ -23,7 +24,13 @@ from plinv.measures import (
 )
 from plinv.modsym import EigenSymbol, eigen_symbol
 
-from helpers import measure_reference, padic_digits, riemann_sum_reference
+from helpers import (
+    eigenvalue_reference,
+    measure_reference,
+    padic_digits,
+    riemann_sum_reference,
+    twist_symbol_reference,
+)
 
 
 SPLIT_PAIRS = [("11a1", 11), ("15a1", 5), ("21a1", 3), ("17a1", 17), ("14a1", 7), ("37b1", 37)]
@@ -155,7 +162,7 @@ class TestMeasure:
             assert v.is_zero
 
     def test_additive_prime_rejected(self):
-        sym = eigen_symbol(curve_by_label("11a1tw5"), level=275)
+        sym = eigen_symbol(curve_by_label("11a1tw5"))
         with pytest.raises(MeasureError, match="additive"):
             build_measure(sym, 5, 2)
 
@@ -175,6 +182,27 @@ class TestMeasure:
         assert mixed.eigenvalue(3) is None
         with pytest.raises(MeasureError, match="no eigenvalue"):
             build_measure(mixed, 3, 2)
+
+
+class TestTwistedSymbol:
+    """E^D's symbol summed from E's own against the level-N D^2 space of
+    the twist, its line isolated by Hecke probes."""
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("label,d", [
+        ("11a1", 5), ("11a1", -4), ("11a1", 8), ("11a1", 13), ("37b1", 5), ("37b1", -3),
+        ("14a1", 5), ("15a1", -7), ("17a1", -3), ("21a1", 5),
+    ])
+    def test_matches_the_twist_level_space(self, label, d, sign):
+        curve = curve_by_label(label)
+        sym = TwistedSymbol(eigen_symbol(curve, sign if d > 0 else -sign), d)
+        space, weights, values = twist_symbol_reference(curve, d, sign)
+        assert (sym.level, sym.sign) == (space.level, sign)
+        assert sym.gen_values == values
+        if label == "11a1" and d in (5, -4):
+            for ell in (2, 3, 5, 7, 11, 13):
+                want = eigenvalue_reference(weights, space.hecke_matrix(ell))
+                assert want is not None and sym.eigenvalue(ell) == want, ell
 
 
 class TestStickelberger:

@@ -71,7 +71,9 @@ def test_every_binding_is_patched():
     ["lp", "--label", "11a1", "-p", "3", "--depth", "2", "--table"],
     ["stickelberger", "--label", "11a1", "-p", "11", "-n", "2", "--dual"],
     ["modsym", "dump", "--level", "37", "--hecke", "2,3"],
-], ids=["check-ezc", "lp", "stickelberger", "modsym-dump"])
+    ["check-twist", "--label", "11a1", "-D", "5", "-p", "11"],
+    ["check-twist", "--label", "11a1", "-D", "-4", "-p", "11"],
+], ids=["check-ezc", "lp", "stickelberger", "modsym-dump", "check-twist-5", "check-twist-minus-4"])
 def test_traced_command_prints_what_a_plain_one_does(argv, tmp_path):
     """The same exit code and stdout bytes under `perfbench/traced_cli.py`
     as under `python -m plinv.cli`, and size counters that saw the P^1
