@@ -61,14 +61,13 @@ def parse_period_literal(text, p):
 
 
 def parse_branch(text, p):
-    if text is None or text.lower() in ("p", "iwasawa", "log_p"):
-        return "iwasawa"
-    if text.lower() in ("cyc", "cyclotomic"):
-        return "cyclotomic"
-    value = Fraction(1)
-    for base, exp in parse_period_literal(text, p).factors:
-        value *= Fraction(base) ** exp
-    return value
+    """A branch tag of `periods.li` as given, or the value of a period
+    literal."""
+    from .periods import BRANCH_TAGS
+
+    if text.lower() in BRANCH_TAGS:
+        return text
+    return parse_period_literal(text, p).rational_value()
 
 
 # -- argument plumbing ----------------------------------------------------
@@ -273,9 +272,9 @@ def cmd_stickelberger(args, cache):
         "theta": theta.to_json(element=True),
     }
     if args.depth >= 2:
-        finer = build_measure(symbol, args.p, args.depth - 1, prec=args.prec)
-        out["projection_compatible"] = (stickelberger(finer, dual=args.dual).values
-                                        == theta.pushforward().values)
+        coarser = build_measure(symbol, args.p, args.depth - 1, prec=args.prec)
+        out["projection_compatible"] = (stickelberger(coarser, dual=args.dual).rows
+                                        == theta.pushforward().rows)
     return out
 
 

@@ -1,7 +1,6 @@
 """Mazur-Tate measures on Z_p^*, cyclotomic p-adic L-values and
 derivatives, and the exceptional-zero / twist / product verifiers.  A
-measure's table is also its Stickelberger element: one `PadicMeasure`
-holds both.
+measure is also its Stickelberger element: one `PadicMeasure` holds both.
 
 For a p-ordinary eigen-symbol with unit root alpha the measure of the
 residue disc a + p^n Z_p is built from symbol values [r] at rationals:
@@ -17,8 +16,10 @@ analogue at Steinberg primes, where the local L-factor has a single
 root.
 
 Each [a/m] is a sum of integer generator values along the continued
-fraction of a/m, walked on the two ints.  A table evaluates one unit per
-orbit of its symmetries and fills the rest of the orbit from it:
+fraction of a/m, walked on the two ints.  A measure is held once, as rows
+in the coordinates a = zeta gamma^k in which it is built and integrated
+(`_log_coordinates`); it evaluates one unit per orbit of its symmetries
+and fills the rest of the orbit from it:
 
   * On the sign-eps quotient [-r] = eps [r] and [r + 1] = [r], so
     mu(p^n - a) = eps mu(a) in both cases (Mazur-Tate-Teitelbaum,
@@ -31,13 +32,12 @@ orbit of its symmetries and fills the rest of the orbit from it:
     [-r] = eps [r] does the rest.  Where N does not divide p^n the matrix
     is not in Gamma_0(N), and the rule fails (14a1 at 7, 15a1 at 5).
 
-So a table at level p evaluates about a quarter of the units, any other
-a half.
+So a measure at level p evaluates about a quarter of the units, any
+other a half.
 """
 
 from fractions import Fraction
-from functools import reduce
-from operator import add
+import functools
 from types import SimpleNamespace
 
 from . import curves, modsym, padic
@@ -104,46 +104,71 @@ def unit_root(p, ap, multiplicative, prec=20):
 
 
 class PadicMeasure:
-    """The table a (unit mod p^depth) -> int | PadicNumber of a measure.
+    """A measure on (Z/p^depth)^*, held in the coordinates zeta gamma^k of
+    `_log_coordinates`: rows[k][i] is mu(torsion[i] gamma^k), an int or a
+    PadicNumber.
 
-    The table is also the Stickelberger element sum values[a] [sigma_a]
+    The measure is also the Stickelberger element sum mu(a) [sigma_a]
     (Mazur-Tate, Duke Math. J. 54, 1987), with sigma_a indexed by a, or by
     a^(-1) when `dual`; its mass is the element's augmentation."""
 
-    def __init__(self, p, depth, root, symbol, values, exact, dual=False):
+    def __init__(self, p, depth, root, symbol, rows, dual=False):
         self.p = p
         self.depth = depth
         self.root = root
         self.symbol = symbol
-        self.values = values
-        self.exact = exact
+        self.rows = rows
         self.dual = dual
 
+    @property
+    def exact(self):  # integer values: alpha = +-1
+        return self.root.multiplicative
+
+    @property
+    def values(self):
+        """The table a -> mu(a) over the units a of Z/p^depth, ascending."""
+        pn = self.p ** self.depth
+        gamma, torsion = _log_coordinates(self.p, self.depth)
+        table = dict.fromkeys(a for a in range(1, pn) if a % self.p)  # ascending, filled below
+        for k, row in enumerate(self.rows):
+            g = pow(gamma, k, pn)
+            table.update(zip([z * g % pn for z in torsion], row))
+        return table
+
     def mass(self):
-        return _total(self.values.values())
+        return sum(map(sum, self.rows))
 
     def pushforward(self):
-        """Image under (Z/p^depth)^* -> (Z/p^(depth-1))^*."""
+        """Image under (Z/p^depth)^* -> (Z/p^(depth-1))^*: zeta gamma^k goes
+        to row k mod the coarser order of gamma, at zeta mod p^(depth-1)."""
         if self.depth < 2:
             raise MeasureError("already at depth 1")
-        pm = self.p ** (self.depth - 1)
-        out = {}
-        for a, v in self.values.items():
-            b = a % pm
-            out[b] = out[b] + v if b in out else v
-        return PadicMeasure(self.p, self.depth - 1, self.root, self.symbol, out, self.exact,
-                            self.dual)
+        p, pm = self.p, self.p ** (self.depth - 1)
+        _, torsion = _log_coordinates(p, self.depth)
+        _, coarser = _log_coordinates(p, self.depth - 1)
+        slots = [coarser.index(z % pm) for z in torsion]
+        rows = [[0] * len(coarser) for _ in range((pm - pm // p) // len(coarser))]
+        for k, row in enumerate(self.rows):
+            for i, v in zip(slots, row):
+                rows[k % len(rows)][i] += v
+        return PadicMeasure(p, self.depth - 1, self.root, self.symbol, rows, self.dual)
 
     def chi_twisted_sum(self, chi):
-        """sum chi(a) * values[a] for a map a -> Fraction."""
-        return _total(v * chi(a) for a, v in self.values.items())
+        """sum chi(a) * mu(a) for a map a -> Fraction."""
+        return sum(v * chi(a) for a, v in self.values.items())
 
     def moment(self, j, prec=20):
-        """sum values[a] * log_p<a>^j, to the absolute precision the depth
-        proves (see `_log_moment`); the mass when j = 0."""
+        """sum mu(a) log_p<a>^j mod p^depth; the mass when j = 0.
+
+        With a = zeta gamma^k (1 + p^n x), log_p<a> = k log_p(gamma) mod
+        p^n, so one log serves every unit; no digit is lost, as alpha is a
+        unit and every value a p-adic integer."""
         if j == 0:
             return self.mass()
-        return _log_moment(self.values, self.p, self.depth, j, prec, self.exact)
+        s = sum(k ** j * sum(row) for k, row in enumerate(self.rows) if k)
+        gamma, _ = _log_coordinates(self.p, self.depth)
+        log_gamma = padic.iwasawa_log(PadicNumber.from_int(self.p, gamma, prec))
+        return (log_gamma ** j * s).cap_abs_prec(self.depth)
 
     def leading_term(self, r, prec=20):
         """The I^r/I^(r+1) leading coefficient via moments; requires all
@@ -151,16 +176,14 @@ class PadicMeasure:
         if r < 1:
             raise MeasureError("order must be at least 1")
         for j in range(r):
-            m = self.moment(j, prec)
-            vanishes = m.is_zero if isinstance(m, PadicNumber) else m == 0
-            if not vanishes:
+            if self.moment(j, prec) != 0:
                 raise MeasureError("order of vanishing less than %d" % r)
         return self.moment(r, prec)
 
     def to_json(self, element=False):
         """The measure form (`exact`, `values`), or with `element` the
         Stickelberger element form (`dual`, `coefficients`, `augmentation`)."""
-        table = {str(a): _encode(v) for a, v in sorted(self.values.items())}
+        table = {str(a): _encode(v) for a, v in self.values.items()}
         if element:
             return {"p": self.p, "depth": self.depth, "dual": self.dual, "coefficients": table,
                     "augmentation": _encode(self.mass())}
@@ -171,17 +194,11 @@ def _encode(v):
     return v.to_json() if isinstance(v, PadicNumber) else str(v)
 
 
-def _total(values):
-    """The sum of a nonempty run of table values (int, Fraction or
-    PadicNumber), with no exact 0 added to a p-adic sum."""
-    return reduce(add, values)
-
-
 def build_measure(symbol, p, depth, root=None, prec=20):
-    """Measure table on (Z/p^depth)^*; exact integers when alpha = +-1.
+    """Measure rows on (Z/p^depth)^*; exact integers when alpha = +-1.
 
     One unit per symmetry orbit (module docstring) is evaluated, all in one
-    `values_at` batch, and the rest of the table is filled from them.  In
+    `values_at` batch, and the rest of the rows are filled from them.  In
     the coordinates zeta gamma^k of `_log_coordinates`, -zeta is the mirror
     of zeta, so half of the roots of unity are evaluated, for every k or,
     at level p, for the k <= order/2 that hold an inverse of every unit."""
@@ -224,21 +241,16 @@ def build_measure(symbol, p, depth, root=None, prec=20):
         tail = [ai1 * v for v in symbol.values_at(pn1, range(pn1))]
         cells = [ai * v - tail[r] for v, r in zip(lead, reps(pn1))]
     sign = symbol.sign
-    table = [None] * pn
-    for a, v in zip(reps(pn), cells):
-        table[pn - a] = v if sign == 1 else -v  # before a: when p^n = 2, 1 = -1
-        table[a] = v
-    # the other rows at level p: mu(a^-1) = -sign mu(a), and zeta gamma^k
-    # has the inverse zeta^-1 gamma^(order - k)
-    inverse = [pow(z, -1, pn) for z in torsion]
-    g = powers[-1]
-    for k in range(len(powers), order):
-        g, back = g * gamma % pn, powers[order - k]
-        for z, t in zip(torsion, inverse):
-            v = table[t * back % pn]
-            table[z * g % pn] = -v if sign == 1 else v
-    values = {a: table[a] for a in range(1, pn) if a % p}
-    return PadicMeasure(p, depth, root, symbol, values, root.multiplicative)
+    rows = []
+    for k in range(0, len(cells), len(half)):
+        row = cells[k:k + len(half)]
+        # then the mirrors -zeta = torsion[-1 - i]; when p^n = 2, 1 = -1 is its own mirror
+        rows.append(row + [v if sign == 1 else -v for v in reversed(row[:len(torsion) // 2])])
+    # the other rows at level p, all ints: mu(a^-1) = -sign mu(a), and
+    # zeta gamma^k has the inverse zeta^-1 gamma^(order - k)
+    inverse = _inverses(p, depth)
+    rows += [[-sign * rows[order - k][i] for i in inverse] for k in range(len(rows), order)]
+    return PadicMeasure(p, depth, root, symbol, rows)
 
 
 def distribution_defect(measure, finer):
@@ -253,13 +265,12 @@ def distribution_defect(measure, finer):
 def stickelberger(measure, dual=False):
     """Theta_n = sum mu(a + p^n) [sigma_a]: the measure itself, with sigma_a
     indexed by a (arithmetic normalization), or its re-indexing by a^(-1)
-    when dual."""
+    when dual, whose coefficient at zeta gamma^k is mu(zeta^-1 gamma^-k)."""
     if not dual:
         return measure
-    pn = measure.p ** measure.depth
-    values = {pow(a, -1, pn): v for a, v in measure.values.items()}
-    return PadicMeasure(measure.p, measure.depth, measure.root, measure.symbol, values,
-                        measure.exact, True)
+    inverse, rows = _inverses(measure.p, measure.depth), measure.rows
+    return PadicMeasure(measure.p, measure.depth, measure.root, measure.symbol,
+                        [[rows[-k][i] for i in inverse] for k in range(len(rows))], True)
 
 
 # -- L-values -------------------------------------------------------------
@@ -275,46 +286,20 @@ def _log_coordinates(p, n):
     return 1 + p, [pow(t, pn // p, pn) for t in range(1, p)]
 
 
-def _log_walk(p, n):
-    """Yield (k, units) for k = 0, 1, ...: the units of Z/p^n equal to
-    zeta * gamma^k (`_log_coordinates`).  Every unit occurs once."""
-    pn = p ** n
-    gamma, torsion = _log_coordinates(p, n)
-    g, k = 1, 0
-    while True:
-        yield k, [z * g % pn for z in torsion]
-        g, k = g * gamma % pn, k + 1
-        if g == 1:
-            return
-
-
-def _log_moment(values, p, n, j, prec, exact):
-    """sum values[a] * log_p<a>^j over the units a of Z/p^n, capped at the
-    absolute precision n - loss that depth n proves.
-
-    With a = zeta * gamma^k (1 + p^n x), log_p<a> = k log_p(gamma) +
-    log_p(1 + p^n x), and the last term is divisible by p^n.  So log_p<a>^j
-    = (k log_p(gamma))^j mod p^n, one log serves every unit, and the sum
-    is exact mod p^(n - loss), where p^loss bounds the values' denominators.
-    """
-    s = 0
-    for k, units in _log_walk(p, n):
-        if k:
-            s += k ** j * sum(map(values.__getitem__, units))
-    log_gamma = padic.iwasawa_log(PadicNumber.from_int(p, 5 if p == 2 else 1 + p, prec))
-    # the p-adic entries' denominators; an exact (int) table has none
-    loss = 0 if exact else max([0] + [-v.ord() for v in values.values() if not v.is_zero])
-    return (log_gamma ** j * s).cap_abs_prec(n - loss)
+def _inverses(p, n):
+    """Where each root of unity's inverse mod p^n is in `_log_coordinates`."""
+    _, torsion = _log_coordinates(p, n)
+    return [torsion.index(pow(z, -1, p ** n)) for z in torsion]
 
 
 def lp_value_and_derivative(measure, prec=20):
     """(L_p(0), L_p'(0)): the mass and the log<a>-weighted Riemann sum.
 
     The integrand log_p<a> is constant mod p^depth on each disc, so the
-    derivative is provable to absolute precision `depth`, less the digits
-    that the values' denominators cost; the reported precision says so.
-    Weighting a = zeta * gamma^k by k log_p(gamma) instead of log_p<a>
-    changes nothing mod p^depth, hence nothing that is reported.
+    derivative is provable to absolute precision `depth`, and the reported
+    precision says so.  Weighting a = zeta * gamma^k by k log_p(gamma)
+    instead of log_p<a> changes nothing mod p^depth, hence nothing that is
+    reported.
     """
     return measure.mass(), measure.moment(1, prec)
 
@@ -387,11 +372,14 @@ def exceptional_zero_check(curve, p, depth=3, prec=20, *, dual=False, cache=None
     multiplicative prime; both sides are linear in the same symbol scale,
     so the normalization cancels.  The symbol is the plus one: on the
     minus quotient [0->oo] is always 0."""
-    red = curves.reduction_type(curve, p)
-    if red.kind != SPLIT:
-        raise MeasureError("not an exceptional (split multiplicative) prime")
+    _require_split(curve, p)
     symbol = modsym.eigen_symbol(curve, cache=cache)
     return ezc_report(curve, build_measure(symbol, p, depth, prec=prec), prec, dual)
+
+
+def _require_split(curve, p):
+    if curves.reduction_type(curve, p).kind != SPLIT:
+        raise MeasureError("not an exceptional (split multiplicative) prime")
 
 
 def ezc_report(curve, measure, prec=20, dual=False):
@@ -440,7 +428,8 @@ class TwistedSymbol(modsym.EigenSymbol):
         k, level = abs(d), base.level * d * d
         chars = [(b, kronecker(d, b)) for b in range(1, k) if kronecker(d, b)]
 
-        def t(x, y):  # T(x/y) for y >= 0
+        @functools.cache  # an end shared by several generators is summed once
+        def t(x, y):  # T(x/y) for 0 <= x < y, and T(oo) = 0 for y = 0
             vals = base.values_at(y * k, [x * k + b * y for b, _ in chars]) if y else ()
             return sum(c * v for (_, c), v in zip(chars, vals))
 
@@ -448,7 +437,8 @@ class TwistedSymbol(modsym.EigenSymbol):
         vals = []
         for c, e in p1:  # a = 1 when c = 0, and the lift is [[1, 0], [0, 1]]
             a = pow(e, -1, c) if c else 1
-            vals.append(t((a * e - 1) // c if c else 0, e) - t(a, c))
+            b = (a * e - 1) // c % e if c and e else 0  # mod e, as [r + 1] = [r]
+            vals.append(t(b, e) - t(a, c))
         space = SimpleNamespace(p1=p1, level=level, sign=base.sign * (1 if d > 0 else -1))
         super().__init__(space, modsym.normalized(vals), {})
         self.base, self.d = base, d
@@ -513,7 +503,9 @@ def twist_product_check(curve, d, p, depth=3, prec=20, *, cache=None):
     measure_tw = build_measure(sym_tw, p, depth, prec=prec)
 
     if chi_p == 1:
-        base = exceptional_zero_check(curve, p, depth, prec, cache=cache)
+        _require_split(curve, p)
+        plus = sym_tw.base if d > 0 else modsym.eigen_symbol(curve, cache=cache)  # E's plus symbol
+        base = ezc_report(curve, build_measure(plus, p, depth, prec=prec), prec)
         tw = ezc_report(twist, measure_tw, prec)
         ratio_match = max(base.ratio.agreement(tw.ratio),
                           base.ratio.agreement(-tw.ratio))

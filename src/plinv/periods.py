@@ -149,14 +149,16 @@ def _log_cyclotomic(x, f):
     return padic.iwasawa_log(x.norm().as_padic())
 
 
+# the branch tags, any case, and the branch each names
+BRANCH_TAGS = {"iwasawa": "iwasawa", "p": "iwasawa", "log_p": "iwasawa",
+               "cyclotomic": "cyclotomic", "cyc": "cyclotomic"}
+
+
 def _parse_branch(branch):
     if isinstance(branch, str):
-        b = branch.lower()
-        if b in ("iwasawa", "p", "log_p"):
-            return ("iwasawa", None)
-        if b in ("cyclotomic", "cyc"):
-            return ("cyclotomic", None)
-        raise PadicError(f"unknown branch tag {branch!r}")
+        if branch.lower() not in BRANCH_TAGS:
+            raise PadicError(f"unknown branch tag {branch!r}")
+        return (BRANCH_TAGS[branch.lower()], None)
     return ("element", branch)
 
 

@@ -121,6 +121,57 @@ def riemann_sum_reference(values, p, n, j=1, prec=20):
     return total.cap_abs_prec(n - loss)
 
 
+def log_walk_reference(p, n):
+    """Yield (k, units) for k = 0, 1, ...: the units zeta gamma^k of Z/p^n
+    over the roots of unity zeta of Z_p^* in their order in a measure's
+    rows (the Teichmuller lifts of 1, ..., p - 1; 1 and -1 when p = 2),
+    with gamma = 1 + p (5 when p = 2), until gamma^k is 1 again."""
+    pn = p ** n
+    gamma = 5 if p == 2 else 1 + p
+    torsion = sorted({1, pn - 1}) if p == 2 else [oracle_teichmuller(p, t, n) for t in range(1, p)]
+    g, k = 1, 0
+    while True:
+        yield k, [z * g % pn for z in torsion]
+        g, k = g * gamma % pn, k + 1
+        if g == 1:
+            return
+
+
+def values_reference(rows, p, n):
+    """The table a -> value of a measure's rows, ascending in a."""
+    walk = log_walk_reference(p, n)
+    return dict(sorted((a, v) for (_, units), row in zip(walk, rows) for a, v in zip(units, row)))
+
+
+def pushforward_reference(values, p, n):
+    """The image of a table at depth n under (Z/p^n)^* -> (Z/p^(n-1))^*,
+    summed unit by unit."""
+    pm = p ** (n - 1)
+    out = {}
+    for a, v in values.items():
+        b = a % pm
+        out[b] = out[b] + v if b in out else v
+    return out
+
+
+def dual_reference(values, p, n):
+    """The table re-indexed by a -> a^(-1) mod p^n."""
+    return {pow(a, -1, p ** n): v for a, v in values.items()}
+
+
+def log_moment_reference(values, p, n, j, prec):
+    """sum values[a] * (k log_p(gamma))^j over the units a = zeta gamma^k of
+    `log_walk_reference`, capped at absolute precision n; a table of ints."""
+    from plinv.padic import PadicNumber, iwasawa_log
+
+    s = 0
+    for k, units in log_walk_reference(p, n):
+        if k:
+            s += k ** j * sum(map(values.__getitem__, units))
+    log_gamma = iwasawa_log(PadicNumber.from_int(p, 5 if p == 2 else 1 + p, prec))
+    return (log_gamma ** j * s).cap_abs_prec(n)
+
+
 def measure_reference(symbol, p, n, root):
     """The measure table of `build_measure` with every unit a evaluated on
     its own Fraction a/p^n: no use of mu(p^n - a) = sign * mu(a)."""

@@ -85,8 +85,9 @@ class TestPeriodGrammar:
             parse_period_literal("0^1", 5)
 
     def test_branch_forms(self):
-        assert parse_branch("p", 5) == "iwasawa"
-        assert parse_branch("cyc", 5) == "cyclotomic"
+        # a tag reaches periods.li as given; li reads every alias
+        assert parse_branch("p", 5) == "p"
+        assert parse_branch("Cyc", 5) == "Cyc"
         from fractions import Fraction
 
         assert parse_branch("30", 5) == Fraction(30)
@@ -376,6 +377,24 @@ class TestReports:
         rc, _ = run(args)
         assert rc == 0
         assert calls == {"lp": l_values, "log": logs}
+
+    @pytest.mark.parametrize("d,signs", [("5", [1]), ("-4", [-1])], ids=["split", "inert"])
+    def test_each_eigen_symbol_is_built_once(self, monkeypatch, d, signs):
+        # split at 11 with D > 0: E's plus symbol is both the twist's base
+        # and the symbol of E's own exceptional-zero report
+        from plinv import modsym
+
+        calls = []
+        eigen_symbol = modsym.eigen_symbol
+
+        def counting(curve, sign=1, cache=None):
+            calls.append((curve.label, sign))
+            return eigen_symbol(curve, sign, cache)
+
+        monkeypatch.setattr(modsym, "eigen_symbol", counting)
+        rc, _ = run(["check-twist", "--label", "11a1", "-D", d, "-p", "11"])
+        assert rc == 0
+        assert calls == [("11a1", sign) for sign in signs]
 
     def test_modsym_dump(self):
         rc, out = run(["modsym", "dump", "--level", "11", "--hecke", "2,3"])

@@ -1,14 +1,16 @@
 import io
+import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from plinv.cli import main
 from plinv.curves import curve_by_label, trace_of_frobenius
 from plinv.measures import (
     MeasureError,
+    PadicMeasure,
     TwistedSymbol,
     build_measure,
     cyclotomic_polynomial,
@@ -20,16 +22,21 @@ from plinv.measures import (
     stickelberger,
     twist_product_check,
     unit_root,
-    _log_walk,
+    _log_coordinates,
 )
-from plinv.modsym import EigenSymbol, eigen_symbol
+from plinv.modsym import EigenSymbol, P1List, eigen_symbol
 
 from helpers import (
+    dual_reference,
     eigenvalue_reference,
+    log_moment_reference,
+    log_walk_reference,
     measure_reference,
     padic_digits,
+    pushforward_reference,
     riemann_sum_reference,
     twist_symbol_reference,
+    values_reference,
 )
 
 
@@ -205,6 +212,30 @@ class TestTwistedSymbol:
                 assert want is not None and sym.eigenvalue(ell) == want, ell
 
 
+class TestTwistedSymbolEnds:
+    def test_each_end_is_summed_once(self, monkeypatch):
+        # T(x/y) depends on (x mod y, y) alone, so an end shared by several
+        # generators of P^1(Z/11*13^2) is one batch of 12 numerators
+        base = eigen_symbol(curve_by_label("11a1"))
+        numerators = []
+        values_at = base.values_at
+
+        def counting(m, nums):
+            nums = list(nums)
+            numerators.extend(nums)
+            return values_at(m, nums)
+
+        monkeypatch.setattr(base, "values_at", counting)
+        TwistedSymbol(base, 13)
+        ends = []
+        for c, e in P1List(11 * 13 ** 2):
+            a = pow(e, -1, c) if c else 1
+            ends += [((a * e - 1) // c if c else 0, e), (a, c)]
+        distinct = {(x % y, y) for x, y in ends if y}
+        assert len(distinct) < len(ends)
+        assert len(numerators) == 12 * len(distinct)
+
+
 class TestStickelberger:
     def test_pushforward_exact(self):
         sym = symbol_for("11a1")
@@ -311,16 +342,18 @@ class TestRiemannSumOracle:
 
     @pytest.mark.parametrize("p", [2, 3, 5, 11])
     def test_walk_covers_each_unit_once(self, p):
-        gamma = 5 if p == 2 else 1 + p
+        # the coordinates zeta gamma^k of a measure's rows
         for n in range(1, 5):
             pn = p ** n
-            seen = []
-            for k, units in _log_walk(p, n):
-                for a in units:
-                    zeta = a * pow(gamma, -k, pn) % pn
-                    assert pow(zeta, 2 if p == 2 else p - 1, pn) == 1
-                seen += units
+            gamma, torsion = _log_coordinates(p, n)
+            order = (pn - pn // p) // len(torsion)
+            assert pow(gamma, order, pn) == 1
+            for i, zeta in enumerate(torsion):
+                assert pow(zeta, 2 if p == 2 else p - 1, pn) == 1
+                assert (zeta + torsion[-1 - i]) % pn == 0
+            seen = [z * pow(gamma, k, pn) % pn for k in range(order) for z in torsion]
             assert sorted(seen) == [a for a in range(1, pn) if a % p]
+            assert seen == [a for _, units in log_walk_reference(p, n) for a in units]
 
     @pytest.mark.parametrize("label,p,max_depth", [
         ("21a1", 3, 4), ("15a1", 5, 4), ("14a1", 7, 4), ("14a1", 2, 4),
@@ -348,6 +381,37 @@ class TestRiemannSumOracle:
             for j in (1, 2):
                 want = riemann_sum_reference(theta.values, p, n, j, prec)
                 assert padic_digits(theta.moment(j, prec)) == padic_digits(want), (p, n, dual, j)
+
+
+class TestRows:
+    """A measure held as rows in the coordinates zeta gamma^k, against the
+    unit-by-unit table: its values, pushforward, dual re-indexing and log
+    moments."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(p=st.sampled_from([2, 3, 5, 7]), n=st.integers(1, 4), rng=st.randoms())
+    @example(p=2, n=2, rng=random.Random(0))  # the roots of unity 1, 3 both go to 1
+    def test_rows_against_the_table(self, p, n, rng):
+        shape = [len(units) for _, units in log_walk_reference(p, n)]
+        rows = [[rng.randint(-50, 50) for _ in range(t)] for t in shape]
+        m = PadicMeasure(p, n, unit_root(p, 1, True), None, rows)
+        values = values_reference(rows, p, n)
+        assert list(m.values.items()) == list(values.items())
+        assert m.mass() == sum(values.values())
+        if n > 1:
+            assert m.pushforward().values == pushforward_reference(values, p, n)
+        dual = stickelberger(m, True)
+        assert dual.values == dual_reference(values, p, n)
+        for j in (1, 2):
+            for measure, table in ((m, values), (dual, dual.values)):
+                want = log_moment_reference(table, p, n, j, 12)
+                assert padic_digits(measure.moment(j, 12)) == padic_digits(want), j
+
+    def test_pushforward_at_two_from_depth_two(self):
+        m = PadicMeasure(2, 2, unit_root(2, 1, True), None, [[3, -5]])
+        assert m.values == {1: 3, 3: -5}
+        assert m.pushforward().rows == [[-2]]
+        assert m.pushforward().values == {1: -2}
 
 
 class TestSymmetricFill:
