@@ -280,24 +280,23 @@ def cmd_stickelberger(args, cache):
 
 def cmd_lp(args, cache):
     from .curves import SPLIT, reduction_type
-    from .measures import ezc_report, lp_value_and_derivative
+    from .measures import _encode, ezc_report, lp_value_and_derivative, stickelberger
 
     curve, symbol, measure = _symbol_and_measure(args, cache)
+    theta = stickelberger(measure, args.dual)
     split = reduction_type(curve, args.p).kind == SPLIT
-    rep = ezc_report(curve, measure, args.prec, args.dual) if split else None
-    l0, l1 = (rep.lp0, rep.derivative) if split else lp_value_and_derivative(measure, args.prec)
-    if args.dual and not split:
-        l1 = -l1
+    rep = ezc_report(curve, theta, args.prec) if split else None
+    l0, l1 = (rep.lp0, rep.derivative) if split else lp_value_and_derivative(theta, args.prec)
     out = {
         "command": "lp",
         "curve": curve.to_json(),
         "p": args.p,
         "depth": args.depth,
         "prec": args.prec,
-        "Lp0": str(l0),
+        "Lp0": _encode(l0),
         "Lp0_is_zero": l0 == 0,
         "Lp_derivative": l1.to_json(),
-        "augmentation": str(l0),
+        "augmentation": _encode(l0),
         "unit_root": measure.root.to_json(),
         "value_at_zero": str(symbol.at_zero),
     }
@@ -336,8 +335,7 @@ def cmd_import_curve(args, cache):
         "bad_primes": {str(p): reduction_type(curve, p).kind for p in bad_primes(curve)},
     }
     path = _user_table_path(cache)
-    add_user_row(curve, path)
-    if path is not None:
+    if add_user_row(curve, path):
         entry["registered"] = path
     return entry
 

@@ -501,14 +501,20 @@ def load_user_table(path):
 
 def add_user_row(curve, path):
     """Append the row of `curve` to the user table at `path` (None: none)
-    unless its label resolves to this model there already; refuse a
-    bundled label with another model, which the bundled curve would shadow."""
-    if curve_table().get(curve.label, (curve,))[0] != curve:
-        raise CurveError(f"label {curve.label!r} is bundled with another model")
+    unless its label resolves to this model there already, and say whether
+    that table now holds it.  A bundled label is never appended: with the
+    bundled model it resolves as it is, and with another model, which the
+    bundled curve would shadow, it is refused."""
+    bundled = curve_table().get(curve.label)
+    if bundled:
+        if bundled[0] != curve:
+            raise CurveError(f"label {curve.label!r} is bundled with another model")
+        return False
     if path is not None and load_user_table(path).get(curve.label) != curve:
         os.makedirs(os.path.dirname(path), exist_ok=True)
         with open(path, "a", encoding="utf-8") as fh:
             fh.write(f"{curve.label}\t{','.join(map(str, curve.a_invariants))}\n")
+    return path is not None
 
 
 def curve_by_label(label, user_table_path=None):

@@ -374,7 +374,7 @@ def exceptional_zero_check(curve, p, depth=3, prec=20, *, dual=False, cache=None
     minus quotient [0->oo] is always 0."""
     _require_split(curve, p)
     symbol = modsym.eigen_symbol(curve, cache=cache)
-    return ezc_report(curve, build_measure(symbol, p, depth, prec=prec), prec, dual)
+    return ezc_report(curve, stickelberger(build_measure(symbol, p, depth, prec=prec), dual), prec)
 
 
 def _require_split(curve, p):
@@ -382,13 +382,12 @@ def _require_split(curve, p):
         raise MeasureError("not an exceptional (split multiplicative) prime")
 
 
-def ezc_report(curve, measure, prec=20, dual=False):
-    """The comparison of `exceptional_zero_check` for a measure already
-    built from the curve's eigen-symbol at a split multiplicative prime."""
-    symbol, p, depth = measure.symbol, measure.p, measure.depth
-    l0, l1 = lp_value_and_derivative(measure, prec)
-    if dual:
-        l1 = -l1  # sigma_a -> sigma_a^(-1) flips the log weight
+def ezc_report(curve, theta, prec=20):
+    """The comparison of `exceptional_zero_check` for a Stickelberger
+    element theta already built from the curve's eigen-symbol at a split
+    multiplicative prime (`stickelberger`, dual or not)."""
+    symbol, p, depth = theta.symbol, theta.p, theta.depth
+    l0, l1 = lp_value_and_derivative(theta, prec)
     v0 = symbol.at_zero
     if v0 == 0:
         raise MeasureError("symbol vanishes at {0->oo}; vanishing central L-value")

@@ -26,7 +26,7 @@ raise PadicError instead of inventing digits.
 """
 
 from fractions import Fraction
-from math import gcd, inf
+from math import gcd, inf, isqrt
 
 
 class DomainError(ValueError):
@@ -329,43 +329,38 @@ class PadicElement:
 
     # -- logarithm -----------------------------------------------------
 
-    def _log(self, teichmuller_of):
-        """Iwasawa log: log(p) = 0 and log(w) = 0 for the Teichmuller part w
-        of the unit u, given by teichmuller_of(u).  Sums the series
-        log(1 + z) at z = u/w - 1; the result is provable to absolute
-        precision n.  At p = 2 it sums the series at u^2 instead, which is
-        a 1-unit mod 4 known mod 2^(n+1), so halving costs no digit."""
+    def _log(self):
+        """Iwasawa log: log(p) = 0 and log kills every root of unity, so
+        log(u) = log(u^e)/e for the unit u and e = (p^f - 1) p^k, with f
+        coordinates and k = isqrt(n).  z = u^e - 1 has valuation at least
+        k + 1, and the power p^k makes it known mod p^(n+k): the series
+        log(1 + z) needs about sqrt(n) terms, and dividing by e costs just
+        the k digits that the power gained.  The result is provable to
+        absolute precision n, for every p and f."""
         if self.is_zero:
             raise PadicError("log of zero")
-        p, n, c = self.p, self.n, self._coords()
-        if p == 2:
-            u = self._with(0, self._mul_units(c, c, 2 ** (n + 1)), n + 1)
-        else:
-            u = self._with(0, c, n)
-        z = u / teichmuller_of(u) - 1
-        if z.is_zero:
+        p, n, k = self.p, self.n, isqrt(self.n)
+        q, aprec = p ** len(self._coords()) - 1, n + k
+        z = list(self._pow_unit(q * p ** k, p ** aprec))
+        z[0] -= 1
+        if not any(z):
             return self._zero(n)
-        m = z.v
-        if m < (2 if p == 2 else 1):
-            raise PadicError("log series does not converge")
-        # working modulus absorbs the divisions by k
-        aprec = u.n
+        m = min(int_val(c, p) for c in z if c)
+        # working modulus absorbs the divisions by j
         guard = 1
         while p ** guard <= aprec + 4 * guard:
             guard += 1
         mod = p ** (aprec + guard)
-        zc = [x * p ** m % mod for x in z._coords()]
-        total, zk, k = [0] * len(zc), zc, 1
-        while k * m - guard < aprec:
-            vk = int_val(k, p)
-            inv = pow(k // p ** vk, -1, mod) * (-1) ** (k + 1)
-            total = [(t + x // p ** vk * inv) % mod for t, x in zip(total, zk)]
-            k += 1
-            zk = self._mul_units(zk, zc, mod)
-        if p == 2:
-            assert all(t % 2 == 0 for t in total)
-            total = [t // 2 for t in total]
-        return self._make(0, total, n)
+        total, zj, j = [0] * len(z), z, 1
+        while j * m - guard < aprec:
+            vj = int_val(j, p)
+            inv = pow(j // p ** vj, -1, mod) * (-1) ** (j + 1)
+            total = [(t + x // p ** vj * inv) % mod for t, x in zip(total, zj)]
+            j += 1
+            zj = self._mul_units(zj, z, mod)
+        # total = e log(u) mod p^aprec, so p^k divides it exactly
+        inv = pow(q, -1, p ** n)
+        return self._make(0, [t // p ** k * inv for t in total], n)
 
 
 class PadicNumber(PadicElement):
@@ -535,15 +530,11 @@ def teichmuller(p, a, n):
 
 
 def iwasawa_log(x):
-    """Branch of log with log(p) = 0 and log(w(a)) = 0.
-
-    Kills the uniformizer and Teichmuller torsion, then sums the usual
-    series on the 1-unit part.  The result is provable to the absolute
-    precision n (the relative precision of x).
-    """
+    """Branch of log with log(p) = 0 and log(w(a)) = 0 (`_log`), provable
+    to the absolute precision n (the relative precision of x)."""
     if not isinstance(x, PadicNumber):
         raise PadicError("iwasawa_log expects a PadicNumber")
-    return x._log(lambda u: teichmuller(u.p, u.u, u.n))
+    return x._log()
 
 
 def branch_log(x, y):

@@ -344,8 +344,8 @@ class UnramifiedElement(PadicElement):
         return self._make(0, hensel(step, [c % p for c in self.coeffs], p, n), n)
 
     def log(self):
-        """Iwasawa branch: log(p) = 0, Teichmuller part killed."""
-        return self._log(UnramifiedElement.teichmuller_part)
+        """Iwasawa branch: log(p) = 0, roots of unity killed (`_log`)."""
+        return self._log()
 
     def __repr__(self):
         if self.is_zero:

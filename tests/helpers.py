@@ -32,6 +32,90 @@ def oracle_teichmuller(p, a, n):
     return x
 
 
+def _poly_mulmod(x, y, modulus, m):
+    """x * y in (Z/m)[t]/(modulus), modulus monic; coordinates low first."""
+    f = len(modulus) - 1
+    prod = [0] * (2 * f - 1)
+    for i, a in enumerate(x):
+        for j, b in enumerate(y):
+            prod[i + j] += a * b
+    for k in range(2 * f - 2, f - 1, -1):
+        for i in range(f):
+            prod[k - f + i] -= prod[k] * modulus[i]
+    return [c % m for c in prod[:f]]
+
+
+def log_reference(p, coords, n, modulus=(0, 1)):
+    """The Iwasawa log of the unit with these coordinates mod p^n in
+    Z_p[t]/(modulus) (Q_p for the default t, Q_{p^f} for a modulus of
+    degree f irreducible mod p), as its coordinates mod p^n, on ints alone.
+
+    Divides u by its Teichmuller lift w, the fixed point of x -> x^(p^f),
+    then sums log(1 + z) at z = u/w - 1 to every term that is nonzero mod
+    p^n.  At p = 2 it sums the series at u^2, which is known mod 2^(n+1),
+    and halves."""
+    f = len(modulus) - 1
+    a = n + 1 if p == 2 else n
+    mod = p ** a
+
+    def power(x, e, m):
+        if f == 1:
+            return [pow(x[0], e, m)]
+        out = [1] + [0] * (f - 1)
+        while e:
+            if e & 1:
+                out = _poly_mulmod(out, x, modulus, m)
+            x, e = _poly_mulmod(x, x, modulus, m), e >> 1
+        return out
+
+    u = [c % mod for c in coords]
+    if p == 2:
+        u = _poly_mulmod(u, u, modulus, mod)
+    w = u  # w mod p
+    for k in range(2, a + 1):  # w mod p^(k-1) determines w^(p^f) = w mod p^k
+        w = power(w, p ** f, p ** k)
+    z = _poly_mulmod(u, power(w, p ** f - 2, mod), modulus, mod)  # u/w, as w^(p^f - 1) = 1
+    z[0] = (z[0] - 1) % mod
+    if not any(z):
+        return [0] * f
+    m = min(_val(c, p) for c in z if c)
+    # term j has valuation >= j m - floor(log_p j), which does not decrease in j
+    terms = 1
+    while terms * m - _floor_log(terms, p) < a:
+        terms += 1
+    big = p ** (a + terms.bit_length())  # absorbs the divisions by j < terms
+    total, zj = [0] * f, z
+    for j in range(1, terms):
+        v = _val(j, p)
+        inv = pow(j // p ** v, -1, big) * (-1) ** (j + 1)
+        total = [(t + x // p ** v * inv) % big for t, x in zip(total, zj)]
+        zj = _poly_mulmod(zj, z, modulus, big)
+    if p == 2:
+        total = [t // 2 for t in total]
+    return [t % p ** n for t in total]
+
+
+def log_coordinates(x, n):
+    """A log known to absolute precision n, as its coordinates mod p^n."""
+    assert x.abs_prec == n
+    return [c * x.p ** x.v % x.p ** n for c in x._coords()]
+
+
+def _val(k, p):
+    v = 0
+    while k % p == 0:
+        k //= p
+        v += 1
+    return v
+
+
+def _floor_log(k, p):
+    e = 0
+    while p ** (e + 1) <= k:
+        e += 1
+    return e
+
+
 def padic_of_fraction(padicnum_cls, p, x, n):
     return padicnum_cls.from_fraction(p, x, n)
 

@@ -18,7 +18,8 @@ from plinv.padic import (
     teichmuller,
 )
 
-from helpers import assert_same, frac_mod, oracle_log_series, oracle_teichmuller
+from helpers import (assert_same, frac_mod, log_coordinates, log_reference, oracle_log_series,
+                     oracle_teichmuller)
 
 
 class TestOrd:
@@ -217,7 +218,7 @@ class TestIwasawaLog:
         assert iwasawa_log(w).is_zero
 
     def test_log_at_two(self):
-        # 1+4 = 5: log_2(5) = log(1+4) via the squaring fallback
+        # 1+4 = 5: log_2(5) = log(25)/2, and 25 = 1 + 24
         got = iwasawa_log(PadicNumber.from_int(2, 5, 10))
         expected = frac_mod(oracle_log_series(Fraction(24), 24) / 2, 2, 10)
         assert got.lift() % 2 ** 10 == expected
@@ -277,6 +278,37 @@ class TestIwasawaLog:
         u = data.draw(st.integers(1, p ** n).filter(lambda a: a % p))
         x = PadicNumber.from_int(p, u, n)
         assert_same(iwasawa_log(x) * (p - 1), iwasawa_log(x ** (p - 1)), min_abs_prec=n)
+
+
+class TestLogAgainstTheTeichmullerRoute:
+    """iwasawa_log against `log_reference`, which divides by the
+    Teichmuller lift and sums the series, squaring first at p = 2."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), p=st.sampled_from([2, 3, 5, 7, 37]), n=st.integers(1, 300))
+    def test_matches_the_reference(self, data, p, n):
+        x = PadicNumber.from_int(p, data.draw(st.integers(1, p ** (n + 2))), n)
+        assert log_coordinates(iwasawa_log(x), n) == log_reference(p, x._coords(), n)
+
+    @pytest.mark.parametrize("p", [2, 3, 11])
+    def test_at_two_thousand_digits(self, p):
+        n = 2000
+        x = PadicNumber.from_int(p, random.Random(p).randrange(1, p ** n), n)
+        assert log_coordinates(iwasawa_log(x), n) == log_reference(p, x._coords(), n)
+
+    def test_no_teichmuller_lift_is_computed(self, monkeypatch):
+        from plinv import padic
+        from plinv.unramified import UnramifiedContext, UnramifiedElement
+
+        calls = []
+        for owner, name in [(padic, "teichmuller"), (UnramifiedElement, "teichmuller_part")]:
+            lift = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *a, lift=lift: calls.append(a) or lift(*a))
+        for p in (2, 3, 37):
+            iwasawa_log(PadicNumber.from_int(p, 2 * p + 1, 30))
+            UnramifiedContext(p, 2).from_vector([1, 1], 30).log()
+        branch_log(PadicNumber.from_int(5, 30, 20), PadicNumber.from_int(5, 7, 20))
+        assert calls == []
 
 
 class TestBranchLog:

@@ -13,7 +13,7 @@ from plinv.unramified import (
     norm_trace,
 )
 
-from helpers import assert_same
+from helpers import assert_same, log_coordinates, log_reference
 
 
 def companion_norm_trace(modulus, coeffs):
@@ -187,6 +187,17 @@ class TestLog:
         y = ctx.from_vector([3, 4], 9)
         if x.ord() == 0 and y.ord() == 0:
             assert ((x * y).log() - (x.log() + y.log())).is_zero
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), p=st.sampled_from([2, 3, 5, 7, 37]), f=st.sampled_from([2, 3]),
+           n=st.integers(1, 300))
+    def test_matches_the_teichmuller_route(self, data, p, f, n):
+        # log_reference divides by the Teichmuller lift and sums the series
+        ctx = UnramifiedContext(p, f)
+        coeffs = data.draw(st.lists(st.integers(0, p ** (n + 1)), min_size=f, max_size=f)
+                           .filter(any))
+        x = ctx.from_vector(coeffs, n)
+        assert log_coordinates(x.log(), n) == log_reference(p, x.coeffs, n, ctx.modulus)
 
     def test_teichmuller_part_fixed_by_power(self):
         ctx = UnramifiedContext(3, 2)
