@@ -388,9 +388,14 @@ def tate_period(curve, p, prec=20):
     u = e.discriminant * pow(e.c4 ** 3, -1, top) % top
     coeffs = [1] + j_q_coefficients(prec // m)  # q j(q), constant term first
 
-    def step(q, _, mod):
+    def step(q, k, mod):
+        # Horner for the series and its derivative over the terms seen mod
+        # p^k.  q is the root mod p^ceil(k/2), so v(q) >= min(m, ceil(k/2)):
+        # a term u c_j q^j with j >= k // m + 2 has valuation at least
+        # m + j min(m, ceil(k/2)) >= k, and so does its u j c_j q^(j-1):
+        # dropping them leaves the step unchanged mod p^k
         g = dg = 0
-        for c in reversed(coeffs):  # Horner for the series and its derivative
+        for c in reversed(coeffs[: k // m + 2]):
             g, dg = (g * q + c) % mod, (dg * q + g) % mod
         return (q - (q - u * g) * pow(1 - u * dg, -1, mod)) % mod
 

@@ -60,14 +60,14 @@ class MeasureError(DomainError):
 
 
 class UnitRootData:
-    """The unit root alpha of the Hecke polynomial at p; alpha_exact is
-    +-1 in the multiplicative case, else None."""
+    """The unit root alpha of the Hecke polynomial at p (p is ordinary:
+    `unit_root` raises at a supersingular p); alpha_exact is +-1 in the
+    multiplicative case, else None."""
 
-    def __init__(self, p, ap, multiplicative, ordinary, alpha_exact, alpha):
+    def __init__(self, p, ap, multiplicative, alpha_exact, alpha):
         self.p = p
         self.ap = ap
         self.multiplicative = multiplicative
-        self.ordinary = ordinary
         self.alpha_exact = alpha_exact
         self.alpha = alpha
 
@@ -76,7 +76,7 @@ class UnitRootData:
             "p": self.p,
             "ap": self.ap,
             "multiplicative": self.multiplicative,
-            "ordinary": self.ordinary,
+            "ordinary": True,
             "alpha": str(self.alpha_exact) if self.alpha_exact else self.alpha.to_json(),
         }
 
@@ -88,7 +88,7 @@ def unit_root(p, ap, multiplicative, prec=20):
     if multiplicative:
         if ap not in (1, -1):
             raise MeasureError("multiplicative a_p must be +-1")
-        return UnitRootData(p, ap, True, True, ap, PadicNumber.from_int(p, ap, prec))
+        return UnitRootData(p, ap, True, ap, PadicNumber.from_int(p, ap, prec))
     if ap % p == 0:
         raise MeasureError("supersingular not supported")
 
@@ -97,7 +97,7 @@ def unit_root(p, ap, multiplicative, prec=20):
 
     alpha = PadicNumber.from_int(p, hensel(step, ap % p, p, prec), prec)
     assert ((alpha * alpha - ap * alpha + p)).is_zero
-    return UnitRootData(p, ap, False, True, None, alpha)
+    return UnitRootData(p, ap, False, None, alpha)
 
 
 # -- measures ------------------------------------------------------------
@@ -217,8 +217,6 @@ def build_measure(symbol, p, depth, root=None, prec=20):
         if ap is None:
             raise MeasureError("symbol carries no eigenvalue at p")
         root = unit_root(p, int(ap), multiplicative, prec)
-    if not root.ordinary:
-        raise MeasureError("supersingular not supported")
     pn = p ** depth
     gamma, torsion = _log_coordinates(p, depth)
     order = (pn - pn // p) // len(torsion)  # the order of gamma mod p^n

@@ -21,7 +21,7 @@ by a (g, x) key, `_cusp_key`, not by pairwise tests, and a generator
 arithmetic is exact, and on ints wherever the values are integers."""
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
 
 from . import linalg
@@ -422,7 +422,6 @@ class EigenSymbol:
         self.gen_values = gen_values
         self.eigenvalues = eigenvalues
         self.label = label
-        self._walk_table = None, None  # (the gen_values it was built from, table)
 
     @property
     def level(self):
@@ -435,6 +434,13 @@ class EigenSymbol:
     @property
     def weights(self):
         return [self.gen_values[g] for g in self.space._basis]
+
+    @cached_property
+    def _walk_table(self):
+        """The (s, row) per residue c mod N that `values_at` reads."""
+        n, p1, vals = self.level, self.space.p1, self.gen_values
+        rows = {g: [0 if i is None else vals[i] for i in pos] for g, pos in p1._pos.items()}
+        return [(s, rows[gcd(u, n)]) for u, (s, _) in enumerate(p1._unit)]
 
     def evaluate(self, a, m=1):
         """Value on the path {a/m -> oo}: a numerator a and a denominator
@@ -453,15 +459,11 @@ class EigenSymbol:
         (q_(k-1) : (-1)^k q_k), whose value is read in two steps from one
         table per symbol: per residue c mod N, a unit s and the row of
         generator values over the divisor gcd(c, N), so that (c:d) has the
-        value row[s d mod N].  The table is built from `gen_values` on first
-        use and again whenever they are replaced.  The sign quotient gives
-        [-r] = sign [r] (eta) and [r + 1] = [r] (translation).
+        value row[s d mod N].  The table is built from `gen_values` once, on
+        first use.  The sign quotient gives [-r] = sign [r] (eta) and
+        [r + 1] = [r] (translation).
         """
-        n, p1, vals = self.level, self.space.p1, self.gen_values
-        if self._walk_table[0] is not vals:
-            rows = {g: [0 if i is None else vals[i] for i in pos] for g, pos in p1._pos.items()}
-            self._walk_table = vals, [(s, rows[gcd(u, n)]) for u, (s, _) in enumerate(p1._unit)]
-        table = self._walk_table[1]
+        n, table = self.level, self._walk_table
         s, row = table[0]
         first = row[s % n]  # the piece (0:1)
         out = []

@@ -327,7 +327,27 @@ class PadicElement:
             return self._zero(a)
         return self._make(self.v, self._coords(), a - self.v)
 
-    # -- logarithm -----------------------------------------------------
+    # -- Teichmuller lift and logarithm -------------------------------
+
+    def teichmuller(self):
+        """omega(x): the (p^f - 1)-st root of unity congruent to the unit
+        mod p, to n digits.  Newton on y^q - 1, q = p^f - 1, dividing by
+        q y^-1 for the derivative q y^(q-1): the two agree to the half
+        precision a step needs.  At q = 1 (Q_2) the step gives 1."""
+        if self.is_zero:
+            raise PadicError("Teichmuller lift of zero")
+        p, n = self.p, self.n
+        q = p ** len(self._coords()) - 1
+
+        def step(y, _, m):
+            e = list(self._with(0, y, n)._pow_unit(q, m))
+            e[0] -= 1
+            c = pow(q, -1, m)
+            return [(a - c * b) % m for a, b in zip(y, self._mul_units(y, e, m))]
+
+        w = self._make(0, hensel(step, [c % p for c in self._coords()], p, n), n)
+        assert w ** (q + 1) == w
+        return w
 
     def _log(self):
         """Iwasawa log: log(p) = 0 and log kills every root of unity, so
@@ -484,8 +504,10 @@ class PadicNumber(PadicElement):
 
 
 def ordp(x, p=None):
-    """Normalized valuation; errors on zero input."""
-    if isinstance(x, PadicNumber):
+    """Normalized valuation: x.ord() for anything that has one (a field
+    element, an exact element of Q_{p^f}), else that of a nonzero int or
+    Fraction at p; errors on zero input."""
+    if hasattr(x, "ord"):
         return x.ord()
     return frac_val(x, p)
 
@@ -505,28 +527,15 @@ def hensel(step, x, p, n):
 
 
 def teichmuller(p, a, n):
-    """Teichmuller lift w(a): the (p-1)-st root of unity congruent to a mod p.
-
-    Newton on x^(p-1) - 1, dividing by x^-1 (p-1) for the derivative
-    (p-1) x^(p-2): the two agree to the half precision a step needs.  The
-    x -> x^p fixed-point iteration is kept in the test suite as an
-    independent oracle.
-    """
+    """Teichmuller lift w(a): the (p-1)-st root of unity congruent to a mod p
+    (`PadicElement.teichmuller`).  The x -> x^p fixed-point iteration is
+    kept in the test suite as an independent oracle."""
     check_prime(p)
     if n < 1:
         raise PadicError("need at least one significant digit")
-    a %= p
-    if a == 0:
+    if a % p == 0:
         raise PadicError("Teichmuller lift of a non-unit")
-    if p == 2:
-        return PadicNumber.from_int(2, 1, n)
-
-    def step(x, _, m):
-        return x * (p - pow(x, p - 1, m)) * pow(p - 1, -1, m) % m
-
-    x = hensel(step, a, p, n)
-    assert pow(x, p, p ** n) == x
-    return PadicNumber.from_int(p, x, n)
+    return PadicNumber(p, 0, a % p, n).teichmuller()
 
 
 def iwasawa_log(x):
@@ -538,14 +547,13 @@ def iwasawa_log(x):
 
 
 def branch_log(x, y):
-    """log_x(y) for the branch of log normalized by log_x(x) = 0.
+    """log_x(y) for the branch of log normalized by log_x(x) = 0, for x and
+    y in one field (Q_p or Q_{p^f}).
 
     log_x(y) = log(y) - (ord(y)/ord(x)) * log(x); requires ord(x) != 0.
     """
-    if not isinstance(x, PadicNumber) or not isinstance(y, PadicNumber):
-        raise PadicError("branch_log expects PadicNumbers")
-    vx = x.ord()
-    if vx == 0:
+    if not isinstance(x, PadicElement) or not isinstance(y, PadicElement):
+        raise PadicError("branch_log expects p-adic field elements")
+    if x.ord() == 0:
         raise PadicError("not a branch direction")
-    vy = y.ord()
-    return iwasawa_log(y) - iwasawa_log(x) * Fraction(vy, vx)
+    return y.log() - x.log() * Fraction(y.ord(), x.ord())

@@ -15,7 +15,7 @@ Supported branches of lambda:
 from fractions import Fraction
 
 from . import padic
-from .padic import PadicElement, PadicError, PadicNumber, frac_val
+from .padic import PadicElement, PadicError, PadicNumber
 
 
 class NotAPeriodError(PadicError):
@@ -36,17 +36,6 @@ EQUALITY_SLACK = 2
 
 def _is_exact_unramified(base):
     return hasattr(base, "to_padic")
-
-
-def _base_ord(base, p):
-    if isinstance(base, (int, Fraction)):
-        x = Fraction(base)
-        if x == 0:
-            raise PadicError("zero base in period")
-        return frac_val(x, p)
-    if isinstance(base, PadicElement) or _is_exact_unramified(base):
-        return base.ord()
-    raise PadicError(f"unsupported period base {base!r}")
 
 
 def _base_key(base):
@@ -82,13 +71,11 @@ class Period:
         self.factors = tuple(
             (merged[k][0], merged[k][1]) for k in order if merged[k][1] != 0
         )
-        for base, _ in self.factors:
-            _base_ord(base, p)  # validates nonzero
         if self.total_ord() == 0:
             raise NotAPeriodError("not a period")
 
     def total_ord(self):
-        return sum(e * _base_ord(b, self.p) for b, e in self.factors)
+        return sum(e * padic.ordp(b, self.p) for b, e in self.factors)
 
     def power(self, k):
         if k == 0:
@@ -176,13 +163,6 @@ def li(q, branch="iwasawa", prec=DEFAULT_PREC):
     ctx = q.ctx
     f = ctx.f if ctx is not None else 1
 
-    if kind == "element":
-        xl = _as_local(x, q.p, work, ctx)
-        vx = xl.ord()
-        if vx == 0:
-            raise PadicError("not a branch direction")
-        logx = xl.log()
-
     total = None
     for base, e in q.factors:
         bl = _as_local(base, q.p, work, ctx)
@@ -191,7 +171,7 @@ def li(q, branch="iwasawa", prec=DEFAULT_PREC):
         elif kind == "cyclotomic":
             val = _log_cyclotomic(bl, f)
         else:
-            val = bl.log() - logx * Fraction(_base_ord(base, q.p), vx)
+            val = padic.branch_log(_as_local(x, q.p, work, ctx), bl)
         val = val * e
         total = val if total is None else total + val
     return total * Fraction(1, tot)

@@ -8,9 +8,9 @@ valuations, so every nonzero element factors as p^v * (unit vector).
 """
 
 from fractions import Fraction
-from math import inf
+from math import inf, prod
 
-from .padic import PadicElement, PadicError, PadicNumber, check_prime, factor, hensel, int_val
+from .padic import PadicElement, PadicError, PadicNumber, check_prime, factor, frac_val, hensel
 
 
 # -- polynomial helpers over Z/p^k ------------------------------------
@@ -144,22 +144,19 @@ class UnramifiedContext:
     def to_json(self):
         return {"p": self.p, "f": self.f, "modulus": list(self.modulus)}
 
-    def one(self, n):
-        return UnramifiedElement(self, 0, (1,) + (0,) * (self.f - 1), n)
-
-    def from_vector(self, coeffs, n):
-        """Element with exact rational coefficients, to n digits."""
+    def _vector(self, coeffs):
+        """Exact rational coordinates on the power basis, padded to f."""
         coeffs = [Fraction(c) for c in coeffs]
         if len(coeffs) > self.f:
             raise PadicError("too many coefficients")
-        coeffs += [Fraction(0)] * (self.f - len(coeffs))
-        if all(c == 0 for c in coeffs):
+        return coeffs + [Fraction(0)] * (self.f - len(coeffs))
+
+    def from_vector(self, coeffs, n):
+        """Element with exact rational coefficients, to n digits."""
+        coeffs = self._vector(coeffs)
+        if not any(coeffs):
             return UnramifiedElement(self, inf, (0,) * self.f, 0)
-        v = min(
-            int_val(c.numerator, self.p) - int_val(c.denominator, self.p)
-            for c in coeffs
-            if c != 0
-        )
+        v = min(frac_val(c, self.p) for c in coeffs if c)
         m = self.p ** n
         pv = Fraction(self.p) ** v
         unit = []
@@ -276,72 +273,32 @@ class UnramifiedElement(PadicElement):
         img = ctx._eval_poly(list(self.coeffs), y, m)
         return self._make(self.v, img, self.n)
 
-    def norm(self, subfield_degree=1):
-        """prod of phi^(d*i)(x) over i < f/d: the norm to Q_{p^d}."""
-        d = subfield_degree
+    def _conjugates(self, d):
+        """phi^(d*i)(x) for i < f/d: the orbit of x under Gal(Q_{p^f}/Q_{p^d})."""
         if self.ctx.f % d:
             raise PadicError("not a subfield degree")
-        steps = self.ctx.f // d
-        if self.is_zero:
-            return self._zero(self.v * steps)
-        acc = self.ctx.one(self.n)
-        cur = self
-        for _ in range(steps):
-            acc = acc * cur
+        orbit = [self]
+        for _ in range(self.ctx.f // d - 1):
+            y = orbit[-1]
             for _ in range(d):
-                cur = cur.frobenius()
-        return acc
+                y = y.frobenius()
+            orbit.append(y)
+        return orbit
+
+    def norm(self, subfield_degree=1):
+        """The norm to Q_{p^d}, d = subfield_degree: the product of the conjugates."""
+        return prod(self._conjugates(subfield_degree))
 
     def trace(self, subfield_degree=1):
-        d = subfield_degree
-        if self.ctx.f % d:
-            raise PadicError("not a subfield degree")
-        steps = self.ctx.f // d
-        acc = self._zero(self.abs_prec)
-        cur = self
-        for _ in range(steps):
-            acc = acc + cur
-            for _ in range(d):
-                cur = cur.frobenius()
-        return acc
+        """The trace to Q_{p^d}: the sum of the conjugates."""
+        return sum(self._conjugates(subfield_degree))
 
-    def as_padic(self, slack=1):
-        """Coerce a base-field element to a PadicNumber.
-
-        Coefficients 1..f-1 must vanish to precision (up to `slack`
-        trailing digits of computational noise, which are reported as
-        lost precision).
-        """
-        ctx = self.ctx
-        if self.is_zero:
-            return PadicNumber.zero(ctx.p, self.v)
-        noise = 0
-        for c in self.coeffs[1:]:
-            if c:
-                w = int_val(c, ctx.p)
-                if self.n - w > slack:
-                    raise PadicError("element does not lie in Q_p")
-                noise = max(noise, self.n - w)
-        return PadicNumber(ctx.p, self.v, self.coeffs[0], self.n).truncate(self.n - noise)
-
-    def teichmuller_part(self):
-        """omega(x mod p): the (p^f - 1)-st root of unity congruent to
-        the reduction of the unit part."""
-        if self.is_zero:
-            raise PadicError("Teichmuller lift of zero")
-        ctx, n = self.ctx, self.n
-        p, g = ctx.p, list(ctx.modulus)
-        q = p ** ctx.f - 1
-
-        def step(y, _, m):
-            # Newton on y^q - 1, dividing by q y^-1 for the derivative
-            # q y^(q-1): the two agree to the half precision a step needs
-            e = _poly_powmod(y, q, g, m)
-            e[0] -= 1
-            c = pow(q, -1, m)
-            return [(a - c * b) % m for a, b in zip(y, _poly_mulmod(y, e, g, m))]
-
-        return self._make(0, hensel(step, [c % p for c in self.coeffs], p, n), n)
+    def as_padic(self):
+        """The element as a PadicNumber.  It must lie in Q_p: a nonzero
+        coefficient 1..f-1 is a provable digit off Q_p, so it raises."""
+        if any(self.coeffs[1:]):
+            raise PadicError("element does not lie in Q_p")
+        return PadicNumber(self.p, self.v, self.coeffs[0], self.n)
 
     def log(self):
         """Iwasawa branch: log(p) = 0, roots of unity killed (`_log`)."""
@@ -381,22 +338,14 @@ class ExactUnramified:
     __slots__ = ("ctx", "coeffs")
 
     def __init__(self, ctx, coeffs):
-        coeffs = [Fraction(c) for c in coeffs]
-        if len(coeffs) > ctx.f:
-            raise PadicError("too many coefficients")
-        coeffs += [Fraction(0)] * (ctx.f - len(coeffs))
-        if all(c == 0 for c in coeffs):
+        coeffs = ctx._vector(coeffs)
+        if not any(coeffs):
             raise PadicError("zero is not a field element")
         self.ctx = ctx
         self.coeffs = tuple(coeffs)
 
     def ord(self):
-        p = self.ctx.p
-        return min(
-            int_val(c.numerator, p) - int_val(c.denominator, p)
-            for c in self.coeffs
-            if c != 0
-        )
+        return min(frac_val(c, self.ctx.p) for c in self.coeffs if c)
 
     def to_padic(self, n):
         return self.ctx.from_vector(self.coeffs, n)

@@ -3,6 +3,8 @@
 from fractions import Fraction
 from math import gcd
 
+from hypothesis import strategies as st
+
 
 def frac_mod(x, p, k):
     """Reduce a Fraction with p-unit denominator modulo p^k."""
@@ -11,6 +13,12 @@ def frac_mod(x, p, k):
     if x.denominator % p == 0:
         raise ValueError("denominator not a p-unit")
     return x.numerator * pow(x.denominator, -1, m) % m
+
+
+def unit_coeffs(data, p, f, n):
+    """Draw (hypothesis `data`) f coordinates mod p^n, one of them a unit."""
+    return data.draw(st.lists(st.integers(0, p ** n - 1), min_size=f, max_size=f)
+                     .filter(lambda c: any(x % p for x in c)))
 
 
 def oracle_log_series(z, terms):
@@ -24,12 +32,7 @@ def oracle_log_series(z, terms):
 
 def oracle_teichmuller(p, a, n):
     """Fixed point of x -> x^p modulo p^n."""
-    m = p ** n
-    x = a % m
-    for _ in range(n + 2):
-        x = pow(x, p, m)
-    assert pow(x, p, m) == x
-    return x
+    return teichmuller_reference(p, [a], n)[0]
 
 
 def _poly_mulmod(x, y, modulus, m):
@@ -45,6 +48,29 @@ def _poly_mulmod(x, y, modulus, m):
     return [c % m for c in prod[:f]]
 
 
+def _poly_power(x, e, modulus, m):
+    """x^e in (Z/m)[t]/(modulus), by square and multiply."""
+    out = [1] + [0] * (len(modulus) - 2)
+    while e:
+        if e & 1:
+            out = _poly_mulmod(out, x, modulus, m)
+        x, e = _poly_mulmod(x, x, modulus, m), e >> 1
+    return out
+
+
+def teichmuller_reference(p, coords, n, modulus=(0, 1)):
+    """The Teichmuller lift of the unit with these coordinates in
+    Z_p[t]/(modulus), as its coordinates mod p^n, on ints alone: the fixed
+    point of x -> x^(p^f), iterated n times (each iterate pins one more
+    digit of the root of unity congruent to the unit mod p)."""
+    q, m = p ** (len(modulus) - 1), p ** n
+    x = [c % m for c in coords]
+    for _ in range(n):
+        x = _poly_power(x, q, modulus, m)
+    assert _poly_power(x, q, modulus, m) == x
+    return x
+
+
 def log_reference(p, coords, n, modulus=(0, 1)):
     """The Iwasawa log of the unit with these coordinates mod p^n in
     Z_p[t]/(modulus) (Q_p for the default t, Q_{p^f} for a modulus of
@@ -57,24 +83,11 @@ def log_reference(p, coords, n, modulus=(0, 1)):
     f = len(modulus) - 1
     a = n + 1 if p == 2 else n
     mod = p ** a
-
-    def power(x, e, m):
-        if f == 1:
-            return [pow(x[0], e, m)]
-        out = [1] + [0] * (f - 1)
-        while e:
-            if e & 1:
-                out = _poly_mulmod(out, x, modulus, m)
-            x, e = _poly_mulmod(x, x, modulus, m), e >> 1
-        return out
-
     u = [c % mod for c in coords]
     if p == 2:
         u = _poly_mulmod(u, u, modulus, mod)
-    w = u  # w mod p
-    for k in range(2, a + 1):  # w mod p^(k-1) determines w^(p^f) = w mod p^k
-        w = power(w, p ** f, p ** k)
-    z = _poly_mulmod(u, power(w, p ** f - 2, mod), modulus, mod)  # u/w, as w^(p^f - 1) = 1
+    w = teichmuller_reference(p, u, a, modulus)
+    z = _poly_mulmod(u, _poly_power(w, p ** f - 2, modulus, mod), modulus, mod)  # u/w, as w^(p^f - 1) = 1
     z[0] = (z[0] - 1) % mod
     if not any(z):
         return [0] * f

@@ -55,7 +55,7 @@ def symbol_for(label):
 class TestUnitRoot:
     def test_multiplicative(self):
         r = unit_root(11, 1, True)
-        assert r.alpha_exact == 1 and r.ordinary
+        assert r.alpha_exact == 1
 
     def test_multiplicative_requires_unit_ap(self):
         with pytest.raises(MeasureError):

@@ -191,6 +191,12 @@ class TestTeichmuller:
         w, m = teichmuller(p, a, n).lift(), p ** n
         assert pow(w, p - 1, m) == 1 and (w - a) % p == 0
 
+    @settings(max_examples=60, deadline=None)
+    @given(a=st.integers(1, 10 ** 6).filter(lambda a: a % 2), n=st.integers(1, 200))
+    def test_two_lifts_to_one(self, a, n):
+        # q = p - 1 = 1: the Newton step on y - 1 gives 1 at once
+        assert teichmuller(2, a, n).lift() == oracle_teichmuller(2, a, n) == 1
+
     def test_multiplicative(self):
         p, n = 7, 9
         for a in range(1, p):
@@ -298,12 +304,11 @@ class TestLogAgainstTheTeichmullerRoute:
 
     def test_no_teichmuller_lift_is_computed(self, monkeypatch):
         from plinv import padic
-        from plinv.unramified import UnramifiedContext, UnramifiedElement
+        from plinv.unramified import UnramifiedContext
 
         calls = []
-        for owner, name in [(padic, "teichmuller"), (UnramifiedElement, "teichmuller_part")]:
-            lift = getattr(owner, name)
-            monkeypatch.setattr(owner, name, lambda *a, lift=lift: calls.append(a) or lift(*a))
+        lift = padic.PadicElement.teichmuller
+        monkeypatch.setattr(padic.PadicElement, "teichmuller", lambda x: calls.append(x) or lift(x))
         for p in (2, 3, 37):
             iwasawa_log(PadicNumber.from_int(p, 2 * p + 1, 30))
             UnramifiedContext(p, 2).from_vector([1, 1], 30).log()

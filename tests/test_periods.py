@@ -2,8 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from plinv.padic import PadicNumber, iwasawa_log
+from plinv.padic import PadicNumber, branch_log, iwasawa_log
 from plinv.periods import (
     NotAPeriodError,
     Period,
@@ -14,7 +15,7 @@ from plinv.periods import (
 )
 from plinv.unramified import ExactUnramified, UnramifiedContext
 
-from helpers import assert_same
+from helpers import assert_same, unit_coeffs
 
 
 def rand_unit_fraction(rng, p):
@@ -89,6 +90,21 @@ class TestLi:
         q = Period(5, [(x, 1)])
         z = li(q, branch=x, prec=10)
         assert z.is_zero and z.abs_prec >= 7
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), p=st.sampled_from([2, 3, 5, 7]), f=st.sampled_from([1, 2, 3]),
+           n=st.integers(1, 40))
+    def test_element_branch_is_branch_log(self, data, p, f, n):
+        # li of the one-factor period y is log_x(y) / ord(y), over Q_{p^f}
+        ctx = UnramifiedContext(p, f)
+
+        def element():
+            v = data.draw(st.integers(-3, 3).filter(bool))
+            return ctx.from_vector([Fraction(p) ** v * c for c in unit_coeffs(data, p, f, n)], n)
+
+        x, y = element(), element()
+        want = branch_log(x, y)
+        assert_same(li(Period(p, [(y, 1)]), branch=x, prec=n) * y.ord(), want, want.abs_prec)
 
 
 class TestBranchChange:

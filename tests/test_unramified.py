@@ -13,7 +13,7 @@ from plinv.unramified import (
     norm_trace,
 )
 
-from helpers import assert_same, log_coordinates, log_reference
+from helpers import assert_same, log_coordinates, log_reference, teichmuller_reference, unit_coeffs
 
 
 def companion_norm_trace(modulus, coeffs):
@@ -100,17 +100,31 @@ class TestLifts:
            n=st.integers(1, 200))
     def test_inverse_teichmuller_and_frobenius(self, data, p, f, n):
         ctx = UnramifiedContext(p, f)
-        coeffs = data.draw(st.lists(st.integers(0, p ** n - 1), min_size=f, max_size=f)
-                           .filter(lambda c: any(x % p for x in c)))
+        coeffs = unit_coeffs(data, p, f, n)
         x = ctx.from_vector(coeffs, n)
         assert x * x.inverse() == 1
-        w = x.teichmuller_part()
+        w = x.teichmuller()
         assert w ** (p ** f) == w and w.n == n
         assert all((a - b) % p == 0 for a, b in zip(w.coeffs, coeffs))
         y = x
         for _ in range(f):
             y = y.frobenius()
         assert y == x and y.n == n
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(),
+           pf=st.sampled_from([(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (5, 2), (7, 2)]),
+           n=st.integers(1, 60))
+    def test_teichmuller_is_the_fixed_point_of_the_power_map(self, data, pf, n):
+        p, f = pf
+        ctx = UnramifiedContext(p, f)
+        coeffs = unit_coeffs(data, p, f, n)
+        want = teichmuller_reference(p, coeffs, n, ctx.modulus)
+        w = ctx.from_vector(coeffs, n).teichmuller()
+        assert (w.v, w.n, list(w.coeffs)) == (0, n, want)
+        if f == 1:
+            w = PadicNumber.from_int(p, coeffs[0], n).teichmuller()
+            assert (w.v, w.n, w.u) == (0, n, want[0])
 
 
 class TestNormTrace:
@@ -153,6 +167,21 @@ class TestNormTrace:
                     continue
                 assert_same(n, PadicNumber.from_fraction(p, det, 8))
                 assert_same(t, PadicNumber.from_fraction(p, tr, 8))
+
+    def test_as_padic_refuses_a_digit_off_q_p(self):
+        # 3 + 5^5 t: its t-coordinate is a provable digit at six digits
+        x = UnramifiedContext(5, 2).from_vector([3, 5 ** 5], 6)
+        with pytest.raises(PadicError, match="does not lie in Q_p"):
+            x.as_padic()
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), p=st.sampled_from([2, 3, 5, 7, 37]), f=st.sampled_from([2, 3]),
+           n=st.integers(1, 80))
+    def test_norms_and_traces_lie_in_q_p(self, data, p, f, n):
+        x = UnramifiedContext(p, f).from_vector(unit_coeffs(data, p, f, n), n)
+        for y in (x.norm(), x.trace(), x.log().trace()):
+            z = y.as_padic()
+            assert (z.v, z.u, z.n) == (y.v, y.coeffs[0], y.n)
 
     def test_norm_of_zero(self):
         ctx = UnramifiedContext(5, 2)
@@ -202,9 +231,9 @@ class TestLog:
     def test_teichmuller_part_fixed_by_power(self):
         ctx = UnramifiedContext(3, 2)
         x = ctx.from_vector([2, 1], 8)
-        w = x.teichmuller_part()
+        w = x.teichmuller()
         q = 3 ** 2 - 1
-        assert (w ** q - ctx.one(8)).is_zero
+        assert (w ** q - 1).is_zero
         assert (w.log()).is_zero
 
 
