@@ -4,14 +4,62 @@ modular symbols, Mazur-Tate measures and exceptional-zero verifiers.
 The public names below are looked up in their home module on each use
 (PEP 562) and never stored here, so `import plinv` loads no submodule and
 `plinv.li` is always `plinv.periods.li`.  Each command of `plinv.cli`
-imports the modules it runs when it runs.  The benchmark's tracer
-(perfbench/tracer.py) rebinds each function it times in its home module,
-but by-value copies only in the modules that `import plinv.cli` loaded;
-so a module loaded later calls another module's timed function through
-that module (`padic.iwasawa_log(...)`), never through `from .padic
-import iwasawa_log`.  tests/test_tracer_targets.py checks this."""
+imports the modules it runs when it runs; what every command needs, the
+error bases the command line maps to exit codes and the prime test behind
+`-p`, is defined here.  The benchmark's tracer (perfbench/tracer.py)
+rebinds each function it times in its home module, but by-value copies
+only in the modules that `import plinv.cli` loaded; so a module loaded
+later calls another module's timed function through that module
+(`padic.iwasawa_log(...)`), never through `from .padic import
+iwasawa_log`.  tests/test_tracer_targets.py checks this."""
 
 __version__ = "0.1.0"
+
+
+class DomainError(ValueError):
+    """An input outside what plinv computes: a non-period, an unknown
+    curve, a bad level, ...  Every module's error derives from it, so the
+    command line maps them all to exit 2 without loading those modules."""
+
+
+class CacheError(RuntimeError):
+    """A corrupt or mismatched cache file: exit 4."""
+
+
+class UsageError(Exception):
+    """Bad syntax in arguments or literals: exit 3."""
+
+
+def _is_probable_prime(n):
+    """Miller-Rabin to the twelve prime bases up to 37: deterministic for
+    n < 3.3e24 (3317044064679887385961981), a probable-prime test above."""
+    if n < 2:
+        return False
+    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def check_prime(p):
+    if not isinstance(p, int) or not _is_probable_prime(p):
+        raise DomainError(f"{p} is not prime")
+    return p
+
 
 _HOMES = {
     "padic": ["PadicNumber", "branch_log", "iwasawa_log", "ordp", "teichmuller"],

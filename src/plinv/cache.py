@@ -5,18 +5,17 @@ names and payloads, which hold exact data (integer, or rarely Fraction,
 generator coordinates, as strings), so a format bump invalidates rather
 than migrates.  Format 3 stores the resolved presentation alone, and
 files of another format are ignored and rewritten.  A corrupt file raises
-CacheError instead of being silently rebuilt.
+CacheError instead of being silently rebuilt; the class lives in the
+package root, so the command line maps it to exit 4 without this module.
 """
 
 import fcntl
 import json
 import os
 
+from . import CacheError
+
 FORMAT_VERSION = 3
-
-
-class CacheError(RuntimeError):
-    pass
 
 
 def default_cache_dir():

@@ -3,71 +3,23 @@
 Exit codes: 0 success, 2 domain errors (not a period, no Tate period,
 unknown label, ...), 3 parse/usage errors, 4 cache corruption.
 
-Each command imports the modules it runs when it runs, so `modsym dump`
-never loads curves, measures or periods.
+Each command imports the modules it runs when it runs, and only a cached
+run loads `cache`, so `--no-cache modsym dump` loads modsym and linalg
+alone: no p-adic code, `fractions` or `fcntl`.
 """
 
 import argparse
 import json
-import re
 import sys
-from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 
-from . import __version__
-from .cache import Cache, CacheError
-from .padic import DomainError, PadicError, check_prime
-
-
-class UsageError(Exception):
-    """Bad syntax in arguments or literals: exit code 3."""
+from . import CacheError, DomainError, UsageError, __version__, check_prime
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
-
-
-# -- period literals ----------------------------------------------------
-
-_FACTOR_RE = re.compile(
-    r"^\s*(?:\(\s*(-?\d+(?:\s*/\s*\d+)?)\s*\)|(-?\d+(?:/\d+)?))\s*(?:\^\s*(-?\d+))?\s*$"
-)
-
-
-def parse_period_literal(text, p):
-    """Grammar: factor ('*' factor)*, factor = base ['^' int],
-    base = rational or (rational); e.g. "5^1 * (2/3)^-2"."""
-    from .periods import Period
-
-    if not text or not text.strip():
-        raise UsageError("empty period literal")
-    factors = []
-    for chunk in text.split("*"):
-        m = _FACTOR_RE.match(chunk)
-        if not m:
-            raise UsageError(f"cannot parse period factor {chunk.strip()!r}")
-        base = (m.group(1) or m.group(2)).replace(" ", "")
-        exp = int(m.group(3)) if m.group(3) else 1
-        try:
-            base = Fraction(base)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise UsageError(f"bad rational {base!r}: {exc}") from exc
-        if base == 0:
-            raise UsageError("zero base in period literal")
-        factors.append((base, exp))
-    return Period(p, factors)
-
-
-def parse_branch(text, p):
-    """A branch tag of `periods.li` as given, or the value of a period
-    literal."""
-    from .periods import BRANCH_TAGS
-
-    if text.lower() in BRANCH_TAGS:
-        return text
-    return parse_period_literal(text, p).rational_value()
 
 
 # -- argument plumbing ----------------------------------------------------
@@ -76,7 +28,7 @@ def parse_branch(text, p):
 def _prime(text):
     try:
         return check_prime(int(text))
-    except (ValueError, PadicError) as exc:
+    except ValueError as exc:  # DomainError is one
         raise UsageError(f"-p wants a prime: {exc}") from exc
 
 
@@ -198,7 +150,7 @@ def build_parser():
 
 
 def cmd_li_period(args, cache):
-    from .periods import li
+    from .periods import li, parse_branch, parse_period_literal
 
     period = parse_period_literal(args.literal, args.p)
     branch = parse_branch(args.branch, args.p)
@@ -411,6 +363,8 @@ def main(argv=None, out=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if not args.no_cache:
+            from .cache import Cache  # with fcntl: only a cached run loads it
         cache = None if args.no_cache else Cache(args.cache_dir)
         payload = HANDLERS[args.command](args, cache)
         _emit(payload, args, out)

@@ -6,8 +6,8 @@ import os
 from fractions import Fraction
 from functools import lru_cache
 
-from . import periods
-from .padic import DomainError, PadicNumber, check_prime, factor, hensel, int_val
+from . import DomainError, check_prime, periods
+from .padic import PadicNumber, factor, hensel, int_val
 
 
 class CurveError(DomainError):

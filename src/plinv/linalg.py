@@ -4,8 +4,14 @@ one Gaussian elimination in plinv, for the Manin relations
 ranks (`rank`).  It is fraction-free: a row is cleared by a multiple of a
 pivot row, scaled first only where the pivot does not divide the entry."""
 
-from fractions import Fraction
 from math import gcd, lcm
+
+
+def fraction(*args):
+    """Fraction(*args), importing `fractions` only when one is built."""
+    from fractions import Fraction
+
+    return Fraction(*args)
 
 
 def mat_mul(a, b):
@@ -96,7 +102,7 @@ def kernel_basis(a):
         vec[f] = 1
         for pc, (p, row) in pivots.items():
             if f in row:
-                vec[pc] = Fraction(-row[f], p)
+                vec[pc] = fraction(-row[f], p)
         basis.append(primitive(vec))
     return basis
 

@@ -40,7 +40,7 @@ from fractions import Fraction
 import functools
 from types import SimpleNamespace
 
-from . import curves, modsym, padic
+from . import DomainError, check_prime, curves, modsym, padic
 from .curves import (
     SPLIT,
     curve_l_invariant,
@@ -49,7 +49,7 @@ from .curves import (
     kronecker,
     quadratic_twist,
 )
-from .padic import DomainError, PadicNumber, check_prime, hensel
+from .padic import PadicNumber, hensel
 
 
 class MeasureError(DomainError):
@@ -439,6 +439,10 @@ class TwistedSymbol(modsym.EigenSymbol):
         space = SimpleNamespace(p1=p1, level=level, sign=base.sign * (1 if d > 0 else -1))
         super().__init__(space, modsym.normalized(vals), {})
         self.base, self.d = base, d
+
+    @property
+    def weights(self):
+        raise MeasureError("a twisted symbol has no presented basis")
 
     def eigenvalue(self, ell):
         chi = kronecker(self.d, ell)

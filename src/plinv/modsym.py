@@ -2,32 +2,30 @@
 
 The symbol space is presented on P^1(Z/N), enumerated by one orbit sieve
 per divisor of N: two-term (S and sign) relations are folded in by a
-signed union-find, the three-term T-relations by `linalg.echelon`, the one
-elimination over Z (Stein, Modular Forms: A Computational Approach, ch.
-8).  A space keeps only the result: the coordinates of every Manin
-generator on a free basis and a generator for every basis vector.  That
-alone is what the disk cache stores, once, when the space is built; this
-module alone names the cache files and writes them.  Hecke operators act
-on Manin symbols directly, by Merel's matrices, and are never read from
-disk: the images of a generator are counted as integers before they are
-mapped to coordinates.  An eigen-symbol is its content-1 integer value at
-every Manin generator, on the space of its curve's own level (a quadratic
-twist's is summed from its curve's, `measures.TwistedSymbol`); its
-weights are the values at the basis generators, and a Hecke eigenvalue
-is computed only when asked for.  Manin's continued-fraction trick is
-used only to evaluate a symbol on a path {a/m -> oo}.  Cusps are classed
-by a (g, x) key, `_cusp_key`, not by pairwise tests, and a generator
-(c:d) keys both of its ends from c and d, with no lift to SL_2(Z).  All
-arithmetic is exact, and on ints wherever the values are integers."""
+signed union-find, once per pair, the three-term T-relations, one row per
+T-orbit, by `linalg.echelon`, the one elimination over Z (Stein, Modular
+Forms: A Computational Approach, ch. 8).  A space keeps only the result:
+the coordinates of every Manin generator on a free basis and a generator
+for every basis vector.  That alone is what the disk cache stores, once,
+when the space is built; this module alone names the cache files and
+writes them.  Hecke operators act on Manin symbols directly, by Merel's
+matrices, and are never read from disk: the images of a generator are
+counted as integers before they are mapped to coordinates.  An
+eigen-symbol is its content-1 integer value at every Manin generator, on
+the space of its curve's own level (a quadratic twist's is summed from its
+curve's, `measures.TwistedSymbol`); its weights are the values at the
+basis generators, and a Hecke eigenvalue is computed only when asked for.
+Manin's continued-fraction trick is used only to evaluate a symbol on a
+path {a/m -> oo}.  Cusps are classed by a (g, x) key, `_cusp_key`, not by
+pairwise tests, and a generator (c:d) keys both of its ends from c and d,
+with no lift to SL_2(Z).  All arithmetic is exact, and on ints wherever
+the values are integers."""
 
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd
 
-from . import linalg
-from .cache import CacheError
-from .linalg import echelon, mat_mul, primitive, rank
-from .padic import DomainError, _is_probable_prime
+from . import CacheError, DomainError, _is_probable_prime, linalg
+from .linalg import echelon, fraction, mat_mul, primitive, rank
 
 
 class ModSymError(DomainError):
@@ -138,14 +136,10 @@ class _SignedUF:
     """Union-find over generators with a sign on every parent link; a
     root in `dead` is forced to 0."""
 
-    def __init__(self, parent, sgn, dead):
-        self.parent = parent
-        self.sgn = sgn
-        self.dead = dead
-
-    @classmethod
-    def create(cls, n):
-        return cls(list(range(n)), [1] * n, set())
+    def __init__(self, n):
+        self.parent = list(range(n))
+        self.sgn = [1] * n
+        self.dead = set()
 
     def find(self, i):
         s = 1
@@ -194,24 +188,30 @@ class SymbolSpace:
     def _build(self):
         p1 = self.p1
         ngen = len(p1)
-        uf = _SignedUF.create(ngen)
-        for i in range(ngen):
-            uf.union(i, p1.act_right(i, S_MAT), -1)
-            uf.union(i, p1.act_right(i, ETA_MAT), self.sign)
+        uf = _SignedUF(ngen)
+        for i in range(ngen):  # S and eta are involutions: one union per pair
+            for mat, sign in ((S_MAT, -1), (ETA_MAT, self.sign)):
+                j = p1.act_right(i, mat)
+                if j >= i:
+                    uf.union(i, j, sign)
+        found = [uf.find(i) for i in range(ngen)]  # (root, sign) per generator
         live = []
         col = {}
-        for i in range(ngen):
-            r, _ = uf.find(i)
+        for r, _ in found:
             if r not in uf.dead and r not in col:
                 col[r] = len(live)
                 live.append(r)
         rows = set()
+        seen = bytearray(ngen)  # T has order 3: one row per orbit {i, iT, iT^2}
         for i in range(ngen):
+            if seen[i]:
+                continue
             it = p1.act_right(i, T_MAT)
             itt = p1.act_right(it, T_MAT)
+            seen[it] = seen[itt] = 1
             row = {}
             for j in (i, it, itt):
-                r, s = uf.find(j)
+                r, s = found[j]
                 if r in uf.dead:
                     continue
                 row[col[r]] = row.get(col[r], 0) + s
@@ -222,15 +222,14 @@ class SymbolSpace:
         free = [c for c in range(len(live)) if c not in pivots]
         free_pos = {c: k for k, c in enumerate(free)}
         coords = []
-        for i in range(ngen):
-            r, s = uf.find(i)
+        for r, s in found:
             if r in uf.dead:
                 coords.append({})
             elif col[r] in pivots:
                 # p x_c = -sum vv * x_cc; a Fraction only where p does not divide
                 p, prow = pivots[col[r]]
                 coords.append({free_pos[cc]: -s * vv for cc, vv in prow.items()} if p == 1 else
-                              {free_pos[cc]: Fraction(-s * vv, p) if vv % p else -s * vv // p
+                              {free_pos[cc]: fraction(-s * vv, p) if vv % p else -s * vv // p
                                for cc, vv in prow.items()})
             else:
                 coords.append({free_pos[col[r]]: s})
@@ -363,7 +362,7 @@ def _encode_coords(coords):
 
 def _rational(text):
     """An int for an integral string such as "3", else a Fraction."""
-    return Fraction(text) if "/" in text else int(text)
+    return fraction(text) if "/" in text else int(text)
 
 
 def _cusp_key(m, s, n):
@@ -489,7 +488,7 @@ class EigenSymbol:
             k = next(i for i, x in enumerate(w) if x)
             if any(y * w[k] != img[k] * x for x, y in zip(w, img)):
                 return None
-            self.eigenvalues[ell] = Fraction(img[k], w[k])
+            self.eigenvalues[ell] = fraction(img[k], w[k])
         return self.eigenvalues[ell]
 
     @property

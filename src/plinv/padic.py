@@ -28,46 +28,11 @@ raise PadicError instead of inventing digits.
 from fractions import Fraction
 from math import gcd, inf, isqrt
 
-
-class DomainError(ValueError):
-    """An input outside what plinv computes: a non-period, an unknown
-    curve, a bad level, ...  Every module's error derives from it, so the
-    command line maps them all to exit 2 without loading those modules."""
+from . import DomainError, _is_probable_prime, check_prime
 
 
 class PadicError(DomainError):
     pass
-
-
-def _is_probable_prime(n):
-    """Miller-Rabin to the twelve prime bases up to 37: deterministic for
-    n < 3.3e24 (3317044064679887385961981), a probable-prime test above."""
-    if n < 2:
-        return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % q == 0:
-            return n == q
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def check_prime(p):
-    if not isinstance(p, int) or not _is_probable_prime(p):
-        raise PadicError(f"{p} is not prime")
-    return p
 
 
 def int_val(n, p):
@@ -552,8 +517,14 @@ def branch_log(x, y):
 
     log_x(y) = log(y) - (ord(y)/ord(x)) * log(x); requires ord(x) != 0.
     """
-    if not isinstance(x, PadicElement) or not isinstance(y, PadicElement):
+    return branch_logs(x, [y])[0]
+
+
+def branch_logs(x, ys):
+    """[branch_log(x, y) for y in ys], with log(x) computed once."""
+    if not all(isinstance(z, PadicElement) for z in (x, *ys)):
         raise PadicError("branch_log expects p-adic field elements")
     if x.ord() == 0:
         raise PadicError("not a branch direction")
-    return y.log() - x.log() * Fraction(y.ord(), x.ord())
+    log_x = x.log()
+    return [y.log() - log_x * Fraction(y.ord(), x.ord()) for y in ys]

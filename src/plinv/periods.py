@@ -12,9 +12,10 @@ Supported branches of lambda:
     log_x(x) = 0.
 """
 
+import re
 from fractions import Fraction
 
-from . import padic
+from . import UsageError, padic
 from .padic import PadicElement, PadicError, PadicNumber
 
 
@@ -116,6 +117,43 @@ class Period:
         }
 
 
+# -- period literals ----------------------------------------------------
+
+_FACTOR_RE = re.compile(
+    r"^\s*(?:\(\s*(-?\d+(?:\s*/\s*\d+)?)\s*\)|(-?\d+(?:/\d+)?))\s*(?:\^\s*(-?\d+))?\s*$"
+)
+
+
+def parse_period_literal(text, p):
+    """The Period of a literal, as `li-period` reads it; a syntax error is a
+    UsageError.  Grammar: factor ('*' factor)*, factor = base ['^' int],
+    base = rational or (rational); e.g. "5^1 * (2/3)^-2"."""
+    if not text or not text.strip():
+        raise UsageError("empty period literal")
+    factors = []
+    for chunk in text.split("*"):
+        m = _FACTOR_RE.match(chunk)
+        if not m:
+            raise UsageError(f"cannot parse period factor {chunk.strip()!r}")
+        base = (m.group(1) or m.group(2)).replace(" ", "")
+        exp = int(m.group(3)) if m.group(3) else 1
+        try:
+            base = Fraction(base)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise UsageError(f"bad rational {base!r}: {exc}") from exc
+        if base == 0:
+            raise UsageError("zero base in period literal")
+        factors.append((base, exp))
+    return Period(p, factors)
+
+
+def parse_branch(text, p):
+    """A branch tag of `li` as given, or the value of a period literal."""
+    if text.lower() in BRANCH_TAGS:
+        return text
+    return parse_period_literal(text, p).rational_value()
+
+
 def _as_local(base, p, prec, ctx):
     """Realize an exact/stored base as a p-adic element ready for log."""
     if isinstance(base, (int, Fraction)):
@@ -163,15 +201,15 @@ def li(q, branch="iwasawa", prec=DEFAULT_PREC):
     ctx = q.ctx
     f = ctx.f if ctx is not None else 1
 
+    bases = [_as_local(base, q.p, work, ctx) for base, _ in q.factors]
+    if kind == "iwasawa":
+        vals = [bl.log() for bl in bases]
+    elif kind == "cyclotomic":
+        vals = [_log_cyclotomic(bl, f) for bl in bases]
+    else:
+        vals = padic.branch_logs(_as_local(x, q.p, work, ctx), bases)
     total = None
-    for base, e in q.factors:
-        bl = _as_local(base, q.p, work, ctx)
-        if kind == "iwasawa":
-            val = bl.log()
-        elif kind == "cyclotomic":
-            val = _log_cyclotomic(bl, f)
-        else:
-            val = padic.branch_log(_as_local(x, q.p, work, ctx), bl)
+    for val, (_, e) in zip(vals, q.factors):
         val = val * e
         total = val if total is None else total + val
     return total * Fraction(1, tot)

@@ -580,7 +580,8 @@ def rank_reference(a):
 
 def fraction_space(level, sign=1):
     """The SymbolSpace of (level, sign) presented by Manin-relation
-    elimination over Q: every 3-term row is scaled by the inverse of its
+    elimination over Q: every relation is derived once per generator, not
+    once per orbit, every 3-term row is scaled by the inverse of its
     pivot, whatever that pivot is, and all coordinates are Fractions."""
     from plinv.modsym import S_MAT, T_MAT, ETA_MAT, SymbolSpace, _SignedUF
 
@@ -588,7 +589,7 @@ def fraction_space(level, sign=1):
         def _build(self):
             p1 = self.p1
             ngen = len(p1)
-            uf = _SignedUF.create(ngen)
+            uf = _SignedUF(ngen)
             for i in range(ngen):
                 uf.union(i, p1.act_right(i, S_MAT), -1)
                 uf.union(i, p1.act_right(i, ETA_MAT), self.sign)

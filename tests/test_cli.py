@@ -5,7 +5,9 @@ import json
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from plinv.cli import _dumps, main, parse_period_literal, parse_branch, UsageError
+from plinv import UsageError
+from plinv.cli import _dumps, main
+from plinv.periods import parse_branch, parse_period_literal
 
 
 def _fresh_python(args, timeout, **env):
@@ -264,11 +266,19 @@ class TestReports:
          "ba48df1037d1a19ac1d9efa608b7d85830aa17ab1ac54bb2e4b74001938a811f"),
         (["--level", "500", "--sign", "-", "--hecke", "2,3,5"],
          "4142648c4b31b1a7eba5a4496450884c68e5b5521636e19d423ce53b10e2b1f1"),
-    ], ids=["389", "997", "1000", "1000-U2-U5", "500-minus"])
+        # recorded while every Manin relation was derived once per generator
+        (["--level", "389", "--sign", "-", "--hecke", "2,3"],
+         "e7d0b2aa45c7601f4dedba13795b3da128e46d43327e3ad0c2d66b31ab63287d"),
+    ], ids=["389", "997", "1000", "1000-U2-U5", "500-minus", "389-minus"])
     def test_modsym_dump_hecke_golden_sha256(self, args, digest):
-        # stdout bytes recorded while Hecke matrices were computed from the
-        # image paths, before Merel's matrices replaced them (level 500
-        # with --hecke 2,3 is test_modsym_dump_golden_sha256)
+        """stdout bytes recorded while Hecke matrices were computed from the
+        image paths, before Merel's matrices replaced them (level 500 with
+        --hecke 2,3 is test_modsym_dump_golden_sha256).  A digest is
+        regenerated, from a checkout known to be right, by
+
+            PYTHONPATH=src python -m plinv.cli --no-cache --no-meta \\
+                modsym dump --level 389 --sign - --hecke 2,3 | sha256sum
+        """
         buf = io.StringIO()
         assert main(["--no-cache", "--no-meta", "modsym", "dump", *args], out=buf) == 0
         assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
@@ -868,13 +878,14 @@ from plinv import cli
 argv = ["--no-meta", *sys.argv[1:]]
 rc = cli.main(argv, out=io.StringIO())
 modules = sorted(name[6:] for name in sys.modules if name.startswith("plinv."))
+stdlib = [name for name in ("decimal", "fcntl", "fractions") if name in sys.modules]
 args = cli.build_parser().parse_args(argv)
 try:
     cli.HANDLERS.get(args.command, cli.cmd_modsym_dump)(args, None)
     error = None
 except Exception as exc:
     error = type(exc).__name__
-print(json.dumps({"rc": rc, "modules": modules, "error": error}))
+print(json.dumps({"rc": rc, "modules": modules, "stdlib": stdlib, "error": error}))
 """
 
     def _command(self, tmp_path, *argv):
@@ -883,18 +894,21 @@ print(json.dumps({"rc": rc, "modules": modules, "error": error}))
         assert proc.returncode == 0, proc.stderr
         return json.loads(proc.stdout)
 
-    @pytest.mark.parametrize("argv,modules", [
-        (["--no-cache", "modsym", "dump", "--level", "11"],
-         ["cache", "cli", "linalg", "modsym", "padic"]),
-        (["li-period", "30^1", "-p", "5"], ["cache", "cli", "padic", "periods"]),
+    # `--no-cache modsym dump` runs modular-symbol code alone: no padic, no
+    # cache with its fcntl, and no fractions with its decimal
+    @pytest.mark.parametrize("argv,modules,stdlib", [
+        (["--no-cache", "modsym", "dump", "--level", "11"], ["cli", "linalg", "modsym"], []),
+        (["li-period", "30^1", "-p", "5"], ["cache", "cli", "padic", "periods"],
+         ["decimal", "fcntl", "fractions"]),
         (["--no-cache", "li-curve", "--label", "11a1", "-p", "11"],
-         ["cache", "cli", "curves", "padic", "periods"]),
+         ["cli", "curves", "padic", "periods"], ["decimal", "fractions"]),
         (["--no-cache", "check-ezc", "--label", "11a1", "-p", "11", "--depth", "1"],
-         ["cache", "cli", "curves", "linalg", "measures", "modsym", "padic", "periods"]),
+         ["cli", "curves", "linalg", "measures", "modsym", "padic", "periods"],
+         ["decimal", "fractions"]),
     ], ids=["modsym-dump", "li-period", "li-curve", "check-ezc"])
-    def test_each_command_loads_the_modules_it_runs(self, tmp_path, argv, modules):
+    def test_each_command_loads_the_modules_it_runs(self, tmp_path, argv, modules, stdlib):
         report = self._command(tmp_path, *argv)
-        assert report == {"rc": 0, "modules": modules, "error": None}
+        assert report == {"rc": 0, "modules": modules, "stdlib": stdlib, "error": None}
 
     @pytest.mark.parametrize("argv,error", [
         (["li-period", "1^1", "-p", "5"], "NotAPeriodError"),

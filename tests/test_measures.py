@@ -212,6 +212,12 @@ class TestTwistedSymbol:
                 assert want is not None and sym.eigenvalue(ell) == want, ell
 
 
+    def test_has_no_presented_basis(self):
+        sym = TwistedSymbol(eigen_symbol(curve_by_label("11a1")), 5)
+        with pytest.raises(MeasureError, match="no presented basis"):
+            sym.weights
+
+
 class TestTwistedSymbolEnds:
     def test_each_end_is_summed_once(self, monkeypatch):
         # T(x/y) depends on (x mod y, y) alone, so an end shared by several

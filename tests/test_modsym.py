@@ -357,10 +357,12 @@ class TestCuspKey:
 
 
 class TestIntegerPresentation:
-    """Elimination over Z against elimination over Q with Fraction pivots."""
+    """Elimination over Z, of one relation per S-, eta- and T-orbit, against
+    elimination over Q with Fraction pivots of the relations derived once
+    per generator (`fraction_space`)."""
 
     @pytest.mark.parametrize("sign", [1, -1])
-    @pytest.mark.parametrize("level", list(range(1, 101)) + [389])
+    @pytest.mark.parametrize("level", list(range(1, 151)) + [389, 500, 997, 1000])
     def test_matches_fraction_elimination(self, level, sign):
         sp, ref = build_space(level, sign), fraction_space(level, sign)
         assert sp._basis == ref._basis

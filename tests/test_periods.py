@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from plinv import padic
 from plinv.padic import PadicNumber, branch_log, iwasawa_log
 from plinv.periods import (
     NotAPeriodError,
@@ -90,6 +91,21 @@ class TestLi:
         q = Period(5, [(x, 1)])
         z = li(q, branch=x, prec=10)
         assert z.is_zero and z.abs_prec >= 7
+
+    def test_element_branch_logs_the_branch_once(self, monkeypatch):
+        # one log per factor and one of the branch element; the value is the
+        # sum of the factors' branch_log, digit for digit
+        factors = [(Fraction(2, 3), -2), (Fraction(50), 1), (Fraction(7), 3)]
+        q, x = Period(5, factors), Fraction(10)
+        xl = PadicNumber.from_fraction(5, x, 23)  # li works 3 digits beyond prec
+        vals = [branch_log(xl, PadicNumber.from_fraction(5, b, 23)) * e for b, e in factors]
+        want = (vals[0] + vals[1] + vals[2]) * Fraction(1, q.total_ord())
+        logs = []
+        real = padic.iwasawa_log
+        monkeypatch.setattr(padic, "iwasawa_log", lambda z: logs.append(z) or real(z))
+        got = li(q, branch=x, prec=20)
+        assert len(logs) == len(factors) + 1
+        assert repr(got) == repr(want) and got.abs_prec == want.abs_prec
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data(), p=st.sampled_from([2, 3, 5, 7]), f=st.sampled_from([1, 2, 3]),
