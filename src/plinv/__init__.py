@@ -30,6 +30,10 @@ class UsageError(Exception):
     """Bad syntax in arguments or literals: exit 3."""
 
 
+class Quoted(list):
+    """Rows of ints and Fractions, written as `[{str(k): str(v)}, ...]` would be."""
+
+
 def _is_probable_prime(n):
     """Miller-Rabin to the twelve prime bases up to 37: deterministic for
     n < 3.3e24 (3317044064679887385961981), a probable-prime test above."""

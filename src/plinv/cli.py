@@ -5,16 +5,18 @@ unknown label, ...), 3 parse/usage errors, 4 cache corruption.
 
 Each command imports the modules it runs when it runs, and only a cached
 run loads `cache`, so `--no-cache modsym dump` loads modsym and linalg
-alone: no p-adic code, `fractions` or `fcntl`.
+alone: no p-adic code, `fractions` or `fcntl`.  Reports are written out
+piece by piece as they are formatted, in either --format.
 """
 
 import argparse
 import json
 import sys
+from collections import Counter
 from functools import lru_cache
 from itertools import chain
 
-from . import CacheError, DomainError, UsageError, __version__, check_prime
+from . import CacheError, DomainError, Quoted, UsageError, __version__, check_prime
 
 
 class _Parser(argparse.ArgumentParser):
@@ -264,11 +266,8 @@ def cmd_modsym_dump(args, cache):
 
     space = build_space(args.level, args.sign, cache)
     primes = [_prime(tok.strip()) for tok in args.hecke.split(",") if tok.strip()]
-    out = space.to_json()
-    out["command"] = "modsym dump"
-    out["hecke"] = {str(l): [[str(x) for x in row] for row in space.hecke_matrix(l)]
-                    for l in primes}
-    return out
+    return {**space.to_json(), "command": "modsym dump",
+            "hecke": {str(l): Quoted(space.hecke_matrix(l)) for l in primes}}
 
 
 def cmd_import_curve(args, cache):
@@ -308,42 +307,56 @@ _SCALARS = frozenset((str, int, float, bool, type(None)))
 
 
 @lru_cache(maxsize=None)
-def _layout(depth):
-    """json's C encoder writing each item on a line `depth` levels in."""
-    sep = ",\n" + "  " * depth
-    return json.JSONEncoder(sort_keys=True, separators=(sep, ": ")).encode, sep
+def _encoder(sep):
+    """json's C encoder, with sorted keys and `sep` between items."""
+    return json.JSONEncoder(sort_keys=True, separators=(sep, ": ")).encode
 
 
-def _dumps(x, depth=1):
-    """`json.dumps` of x with an indent of 2 and sorted keys, byte for byte,
-    by json's C encoder, x's items `depth` levels in.  A container of
-    scalars is one encoder call, and so is a list of them, all lists or all
-    dicts, at the next depth, before each pair of brackets in it is broken
-    open; others are encoded with 0 for each value, replaced by its text.
-    The text searches are exact: encoded strings hold no raw newline."""
-    encode, sep = _layout(depth)
+def _quote(row, nl):
+    """The text of a nonempty `Quoted` row, its items on lines beginning nl;
+    '"' sorts below every digit and '-', so an entry sorts as its key does."""
+    o, c = "{}" if isinstance(row, dict) else "[]"
+    items = sorted([f'{k}": "{v}' for k, v in row.items()]) if o == "{" else [f"{v}" for v in row]
+    return o + nl + '"' + ('",' + (nl or " ") + '"').join(items) + '"' + nl[:-2] + c
+
+
+def _write(x, write, nl="\n  "):
+    """Write json.dumps(x, indent=2, sort_keys=True), or with nl = ""
+    json.dumps(x, sort_keys=True), byte for byte and piece by piece, x's
+    items on lines beginning nl.  json's C encoder writes a container of
+    scalars, and a list of them whole before its brackets are broken open
+    (encoded strings hold no raw newline); `_quote` formats a `Quoted` row."""
+    sep, inner = "," + (nl or " "), nl and nl + "  "
+    encode = _encoder(sep)
     if not isinstance(x, (dict, list, tuple)) or not x:
-        return encode(x)
-    kinds = set(map(type, x.values() if isinstance(x, dict) else x))
-    if kinds <= _SCALARS:
-        body = encode(x)[1:-1]
-    elif not isinstance(x, dict) and kinds in ({list}, {dict}) and _SCALARS.issuperset(
-            map(type, chain.from_iterable(map(dict.values, x) if dict in kinds else x))):
-        inner, sep1 = _layout(depth + 1)
-        o, c = "{}" if dict in kinds else "[]"
-        nl, nl1 = sep[1:], sep1[1:]  # line breaks to the items of x and of its items
-        body = (o + nl1 + inner(x)[2:-2].replace(c + sep1 + o, nl + c + sep + o + nl1)
-                + nl + c).replace(o + nl1 + nl + c, o + c)  # empty items close again
-    else:
-        values = [x[k] for k in sorted(x)] if isinstance(x, dict) else x
-        text = encode(dict.fromkeys(x, 0) if isinstance(x, dict) else [0] * len(x))
-        body = sep.join([item[:-1] + _dumps(v, depth + 1)
-                         for item, v in zip(text[1:-1].split(sep), values)])
+        return write(encode(x))
     o, c = "{}" if isinstance(x, dict) else "[]"
-    return o + sep[1:] + body + sep[1:-2] + c
+    kinds = set(map(type, x.values() if o == "{" else x))
+    if kinds <= _SCALARS:
+        return write(o + nl + encode(x)[1:-1] + nl[:-2] + c)
+    if (o == "[" and not isinstance(x, Quoted) and (kinds <= {list, tuple} or kinds == {dict})
+            and _SCALARS.issuperset(map(type, chain.from_iterable(
+                map(dict.values, x) if dict in kinds else x)))):
+        i, j = "{}" if dict in kinds else "[]"
+        sep1 = "," + (inner or " ")
+        body = _encoder(sep1)(x)[2:-2].replace(j + sep1 + i, nl + j + sep + i + inner)
+        return write((o + nl + i + inner + body + nl + j).replace(i + inner + nl + j, i + j)
+                     + nl[:-2] + c)  # the second replace closes empty items again
+    memo, uses = {}, Counter(map(id, x)) if isinstance(x, Quoted) else None
+    for i, k in enumerate(sorted(x) if o == "{" else x):  # a key 1 is written "1", None "null"
+        key = encode(k if isinstance(k, str) else encode(k)) + ": " if o == "{" else ""
+        write((sep if i else o + nl) + key)
+        if isinstance(x, Quoted) and k:  # only the text of a row held twice is kept
+            text = memo.get(id(k)) or _quote(k, inner)
+            write(memo.setdefault(id(k), text) if uses[id(k)] > 1 else text)
+        else:
+            _write(x[k] if o == "{" else k, write, inner)
+    write(nl[:-2] + c)
 
 
 def _emit(payload, args, out):
+    """Write the report to `out` by `_write`, as it is formatted: indented
+    JSON, or one `key<TAB>compact JSON` line per key for --format table."""
     if not args.no_meta:
         import datetime  # only the meta block needs it: kept off start-up
 
@@ -353,9 +366,12 @@ def _emit(payload, args, out):
         }
     if args.format == "table":
         for key in sorted(payload):
-            print(f"{key}\t{json.dumps(payload[key], sort_keys=True)}", file=out)
+            out.write(f"{key}\t")
+            _write(payload[key], out.write, "")
+            out.write("\n")
     else:
-        print(_dumps(payload), file=out)
+        _write(payload, out.write)
+        out.write("\n")
 
 
 def main(argv=None, out=None):

@@ -5,7 +5,8 @@ per divisor of N: two-term (S and sign) relations are folded in by a
 signed union-find, once per pair, the three-term T-relations, one row per
 T-orbit, by `linalg.echelon`, the one elimination over Z (Stein, Modular
 Forms: A Computational Approach, ch. 8).  A space keeps only the result:
-the coordinates of every Manin generator on a free basis and a generator
+the coordinates of every Manin generator on a free basis, one read-only
+vector per (root, sign) class of the two-term relations, and a generator
 for every basis vector.  That alone is what the disk cache stores, once,
 when the space is built; this module alone names the cache files and
 writes them.  Hecke operators act on Manin symbols directly, by Merel's
@@ -24,7 +25,7 @@ the values are integers."""
 from functools import cached_property, lru_cache
 from math import gcd
 
-from . import CacheError, DomainError, _is_probable_prime, linalg
+from . import CacheError, DomainError, Quoted, _is_probable_prime, linalg
 from .linalg import echelon, fraction, mat_mul, primitive, rank
 
 
@@ -172,7 +173,8 @@ ETA_MAT = (-1, 0, 0, 1)
 class SymbolSpace:
     """The sign-quotient of weight-2 modular symbols for Gamma_0(N), held
     as its resolved presentation: the coordinates of every Manin generator
-    on a free basis, and a Manin generator for every basis vector."""
+    on a free basis, and a Manin generator for every basis vector.  Each
+    (root, sign) class shares one read-only dict, as do equal vectors."""
 
     def __init__(self, level, sign=1):
         if sign not in (1, -1):
@@ -221,19 +223,20 @@ class SymbolSpace:
         pivots = echelon(rows)
         free = [c for c in range(len(live)) if c not in pivots]
         free_pos = {c: k for k, c in enumerate(free)}
-        coords = []
-        for r, s in found:
+        coords, shared = {}, {}  # one vector per (root, sign) class; equal ones are one
+        for r, s in dict.fromkeys(found):
             if r in uf.dead:
-                coords.append({})
+                v = {}
             elif col[r] in pivots:
                 # p x_c = -sum vv * x_cc; a Fraction only where p does not divide
                 p, prow = pivots[col[r]]
-                coords.append({free_pos[cc]: -s * vv for cc, vv in prow.items()} if p == 1 else
-                              {free_pos[cc]: fraction(-s * vv, p) if vv % p else -s * vv // p
-                               for cc, vv in prow.items()})
+                v = ({free_pos[cc]: -s * vv for cc, vv in prow.items()} if p == 1 else
+                     {free_pos[cc]: fraction(-s * vv, p) if vv % p else -s * vv // p
+                      for cc, vv in prow.items()})
             else:
-                coords.append({free_pos[col[r]]: s})
-        self._gen_coords = coords
+                v = {free_pos[col[r]]: s}
+            coords[r, s] = shared.setdefault(tuple(v.items()), v)
+        self._gen_coords = [coords[key] for key in found]
         self._basis = [live[c] for c in free]
         self.dimension = len(free)
 
@@ -311,8 +314,8 @@ class SymbolSpace:
             "p1_size": len(self.p1),
             "dimension": self.dimension,
             "cuspidal_dimension": self.cuspidal_dimension,
-            "generators": [list(self.p1[i]) for i in range(len(self.p1))],
-            "gen_coords": _encode_coords(self._gen_coords),
+            "generators": self.p1._reps,
+            "gen_coords": Quoted(self._gen_coords),
         }
 
     # -- disk serialization (exact; Fractions as strings) ----------------
@@ -322,7 +325,7 @@ class SymbolSpace:
             "level": self.level,
             "sign": self.sign,
             "p1": [list(cd) for cd in self.p1],
-            "gen_coords": _encode_coords(self._gen_coords),
+            "gen_coords": [{str(k): str(v) for k, v in c.items()} for c in self._gen_coords],
             "basis": self._basis,
         }
 
@@ -342,8 +345,8 @@ class SymbolSpace:
             self.p1 = P1List(level)
             if payload["p1"] != [list(cd) for cd in self.p1]:
                 raise CacheError(f"stale P^1 list in the cached level-{level} space")
-            self._gen_coords = [{int(k): _rational(v) for k, v in c.items()}
-                                for c in payload["gen_coords"]]
+            decode = lru_cache(maxsize=None)(lambda kv: {int(k): _rational(v) for k, v in kv})
+            self._gen_coords = [decode(tuple(c.items())) for c in payload["gen_coords"]]
             self._basis = list(payload["basis"])
             self.dimension = len(self._basis)
             self._hecke = {}
@@ -354,10 +357,6 @@ class SymbolSpace:
         except (LookupError, TypeError, ValueError, AttributeError, ZeroDivisionError) as exc:
             raise CacheError(f"undecodable cached level-{level} space: {exc!r}") from exc
         return self
-
-
-def _encode_coords(coords):
-    return [{str(k): str(v) for k, v in c.items()} for c in coords]
 
 
 def _rational(text):

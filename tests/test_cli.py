@@ -1,12 +1,13 @@
 import hashlib
 import io
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from plinv import UsageError
-from plinv.cli import _dumps, main
+from plinv import Quoted, UsageError
+from plinv.cli import _write, main
 from plinv.periods import parse_branch, parse_period_literal
 
 
@@ -291,6 +292,25 @@ class TestReports:
                 "--sign", "-", "--hecke", "2,3,5"]
         assert main(argv, out=buf) == 0
         assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == (
+            "5d15c62d83a0d7ffb385f8417e2e5cb225858c028bf0d1099565dfde8c68014c")
+
+    def test_modsym_dump_table_golden_sha256(self):
+        # --format table of the level-60 dump above, Fractions included,
+        # recorded while each report line was printed by json.dumps
+        buf = io.StringIO()
+        argv = ["--no-cache", "--no-meta", "--format", "table", "modsym", "dump",
+                "--level", "60", "--sign", "-", "--hecke", "2,3,5"]
+        assert main(argv, out=buf) == 0
+        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == (
+            "db2534d209ba8d607dfc316e94f9fde67fbf00def2ead3f50c46a6afb6e53bc6")
+
+    def test_modsym_dump_golden_through_a_stdout_pipe(self):
+        # the same bytes as test_modsym_dump_golden_non_unit_pivot, written
+        # piece by piece to the real stdout of `python -m plinv.cli`
+        proc = _fresh_python(["-m", "plinv.cli", "--no-cache", "--no-meta", "modsym", "dump",
+                              "--level", "60", "--sign", "-", "--hecke", "2,3,5"], timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
             "5d15c62d83a0d7ffb385f8417e2e5cb225858c028bf0d1099565dfde8c68014c")
 
     @pytest.mark.parametrize("args,digest", [
@@ -825,8 +845,36 @@ _JSON_BLOCKS = (st.lists(st.lists(_JSON_SCALARS, max_size=4), max_size=6)
                            max_size=6))
 
 
+def _dumps(x, nl="\n  "):
+    """What `_write` writes for x, as one string."""
+    buf = io.StringIO()
+    _write(x, buf.write, nl)
+    return buf.getvalue()
+
+
+def _unquoted(x):
+    """x with every `Quoted` replaced by the string-typed copy it stands for."""
+    if isinstance(x, Quoted):
+        return [{str(k): str(v) for k, v in row.items()} if isinstance(row, dict)
+                else [str(v) for v in row] for row in x]
+    if isinstance(x, dict):
+        return {k: _unquoted(v) for k, v in x.items()}
+    return [_unquoted(v) for v in x] if isinstance(x, (list, tuple)) else x
+
+
+# exact numbers as in coordinate vectors and Hecke rows; keys such as 1, 10,
+# 100 and -1 sort differently as ints and as strings
+_EXACT = st.integers(-10 ** 30, 10 ** 30) | st.fractions()
+_ROWS = st.lists(st.dictionaries(st.integers(-120, 120), _EXACT, max_size=8)
+                 | st.lists(_EXACT, max_size=5), min_size=1, max_size=4)
+# a Quoted whose rows repeat by identity, as the generators of one class share theirs
+_QUOTED = st.tuples(_ROWS, st.lists(st.integers(0, 3), max_size=8)).map(
+    lambda t: Quoted(t[0][i % len(t[0])] for i in t[1]))
+
+
 class TestDumps:
-    """`_dumps` against the indent=2 output of the pure-Python encoder."""
+    """`_write` against the output of the pure-Python encoder: indent=2,
+    and compact for --format table."""
 
     @settings(max_examples=200, deadline=None)
     @given(_JSON_VALUES | _JSON_BLOCKS | st.dictionaries(st.text(max_size=2), _JSON_BLOCKS))
@@ -838,8 +886,58 @@ class TestDumps:
     @example([True, False, 1, 0, None, -0.0, float("inf"), float("-inf"), float("nan")])
     @example({10: [1], 9: {"x": True}, -1: "\n"})
     @example({"b": [1, [2, [3]]], "a": 1, "é\\\"\n": {"k": []}})
+    @example([(0, 1), (1, 0), [2, 3]])
     def test_matches_json_dumps_indent_2(self, value):
         assert _dumps(value) == json.dumps(value, indent=2, sort_keys=True)
+        assert _dumps(value, "") == json.dumps(value, sort_keys=True)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.dictionaries(st.text(max_size=3), _QUOTED | st.lists(_QUOTED, max_size=3)
+                           | _JSON_SCALARS, max_size=4))
+    @example({"gen_coords": Quoted([{}, {10: 1, 2: Fraction(-1, 2), 1: -3}, {}])})
+    @example({"\u2028\"\n": Quoted([[1, Fraction(4, 1)], []]), "h": Quoted([])})
+    def test_quoted_rows_match_their_string_copy(self, value):
+        plain = _unquoted(value)
+        assert _dumps(value) == json.dumps(plain, indent=2, sort_keys=True)
+        assert _dumps(value, "") == json.dumps(plain, sort_keys=True)
+
+    def test_each_shared_row_is_formatted_once(self, monkeypatch):
+        from plinv import cli, modsym
+
+        space = modsym.build_space(1000)
+        rows, quote = [], cli._quote
+        monkeypatch.setattr(cli, "_quote", lambda row, nl: rows.append(id(row)) or quote(row, nl))
+        assert main(["--no-cache", "--no-meta", "modsym", "dump", "--level", "1000",
+                     "--hecke", "2,3"], out=io.StringIO()) == 0
+        assert len(rows) == len(set(rows))  # 1800 generators, 881 vectors, one of them {}
+        assert len(rows) == len({id(c) for c in space._gen_coords if c}) + 2 * space.dimension
+
+    def test_dump_writes_in_pieces_under_2_mb(self):
+        # the level-1000 report is 1.09 MB of text.  Its peak was 9.2 MB while
+        # a string-typed copy and the whole text were built, and is 1.0 MB
+        # now; a buffer of the whole text alone (2.7 MB) or a string copy of
+        # the coordinates alone (3.0 MB) goes over 2 MB
+        import tracemalloc
+
+        from plinv import modsym
+
+        class Sink:
+            size = 0
+
+            def write(self, text):
+                self.size += len(text)
+
+        modsym.build_space(1000)
+        sink = Sink()
+        tracemalloc.start()
+        try:
+            assert main(["--no-cache", "--no-meta", "modsym", "dump", "--level", "1000",
+                         "--hecke", "2,3"], out=sink) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sink.size == 1089629
+        assert peak <= 2 * 2 ** 20, peak
 
 
 class TestStartUp:

@@ -419,6 +419,60 @@ class TestIntegerPresentation:
         assert echelon([{0: -1, 1: 2}]) == {0: (1, {1: -2})}
 
 
+class TestSharedVectors:
+    """One coordinate dict per (root, sign) class of the two-term relations,
+    and one object per distinct vector: the generators of a class share it,
+    in a built space and in one read from the cache, and callers only read
+    it."""
+
+    @pytest.mark.parametrize("sign,distinct", [(1, 881), (-1, 859)])
+    def test_a_class_shares_one_vector(self, sign, distinct):
+        space = build_space(1000, sign)
+        p1, coords = space.p1, space.gen_coords
+        for i in range(len(p1)):
+            # x_i = -x_(iS) and x_i = sign x_(i eta): i eta (sign +1) and
+            # i S eta (sign -1) are in the class of i with its sign
+            s = p1.act_right(i, modsym.S_MAT)
+            j = p1.act_right(s if sign == -1 else i, modsym.ETA_MAT)
+            assert coords(j) is coords(i), i
+            assert coords(s) == {k: -v for k, v in coords(i).items()}, i
+        assert len({id(c) for c in space._gen_coords}) == distinct
+        assert len(p1) == 1800
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_a_cached_space_shares_as_many(self, tmp_path, sign):
+        from plinv.cache import Cache
+
+        cache = Cache(str(tmp_path))
+        cold = build_space(1000, sign, cache)
+        modsym._space_memo.clear()
+        warm = build_space(1000, sign, cache)
+        assert warm is not cold and warm._gen_coords == cold._gen_coords
+        assert (len({id(c) for c in warm._gen_coords})
+                == len({id(c) for c in cold._gen_coords}))
+
+    # no curve has conductor 1000 (at p >= 5 the exponent is at most 2), so
+    # the eigen-symbol and its twist are taken on curve levels
+    @pytest.mark.parametrize("level,label,d", [(1000, None, None), (11, "11a1", 5),
+                                               (37, "37b1", -3)])
+    def test_callers_only_read_shared_vectors(self, level, label, d):
+        import io
+
+        from plinv.cli import main
+        from plinv.measures import TwistedSymbol
+
+        space = build_space(level)
+        if label:
+            sym = eigen_symbol(curve_by_label(label))
+            assert sym.space is space
+            TwistedSymbol(sym, d)
+        for ell in (2, 3):
+            space.hecke_matrix(ell)
+        assert main(["--no-cache", "--no-meta", "modsym", "dump", "--level", str(level)],
+                    out=io.StringIO()) == 0
+        assert space._gen_coords == SymbolSpace(level)._gen_coords
+
+
 class TestHecke:
     def test_t2_eigenvalue_minus2_at_11(self):
         sp = build_space(11, 1)
