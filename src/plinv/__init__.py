@@ -66,14 +66,14 @@ def check_prime(p):
 
 
 _HOMES = {
-    "padic": ["PadicNumber", "branch_log", "iwasawa_log", "ordp", "teichmuller"],
-    "periods": ["Period", "branch_change_check", "equivalence_check", "li", "ugly_polynomial"],
-    "curves": ["WeierstrassCurve", "curve_by_label", "curve_l_invariant", "invariants",
-               "minimal_model_at", "quadratic_twist", "reduction_type", "tate_period"],
+    "padic": ["PadicNumber", "branch_logs", "iwasawa_log", "ordp", "teichmuller"],
+    "periods": ["Period", "li", "ugly_polynomial"],
+    "curves": ["WeierstrassCurve", "curve_by_label", "curve_l_invariant", "minimal_model_at",
+               "quadratic_twist", "reduction_type", "tate_period"],
     "modsym": ["build_space", "eigen_symbol"],
     "measures": ["build_measure", "euler_factor", "exceptional_zero_check",
-                 "lp_value_and_derivative", "one_minus_zeta_product", "stickelberger",
-                 "twist_product_check", "unit_root"],
+                 "lp_value_and_derivative", "stickelberger", "twist_product_check",
+                 "unit_root"],
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
 

@@ -110,14 +110,6 @@ class WeierstrassCurve:
         }
 
 
-def invariants(curve):
-    """(c4, c6, disc, j); the defining identity 1728*disc = c4^3 - c6^2
-    is asserted."""
-    c4, c6, disc = curve.c4, curve.c6, curve.discriminant
-    assert 1728 * disc == c4 ** 3 - c6 ** 2
-    return c4, c6, disc, curve.j_invariant
-
-
 def _descend_once(curve, p):
     """Find (r, s, t) making the u = p substitution integral, or None.
 
@@ -403,17 +395,6 @@ def tate_period(curve, p, prec=20):
     assert int_val(q, p) == m
     q = PadicNumber(p, m, q // p ** m, prec)
     return TatePeriod(periods.Period(p, [(q, 1)]), q, m)
-
-
-def j_of_q(q):
-    """Evaluate the j-series at a p-adic q (for round-trip checks)."""
-    m = q.ord()
-    nterms = (q.n + m) // m + 2
-    coeffs = j_q_coefficients(nterms)
-    s = coeffs[nterms] * q
-    for n in range(nterms - 1, 0, -1):
-        s = (s + coeffs[n]) * q
-    return 1 / q + 744 + s
 
 
 def curve_l_invariant(curve, p, prec=20):

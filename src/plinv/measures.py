@@ -251,15 +251,6 @@ def build_measure(symbol, p, depth, root=None, prec=20):
     return PadicMeasure(p, depth, root, symbol, rows)
 
 
-def distribution_defect(measure, finer):
-    """mu_n(a) - sum of mu_{n+1} over the fiber; all-zero iff the
-    distribution property holds."""
-    if finer.depth != measure.depth + 1 or finer.p != measure.p:
-        raise MeasureError("need measures at consecutive depths")
-    push = finer.pushforward().values
-    return {a: v - push[a] for a, v in measure.values.items()}
-
-
 def stickelberger(measure, dual=False):
     """Theta_n = sum mu(a + p^n) [sigma_a]: the measure itself, with sigma_a
     indexed by a (arithmetic normalization), or its re-indexing by a^(-1)
@@ -542,59 +533,3 @@ def twist_product_check(curve, d, p, depth=3, prec=20, *, cache=None):
         )
     raise MeasureError("chi_D(p) must be +-1 (D coprime to p)")
 
-
-# -- exact cyclotomic identity ---------------------------------------------
-
-
-def _poly_divmod_z(num, den):
-    """Exact division of integer polynomials, den monic."""
-    num = list(num)
-    dn = len(den) - 1
-    q = [0] * max(0, len(num) - dn)
-    for i in range(len(num) - 1, dn - 1, -1):
-        c = num[i]
-        if c == 0:
-            continue
-        q[i - dn] = c
-        for k in range(dn + 1):
-            num[i - dn + k] -= c * den[k]
-    while num and num[-1] == 0:
-        num.pop()
-    return q, num
-
-
-def cyclotomic_polynomial(n):
-    """Integer coefficients of Phi_n, by exact division of x^n - 1."""
-    poly = [-1] + [0] * (n - 1) + [1]
-    for d in range(1, n):
-        if n % d == 0:
-            q, r = _poly_divmod_z(poly, cyclotomic_polynomial(d))
-            assert not r
-            poly = q
-    return poly
-
-
-def one_minus_zeta_product(n):
-    """prod_{i=1}^{n-1} (1 - zeta_n^i) computed exactly in Z[x]/Phi_n(x);
-    the classical value is n."""
-    if n < 2:
-        raise MeasureError("need n >= 2")
-    phi = cyclotomic_polynomial(n)
-    deg = len(phi) - 1
-
-    def reduce_mod_phi(poly):
-        _, r = _poly_divmod_z(poly, phi)
-        return r + [0] * (deg - len(r))
-
-    acc = [1] + [0] * (deg - 1) if deg > 1 else [1]
-    for i in range(1, n):
-        factor = [1] + [0] * (i - 1) + [-1]  # 1 - x^i
-        prod = [0] * (len(acc) + len(factor) - 1)
-        for a, ca in enumerate(acc):
-            if ca:
-                for b, cb in enumerate(factor):
-                    prod[a + b] += ca * cb
-        acc = reduce_mod_phi(prod)
-    if any(acc[1:]):
-        raise MeasureError("product did not reduce to a constant")
-    return acc[0]

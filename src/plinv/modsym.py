@@ -95,10 +95,6 @@ class P1List:
             raise ModSymError("not a projective point")
         return i
 
-    def reduce(self, u, v):
-        """Canonical representative of (u:v); Stein, Algorithm 8.29."""
-        return self._reps[self.index(u, v)]
-
     def act_right(self, i, mat):
         """Index of (c:d)*mat for mat = [[a, b], [c, d]] acting on rows."""
         c, d = self._reps[i]
@@ -255,13 +251,13 @@ class SymbolSpace:
         Merel's formula T_ell (c:d) = sum of (c:d) h over h in X_ell; for
         U_ell the images that are not projective points are dropped.  A
         column counts the image generators as integers, then maps each
-        distinct generator to coordinates once."""
+        distinct generator to coordinates once, straight into the matrix."""
         if ell in self._hecke:
             return self._hecke[ell]
         dim = self.dimension
         position = self.p1.position
         merel = merel_matrices(ell)
-        cols = []
+        mat = [[0] * dim for _ in range(dim)]
         for k in range(dim):
             c, d = self.p1[self.basis_generator(k)]
             counts = {}
@@ -269,12 +265,9 @@ class SymbolSpace:
                 i = position(c * a + d * cc, c * b + d * dd)
                 if i is not None:
                     counts[i] = counts.get(i, 0) + 1
-            col = [0] * dim
             for i, m in counts.items():
                 for pos, val in self.gen_coords(i).items():
-                    col[pos] += m * val
-            cols.append(col)
-        mat = [list(row) for row in zip(*cols)]
+                    mat[pos][k] += m * val
         self._hecke[ell] = mat
         return mat
 
@@ -415,11 +408,10 @@ class EigenSymbol:
     (U_ell) eigenvalues known so far; `eigenvalue` computes any other on
     demand."""
 
-    def __init__(self, space, gen_values, eigenvalues, label=""):
+    def __init__(self, space, gen_values, eigenvalues):
         self.space = space
         self.gen_values = gen_values
         self.eigenvalues = eigenvalues
-        self.label = label
 
     @property
     def level(self):
@@ -527,7 +519,7 @@ def eigen_symbol(curve, sign=1, cache=None):
     w = basis[0]
     vals = normalized([sum(w[k] * v for k, v in space.gen_coords(i).items())
                        for i in range(len(space.p1))])
-    return EigenSymbol(space, vals, probes, label=getattr(curve, "label", ""))
+    return EigenSymbol(space, vals, probes)
 
 
 def normalized(values):

@@ -278,12 +278,6 @@ class PadicElement:
 
     # -- rounding ------------------------------------------------------
 
-    def truncate(self, n):
-        """Drop to at most n significant digits."""
-        if self.is_zero or n >= self.n:
-            return self
-        return self._make(self.v, self._coords(), n)
-
     def cap_abs_prec(self, a):
         """Forget digits beyond absolute precision a."""
         if self.abs_prec <= a:
@@ -511,19 +505,15 @@ def iwasawa_log(x):
     return x._log()
 
 
-def branch_log(x, y):
-    """log_x(y) for the branch of log normalized by log_x(x) = 0, for x and
-    y in one field (Q_p or Q_{p^f}).
+def branch_logs(x, ys):
+    """[log_x(y) for y in ys], with log(x) computed once: log_x is the
+    branch of log normalized by log_x(x) = 0, for x and every y in one
+    field (Q_p or Q_{p^f}).
 
     log_x(y) = log(y) - (ord(y)/ord(x)) * log(x); requires ord(x) != 0.
     """
-    return branch_logs(x, [y])[0]
-
-
-def branch_logs(x, ys):
-    """[branch_log(x, y) for y in ys], with log(x) computed once."""
     if not all(isinstance(z, PadicElement) for z in (x, *ys)):
-        raise PadicError("branch_log expects p-adic field elements")
+        raise PadicError("branch_logs expects p-adic field elements")
     if x.ord() == 0:
         raise PadicError("not a branch direction")
     log_x = x.log()

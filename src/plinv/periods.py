@@ -24,8 +24,6 @@ class NotAPeriodError(PadicError):
 
 
 DEFAULT_PREC = 20
-# division by total_ord and branch recentering can eat a couple of digits
-EQUALITY_SLACK = 2
 
 
 # A base is rational (int or Fraction), a PadicElement, or an exact element
@@ -78,28 +76,14 @@ class Period:
     def total_ord(self):
         return sum(e * padic.ordp(b, self.p) for b, e in self.factors)
 
-    def power(self, k):
-        if k == 0:
-            raise NotAPeriodError("not a period")
-        return Period(self.p, [(b, e * k) for b, e in self.factors], ctx=self.ctx)
-
-    def __mul__(self, other):
-        if not isinstance(other, Period) or other.p != self.p:
-            raise PadicError("can only multiply periods over the same prime")
-        return Period(self.p, list(self.factors) + list(other.factors),
-                      ctx=self.ctx or other.ctx)
-
-    def rational_value(self, k=1):
-        """q^k as an exact Fraction; only for all-rational bases."""
+    def rational_value(self):
+        """q as an exact Fraction; only for all-rational bases."""
         out = Fraction(1)
         for b, e in self.factors:
             if not isinstance(b, (int, Fraction)):
                 raise PadicError("period has non-rational bases")
-            out *= Fraction(b) ** (e * k)
+            out *= Fraction(b) ** e
         return out
-
-    def all_rational(self):
-        return all(isinstance(b, (int, Fraction)) for b, _ in self.factors)
 
     def __repr__(self):
         return " * ".join(f"({b})^{e}" for b, e in self.factors) or "1"
@@ -192,9 +176,7 @@ def li(q, branch="iwasawa", prec=DEFAULT_PREC):
     UnramifiedElement for a non-cyclotomic branch over Q_{p^f})."""
     if not isinstance(q, Period):
         raise PadicError("li expects a Period")
-    tot = q.total_ord()
-    if tot == 0:
-        raise NotAPeriodError("not a period")
+    tot = q.total_ord()  # never 0: Period refuses it
     kind, x = _parse_branch(branch)
     guard = 3
     work = prec + guard
@@ -213,63 +195,6 @@ def li(q, branch="iwasawa", prec=DEFAULT_PREC):
         val = val * e
         total = val if total is None else total + val
     return total * Fraction(1, tot)
-
-
-class CheckReport:
-    """Both sides of an identity, whether they provably agree, and the
-    absolute precision to which they do."""
-
-    def __init__(self, equal, lhs, rhs, agree_abs_prec, details):
-        self.equal = equal
-        self.lhs = lhs
-        self.rhs = rhs
-        self.agree_abs_prec = agree_abs_prec
-        self.details = details
-
-    def to_json(self):
-        def enc(v):
-            return v.to_json() if hasattr(v, "to_json") else v
-
-        return {
-            "equal": self.equal,
-            "lhs": enc(self.lhs),
-            "rhs": enc(self.rhs),
-            "agree_abs_prec": None if self.agree_abs_prec is None else
-            (str(self.agree_abs_prec) if self.agree_abs_prec == float("inf") else self.agree_abs_prec),
-            **{k: enc(v) for k, v in self.details.items()},
-        }
-
-
-def _provably_equal(a, b, prec):
-    ap = a.agreement(b)
-    return a == b and ap >= prec - EQUALITY_SLACK, ap
-
-
-def branch_change_check(q, x, y, prec=DEFAULT_PREC):
-    """Verify LI_y(q) = LI_x(q) - LI_x(y) and return both sides."""
-    lhs = li(q, branch=y, prec=prec)
-    li_x_q = li(q, branch=x, prec=prec)
-    li_x_y = li(Period(q.p, [(y, 1)], ctx=q.ctx), branch=x, prec=prec)
-    rhs = li_x_q - li_x_y
-    ok, ap = _provably_equal(lhs, rhs, prec)
-    return CheckReport(ok, lhs, rhs, ap, {
-        "li_x_q": li_x_q,
-        "li_x_y": li_x_y,
-    })
-
-
-def equivalence_check(q, qt, x, prec=DEFAULT_PREC):
-    """LI_x(q) = LI_x(qt)?  Reports witness exponents (n, m) =
-    (total_ord(qt), total_ord(q)) and, when both periods have rational
-    bases, the exact verdict on q^n = qt^m."""
-    lhs = li(q, branch=x, prec=prec)
-    rhs = li(qt, branch=x, prec=prec)
-    ok, ap = _provably_equal(lhs, rhs, prec)
-    n, m = qt.total_ord(), q.total_ord()
-    details = {"witness_n": n, "witness_m": m}
-    if q.all_rational() and qt.all_rational():
-        details["exact_power_identity"] = q.rational_value(n) == qt.rational_value(m)
-    return CheckReport(ok, lhs, rhs, ap, details)
 
 
 class UglyPolynomial:

@@ -129,8 +129,17 @@ def _floor_log(k, p):
     return e
 
 
-def padic_of_fraction(padicnum_cls, p, x, n):
-    return padicnum_cls.from_fraction(p, x, n)
+def provably_equal(a, b, prec):
+    """a = b to prec less 2 digits, which total_ord and a branch change may eat."""
+    return a == b and a.agreement(b) >= prec - 2
+
+
+def branch_change_holds(q, x, y, prec):
+    """The change-of-branch law LI_y(q) = LI_x(q) - LI_x(y), provably."""
+    from plinv.periods import Period, li
+
+    rhs = li(q, branch=x, prec=prec) - li(Period(q.p, [(y, 1)], ctx=q.ctx), branch=x, prec=prec)
+    return provably_equal(li(q, branch=y, prec=prec), rhs, prec)
 
 
 def assert_same(a, b, min_abs_prec=None):
@@ -526,6 +535,77 @@ def j_q_product_reference(nterms):
         inv[k] = -sum(eta24[i] * inv[k - i] for i in range(1, k + 1))
     jq = mul(mul(mul(e4, e4), e4), inv)
     return jq[1 : nterms + 2]
+
+
+def j_of_q(q):
+    """The j-series of `curves.j_q_coefficients` evaluated at a p-adic q,
+    for round trips of `tate_period`."""
+    from plinv.curves import j_q_coefficients
+
+    m = q.ord()
+    nterms = (q.n + m) // m + 2
+    coeffs = j_q_coefficients(nterms)
+    s = coeffs[nterms] * q
+    for n in range(nterms - 1, 0, -1):
+        s = (s + coeffs[n]) * q
+    return 1 / q + 744 + s
+
+
+# -- exact cyclotomic identity -----------------------------------------------
+
+
+def _poly_divmod_z(num, den):
+    """Exact division of integer polynomials, den monic."""
+    num = list(num)
+    dn = len(den) - 1
+    q = [0] * max(0, len(num) - dn)
+    for i in range(len(num) - 1, dn - 1, -1):
+        c = num[i]
+        if c == 0:
+            continue
+        q[i - dn] = c
+        for k in range(dn + 1):
+            num[i - dn + k] -= c * den[k]
+    while num and num[-1] == 0:
+        num.pop()
+    return q, num
+
+
+def cyclotomic_polynomial(n):
+    """Integer coefficients of Phi_n, by exact division of x^n - 1."""
+    poly = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            q, r = _poly_divmod_z(poly, cyclotomic_polynomial(d))
+            assert not r
+            poly = q
+    return poly
+
+
+def one_minus_zeta_product(n):
+    """prod_{i=1}^{n-1} (1 - zeta_n^i) computed exactly in Z[x]/Phi_n(x);
+    the classical value is n."""
+    if n < 2:
+        raise ValueError("need n >= 2")
+    phi = cyclotomic_polynomial(n)
+    deg = len(phi) - 1
+
+    def reduce_mod_phi(poly):
+        _, r = _poly_divmod_z(poly, phi)
+        return r + [0] * (deg - len(r))
+
+    acc = [1] + [0] * (deg - 1) if deg > 1 else [1]
+    for i in range(1, n):
+        factor = [1] + [0] * (i - 1) + [-1]  # 1 - x^i
+        prod = [0] * (len(acc) + len(factor) - 1)
+        for a, ca in enumerate(acc):
+            if ca:
+                for b, cb in enumerate(factor):
+                    prod[a + b] += ca * cb
+        acc = reduce_mod_phi(prod)
+    if any(acc[1:]):
+        raise ValueError("product did not reduce to a constant")
+    return acc[0]
 
 
 # -- linear-algebra oracles: elimination over Q with Fraction pivots ------

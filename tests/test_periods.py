@@ -5,18 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from plinv import padic
-from plinv.padic import PadicNumber, branch_log, iwasawa_log
-from plinv.periods import (
-    NotAPeriodError,
-    Period,
-    branch_change_check,
-    equivalence_check,
-    li,
-    ugly_polynomial,
-)
+from plinv.padic import PadicNumber, branch_logs, iwasawa_log
+from plinv.periods import NotAPeriodError, Period, li, ugly_polynomial
 from plinv.unramified import ExactUnramified, UnramifiedContext
 
-from helpers import assert_same, unit_coeffs
+from helpers import assert_same, branch_change_holds, provably_equal, unit_coeffs
 
 
 def rand_unit_fraction(rng, p):
@@ -69,7 +62,8 @@ class TestLi:
         for _ in range(10):
             q = rand_period(rng, 7)
             for k in (2, -1, 5):
-                assert_same(li(q, "p", 12), li(q.power(k), "p", 12), 8)
+                qk = Period(7, [(b, e * k) for b, e in q.factors])
+                assert_same(li(q, "p", 12), li(qk, "p", 12), 8)
 
     def test_cyclotomic_branch_equals_iwasawa_over_qp(self):
         q = Period(5, [(Fraction(30), 1)])
@@ -94,11 +88,12 @@ class TestLi:
 
     def test_element_branch_logs_the_branch_once(self, monkeypatch):
         # one log per factor and one of the branch element; the value is the
-        # sum of the factors' branch_log, digit for digit
+        # sum of the factors' branch logs, digit for digit
         factors = [(Fraction(2, 3), -2), (Fraction(50), 1), (Fraction(7), 3)]
         q, x = Period(5, factors), Fraction(10)
         xl = PadicNumber.from_fraction(5, x, 23)  # li works 3 digits beyond prec
-        vals = [branch_log(xl, PadicNumber.from_fraction(5, b, 23)) * e for b, e in factors]
+        vals = [branch_logs(xl, [PadicNumber.from_fraction(5, b, 23)])[0] * e
+                for b, e in factors]
         want = (vals[0] + vals[1] + vals[2]) * Fraction(1, q.total_ord())
         logs = []
         real = padic.iwasawa_log
@@ -119,20 +114,18 @@ class TestLi:
             return ctx.from_vector([Fraction(p) ** v * c for c in unit_coeffs(data, p, f, n)], n)
 
         x, y = element(), element()
-        want = branch_log(x, y)
+        want = branch_logs(x, [y])[0]
         assert_same(li(Period(p, [(y, 1)]), branch=x, prec=n) * y.ord(), want, want.abs_prec)
 
 
 class TestBranchChange:
     def test_y_equals_x(self):
         q = Period(5, [(Fraction(50, 3), 1)])
-        rep = branch_change_check(q, Fraction(30), Fraction(30), prec=12)
-        assert rep.equal
+        assert branch_change_holds(q, Fraction(30), Fraction(30), prec=12)
 
     def test_x_p_y_p2(self):
         q = Period(5, [(Fraction(10), 1)])
-        rep = branch_change_check(q, Fraction(5), Fraction(25), prec=12)
-        assert rep.equal
+        assert branch_change_holds(q, Fraction(5), Fraction(25), prec=12)
         # LI_{p^2}(q) = LI_p(q) since log_p(p^2) = 0
         assert_same(li(q, branch=Fraction(25), prec=12), li(q, "p", 12), 9)
 
@@ -140,8 +133,7 @@ class TestBranchChange:
         rng = random.Random(17)
         for _ in range(8):
             q = rand_period(rng, 5)
-            rep = branch_change_check(q, Fraction(30), Fraction(50), prec=14)
-            assert rep.equal
+            assert branch_change_holds(q, Fraction(30), Fraction(50), prec=14)
 
     def test_chains_consistently(self):
         # applying the change-of-branch law twice agrees with once
@@ -167,31 +159,27 @@ class TestEquivalence:
     def test_q_and_q_cubed(self):
         rng = random.Random(31)
         q = rand_period(rng, 5)
-        rep = equivalence_check(q, q.power(3), Fraction(30), prec=12)
-        assert rep.equal
-        assert rep.details["exact_power_identity"]
+        qt = Period(5, [(b, 3 * e) for b, e in q.factors])
+        assert provably_equal(li(q, Fraction(30), 12), li(qt, Fraction(30), 12), 12)
+        # the witness exponents (n, m) = (total_ord(qt), total_ord(q)): q^n = qt^m
+        assert q.rational_value() ** qt.total_ord() == qt.rational_value() ** q.total_ord()
 
     def test_inequivalent_after_unit_twist(self):
         # q * u for a unit u with log u != 0 changes the invariant
         q = Period(5, [(Fraction(5), 1)])
         qu = Period(5, [(Fraction(5), 1), (Fraction(6), 1)])
-        rep = equivalence_check(q, qu, Fraction(30), prec=12)
-        assert not rep.equal
+        assert not provably_equal(li(q, Fraction(30), 12), li(qu, Fraction(30), 12), 12)
 
     def test_independent_of_branch_element(self):
         rng = random.Random(41)
         q = rand_period(rng, 7)
-        qt = q.power(2)
+        qt = Period(7, [(b, 2 * e) for b, e in q.factors])
         for x in (Fraction(7), Fraction(14, 3), Fraction(49 * 5)):
-            assert equivalence_check(q, qt, x, prec=12).equal
+            assert provably_equal(li(q, x, 12), li(qt, x, 12), 12)
 
     def test_nonperiod_second_argument(self):
         with pytest.raises(NotAPeriodError):
-            equivalence_check(
-                Period(5, [(Fraction(5), 1)]),
-                Period(5, [(Fraction(6), 1)]),
-                Fraction(5),
-            )
+            li(Period(5, [(Fraction(6), 1)]), branch=Fraction(5))
 
 
 class TestUgly:
