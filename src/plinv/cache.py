@@ -9,7 +9,6 @@ CacheError instead of being silently rebuilt; the class lives in the
 package root, so the command line maps it to exit 4 without this module.
 """
 
-import fcntl
 import json
 import os
 
@@ -53,6 +52,7 @@ class Cache:
         return data["payload"]
 
     def store(self, name, kind, payload):
+        import fcntl  # a read takes no lock, since a write replaces the file whole
         import tempfile  # with its shutil and random: only writers pay for it
 
         os.makedirs(self.directory, exist_ok=True)

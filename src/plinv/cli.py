@@ -1,27 +1,24 @@
 """Command-line interface.
 
 Exit codes: 0 success, 2 domain errors (not a period, no Tate period,
-unknown label, ...), 3 parse/usage errors, 4 cache corruption.
+unknown label, ...), 3 parse/usage errors, 4 cache corruption, 141 the
+reader of the output closed it early.
 
-Each command imports the modules it runs when it runs, and only a cached
-run loads `cache`, so `--no-cache modsym dump` loads modsym and linalg
-alone: no p-adic code, `fractions` or `fcntl`.  Reports are written out
-piece by piece as they are formatted, in either --format.
+Each command imports the modules it runs when it runs; only a cached run
+loads `cache`, and only a cache write `fcntl`, so `--no-cache modsym dump`
+loads modsym and linalg alone: no p-adic code or `fractions`.  The
+options are read from one table, which `-h` prints.  Reports are written
+out piece by piece as they are formatted, in either --format.
 """
 
-import argparse
 import json
 import sys
 from collections import Counter
 from functools import lru_cache
 from itertools import chain
+from types import SimpleNamespace
 
 from . import CacheError, DomainError, Quoted, UsageError, __version__, check_prime
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise UsageError(message)
 
 
 # -- argument plumbing ----------------------------------------------------
@@ -56,6 +53,12 @@ def _sign(text):
     raise UsageError("--sign must be + or -")
 
 
+def _format(text):
+    if text not in ("json", "table"):
+        raise UsageError("--format must be json or table")
+    return text
+
+
 def _user_table_path(cache):
     import os
 
@@ -81,71 +84,114 @@ def _resolve_curve(args, cache=None):
     raise UsageError("provide --label or --curve")
 
 
-def _add_curve_args(sub):
-    sub.add_argument("--label", help="curve label from the bundled table")
-    sub.add_argument("--curve", help="a1,a2,a3,a4,a6 (integral model)")
+# TABLE[command] = (help, options); an option is (names, dest, converter,
+# default, help): no converter makes a flag, a default of ... a required
+# option, and names without a dash a positional.  A COMMAND positional hands
+# the rest of argv to TABLE[command + " " + its value].  `-h` reads the table.
+_HELP = ("-h --help", "help", None, False, "show this help")
+_P = ("-p", "p", _prime, ..., "the prime p")
+_PREC = ("--prec", "prec", _precision, 20, "p-adic digits, at least 5")
+_DEPTH = ("--depth", "depth", _depth, 3, "measure depth n, 1 to 4")
+_DUAL = ("--dual", "dual", None, False, "use the dual measure")
+_CURVE = (("--label", "label", str, None, "curve label from the bundled table"),
+          ("--curve", "curve", str, None, "a1,a2,a3,a4,a6 (integral model)"))
+TABLE = {
+    "plinv": (__doc__, [("--cache-dir", "cache_dir", str, None, "override the cache directory"),
+                        ("--no-cache", "no_cache", None, False, "disable the disk cache"),
+                        ("--no-meta", "no_meta", None, False, "suppress the timestamp block"),
+                        ("--format", "format", _format, "json", "json | table"),
+                        ("COMMAND", "command", None, ..., "")]),
+    "plinv li-period": ("L-invariant of a period literal", [
+        ("LITERAL", "literal", str, ..., "a period such as '(2/3)^-2 * 50^1'"), _P,
+        ("--branch", "branch", str, "p", "p | cyc | a rational literal with ord != 0"), _PREC]),
+    "plinv li-curve": ("Tate period and its L-invariant", [*_CURVE, _P, _PREC]),
+    "plinv check-ezc": ("exceptional-zero comparison", [*_CURVE, _P, _DEPTH, _PREC, _DUAL]),
+    "plinv check-twist": ("quadratic-twist product bookkeeping", [
+        *_CURVE, ("-D", "disc", int, ..., "a fundamental discriminant"), _P, _DEPTH, _PREC]),
+    "plinv stickelberger": ("Stickelberger element at depth n", [
+        *_CURVE, _P, ("-n --depth", "depth", _depth, 2, _DEPTH[4]), _PREC, _DUAL]),
+    "plinv lp": ("p-adic L-value and derivative data", [
+        *_CURVE, _P, _DEPTH, _PREC, ("--table", "table", None, False, "include the measure table"),
+        _DUAL]),
+    "plinv import-curve": ("validate and register a table row", [
+        ("--row", "row", str, ..., '"label a1,a2,a3,a4,a6"; derived data is recomputed')]),
+    "plinv modsym": ("modular symbol spaces", [("COMMAND", "modsym_command", None, ..., "")]),
+    "plinv modsym dump": ("presentation and Hecke matrices", [
+        ("--level", "level", int, ..., "the level N"), ("--sign", "sign", _sign, 1, "+ or -"),
+        ("--hecke", "hecke", str, "2,3", "comma-separated primes")]),
+}
 
 
-def build_parser():
-    ap = _Parser(prog="plinv", description=__doc__)
-    ap.add_argument("--cache-dir", default=None, help="override the cache directory")
-    ap.add_argument("--no-cache", action="store_true", help="disable the disk cache")
-    ap.add_argument("--no-meta", action="store_true", help="suppress the timestamp block")
-    ap.add_argument("--format", choices=("json", "table"), default="json")
-    sub = ap.add_subparsers(dest="command", required=True)
+def _option(arg, flags):
+    """(flag, attached value or None) of the option that arg names, read as
+    argparse reads it: exact, `--opt=value`, `-p11` or a unique prefix of a
+    long option; an ambiguous prefix raises, and (None, arg) names none."""
+    name, eq, value = arg.partition("=")
+    if arg in flags:
+        return arg, None
+    if eq and name in flags:
+        return name, value
+    if arg[:2] in flags:
+        return arg[:2], arg[2:]
+    hits = [flag for flag in flags if flag.startswith(name)] if arg[:2] == "--" else []
+    if len(hits) > 1:
+        raise UsageError(f"ambiguous option: {arg} could match {', '.join(hits)}")
+    return (hits[0], value if eq else None) if hits else (None, arg)
 
-    s = sub.add_parser("li-period", help="L-invariant of a period literal")
-    s.add_argument("literal")
-    s.add_argument("-p", type=_prime, required=True)
-    s.add_argument("--branch", default="p", help="p | cyc | a rational literal with ord != 0")
-    s.add_argument("--prec", type=_precision, default=20)
 
-    s = sub.add_parser("li-curve", help="Tate period and its L-invariant")
-    _add_curve_args(s)
-    s.add_argument("-p", type=_prime, required=True)
-    s.add_argument("--prec", type=_precision, default=20)
+def parse_args(argv):
+    """argv as a namespace with the names the handlers read, or the text of
+    the help that a `-h` in it asks for.  It reads argv as argparse did,
+    except that a value or literal beginning with "-" that names no option
+    is taken; every rejection raises UsageError."""
+    args, key, todo = SimpleNamespace(), "plinv", list(argv)
+    while True:
+        opts = TABLE[key][1]
+        flags = {name: o for o in (*opts, _HELP) for name in o[0].split() if name[0] == "-"}
+        slots, ended, opt = [o for o in opts if o[0][0] != "-"], False, None
+        vars(args).update((o[1], o[3]) for o in opts)
+        while todo:
+            arg = todo.pop(0)
+            if arg == "--" and not ended:  # argparse takes it only next to a positional
+                if not (todo and slots or opt and opt[0][0] != "-"):
+                    raise UsageError("unrecognized argument '--'")
+                ended = True
+                continue
+            flag, value = (None, arg) if ended else _option(arg, flags)
+            opt = flags[flag] if flag else slots.pop(0) if slots else None
+            if opt is None or opt[0] == "COMMAND" and (ended or f"{key} {arg}" not in TABLE):
+                raise UsageError(f"unrecognized argument {arg!r}")
+            if flag and not opt[2] and value is not None:
+                raise UsageError(f"{flag} takes no value")
+            if opt is _HELP:
+                return _help(key)
+            if flag and opt[2] and value is None:
+                value = todo.pop(0) if todo else "--"
+                if value == "--" or _option(value, flags)[0]:
+                    raise UsageError(f"{flag} expects a value")
+            try:  # a flag is set to True, a COMMAND to its name
+                setattr(args, opt[1], opt[2](value) if opt[2] else value or True)
+            except ValueError as exc:  # int() in a converter
+                raise UsageError(f"{opt[0]}: {exc}") from exc
+            if opt[0] == "COMMAND":
+                key = f"{key} {arg}"
+                break
+        else:
+            missing = [o[0] for o in opts if getattr(args, o[1]) is ...]
+            if missing:
+                raise UsageError(f"{key} requires {', '.join(missing)}")
+            return args
 
-    s = sub.add_parser("check-ezc", help="exceptional-zero comparison")
-    _add_curve_args(s)
-    s.add_argument("-p", type=_prime, required=True)
-    s.add_argument("--depth", type=_depth, default=3)
-    s.add_argument("--prec", type=_precision, default=20)
-    s.add_argument("--dual", action="store_true")
 
-    s = sub.add_parser("check-twist", help="quadratic-twist product bookkeeping")
-    _add_curve_args(s)
-    s.add_argument("-D", type=int, required=True, dest="disc")
-    s.add_argument("-p", type=_prime, required=True)
-    s.add_argument("--depth", type=_depth, default=3)
-    s.add_argument("--prec", type=_precision, default=20)
-
-    s = sub.add_parser("stickelberger", help="Stickelberger element at depth n")
-    _add_curve_args(s)
-    s.add_argument("-p", type=_prime, required=True)
-    s.add_argument("-n", "--depth", type=_depth, default=2)
-    s.add_argument("--prec", type=_precision, default=20)
-    s.add_argument("--dual", action="store_true")
-
-    s = sub.add_parser("lp", help="p-adic L-value and derivative data")
-    _add_curve_args(s)
-    s.add_argument("-p", type=_prime, required=True)
-    s.add_argument("--depth", type=_depth, default=3)
-    s.add_argument("--prec", type=_precision, default=20)
-    s.add_argument("--table", action="store_true", help="include the measure table")
-    s.add_argument("--dual", action="store_true")
-
-    s = sub.add_parser("import-curve", help="validate and register a table row")
-    s.add_argument("--row", required=True,
-                   help='"label a1,a2,a3,a4,a6"; derived data is recomputed')
-
-    s = sub.add_parser("modsym", help="modular symbol spaces")
-    s2 = s.add_subparsers(dest="modsym_command", required=True)
-    d = s2.add_parser("dump", help="presentation and Hecke matrices")
-    d.add_argument("--level", type=int, required=True)
-    d.add_argument("--sign", type=_sign, default=1)
-    d.add_argument("--hecke", default="2,3", help="comma-separated primes")
-
-    return ap
+def _help(key):
+    """The -h text of TABLE[key]: usage, then a line per option and command."""
+    about, opts = TABLE[key]
+    rows = [(names, text + (" (required)" if default is ... else f" (default: {default})"
+                            if conv and default is not None else ""))
+            for names, _, conv, default, text in (*opts, _HELP) if names != "COMMAND"]
+    rows += [(k[len(key) + 1:], TABLE[k][0]) for k in TABLE if k.rpartition(" ")[0] == key]
+    usage = " ".join([key, "[options]", *(o[0] for o in opts if o[0][0] != "-")])
+    return f"usage: {usage}\n\n{about.strip()}\n\n" + "".join(f"  {a:18}{b}\n" for a, b in rows)
 
 
 # -- command handlers -------------------------------------------------------
@@ -376,11 +422,13 @@ def _emit(payload, args, out):
 
 def main(argv=None, out=None):
     out = out or sys.stdout
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        if isinstance(args, str):  # the text of -h
+            out.write(args)
+            return 0
         if not args.no_cache:
-            from .cache import Cache  # with fcntl: only a cached run loads it
+            from .cache import Cache  # only a cached run loads it
         cache = None if args.no_cache else Cache(args.cache_dir)
         payload = HANDLERS[args.command](args, cache)
         _emit(payload, args, out)
@@ -394,6 +442,13 @@ def main(argv=None, out=None):
     except DomainError as exc:
         print(f"plinv: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        if out is not sys.stdout:
+            raise
+        import os  # the reader left: point fd 1 at devnull, so the exit flush cannot fail
+
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

@@ -1,9 +1,13 @@
 """Shared test oracles, independent of the library internals."""
 
+import argparse
 from fractions import Fraction
 from math import gcd
 
 from hypothesis import strategies as st
+
+from plinv import UsageError
+from plinv.cli import _depth, _precision, _prime, _sign
 
 
 def frac_mod(x, p, k):
@@ -778,3 +782,79 @@ def descend_once_reference(a_invariants, p):
                              - r * t * a1) % p ** 6 == 0):
                     return (r, s, t)
     return None
+
+
+# The argparse parser that plinv.cli used before its option table: the
+# oracle of tests/test_parser.py.
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise UsageError(message)
+
+
+def _add_curve_args(sub):
+    sub.add_argument("--label", help="curve label from the bundled table")
+    sub.add_argument("--curve", help="a1,a2,a3,a4,a6 (integral model)")
+
+
+def build_parser():
+    ap = _Parser(prog="plinv", description=__doc__)
+    ap.add_argument("--cache-dir", default=None, help="override the cache directory")
+    ap.add_argument("--no-cache", action="store_true", help="disable the disk cache")
+    ap.add_argument("--no-meta", action="store_true", help="suppress the timestamp block")
+    ap.add_argument("--format", choices=("json", "table"), default="json")
+    sub = ap.add_subparsers(dest="command", required=True)
+
+    s = sub.add_parser("li-period", help="L-invariant of a period literal")
+    s.add_argument("literal")
+    s.add_argument("-p", type=_prime, required=True)
+    s.add_argument("--branch", default="p", help="p | cyc | a rational literal with ord != 0")
+    s.add_argument("--prec", type=_precision, default=20)
+
+    s = sub.add_parser("li-curve", help="Tate period and its L-invariant")
+    _add_curve_args(s)
+    s.add_argument("-p", type=_prime, required=True)
+    s.add_argument("--prec", type=_precision, default=20)
+
+    s = sub.add_parser("check-ezc", help="exceptional-zero comparison")
+    _add_curve_args(s)
+    s.add_argument("-p", type=_prime, required=True)
+    s.add_argument("--depth", type=_depth, default=3)
+    s.add_argument("--prec", type=_precision, default=20)
+    s.add_argument("--dual", action="store_true")
+
+    s = sub.add_parser("check-twist", help="quadratic-twist product bookkeeping")
+    _add_curve_args(s)
+    s.add_argument("-D", type=int, required=True, dest="disc")
+    s.add_argument("-p", type=_prime, required=True)
+    s.add_argument("--depth", type=_depth, default=3)
+    s.add_argument("--prec", type=_precision, default=20)
+
+    s = sub.add_parser("stickelberger", help="Stickelberger element at depth n")
+    _add_curve_args(s)
+    s.add_argument("-p", type=_prime, required=True)
+    s.add_argument("-n", "--depth", type=_depth, default=2)
+    s.add_argument("--prec", type=_precision, default=20)
+    s.add_argument("--dual", action="store_true")
+
+    s = sub.add_parser("lp", help="p-adic L-value and derivative data")
+    _add_curve_args(s)
+    s.add_argument("-p", type=_prime, required=True)
+    s.add_argument("--depth", type=_depth, default=3)
+    s.add_argument("--prec", type=_precision, default=20)
+    s.add_argument("--table", action="store_true", help="include the measure table")
+    s.add_argument("--dual", action="store_true")
+
+    s = sub.add_parser("import-curve", help="validate and register a table row")
+    s.add_argument("--row", required=True,
+                   help='"label a1,a2,a3,a4,a6"; derived data is recomputed')
+
+    s = sub.add_parser("modsym", help="modular symbol spaces")
+    s2 = s.add_subparsers(dest="modsym_command", required=True)
+    d = s2.add_parser("dump", help="presentation and Hecke matrices")
+    d.add_argument("--level", type=int, required=True)
+    d.add_argument("--sign", type=_sign, default=1)
+    d.add_argument("--hecke", default="2,3", help="comma-separated primes")
+
+    return ap

@@ -34,6 +34,12 @@ EXTRA = [  # (argv, exit code): the shapes README does not show
     (["modsym", "dump", "--level", "0"], 2),
     (["li-curve", "--label", "11a1", "-p", "4"], 3),
     (["li-curve", "--label", "11a1"], 3),
+    (["-h"], 0),  # help, built from the option table
+    (["check-ezc", "--help"], 0),
+    (["modsym", "dump", "-h"], 0),
+    (["li-curve", "--label", "11a1", "-p", "11", "--bogus"], 3),  # unknown option
+    (["check-twist", "--label", "11a1", "-p", "11", "-D"], 3),  # missing value
+    (["check-ezc", "--label", "11a1", "-p", "11", "--d", "2"], 3),  # ambiguous prefix
 ]
 
 # A name covers the defs nested in it; a module or a class covers its defs.
