@@ -26,6 +26,18 @@ def _fresh_python(args, timeout, **env):
                           capture_output=True, text=True, timeout=timeout)
 
 
+def _buffered_env():
+    """The environment of a `plinv` process whose stdout is block-buffered,
+    as it is by default: without PYTHONUNBUFFERED."""
+    import os
+
+    import plinv
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(plinv.__file__)))
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
 def run(args, tmp_path=None):
     buf = io.StringIO()
     argv = ["--no-meta"]
@@ -172,6 +184,30 @@ class TestExitCodes:
         err = proc.stderr.read()
         proc.stderr.close()
         assert (proc.wait(timeout=120), err) == (141, b"")
+
+    @pytest.mark.parametrize("argv", [
+        ["li-period", "30^1", "-p", "5", "--branch", "p", "--prec", "8"],
+        ["check-ezc", "--label", "11a1", "-p", "11", "--depth", "2"],
+    ], ids=["li-period", "check-ezc"])
+    def test_a_reader_that_leaves_before_the_exit_flush_gets_exit_141(self, argv):
+        # a block-buffered stdout holds the whole of these short reports until
+        # main flushes it, so the pipe breaks there and not at the exit flush
+        import subprocess
+        import sys
+
+        proc = subprocess.Popen([sys.executable, "-m", "plinv.cli", "--no-meta", "--no-cache",
+                                 *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                env=_buffered_env())
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=120), err) == (141, b"")
+
+    @pytest.mark.parametrize("hecke", ["4", "x"])
+    def test_hecke_names_itself_in_its_error(self, capsys, hecke):
+        rc, _ = run(["modsym", "dump", "--level", "11", "--hecke", f"2,{hecke}"])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("plinv: --hecke wants a prime: ")
 
     def test_supersingular_twist_domain_error(self):
         rc, _ = run(["check-twist", "--label", "11a1", "-D", "2", "-p", "11"])
@@ -959,6 +995,19 @@ class TestDumps:
         assert sink.size == 1089629
         assert peak <= 2 * 2 ** 20, peak
 
+    def test_dump_reaches_out_in_batches_of_64_kib(self):
+        # an unbuffered stdout makes each out.write a syscall: the level-1000
+        # report reached it in 4,240 writes, one per piece
+        from types import SimpleNamespace
+
+        sizes = []
+        sink = SimpleNamespace(write=lambda text: sizes.append(len(text)))
+        assert main(["--no-cache", "--no-meta", "modsym", "dump", "--level", "1000",
+                     "--hecke", "2,3"], out=sink) == 0
+        assert sum(sizes) == 1089629
+        assert len(sizes) <= 18
+        assert min(sizes[:-1]) >= 2 ** 16
+
 
 class TestStartUp:
     """What the command line loads, seen from a fresh `python -S`: in the
@@ -1072,6 +1121,24 @@ def _readme_commands():
     return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("plinv ")]
 
 
+def _benchmark_commands():
+    """The argv of every command of the workloads BENCHMARK.json names."""
+    import importlib.util
+    import sys
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parent.parent
+    sys.path.insert(0, str(root / "perfbench"))  # run.py imports its siblings
+    try:
+        spec = importlib.util.spec_from_file_location("perfbench_run", root / "perfbench/run.py")
+        run = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(run)
+    finally:
+        sys.path.remove(str(root / "perfbench"))
+    names = [w["name"] for w in json.loads((root / "BENCHMARK.json").read_text())["workloads"]]
+    return [argv for name in names for argv in run.WORKLOADS[name].commands]
+
+
 class TestReadme:
     """Every command README shows runs, and its report validates against the
     command's schema: a flag the README shows and the parser lost fails here."""
@@ -1087,6 +1154,40 @@ class TestReadme:
         assert rc == 0, argv
         schema = "modsym_dump" if argv[0] == "modsym" else argv[0].replace("-", "_")
         TestSchemas._validate(out, schema + ".json")
+
+
+class TestProcess:
+    """`python -m plinv.cli` leaves by os._exit, which flushes nothing.  On a
+    block-buffered stdout a process must still print the bytes that `main`
+    prints in process, with its stderr and exit code."""
+
+    CORRUPT = "modsym_13_plus.json"  # in every cache; only the exit-4 case reads it
+
+    @pytest.mark.parametrize("argv,code", [
+        *((argv, 0) for argv in _readme_commands() + _benchmark_commands()),
+        (["li-period", "6^1", "-p", "5"], 2),
+        (["li-curve", "--label", "11a1", "-p", "4"], 3),
+        (["modsym", "dump", "--level", "13"], 4),
+    ], ids=lambda x: " ".join(x) if isinstance(x, list) else str(x))
+    def test_a_process_prints_what_main_prints(self, tmp_path, monkeypatch, capsys, argv, code):
+        import subprocess
+        import sys
+
+        # a relative cache directory, so that import-curve registers the same path
+        argv = ["--no-meta", "--cache-dir", "cache", *argv]
+        for side in ("process", "main"):
+            (tmp_path / side / "cache").mkdir(parents=True)
+            (tmp_path / side / "cache" / self.CORRUPT).write_text("{ truncated")
+        proc = subprocess.Popen([sys.executable, "-m", "plinv.cli", *argv],
+                                cwd=tmp_path / "process", stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, env=_buffered_env())
+        monkeypatch.chdir(tmp_path / "main")
+        buf = io.StringIO()
+        rc = main(argv, out=buf)  # while the process runs on the other core
+        out, err = proc.communicate(timeout=120)
+        assert rc == code
+        assert (proc.returncode, out, err.decode()) == (rc, buf.getvalue().encode(),
+                                                        capsys.readouterr().err)
 
 
 class TestSchemas:

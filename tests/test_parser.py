@@ -6,13 +6,9 @@ table takes a value or literal beginning with "-" that names no option,
 which argparse takes only as `--opt=value` or behind `--`: there the two
 must agree once such a value no longer begins with "-"."""
 
-import importlib.util
 import io
-import json
 import re
-import sys
 from contextlib import redirect_stdout
-from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -22,24 +18,8 @@ from plinv import UsageError, cli
 from plinv.cli import TABLE, main, parse_args
 
 from helpers import build_parser
-from test_cli import _readme_commands
+from test_cli import _benchmark_commands, _readme_commands
 from test_reachability import EXTRA
-
-ROOT = Path(__file__).resolve().parent.parent
-
-
-def _benchmark_commands():
-    """The argv of every command of the workloads BENCHMARK.json names."""
-    sys.path.insert(0, str(ROOT / "perfbench"))  # run.py imports its siblings
-    try:
-        spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench/run.py")
-        run = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(run)
-    finally:
-        sys.path.remove(str(ROOT / "perfbench"))
-    names = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
-    return [argv for name in names for argv in run.WORKLOADS[name].commands]
-
 
 CORPUS = [["--no-meta", *argv] for argv in
           _readme_commands() + _benchmark_commands() + [argv for argv, _ in EXTRA]]

@@ -1,9 +1,10 @@
 """Every `def` of src/plinv/*.py, nested ones included, runs on some command
 or is allow-listed below with its reason.  Under `sys.setprofile`, on a
 cache directory that starts empty, one fresh process runs README's command
-block and EXTRA, and a second runs README's block again on the warm cache
-(`from_payload`); fresh, so that no memo or `lru_cache` of another test
-hides a function."""
+block and EXTRA through `main`, and `-h` once through `run` with `os._exit`
+recorded instead of taken; a second runs README's block again on the warm
+cache (`from_payload`).  Fresh, so that no memo or `lru_cache` of another
+test hides a function."""
 
 import ast
 import json
@@ -61,17 +62,22 @@ ALLOWED = {
 DUNDERS = {"__repr__", "__hash__", "__setattr__", "__rsub__", "__truediv__", "__rtruediv__"}
 
 PROBE = """
-import io, json, sys
-from contextlib import redirect_stderr
+import io, json, os, sys
+from contextlib import redirect_stderr, redirect_stdout
 entered = set()
 def profile(frame, event, arg):
     if event == "call" and frame.f_code.co_filename.startswith(sys.argv[1]):
         entered.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
 sys.setprofile(profile)
-from plinv.cli import main
+from plinv.cli import main, run
 with redirect_stderr(io.StringIO()):
     codes = [main(["--no-meta", *argv], out=io.StringIO()) for argv in json.loads(sys.argv[2])]
+exits = []
+os._exit = exits.append  # run, the process entry point, records its exit code
+with redirect_stdout(io.StringIO()):
+    run(["--no-meta", "-h"])
 sys.setprofile(None)
+assert exits == [0], exits
 print(json.dumps([codes, sorted(entered)]))
 """
 
