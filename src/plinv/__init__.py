@@ -23,7 +23,7 @@ class DomainError(ValueError):
 
 
 class CacheError(RuntimeError):
-    """A corrupt or mismatched cache file: exit 4."""
+    """A corrupt or mismatched file of `cache.Cache.load`, which no command reads."""
 
 
 class UsageError(Exception):

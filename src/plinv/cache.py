@@ -1,12 +1,10 @@
-"""Versioned on-disk caches with atomic writes and advisory locking.
+"""The cache directory, which holds `user_curves.tsv`, and a versioned
+JSON file store with atomic writes and advisory locking.
 
-The only cached objects are symbol spaces; `modsym` decides their file
-names and payloads, which hold exact data (integer, or rarely Fraction,
-generator coordinates, as strings), so a format bump invalidates rather
-than migrates.  Format 3 stores the resolved presentation alone, and
-files of another format are ignored and rewritten.  A corrupt file raises
-CacheError instead of being silently rebuilt; the class lives in the
-package root, so the command line maps it to exit 4 without this module.
+No command reads or writes a store file: every symbol space is built in
+process (`modsym.build_space`).  `Cache.load` and `Cache.store` keep their
+format-3 behaviour: a file of another format reads as absent, and a
+corrupt one raises CacheError instead of being silently rebuilt.
 """
 
 import json
@@ -29,11 +27,8 @@ class Cache:
     def __init__(self, directory=None):
         self.directory = directory or default_cache_dir()
 
-    def _path(self, name):
-        return os.path.join(self.directory, name + ".json")
-
     def load(self, name, kind):
-        path = self._path(name)
+        path = os.path.join(self.directory, name + ".json")
         if not os.path.exists(path):
             return None
         try:
@@ -56,7 +51,7 @@ class Cache:
         import tempfile  # with its shutil and random: only writers pay for it
 
         os.makedirs(self.directory, exist_ok=True)
-        path = self._path(name)
+        path = os.path.join(self.directory, name + ".json")
         lock_path = path + ".lock"
         data = {"format": FORMAT_VERSION, "kind": kind, "payload": payload}
         with open(lock_path, "w") as lock:

@@ -1,12 +1,13 @@
 """Command-line interface.
 
 Exit codes: 0 success, 2 domain errors (not a period, no Tate period,
-unknown label, ...), 3 parse/usage errors, 4 cache corruption, 141 the
-reader of the output closed it early.
+unknown label, ...), 3 parse/usage errors, 141 the reader of the output
+closed it early.
 
-Each command imports the modules it runs when it runs; only a cached run
-loads `cache`, and only a cache write `fcntl`, so `--no-cache modsym dump`
-loads modsym and linalg alone: no p-adic code or `fractions`.  The
+Each command imports the modules it runs when it runs, and builds every
+symbol space it needs; the cache directory holds only `user_curves.tsv`,
+which `--no-cache` leaves untouched.  `--no-cache modsym dump` loads
+modsym and linalg alone: no p-adic code or `fractions`.  The
 options are read from one table, which `-h` prints.  Reports are written
 out piece by piece as they are formatted, in either --format.
 """
@@ -19,7 +20,7 @@ from functools import lru_cache
 from itertools import chain
 from types import SimpleNamespace
 
-from . import CacheError, DomainError, Quoted, UsageError, __version__, check_prime
+from . import DomainError, Quoted, UsageError, __version__, check_prime
 
 
 # -- argument plumbing ----------------------------------------------------
@@ -234,8 +235,7 @@ def cmd_check_ezc(args, cache):
     from .measures import exceptional_zero_check
 
     curve = _resolve_curve(args, cache)
-    rep = exceptional_zero_check(curve, args.p, args.depth, args.prec,
-                                 dual=args.dual, cache=cache)
+    rep = exceptional_zero_check(curve, args.p, args.depth, args.prec, dual=args.dual)
     return {"command": "check-ezc", **rep.to_json()}
 
 
@@ -243,8 +243,7 @@ def cmd_check_twist(args, cache):
     from .measures import twist_product_check
 
     curve = _resolve_curve(args, cache)
-    rep = twist_product_check(curve, args.disc, args.p, args.depth, args.prec,
-                              cache=cache)
+    rep = twist_product_check(curve, args.disc, args.p, args.depth, args.prec)
     return {"command": "check-twist", **rep.to_json()}
 
 
@@ -253,7 +252,7 @@ def _symbol_and_measure(args, cache):
     from .modsym import eigen_symbol
 
     curve = _resolve_curve(args, cache)
-    symbol = eigen_symbol(curve, cache=cache)
+    symbol = eigen_symbol(curve)
     measure = build_measure(symbol, args.p, args.depth, prec=args.prec)
     return curve, symbol, measure
 
@@ -309,7 +308,7 @@ def cmd_lp(args, cache):
 def cmd_modsym_dump(args, cache):
     from .modsym import build_space
 
-    space = build_space(args.level, args.sign, cache)
+    space = build_space(args.level, args.sign)
     primes = [_prime(tok.strip(), "--hecke") for tok in args.hecke.split(",") if tok.strip()]
     return {**space.to_json(), "command": "modsym dump",
             "hecke": {str(l): Quoted(space.hecke_matrix(l)) for l in primes}}
@@ -441,7 +440,7 @@ def main(argv=None, out=None):
         else:
             if not args.no_cache:
                 from .cache import Cache  # only a cached run loads it
-            cache = None if args.no_cache else Cache(args.cache_dir)
+            cache = None if args.no_cache else Cache(args.cache_dir)  # user_curves.tsv's home
             _emit(HANDLERS[args.command](args, cache), args, out)
         if out is sys.stdout:  # here, so that a reader who left gets 141
             out.flush()
@@ -449,9 +448,6 @@ def main(argv=None, out=None):
     except UsageError as exc:
         print(f"plinv: {exc}", file=sys.stderr)
         return 3
-    except CacheError as exc:
-        print(f"plinv: cache corruption: {exc}", file=sys.stderr)
-        return 4
     except DomainError as exc:
         print(f"plinv: {exc}", file=sys.stderr)
         return 2

@@ -356,13 +356,13 @@ class EzcReport:
         }
 
 
-def exceptional_zero_check(curve, p, depth=3, prec=20, *, dual=False, cache=None):
+def exceptional_zero_check(curve, p, depth=3, prec=20, *, dual=False):
     """Compare L_p'(0)/[0->oo] with +-LI_p(q_E) for a split
     multiplicative prime; both sides are linear in the same symbol scale,
     so the normalization cancels.  The symbol is the plus one: on the
     minus quotient [0->oo] is always 0."""
     _require_split(curve, p)
-    symbol = modsym.eigen_symbol(curve, cache=cache)
+    symbol = modsym.eigen_symbol(curve)
     return ezc_report(curve, stickelberger(build_measure(symbol, p, depth, prec=prec), dual), prec)
 
 
@@ -474,7 +474,7 @@ class TwistReport:
         }
 
 
-def twist_product_check(curve, d, p, depth=3, prec=20, *, cache=None):
+def twist_product_check(curve, d, p, depth=3, prec=20):
     """Quadratic-twist bookkeeping for the product of p-adic L-functions.
 
     chi_d(p) = 1 (split): both factors are exceptional; the derivative
@@ -490,13 +490,14 @@ def twist_product_check(curve, d, p, depth=3, prec=20, *, cache=None):
     if gcd(d, n * p) != 1:
         raise MeasureError("D must be coprime to p and the conductor")
     chi_p = kronecker(d, p)
+    if chi_p == 1:
+        _require_split(curve, p)  # before any symbol is built
     twist = quadratic_twist(curve, d)
-    sym_tw = TwistedSymbol(modsym.eigen_symbol(curve, 1 if d > 0 else -1, cache=cache), d)
+    sym_tw = TwistedSymbol(modsym.eigen_symbol(curve, 1 if d > 0 else -1), d)
     measure_tw = build_measure(sym_tw, p, depth, prec=prec)
 
     if chi_p == 1:
-        _require_split(curve, p)
-        plus = sym_tw.base if d > 0 else modsym.eigen_symbol(curve, cache=cache)  # E's plus symbol
+        plus = sym_tw.base if d > 0 else modsym.eigen_symbol(curve)  # E's plus symbol
         base = ezc_report(curve, build_measure(plus, p, depth, prec=prec), prec)
         tw = ezc_report(twist, measure_tw, prec)
         ratio_match = max(base.ratio.agreement(tw.ratio),

@@ -7,11 +7,10 @@ T-orbit, by `linalg.echelon`, the one elimination over Z (Stein, Modular
 Forms: A Computational Approach, ch. 8).  A space keeps only the result:
 the coordinates of every Manin generator on a free basis, one read-only
 vector per (root, sign) class of the two-term relations, and a generator
-for every basis vector.  That alone is what the disk cache stores, once,
-when the space is built; this module alone names the cache files and
-writes them.  Hecke operators act on Manin symbols directly, by Merel's
-matrices, and are never read from disk: the images of a generator are
-counted as integers before they are mapped to coordinates.  An
+for every basis vector.  A space is built in process on every run and
+memoised per (level, sign); no file is read or written.  Hecke operators
+act on Manin symbols directly, by Merel's matrices: the images of a
+generator are counted as integers before they are mapped to coordinates.  An
 eigen-symbol is its content-1 integer value at every Manin generator, on
 the space of its curve's own level (a quadratic twist's is summed from its
 curve's, `measures.TwistedSymbol`); its weights are the values at the
@@ -311,21 +310,11 @@ class SymbolSpace:
             "gen_coords": Quoted(self._gen_coords),
         }
 
-    # -- disk serialization (exact; Fractions as strings) ----------------
-
-    def to_payload(self):
-        return {
-            "level": self.level,
-            "sign": self.sign,
-            "p1": [list(cd) for cd in self.p1],
-            "gen_coords": [{str(k): str(v) for k, v in c.items()} for c in self._gen_coords],
-            "basis": self._basis,
-        }
-
     @classmethod
     def from_payload(cls, payload, level, sign):
         """The (level, sign) space stored in `payload`; CacheError when the
-        payload holds another space, another key, or does not decode to one."""
+        payload holds another space, another key, or does not decode to one.
+        No command reads a space from disk: `build_space` always builds."""
         try:
             if sorted(payload) != ["basis", "gen_coords", "level", "p1", "sign"]:
                 raise CacheError(f"the cached level-{level} space holds the keys "
@@ -338,7 +327,8 @@ class SymbolSpace:
             self.p1 = P1List(level)
             if payload["p1"] != [list(cd) for cd in self.p1]:
                 raise CacheError(f"stale P^1 list in the cached level-{level} space")
-            decode = lru_cache(maxsize=None)(lambda kv: {int(k): _rational(v) for k, v in kv})
+            decode = lru_cache(maxsize=None)(lambda kv: {  # "3" an int, "3/2" a Fraction
+                int(k): fraction(v) if "/" in v else int(v) for k, v in kv})
             self._gen_coords = [decode(tuple(c.items())) for c in payload["gen_coords"]]
             self._basis = list(payload["basis"])
             self.dimension = len(self._basis)
@@ -352,11 +342,6 @@ class SymbolSpace:
         return self
 
 
-def _rational(text):
-    """An int for an integral string such as "3", else a Fraction."""
-    return fraction(text) if "/" in text else int(text)
-
-
 def _cusp_key(m, s, n):
     """The Gamma_0(N)-class of a cusp a/m (gcd(a, m) = 1, oo = 1/0) from its
     denominator m and an inverse s a = 1 mod m of its numerator, as (g, x):
@@ -368,33 +353,17 @@ def _cusp_key(m, s, n):
     return g, s * pow(m // g, -1, h) % h
 
 
-# -- spaces are memoized per (level, sign, cache directory) -------------
+# -- spaces are memoized per (level, sign) -------------------------------
 
 _space_memo = {}
 
 
-def _space_cache_name(level, sign):
-    return f"modsym_{level}_{'plus' if sign == 1 else 'minus'}"
-
-
-def build_space(level, sign=1, cache=None):
-    """The space of (level, sign): read from `cache` when it holds it, else
-    built and, under a cache, stored at once; memoized per cache directory.
-    The presentation is all a space ever holds on disk, so it is written
-    once, even when the command that built it goes on to fail."""
-    key = (level, sign, None if cache is None else cache.directory)
-    if key in _space_memo:
-        return _space_memo[key]
-    name = _space_cache_name(level, sign)
-    payload = None if cache is None else cache.load(name, "modsym")
-    if payload is None:
-        space = SymbolSpace(level, sign)
-        if cache is not None:
-            cache.store(name, "modsym", space.to_payload())
-    else:
-        space = SymbolSpace.from_payload(payload, level, sign)
-    _space_memo[key] = space
-    return space
+def build_space(level, sign=1):
+    """The space of (level, sign), built once per process."""
+    key = (level, sign)
+    if key not in _space_memo:
+        _space_memo[key] = SymbolSpace(level, sign)
+    return _space_memo[key]
 
 
 # -- eigen-symbols -------------------------------------------------------
@@ -490,7 +459,7 @@ class EigenSymbol:
 EIGEN_LMAX = 50  # the largest prime probed to isolate an eigenline
 
 
-def eigen_symbol(curve, sign=1, cache=None):
+def eigen_symbol(curve, sign=1):
     """The integer Hecke eigen-symbol attached to an elliptic curve, on the
     space of its own level.
 
@@ -501,7 +470,7 @@ def eigen_symbol(curve, sign=1, cache=None):
     from .curves import curve_level, trace_of_frobenius  # not on `modsym dump`
 
     level = curve_level(curve)
-    space = build_space(level, sign, cache)
+    space = build_space(level, sign)
     basis = None
     probes = {}
     ell = 2

@@ -132,10 +132,16 @@ def parse_period_literal(text, p):
 
 
 def parse_branch(text, p):
-    """A branch tag of `li` as given, or the value of a period literal."""
+    """A branch tag of `li` as given, or the value of a period literal; a
+    literal with ord_p 0 or a zero base is refused in the branch's name."""
     if text.lower() in BRANCH_TAGS:
         return text
-    return parse_period_literal(text, p).rational_value()
+    try:
+        return parse_period_literal(text, p).rational_value()
+    except NotAPeriodError as exc:
+        raise NotAPeriodError(f"--branch {text!r} has ord_p 0: not a branch") from exc
+    except UsageError as exc:
+        raise UsageError(f"--branch {text!r}: {exc}") from exc
 
 
 def _as_local(base, p, prec, ctx):

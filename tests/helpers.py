@@ -733,6 +733,18 @@ def fraction_space(level, sign=1):
     return FractionSymbolSpace(level, sign)
 
 
+def to_payload(space):
+    """The format-3 payload of a symbol space, as `Cache.store` writes it and
+    `SymbolSpace.from_payload` reads it: coordinates as strings."""
+    return {
+        "level": space.level,
+        "sign": space.sign,
+        "p1": [list(cd) for cd in space.p1],
+        "gen_coords": [{str(k): str(v) for k, v in c.items()} for c in space._gen_coords],
+        "basis": space._basis,
+    }
+
+
 def kronecker_reference(d, n):
     """Kronecker symbol (d/n) for n > 0 without factoring n: (d/2)^k for
     the 2-part 2^k of n, times the Jacobi symbol of d over the odd part,

@@ -56,26 +56,37 @@ PRESENTATION_KEYS = ["basis", "gen_coords", "level", "p1", "sign"]
 
 @pytest.fixture
 def recorded(monkeypatch):
-    """(stores, computed): the names `Cache.store` writes, and the ell of
-    every Hecke matrix that `hecke_matrix` computes, each reading Merel's
-    set once."""
+    """(touched, computed): every `Cache.load` and `Cache.store` call, as
+    (method, name), which no command makes, and the ell of every Hecke
+    matrix that `hecke_matrix` computes, each reading Merel's set once."""
     from plinv import modsym
     from plinv.cache import Cache
 
-    stores, computed = [], []
-    real_store, real_merel = Cache.store, modsym.merel_matrices
+    touched, computed = [], []
+    real_merel = modsym.merel_matrices
 
-    def counting_store(self, name, kind, payload):
-        stores.append(name)
-        real_store(self, name, kind, payload)
+    def spy(method):
+        real = getattr(Cache, method)
+
+        def recording(self, name, *args):
+            touched.append((method, name))
+            return real(self, name, *args)
+
+        return recording
 
     def counting_merel(ell):
         computed.append(ell)
         return real_merel(ell)
 
-    monkeypatch.setattr(Cache, "store", counting_store)
+    for method in ("load", "store"):
+        monkeypatch.setattr(Cache, method, spy(method))
     monkeypatch.setattr(modsym, "merel_matrices", counting_merel)
-    return stores, computed
+    return touched, computed
+
+
+def _leftovers(directory):
+    """The sorted names of the files in `directory`."""
+    return sorted(path.name for path in directory.iterdir())
 
 
 class TestPeriodGrammar:
@@ -148,10 +159,16 @@ class TestExitCodes:
         assert rc == 2
 
     def test_cache_corruption(self, tmp_path, capsys):
-        bad = tmp_path / "modsym_11_plus.json"
+        # no command reads a space file, so a corrupt one changes nothing
+        from plinv import modsym
+
+        bad = tmp_path / "modsym_13_plus.json"
         bad.write_text("{ truncated")
-        rc, _ = run(["modsym", "dump", "--level", "11"], tmp_path)
-        assert rc == 4
+        modsym._space_memo.clear()
+        rc, out = run(["modsym", "dump", "--level", "13"], tmp_path)
+        assert (rc, out) == run(["modsym", "dump", "--level", "13"]) and rc == 0
+        assert capsys.readouterr().err == ""
+        assert bad.read_text() == "{ truncated" and _leftovers(tmp_path) == [bad.name]
 
     def test_no_cache_never_reads_the_cache(self, tmp_path):
         import os
@@ -208,6 +225,29 @@ class TestExitCodes:
         rc, _ = run(["modsym", "dump", "--level", "11", "--hecke", f"2,{hecke}"])
         assert rc == 3
         assert capsys.readouterr().err.startswith("plinv: --hecke wants a prime: ")
+
+    @pytest.mark.parametrize("branch,code,message", [
+        ("2", 2, "--branch '2' has ord_p 0: not a branch"),
+        ("5/5", 2, "--branch '5/5' has ord_p 0: not a branch"),
+        ("0", 3, "--branch '0': zero base in period literal"),
+    ])
+    def test_a_bad_branch_is_named(self, capsys, branch, code, message):
+        # 5^1 is a period: the error is the branch's
+        assert run(["li-period", "5^1", "-p", "5", "--branch", branch]) == (code, "")
+        assert capsys.readouterr().err == f"plinv: {message}\n"
+
+    def test_check_twist_refuses_a_good_prime_before_it_builds(self, monkeypatch, capsys):
+        # chi_-3(7) = 1, but 7 is a good prime of 11a1: nothing is built
+        from plinv import measures, modsym
+
+        def spy(*args, **kwargs):
+            raise AssertionError("built before the prime was checked")
+
+        monkeypatch.setattr(measures, "build_measure", spy)
+        monkeypatch.setattr(modsym, "eigen_symbol", spy)
+        assert run(["check-twist", "--label", "11a1", "-D", "-3", "-p", "7"]) == (2, "")
+        assert capsys.readouterr().err == (
+            "plinv: not an exceptional (split multiplicative) prime\n")
 
     def test_supersingular_twist_domain_error(self):
         rc, _ = run(["check-twist", "--label", "11a1", "-D", "2", "-p", "11"])
@@ -473,9 +513,9 @@ class TestReports:
         calls = []
         eigen_symbol = modsym.eigen_symbol
 
-        def counting(curve, sign=1, cache=None):
+        def counting(curve, sign=1):
             calls.append((curve.label, sign))
-            return eigen_symbol(curve, sign, cache)
+            return eigen_symbol(curve, sign)
 
         monkeypatch.setattr(modsym, "eigen_symbol", counting)
         rc, _ = run(["check-twist", "--label", "11a1", "-D", d, "-p", "11"])
@@ -600,26 +640,56 @@ class TestImporter:
 
 
 class TestCacheRoundTrip:
-    def test_space_cache_reused(self, tmp_path):
+    """Every command builds its symbol spaces in process, once per (level,
+    sign): none reads or writes a `modsym_*` file, and a file planted in
+    the cache directory, sound, stale, tampered or corrupt, changes no
+    report and is left as it was planted.  `Cache.load`, `Cache.store` and
+    `SymbolSpace.from_payload` keep their behaviour for direct callers.
+    The tests named `..._exit_4`, `..._exits_4` and `..._is_rewritten`
+    keep the names they had while commands read these files, exited 4 on a
+    bad one and rewrote a stale one: each checks now that the direct
+    reader still refuses the file, and that a command ignores it."""
+
+    DUMP_14 = ["modsym", "dump", "--level", "14"]
+
+    @staticmethod
+    def _ignored(tmp_path, name, text, *argvs):
+        """Plant the bytes `text` as tmp_path/name; each argv must print
+        under that cache directory what it prints under --no-cache, and
+        leave the file, and nothing else, in it."""
         from plinv import modsym
 
-        rc1, out1 = run(["modsym", "dump", "--level", "14", "--hecke", "3"], tmp_path)
-        assert rc1 == 0
-        assert (tmp_path / "modsym_14_plus.json").exists()
-        # wipe the in-process memo so the disk copy is exercised
+        path = tmp_path / name
+        path.write_bytes(text)
+        for argv in argvs:
+            modsym._space_memo.clear()
+            assert run(argv, tmp_path) == run(argv)
+        assert path.read_bytes() == text
+        assert _leftovers(tmp_path) == [name]
+
+    @staticmethod
+    def _payload_file(payload, fmt=3):
+        return json.dumps({"format": fmt, "kind": "modsym", "payload": payload}).encode()
+
+    def test_space_cache_reused(self, tmp_path):
+        # the memo holds one space per (level, sign), whatever the directory
+        from plinv import modsym
+
         modsym._space_memo.clear()
-        rc2, out2 = run(["modsym", "dump", "--level", "14", "--hecke", "3"], tmp_path)
-        assert rc2 == 0
-        assert out1 == out2
+        rc1, out1 = run([*self.DUMP_14, "--hecke", "3"], tmp_path)
+        space = modsym._space_memo[(14, 1)]
+        rc2, out2 = run([*self.DUMP_14, "--hecke", "3"])
+        assert rc1 == rc2 == 0 and out1 == out2
+        assert modsym.build_space(14, 1) is space and list(modsym._space_memo) == [(14, 1)]
+        assert _leftovers(tmp_path) == []
 
     def test_warm_modsym_dump_stores_nothing(self, tmp_path, recorded):
         from plinv import modsym
 
-        stores, computed = recorded
+        touched, computed = recorded
         modsym._space_memo.clear()
         assert run(["modsym", "dump", "--level", "11"], tmp_path)[0] == 0
-        assert stores == ["modsym_11_plus"]
-        # a warm run computes every Hecke matrix it prints, one that no run
+        # every run computes each Hecke matrix it prints, one that no run
         # asked for before included, and writes nothing
         for hecke in ([2, 3], [5]):
             modsym._space_memo.clear()
@@ -627,24 +697,30 @@ class TestCacheRoundTrip:
             argv = ["modsym", "dump", "--level", "11", "--hecke", ",".join(map(str, hecke))]
             assert run(argv, tmp_path)[0] == 0
             assert computed == hecke
-        assert stores == ["modsym_11_plus"]
+        assert touched == [] and _leftovers(tmp_path) == []
 
-    @pytest.mark.parametrize("args,space_file", [
-        (["check-ezc", "--label", "11a1", "-p", "11"], "modsym_11_plus"),
-        (["modsym", "dump", "--level", "14", "--hecke", "2,3"], "modsym_14_plus"),
-        (["modsym", "dump", "--level", "14", "--hecke", ""], "modsym_14_plus"),
+    @pytest.mark.parametrize("args,key", [
+        (["check-ezc", "--label", "11a1", "-p", "11"], (11, 1)),
+        (["modsym", "dump", "--level", "14", "--hecke", "2,3"], (14, 1)),
+        (["modsym", "dump", "--level", "14", "--hecke", ""], (14, 1)),
     ], ids=["check-ezc", "modsym-dump", "modsym-dump-no-hecke"])
-    def test_cold_run_stores_the_space_once(self, tmp_path, recorded, args, space_file):
+    def test_cold_run_stores_the_space_once(self, tmp_path, monkeypatch, recorded, args, key):
+        # stored in the memo, once, and never on disk
         from plinv import modsym
 
-        stores = recorded[0]
-        assert run(args, tmp_path)[0] == 0
-        assert stores == [space_file]
-        # neither the memoized space nor one read back from disk is stored again
-        assert run(args, tmp_path)[0] == 0
+        built, build = [], modsym.SymbolSpace._build
+
+        def counting(self):
+            built.append((self.level, self.sign))
+            build(self)
+
+        monkeypatch.setattr(modsym.SymbolSpace, "_build", counting)
         modsym._space_memo.clear()
-        assert run(args, tmp_path)[0] == 0
-        assert stores == [space_file]
+        first = run(args, tmp_path)
+        assert first[0] == 0 and built == [key]
+        assert run(args, tmp_path) == first and run(args) == first
+        assert built == [key]
+        assert recorded[0] == [] and _leftovers(tmp_path) == []
 
     @pytest.mark.parametrize("args,ells", [
         (["check-ezc", "--label", "11a1", "-p", "11"], [2, 11]),
@@ -654,42 +730,39 @@ class TestCacheRoundTrip:
     def test_warm_run_computes_what_the_cold_run_computes(self, tmp_path, recorded,
                                                          args, ells):
         from plinv import modsym
-        from plinv.cache import Cache
+        from plinv.modsym import SymbolSpace
 
-        stores, computed = recorded
+        from helpers import to_payload
+
+        touched, computed = recorded
         modsym._space_memo.clear()
         rc1, out1 = run(args, tmp_path)
-        assert rc1 == 0 and stores == ["modsym_11_plus"] and sorted(computed) == ells
+        assert rc1 == 0 and sorted(computed) == ells
         cold = list(computed)
-        data = json.loads((tmp_path / "modsym_11_plus.json").read_text())
-        assert sorted(data["payload"]) == PRESENTATION_KEYS
         computed.clear()
         modsym._space_memo.clear()
         rc2, out2 = run(args, tmp_path)
-        assert rc2 == 0 and out2 == out1
-        assert stores == ["modsym_11_plus"] and computed == cold
-        # the payload's strings are read back as ints, not Fractions
-        space = modsym.build_space(11, 1, Cache(str(tmp_path)))
+        assert rc2 == 0 and out2 == out1 and computed == cold
+        assert touched == [] and _leftovers(tmp_path) == []
+        # a payload's strings are read back as ints, not Fractions
+        space = SymbolSpace.from_payload(to_payload(modsym.build_space(11, 1)), 11, 1)
         assert all(type(v) is int for c in space._gen_coords for v in c.values())
 
-    @pytest.mark.parametrize("args,space_file,used,unused", [
+    @pytest.mark.parametrize("args,used,unused", [
         # the twist's symbol is summed from 11a1's own: no level-275 space
-        (["check-twist", "--label", "11a1", "-D", "5", "-p", "11"], "modsym_11_plus", 11, 5),
-        (["check-ezc", "--label", "14a1", "-p", "7"], "modsym_14_plus", 7, 2),
+        (["check-twist", "--label", "11a1", "-D", "5", "-p", "11"], 11, 5),
+        (["check-ezc", "--label", "14a1", "-p", "7"], 7, 2),
     ], ids=["check-twist", "check-ezc"])
     def test_cold_run_computes_only_the_u_p_it_reads(self, tmp_path, recorded, args,
-                                                      space_file, used, unused):
+                                                      used, unused):
         from plinv import modsym
 
-        stores, computed = recorded
+        touched, computed = recorded
         modsym._space_memo.clear()
         assert run(args, tmp_path)[0] == 0
-        assert stores == [space_file]
         # the measure at p reads U_p; no U_ell at another bad prime is computed
         assert used in computed and unused not in computed
-        # and none reaches the disk: the file holds the presentation alone
-        data = json.loads((tmp_path / f"{space_file}.json").read_text())
-        assert sorted(data["payload"]) == PRESENTATION_KEYS
+        assert touched == [] and _leftovers(tmp_path) == []
 
     @pytest.mark.parametrize("disc", ["5", "-4"])
     def test_check_twist_builds_only_the_curve_level(self, monkeypatch, disc):
@@ -698,9 +771,9 @@ class TestCacheRoundTrip:
 
         built, real = [], modsym.build_space
 
-        def recording(level, sign=1, cache=None):
+        def recording(level, sign=1):
             built.append(level)
-            return real(level, sign, cache)
+            return real(level, sign)
 
         monkeypatch.setattr(modsym, "build_space", recording)
         assert run(["check-twist", "--label", "11a1", "-D", disc, "-p", "11"])[0] == 0
@@ -709,28 +782,48 @@ class TestCacheRoundTrip:
     def test_failed_command_keeps_the_space_it_built(self, tmp_path, recorded):
         from plinv import modsym
 
-        stores = recorded[0]
         # the space is built and probed before the supersingular p = 2 is refused
         modsym._space_memo.clear()
         assert run(["lp", "--label", "11a1", "-p", "2"], tmp_path)[0] == 2
-        assert stores == ["modsym_11_plus"]
+        space = modsym._space_memo[(11, 1)]
         # the space is correct whatever the command did after building it
         args = ["lp", "--label", "11a1", "-p", "3", "--depth", "2"]
+        kept = run(args, tmp_path)
+        assert modsym._space_memo[(11, 1)] is space
         modsym._space_memo.clear()
-        assert run(args, tmp_path) == run(args)
-        assert stores == ["modsym_11_plus"]
+        assert kept == run(args)
+        assert recorded[0] == [] and _leftovers(tmp_path) == []
 
-    def test_stale_p1_list_exits_4(self, tmp_path):
+    def test_memo_ignores_a_relative_cache_directory(self, tmp_path, monkeypatch):
+        # one process, one relative --cache-dir, two working directories:
+        # the space memoised in the first serves the second, and neither
+        # directory gets a file
         from plinv import modsym
 
-        assert run(["modsym", "dump", "--level", "14"], tmp_path)[0] == 0
-        path = tmp_path / "modsym_14_plus.json"
-        data = json.loads(path.read_text())
-        p1 = data["payload"]["p1"]
-        p1[1], p1[2] = p1[2], p1[1]
-        path.write_text(json.dumps(data))
+        argv = ["--no-meta", "--cache-dir", "cache", "modsym", "dump", "--level", "11"]
         modsym._space_memo.clear()
-        assert run(["modsym", "dump", "--level", "14"], tmp_path)[0] == 4
+        outs = []
+        for side in ("a", "b"):
+            (tmp_path / side).mkdir()
+            monkeypatch.chdir(tmp_path / side)
+            buf = io.StringIO()
+            assert main(argv, out=buf) == 0
+            outs.append(buf.getvalue())
+        assert outs[0] == outs[1] and list(modsym._space_memo) == [(11, 1)]
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
+
+    def test_stale_p1_list_exits_4(self, tmp_path):
+        from plinv import CacheError
+        from plinv.modsym import SymbolSpace, build_space
+
+        from helpers import to_payload
+
+        payload = to_payload(build_space(14, 1))
+        p1 = payload["p1"]
+        p1[1], p1[2] = p1[2], p1[1]
+        with pytest.raises(CacheError, match="stale P"):
+            SymbolSpace.from_payload(payload, 14, 1)
+        self._ignored(tmp_path, "modsym_14_plus.json", self._payload_file(payload), self.DUMP_14)
 
     @pytest.mark.parametrize("corrupt", [
         lambda payload, minus: minus[37],
@@ -742,83 +835,81 @@ class TestCacheRoundTrip:
         lambda payload, minus: {**payload, "basis": payload["basis"][::-1]},
     ], ids=["level-37-minus", "level-11-minus", "empty-dict", "list", "coordinate-key",
             "extra-key", "basis-order"])
-    def test_wrong_payload_exits_4(self, tmp_path, capsys, corrupt):
-        from plinv import modsym
-
-        args = ["check-ezc", "--label", "11a1", "-p", "11"]
-        minus = {}
-        for level in (11, 37):
-            assert run(["modsym", "dump", "--level", str(level), "--sign", "-"], tmp_path)[0] == 0
-            path = tmp_path / f"modsym_{level}_minus.json"
-            minus[level] = json.loads(path.read_text())["payload"]
-        assert run(args, tmp_path)[0] == 0
-        path = tmp_path / "modsym_11_plus.json"
-        data = json.loads(path.read_text())
-        data["payload"] = corrupt(data["payload"], minus)
-        path.write_text(json.dumps(data))
-        capsys.readouterr()
-        for argv in (args, ["modsym", "dump", "--level", "11", "--hecke", "2"]):
-            modsym._space_memo.clear()
-            assert run(argv, tmp_path) == (4, "")
-            assert "cache corruption" in capsys.readouterr().err
-
-    def test_space_memo_follows_the_cache(self, tmp_path):
+    def test_wrong_payload_exits_4(self, tmp_path, corrupt):
+        from plinv import CacheError
         from plinv.cache import Cache
-        from plinv.modsym import build_space
+        from plinv.modsym import SymbolSpace, build_space
 
-        # the space memoized under the first directory is built (and so
-        # stored) again under the second
-        for directory in (tmp_path / "a", tmp_path / "b"):
-            build_space(14, 1, Cache(str(directory)))
-            assert (directory / "modsym_14_plus.json").exists()
+        from helpers import to_payload
+
+        minus = {level: to_payload(build_space(level, -1)) for level in (11, 37)}
+        text = self._payload_file(corrupt(to_payload(build_space(11, 1)), minus))
+        (tmp_path / "modsym_11_plus.json").write_bytes(text)
+        with pytest.raises(CacheError):
+            SymbolSpace.from_payload(Cache(str(tmp_path)).load("modsym_11_plus", "modsym"), 11, 1)
+        self._ignored(tmp_path, "modsym_11_plus.json", text,
+                      ["check-ezc", "--label", "11a1", "-p", "11"],
+                      ["modsym", "dump", "--level", "11", "--hecke", "2"])
 
     def test_inconsistent_gen_coords_exit_4(self, tmp_path):
-        from plinv import modsym
+        from plinv import CacheError
+        from plinv.modsym import SymbolSpace, build_space
 
-        assert run(["modsym", "dump", "--level", "14"], tmp_path)[0] == 0
-        path = tmp_path / "modsym_14_plus.json"
-        data = json.loads(path.read_text())
-        data["payload"]["gen_coords"].pop()
-        path.write_text(json.dumps(data))
-        modsym._space_memo.clear()
-        assert run(["modsym", "dump", "--level", "14"], tmp_path)[0] == 4
+        from helpers import to_payload
+
+        payload = to_payload(build_space(14, 1))
+        payload["gen_coords"].pop()
+        with pytest.raises(CacheError, match="inconsistent"):
+            SymbolSpace.from_payload(payload, 14, 1)
+        self._ignored(tmp_path, "modsym_14_plus.json", self._payload_file(payload), self.DUMP_14)
 
     def test_format_1_payload_is_rewritten(self, tmp_path):
-        from plinv import modsym
-        from plinv.cache import FORMAT_VERSION
+        # files of older formats read as absent, and stay as they are:
+        # format 1 held the union-find, format 2 the Hecke matrices as well
+        from plinv.cache import FORMAT_VERSION, Cache
+        from plinv.modsym import build_space
+
+        from helpers import to_payload
 
         assert FORMAT_VERSION == 3
-        rc1, out1 = run(["modsym", "dump", "--level", "14"], tmp_path)
-        path = tmp_path / "modsym_14_plus.json"
-        presentation = json.loads(path.read_text())["payload"]
-        # files of the same name in older formats: format 1 held the
-        # union-find, format 2 the Hecke matrices computed so far as well
-        for stale in ({"format": 1, "kind": "modsym",
-                       "payload": {"level": 14, "uf_parent": []}},
-                      {"format": 2, "kind": "modsym",
-                       "payload": {**presentation, "hecke": {"2": [["1"]]}}}):
-            path.write_text(json.dumps(stale))
-            modsym._space_memo.clear()
-            rc2, out2 = run(["modsym", "dump", "--level", "14"], tmp_path)
-            assert rc1 == rc2 == 0 and out1 == out2
-            data = json.loads(path.read_text())
-            assert data["format"] == 3 and data["payload"] == presentation
+        presentation = to_payload(build_space(14, 1))
+        for fmt, payload in ((1, {"level": 14, "uf_parent": []}),
+                             (2, {**presentation, "hecke": {"2": [["1"]]}})):
+            text = self._payload_file(payload, fmt)
+            (tmp_path / "modsym_14_plus.json").write_bytes(text)
+            assert Cache(str(tmp_path)).load("modsym_14_plus", "modsym") is None
+            self._ignored(tmp_path, "modsym_14_plus.json", text, self.DUMP_14)
 
     def test_tampered_format_2_hecke_matrix_is_not_read(self, tmp_path):
         from plinv import modsym
+
+        from helpers import to_payload
 
         # a format-2 file whose U_11 is negated: were it read, matched_sign would flip
         args = ["check-ezc", "--label", "11a1", "-p", "11", "--depth", "3"]
         space = modsym.build_space(11, 1)
         hecke = {str(l): [[str(-x if l == 11 else x) for x in row]
                           for row in space.hecke_matrix(l)] for l in (2, 11)}
-        path = tmp_path / "modsym_11_plus.json"
-        path.write_text(json.dumps({"format": 2, "kind": "modsym",
-                                    "payload": {**space.to_payload(), "hecke": hecke}}))
-        modsym._space_memo.clear()
-        assert run(args, tmp_path) == run(args)
-        data = json.loads(path.read_text())
-        assert data["format"] == 3 and sorted(data["payload"]) == PRESENTATION_KEYS
+        text = self._payload_file({**to_payload(space), "hecke": hecke}, 2)
+        self._ignored(tmp_path, "modsym_11_plus.json", text, args)
+
+    def test_tampered_presentation_is_not_read(self, tmp_path):
+        # generator 2 of 11's plus space set from {} to {"0": "1"}:
+        # from_payload accepts it, and check-ezc read from it used to report
+        # Lp0 "-20" with 1 agreement digit
+        from plinv import modsym
+        from plinv.modsym import SymbolSpace
+
+        from helpers import to_payload
+
+        payload = to_payload(modsym.build_space(11, 1))
+        assert payload["gen_coords"][2] == {}
+        payload["gen_coords"][2] = {"0": "1"}
+        assert SymbolSpace.from_payload(payload, 11, 1).gen_coords(2) == {0: 1}
+        args = ["check-ezc", "--label", "11a1", "-p", "11", "--depth", "3"]
+        self._ignored(tmp_path, "modsym_11_plus.json", self._payload_file(payload), args)
+        rc, out = run(args, tmp_path)
+        assert (rc, out["Lp0"], out["agreement_digits"]) == (0, "0", 3)
 
     @pytest.mark.parametrize("text", [
         b"\xff\xfe not UTF-8",
@@ -826,15 +917,14 @@ class TestCacheRoundTrip:
         b'{"format": 3, "kind": "modsym"}',
         b'{"format": 3, "kind": "modsym", "payload": null}',
     ], ids=["not-utf8", "not-an-object", "no-payload", "null-payload"])
-    def test_corrupt_file_exits_4(self, tmp_path, capsys, text):
-        from plinv import modsym
+    def test_corrupt_file_exits_4(self, tmp_path, text):
+        from plinv import CacheError
+        from plinv.cache import Cache
 
-        path = tmp_path / "modsym_11_plus.json"
-        path.write_bytes(text)
-        modsym._space_memo.clear()
-        assert run(["modsym", "dump", "--level", "11"], tmp_path) == (4, "")
-        assert "cache corruption" in capsys.readouterr().err
-        assert path.read_bytes() == text  # left for the user, not rebuilt
+        (tmp_path / "modsym_11_plus.json").write_bytes(text)
+        with pytest.raises(CacheError, match="corrupt cache file"):
+            Cache(str(tmp_path)).load("modsym_11_plus", "modsym")
+        self._ignored(tmp_path, "modsym_11_plus.json", text, ["modsym", "dump", "--level", "11"])
 
     @pytest.mark.parametrize("args", [
         ["check-ezc", "--label", "11a1", "-p", "11", "--depth", "3"],
@@ -857,33 +947,53 @@ class TestCacheRoundTrip:
         no_cache = output(["--no-cache"])
         assert no_cache[0] == 0
         modsym._space_memo.clear()
-        assert output(cache_args) == no_cache  # cold: builds and stores
-        modsym._space_memo.clear()
-        assert output(cache_args) == no_cache  # warm: reads the files back
+        assert output(cache_args) == no_cache  # built again
+        assert output(cache_args) == no_cache  # from the memo
+        assert _leftovers(tmp_path) == []
 
     def test_store_writes_the_json_dumps_text(self, tmp_path):
         from plinv.cache import FORMAT_VERSION, Cache
-        from plinv.modsym import build_space
+        from plinv.modsym import SymbolSpace, build_space
+
+        from helpers import to_payload
 
         space = build_space(37, 1)
         space.hecke_matrix(2)
-        payload = space.to_payload()
-        assert sorted(payload) == PRESENTATION_KEYS  # no Hecke matrix reaches it
+        payload = to_payload(space)
+        assert sorted(payload) == PRESENTATION_KEYS
         cache = Cache(str(tmp_path))
         cache.store("modsym_37_plus", "modsym", payload)
         data = {"format": FORMAT_VERSION, "kind": "modsym", "payload": payload}
         assert (tmp_path / "modsym_37_plus.json").read_text() == json.dumps(data)
-        assert cache.load("modsym_37_plus", "modsym") == json.loads(json.dumps(payload))
+        loaded = cache.load("modsym_37_plus", "modsym")
+        assert loaded == json.loads(json.dumps(payload))
+        assert SymbolSpace.from_payload(loaded, 37, 1)._gen_coords == space._gen_coords
+        assert _leftovers(tmp_path) == ["modsym_37_plus.json", "modsym_37_plus.json.lock"]
 
     def test_ezc_identical_from_cache(self, tmp_path):
-        rc1, out1 = run(["check-ezc", "--label", "11a1", "-p", "11",
-                         "--depth", "2", "--prec", "8"], tmp_path)
         from plinv import modsym
 
+        args = ["check-ezc", "--label", "11a1", "-p", "11", "--depth", "2", "--prec", "8"]
+        rc1, out1 = run(args, tmp_path)
         modsym._space_memo.clear()
-        rc2, out2 = run(["check-ezc", "--label", "11a1", "-p", "11",
-                         "--depth", "2", "--prec", "8"], tmp_path)
-        assert (rc1, out1) == (rc2, out2)
+        rc2, out2 = run(args, tmp_path)
+        assert (rc1, out1) == (rc2, out2) == run(args)
+        assert _leftovers(tmp_path) == []
+
+    def test_no_command_writes_a_space_file(self, tmp_path, monkeypatch):
+        # README's block, the benchmark's commands and the reachability
+        # shapes through main, on one cache directory: only import-curve
+        # writes there, its user table
+        from plinv import modsym
+
+        from test_reachability import EXTRA
+
+        runs = [(argv, 0) for argv in _readme_commands() + _benchmark_commands()] + EXTRA
+        monkeypatch.setenv("PLINV_CACHE_DIR", str(tmp_path))
+        modsym._space_memo.clear()
+        assert [main(["--no-meta", *argv], out=io.StringIO()) for argv, _ in runs] == [
+            rc for _, rc in runs]
+        assert _leftovers(tmp_path) == ["user_curves.tsv"]
 
 
 _JSON_SCALARS = (
@@ -1022,7 +1132,7 @@ for argv in (["--no-meta", "li-period", "5^1", "-p", "5"],
               "--depth", "1"]):
     assert main(argv, out=io.StringIO()) == 0, argv
 unneeded = ["dataclasses", "inspect", "datetime", "importlib.resources", "plinv.unramified",
-            "argparse", "gettext", "locale"]
+            "argparse", "gettext", "locale", "fcntl", "tempfile"]
 loaded = [name for name in unneeded if name in sys.modules]
 buf = io.StringIO()
 assert main(["li-period", "5^1", "-p", "5"], out=buf) == 0
@@ -1063,8 +1173,8 @@ print(json.dumps({"rc": rc, "modules": modules, "stdlib": stdlib, "error": error
         return json.loads(proc.stdout)
 
     # `--no-cache modsym dump` runs modular-symbol code alone: no padic, no
-    # cache, and no fractions with its decimal; fcntl comes only with a
-    # cache write, which li-period never makes
+    # cache, and no fractions with its decimal; no command writes a cache
+    # file, so none loads fcntl
     @pytest.mark.parametrize("argv,modules,stdlib", [
         (["--no-cache", "modsym", "dump", "--level", "11"], ["cli", "linalg", "modsym"], []),
         (["li-period", "30^1", "-p", "5"], ["cache", "cli", "padic", "periods"],
@@ -1161,13 +1271,13 @@ class TestProcess:
     block-buffered stdout a process must still print the bytes that `main`
     prints in process, with its stderr and exit code."""
 
-    CORRUPT = "modsym_13_plus.json"  # in every cache; only the exit-4 case reads it
+    CORRUPT = "modsym_13_plus.json"  # in every cache, left as planted: no command reads it
 
     @pytest.mark.parametrize("argv,code", [
         *((argv, 0) for argv in _readme_commands() + _benchmark_commands()),
         (["li-period", "6^1", "-p", "5"], 2),
         (["li-curve", "--label", "11a1", "-p", "4"], 3),
-        (["modsym", "dump", "--level", "13"], 4),
+        (["modsym", "dump", "--level", "13"], 0),
     ], ids=lambda x: " ".join(x) if isinstance(x, list) else str(x))
     def test_a_process_prints_what_main_prints(self, tmp_path, monkeypatch, capsys, argv, code):
         import subprocess
@@ -1188,6 +1298,8 @@ class TestProcess:
         assert rc == code
         assert (proc.returncode, out, err.decode()) == (rc, buf.getvalue().encode(),
                                                         capsys.readouterr().err)
+        for side in ("process", "main"):
+            assert (tmp_path / side / "cache" / self.CORRUPT).read_text() == "{ truncated"
 
 
 class TestSchemas:

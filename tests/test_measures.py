@@ -558,19 +558,23 @@ class TestPlusSymbolOnly:
         import inspect
 
         from plinv.measures import EzcReport, TwistReport
+        from plinv.modsym import build_space, eigen_symbol
 
         from helpers import j_of_q
 
+        # no space is read from a disk cache, so none of these takes one
         for fn, name in [(exceptional_zero_check, "sign"), (twist_product_check, "sign"),
                          (EzcReport, "conventions"), (TwistReport, "conventions"),
-                         (j_of_q, "nterms")]:
+                         (j_of_q, "nterms"), (exceptional_zero_check, "cache"),
+                         (twist_product_check, "cache"), (eigen_symbol, "cache"),
+                         (build_space, "cache")]:
             assert name not in inspect.signature(fn).parameters, (fn, name)
 
     def test_sign_is_a_type_error(self):
         curve = curve_by_label("11a1")
         for call in (lambda: twist_product_check(curve, -4, 11, sign=-1),
                      lambda: exceptional_zero_check(curve, 11, sign=-1),
-                     # an old positional sign no longer lands in dual or cache
+                     # an old positional sign no longer lands in dual
                      lambda: exceptional_zero_check(curve, 11, 3, 20, -1),
                      lambda: twist_product_check(curve, -4, 11, 3, 20, -1)):
             with pytest.raises(TypeError):

@@ -2,9 +2,9 @@
 or is allow-listed below with its reason.  Under `sys.setprofile`, on a
 cache directory that starts empty, one fresh process runs README's command
 block and EXTRA through `main`, and `-h` once through `run` with `os._exit`
-recorded instead of taken; a second runs README's block again on the warm
-cache (`from_payload`).  Fresh, so that no memo or `lru_cache` of another
-test hides a function."""
+recorded instead of taken; a second runs README's block again on the same
+directory, where `import-curve` finds its row registered already.  Fresh,
+so that no memo or `lru_cache` of another test hides a function."""
 
 import ast
 import json
