@@ -67,7 +67,7 @@ def check_prime(p):
 
 _HOMES = {
     "padic": ["PadicNumber", "branch_logs", "iwasawa_log", "ordp", "teichmuller"],
-    "periods": ["Period", "li", "ugly_polynomial"],
+    "periods": ["Period", "li"],
     "curves": ["WeierstrassCurve", "curve_by_label", "curve_l_invariant", "minimal_model_at",
                "quadratic_twist", "reduction_type", "tate_period"],
     "modsym": ["build_space", "eigen_symbol"],

@@ -70,9 +70,11 @@ def _user_table_path(cache):
 def _resolve_curve(args, cache=None):
     from .curves import curve_by_label, curve_from_ainvs
 
-    if getattr(args, "label", None):
+    if args.label is not None and args.curve is not None:
+        raise UsageError("give --label or --curve, not both")
+    if args.label:
         return curve_by_label(args.label, _user_table_path(cache))
-    if getattr(args, "curve", None):
+    if args.curve:
         parts = args.curve.split(",")
         if len(parts) != 5:
             raise UsageError("--curve wants a1,a2,a3,a4,a6")

@@ -153,10 +153,6 @@ class PadicMeasure:
                 rows[k % len(rows)][i] += v
         return PadicMeasure(p, self.depth - 1, self.root, self.symbol, rows, self.dual)
 
-    def chi_twisted_sum(self, chi):
-        """sum chi(a) * mu(a) for a map a -> Fraction."""
-        return sum(v * chi(a) for a, v in self.values.items())
-
     def moment(self, j, prec=20):
         """sum mu(a) log_p<a>^j mod p^depth; the mass when j = 0.
 
@@ -169,16 +165,6 @@ class PadicMeasure:
         gamma, _ = _log_coordinates(self.p, self.depth)
         log_gamma = padic.iwasawa_log(PadicNumber.from_int(self.p, gamma, prec))
         return (log_gamma ** j * s).cap_abs_prec(self.depth)
-
-    def leading_term(self, r, prec=20):
-        """The I^r/I^(r+1) leading coefficient via moments; requires all
-        moments of degree < r to vanish."""
-        if r < 1:
-            raise MeasureError("order must be at least 1")
-        for j in range(r):
-            if self.moment(j, prec) != 0:
-                raise MeasureError("order of vanishing less than %d" % r)
-        return self.moment(r, prec)
 
     def to_json(self, element=False):
         """The measure form (`exact`, `values`), or with `element` the

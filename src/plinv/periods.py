@@ -202,43 +202,3 @@ def li(q, branch="iwasawa", prec=DEFAULT_PREC):
         total = val if total is None else total + val
     return total * Fraction(1, tot)
 
-
-class UglyPolynomial:
-    """The monic quadratic f(T) = T^2 - c T."""
-
-    def __init__(self, c):
-        self.c = c
-
-    def __call__(self, t):
-        return t * t - self.c * t
-
-    def to_json(self):
-        return {"T^2": 1, "T": self.c.to_json() if hasattr(self.c, "to_json") else str(self.c),
-                "1": 0}
-
-
-def ugly_polynomial(qB, subfield_degree=1, prec=DEFAULT_PREC):
-    """The quadratic T^2 - c T with c = LI_p(N_{F/K}(qB)) attached to a
-    period qB over Q_{p^f} and the unramified subfield K = Q_{p^d}."""
-    tot = qB.total_ord()
-    if tot == 0:
-        raise NotAPeriodError("not a period")
-    guard = 3
-    work = prec + guard
-    ctx = qB.ctx
-    d = subfield_degree
-    if ctx is None:
-        if d != 1:
-            raise PadicError("base field has no proper subfields")
-        c = li(qB, branch="iwasawa", prec=prec)
-        return UglyPolynomial(c)
-    if ctx.f % d:
-        raise PadicError("not a subfield degree")
-    # norm the period factorwise; exact bases become p-adic here
-    factors = []
-    for base, e in qB.factors:
-        bl = _as_local(base, qB.p, work, ctx)
-        factors.append((bl.norm(d), e))
-    nq = Period(qB.p, factors, ctx=ctx)
-    c = li(nq, branch="iwasawa", prec=prec)
-    return UglyPolynomial(c)

@@ -319,15 +319,6 @@ class UnramifiedElement(PadicElement):
         }
 
 
-def norm_trace(x):
-    """Full norm and trace down to Q_p, as PadicNumbers."""
-    if isinstance(x, PadicNumber):
-        return x, x
-    n = x.norm().as_padic()
-    t = x.trace().as_padic()
-    return n, t
-
-
 class ExactUnramified:
     """Element of Q_{p^f} with exact rational coefficients.
 

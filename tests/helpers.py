@@ -146,6 +146,22 @@ def branch_change_holds(q, x, y, prec):
     return provably_equal(li(q, branch=y, prec=prec), rhs, prec)
 
 
+def ugly_c(qB, d, prec):
+    """c in the quadratic f(T) = T^2 - cT: LI_p of the period qB over
+    Q_{p^f}, normed factorwise to Q_{p^d} (over Q_p, d = 1: LI_p(qB))."""
+    from plinv.periods import Period, li
+
+    if qB.ctx is None:
+        return li(qB, "p", prec)
+
+    def normed(b):  # an exact base, at the working precision li itself uses
+        work = prec + 3
+        x = b.to_padic(work) if hasattr(b, "to_padic") else qB.ctx.from_vector([Fraction(b)], work)
+        return x.norm(d)
+
+    return li(Period(qB.p, [(normed(b), e) for b, e in qB.factors], ctx=qB.ctx), "p", prec)
+
+
 def assert_same(a, b, min_abs_prec=None):
     """Assert two PadicNumbers agree on all shared provable digits."""
     d = a - b

@@ -158,6 +158,15 @@ class TestExitCodes:
         rc, _ = run(["li-curve", "--label", "99xyz", "-p", "11"])
         assert rc == 2
 
+    @pytest.mark.parametrize("command", [["li-curve"], ["check-ezc"], ["check-twist", "-D", "5"],
+                                         ["stickelberger"], ["lp"]], ids=lambda c: c[0])
+    def test_label_with_curve(self, command, capsys):
+        # 0,0,1,-1,0 is 37a1, not 11a1: neither may silently win
+        rc, out = run([*command, "--label", "11a1", "--curve", "0,0,1,-1,0", "-p", "11"])
+        assert (rc, out) == (3, "")
+        err = capsys.readouterr().err
+        assert "--label" in err and "--curve" in err
+
     def test_cache_corruption(self, tmp_path, capsys):
         # no command reads a space file, so a corrupt one changes nothing
         from plinv import modsym

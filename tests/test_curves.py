@@ -70,6 +70,20 @@ class TestInvariants:
             assert 1728 * e.discriminant == e.c4 ** 3 - e.c6 ** 2, label
 
 
+class TestValue:
+    def test_fields_cannot_be_assigned(self):
+        e = WeierstrassCurve(0, 0, 0, -1, 0)
+        with pytest.raises(AttributeError, match="'a1'"):
+            e.a1 = 1
+        assert e.a1 == 0
+
+    def test_equal_models_hash_equal(self):
+        e, f = WeierstrassCurve(0, 0, 0, -1, 0), WeierstrassCurve(0, 0, 0, -1, 0)
+        assert e is not f and e == f and hash(e) == hash(f)
+        assert len({e, f}) == 1
+        assert len({e, WeierstrassCurve(0, 0, 0, -1, 0, label="32a2")}) == 2
+
+
 class TestMinimalModel:
     def test_11a1_already_minimal(self):
         e = curve_by_label("11a1")

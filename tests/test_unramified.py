@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -10,7 +11,6 @@ from plinv.unramified import (
     UnramifiedContext,
     default_modulus,
     is_irreducible_mod_p,
-    norm_trace,
 )
 
 from helpers import assert_same, log_coordinates, log_reference, teichmuller_reference, unit_coeffs
@@ -74,6 +74,24 @@ class TestContext:
         with pytest.raises(PadicError, match="reducible"):
             UnramifiedContext(5, 2, (-1, -1, 1))
 
+    def test_arithmetic_across_equal_contexts(self):
+        # two contexts built apart, both with the default modulus t^2 + 2
+        a, b = UnramifiedContext(5, 2), UnramifiedContext(5, 2)
+        assert a is not b and a.modulus == b.modulus == (2, 0, 1)
+        x, y, y_a = a.from_vector([1, 2], 6), b.from_vector([3, 4], 6), a.from_vector([3, 4], 6)
+        for op in (operator.add, operator.sub, operator.mul):
+            z, want = op(x, y), op(x, y_a)
+            assert (z.ctx, z.v, z.coeffs, z.n) == (a, want.v, want.coeffs, want.n)
+        assert y == y_a and x != y
+
+    def test_arithmetic_across_moduli_refused(self):
+        # t^2 + 3 is irreducible mod 5 too, but it is another field model
+        x = UnramifiedContext(5, 2).from_vector([1, 2], 6)
+        y = UnramifiedContext(5, 2, (3, 0, 1)).from_vector([1, 2], 6)
+        for op in (operator.add, operator.sub, operator.mul, operator.eq):
+            with pytest.raises(PadicError, match="mixed contexts"):
+                op(x, y)
+
     def test_frobenius_order(self):
         for p, f in [(5, 2), (3, 3), (7, 2)]:
             ctx = UnramifiedContext(p, f)
@@ -131,14 +149,14 @@ class TestNormTrace:
     def test_base_field_closed_forms(self):
         ctx = UnramifiedContext(5, 3)
         x = ctx.from_vector([Fraction(7, 2)], 8)
-        n, t = norm_trace(x)
+        n, t = x.norm().as_padic(), x.trace().as_padic()
         assert_same(n, PadicNumber.from_fraction(5, Fraction(7, 2) ** 3, 7))
         assert_same(t, PadicNumber.from_fraction(5, 3 * Fraction(7, 2), 7))
 
     def test_degree_one_identity(self):
         ctx = UnramifiedContext(7, 1)
         x = ctx.from_vector([Fraction(3, 5)], 6)
-        n, t = norm_trace(x)
+        n, t = x.norm().as_padic(), x.trace().as_padic()
         assert_same(n, PadicNumber.from_fraction(7, Fraction(3, 5), 6))
         assert_same(t, PadicNumber.from_fraction(7, Fraction(3, 5), 6))
 
@@ -147,7 +165,7 @@ class TestNormTrace:
         # the root has norm -1 and trace 1.
         ctx = UnramifiedContext(7, 2, (-1, -1, 1))
         t = ctx.from_vector([0, 1], 8)
-        n, tr = norm_trace(t)
+        n, tr = t.norm().as_padic(), t.trace().as_padic()
         assert_same(n, PadicNumber.from_int(7, -1, 7))
         assert_same(tr, PadicNumber.from_int(7, 1, 7))
 
@@ -162,7 +180,7 @@ class TestNormTrace:
                     coeffs[0] = Fraction(1)
                 det, tr = companion_norm_trace([Fraction(c) for c in ctx.modulus], coeffs)
                 x = ctx.from_vector(coeffs, 10)
-                n, t = norm_trace(x)
+                n, t = x.norm().as_padic(), x.trace().as_padic()
                 if det == 0:
                     continue
                 assert_same(n, PadicNumber.from_fraction(p, det, 8))
