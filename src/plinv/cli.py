@@ -68,7 +68,7 @@ def _user_table_path(cache):
 
 
 def _resolve_curve(args, cache=None):
-    from .curves import curve_by_label, curve_from_ainvs
+    from .curves import WeierstrassCurve, curve_by_label
 
     if args.label is not None and args.curve is not None:
         raise UsageError("give --label or --curve, not both")
@@ -82,7 +82,7 @@ def _resolve_curve(args, cache=None):
             ainvs = [int(x) for x in parts]
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
-        return curve_from_ainvs(ainvs)
+        return WeierstrassCurve(*ainvs)
     raise UsageError("provide --label or --curve")
 
 
@@ -217,17 +217,17 @@ def cmd_li_period(args, cache):
 
 def cmd_li_curve(args, cache):
     from .curves import reduction_type, tate_period
-    from .periods import li
+    from .periods import Period, li
 
     curve = _resolve_curve(args, cache)
     red = reduction_type(curve, args.p)
-    tp = tate_period(curve, args.p, args.prec)
-    value = li(tp.period, "iwasawa", prec=args.prec)
+    q = tate_period(curve, args.p, args.prec)
+    value = li(Period(args.p, [(q, 1)]), "iwasawa", prec=args.prec)
     return {
         "command": "li-curve",
         "curve": curve.to_json(),
         "reduction": red.to_json(),
-        "tate_period": tp.q.to_json(),
+        "tate_period": q.to_json(),
         "li": value.to_json(),
         "prec": args.prec,
     }
@@ -238,7 +238,7 @@ def cmd_check_ezc(args, cache):
 
     curve = _resolve_curve(args, cache)
     rep = exceptional_zero_check(curve, args.p, args.depth, args.prec, dual=args.dual)
-    return {"command": "check-ezc", **rep.to_json()}
+    return {"command": "check-ezc", **rep}
 
 
 def cmd_check_twist(args, cache):
@@ -246,7 +246,7 @@ def cmd_check_twist(args, cache):
 
     curve = _resolve_curve(args, cache)
     rep = twist_product_check(curve, args.disc, args.p, args.depth, args.prec)
-    return {"command": "check-twist", **rep.to_json()}
+    return {"command": "check-twist", **rep}
 
 
 def _symbol_and_measure(args, cache):
@@ -284,26 +284,24 @@ def cmd_lp(args, cache):
 
     curve, symbol, measure = _symbol_and_measure(args, cache)
     theta = stickelberger(measure, args.dual)
-    split = reduction_type(curve, args.p).kind == SPLIT
-    rep = ezc_report(curve, theta, args.prec) if split else None
-    l0, l1 = (rep.lp0, rep.derivative) if split else lp_value_and_derivative(theta, args.prec)
     out = {
         "command": "lp",
         "curve": curve.to_json(),
         "p": args.p,
         "depth": args.depth,
         "prec": args.prec,
-        "Lp0": _encode(l0),
-        "Lp0_is_zero": l0 == 0,
-        "Lp_derivative": l1.to_json(),
-        "augmentation": _encode(l0),
         "unit_root": measure.root.to_json(),
         "value_at_zero": str(symbol.at_zero),
     }
+    if reduction_type(curve, args.p).kind == SPLIT:
+        rep = out["exceptional_zero"] = ezc_report(curve, theta, args.prec)
+        out.update((key, rep[key]) for key in ("Lp0", "Lp0_is_zero", "Lp_derivative"))
+    else:
+        l0, l1 = lp_value_and_derivative(theta, args.prec)
+        out.update(Lp0=_encode(l0), Lp0_is_zero=l0 == 0, Lp_derivative=l1.to_json())
+    out["augmentation"] = out["Lp0"]
     if args.table:
         out["measure"] = measure.to_json()
-    if split:
-        out["exceptional_zero"] = rep.to_json()
     return out
 
 

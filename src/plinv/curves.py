@@ -357,15 +357,6 @@ def j_q_coefficients(nterms):
     return jq[1 : nterms + 2]
 
 
-class TatePeriod:
-    """The Tate parameter q of a curve at p, and q as a Period."""
-
-    def __init__(self, period, q, v_delta):
-        self.period = period
-        self.q = q
-        self.v_delta = v_delta
-
-
 def tate_period(curve, p, prec=20):
     """The parameter q with j(q) = j(E), ord(q) = m = v_p(disc_min) > 0:
     the root of G(q) = q - u q j(q), u = 1/j = disc/c4^3 with c4 a unit.
@@ -393,14 +384,13 @@ def tate_period(curve, p, prec=20):
 
     q = hensel(step, 0, p, m + prec)
     assert int_val(q, p) == m
-    q = PadicNumber(p, m, q // p ** m, prec)
-    return TatePeriod(periods.Period(p, [(q, 1)]), q, m)
+    return PadicNumber(p, m, q // p ** m, prec)
 
 
 def curve_l_invariant(curve, p, prec=20):
     """LI_p of the Tate period: log_p(q)/ord_p(q)."""
-    tp = tate_period(curve, p, prec)
-    return periods.li(tp.period, "iwasawa", prec=prec)
+    q = tate_period(curve, p, prec)
+    return periods.li(periods.Period(p, [(q, 1)]), "iwasawa", prec=prec)
 
 
 # -- bundled curve table ------------------------------------------------
@@ -511,9 +501,3 @@ def curve_by_label(label, user_table_path=None):
     if label in user:
         return user[label]
     raise CurveError(f"unknown curve label {label!r}")
-
-
-def curve_from_ainvs(ainvs, label=""):
-    if len(ainvs) != 5:
-        raise CurveError("need five a-invariants")
-    return WeierstrassCurve(*[int(a) for a in ainvs], label=label)

@@ -38,6 +38,7 @@ other a half.
 
 from fractions import Fraction
 import functools
+from math import gcd
 from types import SimpleNamespace
 
 from . import DomainError, check_prime, curves, modsym, padic
@@ -308,40 +309,6 @@ CONVENTIONS = {
 }
 
 
-class EzcReport:
-    """L_p'(0)/[0->oo] against the Tate L-invariant at a split prime."""
-
-    def __init__(self, label, p, depth, lp0_is_zero, lp0, derivative, value_at_zero,
-                 ratio, l_invariant, matched_sign, agreement_digits):
-        self.label = label
-        self.p = p
-        self.depth = depth
-        self.lp0_is_zero = lp0_is_zero
-        self.lp0 = lp0
-        self.derivative = derivative
-        self.value_at_zero = value_at_zero
-        self.ratio = ratio
-        self.l_invariant = l_invariant
-        self.matched_sign = matched_sign
-        self.agreement_digits = agreement_digits
-
-    def to_json(self):
-        return {
-            "curve": self.label,
-            "p": self.p,
-            "depth": self.depth,
-            "Lp0": str(self.lp0),
-            "Lp0_is_zero": self.lp0_is_zero,
-            "Lp_derivative": self.derivative.to_json(),
-            "value_at_zero": str(self.value_at_zero),
-            "ratio": self.ratio.to_json(),
-            "tate_l_invariant": self.l_invariant.to_json(),
-            "matched_sign": self.matched_sign,
-            "agreement_digits": self.agreement_digits,
-            "conventions": dict(CONVENTIONS),
-        }
-
-
 def exceptional_zero_check(curve, p, depth=3, prec=20, *, dual=False):
     """Compare L_p'(0)/[0->oo] with +-LI_p(q_E) for a split
     multiplicative prime; both sides are linear in the same symbol scale,
@@ -357,36 +324,38 @@ def _require_split(curve, p):
         raise MeasureError("not an exceptional (split multiplicative) prime")
 
 
-def ezc_report(curve, theta, prec=20):
-    """The comparison of `exceptional_zero_check` for a Stickelberger
-    element theta already built from the curve's eigen-symbol at a split
-    multiplicative prime (`stickelberger`, dual or not)."""
-    symbol, p, depth = theta.symbol, theta.p, theta.depth
+def _ezc_sides(curve, theta, prec):
+    """(L_p(0), L_p'(0), [0->oo], L_p'(0)/[0->oo], LI_p(q_E)) for a
+    Stickelberger element theta built from the curve's eigen-symbol at a
+    split multiplicative prime."""
     l0, l1 = lp_value_and_derivative(theta, prec)
-    v0 = symbol.at_zero
+    v0 = theta.symbol.at_zero
     if v0 == 0:
         raise MeasureError("symbol vanishes at {0->oo}; vanishing central L-value")
-    ratio = l1 * Fraction(1, v0)
-    li_val = curve_l_invariant(curve, p, prec)
-    agree_plus = ratio.agreement(li_val)
-    agree_minus = ratio.agreement(-li_val)
-    if agree_plus >= agree_minus:
-        matched, digits = "+", agree_plus
-    else:
-        matched, digits = "-", agree_minus
-    return EzcReport(
-        label=getattr(curve, "label", "") or str(curve.a_invariants),
-        p=p,
-        depth=depth,
-        lp0_is_zero=(l0 == 0),
-        lp0=l0,
-        derivative=l1,
-        value_at_zero=v0,
-        ratio=ratio,
-        l_invariant=li_val,
-        matched_sign=matched,
-        agreement_digits=digits,
-    )
+    return l0, l1, v0, l1 * Fraction(1, v0), curve_l_invariant(curve, theta.p, prec)
+
+
+def ezc_report(curve, theta, prec=20):
+    """The report of `exceptional_zero_check` for a Stickelberger element
+    theta already built from the curve's eigen-symbol at a split
+    multiplicative prime (`stickelberger`, dual or not): the sign of
+    LI_p(q_E) that the ratio matches, and to how many digits."""
+    l0, l1, v0, ratio, li_val = _ezc_sides(curve, theta, prec)
+    plus, minus = ratio.agreement(li_val), ratio.agreement(-li_val)
+    return {
+        "curve": curve.label or str(curve.a_invariants),
+        "p": theta.p,
+        "depth": theta.depth,
+        "Lp0": str(l0),
+        "Lp0_is_zero": l0 == 0,
+        "Lp_derivative": l1.to_json(),
+        "value_at_zero": str(v0),
+        "ratio": ratio.to_json(),
+        "tate_l_invariant": li_val.to_json(),
+        "matched_sign": "+" if plus >= minus else "-",
+        "agreement_digits": max(plus, minus),
+        "conventions": dict(CONVENTIONS),
+    }
 
 
 class TwistedSymbol(modsym.EigenSymbol):
@@ -426,97 +395,54 @@ class TwistedSymbol(modsym.EigenSymbol):
         return chi and chi * self.base.eigenvalue(ell)
 
 
-class TwistReport:
-    """The quadratic-twist product bookkeeping of one case."""
-
-    def __init__(self, label, d, p, chi_p, case, data):
-        self.label = label
-        self.d = d
-        self.p = p
-        self.chi_p = chi_p
-        self.case = case
-        self.data = data
-
-    # exact rationals (int or Fraction), emitted as strings like Fractions
-    RATIONAL = ("twist_L0", "twist_value_at_zero", "euler_factor", "ratio",
-                "base_augmentation", "twist_augmentation")
-
-    def to_json(self):
-        def enc(k, v):
-            if hasattr(v, "to_json"):
-                return v.to_json()
-            if k in self.RATIONAL and v is not None:
-                return str(v)
-            return v
-
-        return {
-            "curve": self.label,
-            "D": self.d,
-            "p": self.p,
-            "chi_p": self.chi_p,
-            "case": self.case,
-            **{k: enc(k, v) for k, v in self.data.items()},
-            "conventions": dict(CONVENTIONS),
-        }
-
-
 def twist_product_check(curve, d, p, depth=3, prec=20):
     """Quadratic-twist bookkeeping for the product of p-adic L-functions.
 
     chi_d(p) = 1 (split): both factors are exceptional; the derivative
     ratios and the Tate-period invariants of curve and twist must agree.
-    chi_d(p) = -1 (inert): the twisted factor is nonsplit with Euler
-    factor 2, so its L_p(0) equals exactly twice its value at {0->oo}.
+    chi_d(p) = -1 (inert): the twist's L_p(0) is its value at {0->oo}
+    times the Euler factor of its unit root alpha: 1 - 1/alpha where p | N,
+    which is 2 when E is split at p (alpha = -a_p(E) = -1), and
+    (1 - 1/alpha)^2 at a good ordinary p.  `ratio` is L_p(0)/[0->oo], and
+    null when [0->oo] = 0.
     """
     if not is_fundamental_discriminant(d):
         raise MeasureError("D must be a fundamental discriminant")
-    n = curve_level(curve)
-    from math import gcd
-
-    if gcd(d, n * p) != 1:
+    if gcd(d, curve_level(curve) * p) != 1:
         raise MeasureError("D must be coprime to p and the conductor")
-    chi_p = kronecker(d, p)
+    chi_p = kronecker(d, p)  # +-1, as gcd(d, p) = 1
     if chi_p == 1:
         _require_split(curve, p)  # before any symbol is built
-    twist = quadratic_twist(curve, d)
     sym_tw = TwistedSymbol(modsym.eigen_symbol(curve, 1 if d > 0 else -1), d)
     measure_tw = build_measure(sym_tw, p, depth, prec=prec)
+    report = {"curve": curve.label or str(curve.a_invariants), "D": d, "p": p, "chi_p": chi_p,
+              "conventions": dict(CONVENTIONS)}
 
     if chi_p == 1:
         plus = sym_tw.base if d > 0 else modsym.eigen_symbol(curve)  # E's plus symbol
-        base = ezc_report(curve, build_measure(plus, p, depth, prec=prec), prec)
-        tw = ezc_report(twist, measure_tw, prec)
-        ratio_match = max(base.ratio.agreement(tw.ratio),
-                          base.ratio.agreement(-tw.ratio))
-        return TwistReport(
-            label=base.label, d=d, p=p, chi_p=1, case="split",
-            data={
-                "base_ratio": base.ratio,
-                "twist_ratio": tw.ratio,
-                "ratio_agreement_digits": ratio_match,
-                "tate_li_base": base.l_invariant,
-                "tate_li_twist": tw.l_invariant,
-                "tate_agreement_digits": base.l_invariant.agreement(tw.l_invariant),
-                "base_augmentation": base.lp0,
-                "twist_augmentation": tw.lp0,
-                "product_vanishing_order_at_least_2": base.lp0 == 0 and tw.lp0 == 0,
-            },
-        )
-    if chi_p == -1:
-        l0_tw = measure_tw.mass()
-        v0_tw = sym_tw.at_zero
-        factor = l0_tw * Fraction(1, v0_tw) if v0_tw else None
-        root = measure_tw.root
-        return TwistReport(
-            label=getattr(curve, "label", "") or str(curve.a_invariants),
-            d=d, p=p, chi_p=-1, case="inert",
-            data={
-                "twist_L0": l0_tw,
-                "twist_value_at_zero": v0_tw,
-                "euler_factor": euler_factor(root, 1),
-                "factor_two_exact": v0_tw != 0 and l0_tw == 2 * v0_tw,
-                "ratio": factor,
-            },
-        )
-    raise MeasureError("chi_D(p) must be +-1 (D coprime to p)")
-
+        l0, _, _, ratio, li_val = _ezc_sides(curve, build_measure(plus, p, depth, prec=prec), prec)
+        l0_tw, _, _, ratio_tw, li_tw = _ezc_sides(quadratic_twist(curve, d), measure_tw, prec)
+        return {
+            **report,
+            "case": "split",
+            "base_ratio": ratio.to_json(),
+            "twist_ratio": ratio_tw.to_json(),
+            "ratio_agreement_digits": max(ratio.agreement(ratio_tw), ratio.agreement(-ratio_tw)),
+            "tate_li_base": li_val.to_json(),
+            "tate_li_twist": li_tw.to_json(),
+            "tate_agreement_digits": li_val.agreement(li_tw),
+            "base_augmentation": str(l0),
+            "twist_augmentation": str(l0_tw),
+            "product_vanishing_order_at_least_2": l0 == 0 and l0_tw == 0,
+        }
+    l0_tw = measure_tw.mass()
+    v0_tw = sym_tw.at_zero
+    return {
+        **report,
+        "case": "inert",
+        "twist_L0": _encode(l0_tw),
+        "twist_value_at_zero": str(v0_tw),
+        "euler_factor": _encode(euler_factor(measure_tw.root, 1)),
+        "factor_two_exact": v0_tw != 0 and l0_tw == 2 * v0_tw,
+        "ratio": _encode(l0_tw * Fraction(1, v0_tw)) if v0_tw else None,
+    }

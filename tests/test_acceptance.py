@@ -55,14 +55,14 @@ def test_criterion_1_exceptional_zero_identity():
         rep2 = exceptional_zero_check(curve_by_label(label), p, depth=2, prec=20)
         elapsed = time.time() - start
         pair_ok = (
-            rep3.agreement_digits >= 2      # |diff| <= p^-2
-            and rep3.lp0_is_zero
-            and rep2.matched_sign == rep3.matched_sign
+            rep3["agreement_digits"] >= 2      # |diff| <= p^-2
+            and rep3["Lp0_is_zero"]
+            and rep2["matched_sign"] == rep3["matched_sign"]
             and elapsed < 300
         )
         ok = ok and pair_ok
-        details.append(f"{label}@{p}: sign {rep3.matched_sign}, "
-                       f"{rep3.agreement_digits} digits, {elapsed:.1f}s")
+        details.append(f"{label}@{p}: sign {rep3['matched_sign']}, "
+                       f"{rep3['agreement_digits']} digits, {elapsed:.1f}s")
     verdict(1, ok, "; ".join(details))
 
 
@@ -74,14 +74,14 @@ def test_criterion_2_twist_invariance():
     rep = twist_product_check(curve_by_label("11a1"), 5, 11, depth=3, prec=prec)
     base_vs_tate = exceptional_zero_check(curve_by_label("11a1"), 11, 3, prec)
     ok = (
-        base_vs_tate.agreement_digits >= 2
-        and rep.data["ratio_agreement_digits"] >= 2
-        and rep.data["tate_agreement_digits"] >= prec - 2
+        base_vs_tate["agreement_digits"] >= 2
+        and rep["ratio_agreement_digits"] >= 2
+        and rep["tate_agreement_digits"] >= prec - 2
     )
     verdict(2, ok,
-            f"automorphic vs Tate {base_vs_tate.agreement_digits} digits; "
-            f"curve vs twist ratio {rep.data['ratio_agreement_digits']} digits; "
-            f"Tate LIs agree to {rep.data['tate_agreement_digits']} digits "
+            f"automorphic vs Tate {base_vs_tate['agreement_digits']} digits; "
+            f"curve vs twist ratio {rep['ratio_agreement_digits']} digits; "
+            f"Tate LIs agree to {rep['tate_agreement_digits']} digits "
             f"(working precision {prec})")
 
 
@@ -91,16 +91,16 @@ def test_criterion_3_product_formula_bookkeeping():
     split = twist_product_check(curve_by_label("11a1"), 5, 11, depth=2)
     inert = twist_product_check(curve_by_label("11a1"), -4, 11, depth=2)
     ok = (
-        split.data["product_vanishing_order_at_least_2"]
-        and split.data["base_augmentation"] == 0
-        and split.data["twist_augmentation"] == 0
-        and inert.data["factor_two_exact"]
-        and inert.data["euler_factor"] == 2
+        split["product_vanishing_order_at_least_2"]
+        and split["base_augmentation"] == "0"
+        and split["twist_augmentation"] == "0"
+        and inert["factor_two_exact"]
+        and inert["euler_factor"] == "2"
     )
     verdict(3, ok,
-            f"split D=5 augmentations ({split.data['base_augmentation']}, "
-            f"{split.data['twist_augmentation']}); inert D=-4 ratio "
-            f"{inert.data['ratio']} (exact)")
+            f"split D=5 augmentations ({split['base_augmentation']}, "
+            f"{split['twist_augmentation']}); inert D=-4 ratio "
+            f"{inert['ratio']} (exact)")
 
 
 def test_criterion_4_exactness_suite():
@@ -277,9 +277,9 @@ def test_criterion_8_tate_round_trip():
     for label, p in MULT_PAIRS:
         e = curve_by_label(label)
         red = reduction_type(e, p)
-        tp = tate_period(e, p, prec)
-        good_ord = tp.q.ord() == red.v_delta
-        jq = j_of_q(tp.q)
+        q = tate_period(e, p, prec)
+        good_ord = q.ord() == red.v_delta
+        jq = j_of_q(q)
         jexp = PadicNumber.from_fraction(p, red.minimal.j_invariant, prec + 12)
         # relative agreement beyond ord(j) = -v_delta
         digits = jq.agreement(jexp) + red.v_delta

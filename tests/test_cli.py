@@ -450,6 +450,13 @@ class TestReports:
         # recorded from the level-9251 space that the twisted sums replaced
         (["check-twist", "--label", "11a1", "-D", "29", "-p", "11"],
          "2125aac054facd8dc986a009b4afe8455e01c81aa728d499db81c6cf601958d3"),
+        # inert at a good ordinary prime, recorded while a report class encoded
+        # them: p-adic twist_L0 and euler_factor, and at D = -8, where
+        # [0->oo] = 0, a null ratio
+        (["check-twist", "--label", "11a1", "-D", "-3", "-p", "5", "--depth", "2"],
+         "ad95b17a87db2b08b7eeaf8aa57e286c45c75d2d95195d0e5f3a040093b40556"),
+        (["check-twist", "--label", "11a1", "-D", "-8", "-p", "5", "--depth", "2"],
+         "a10c23d80c81a1cca6c3586d801422751dd6ba09f38b34b7b55ca5add95918aa"),
         # nonsplit multiplicative reduction at p = 2
         (["li-curve", "--label", "14a1", "-p", "2", "--prec", "30"],
          "2ce849416911faeddfcb1b129ad3876b94dbd538908a4c86f42882010be4bbfa"),
@@ -460,7 +467,8 @@ class TestReports:
         # bad primes and their reduction kinds, at 2 and 7
         (["import-curve", "--row", "14a1 1,0,1,4,-6"],
          "a922a916dda1bc4aa199e41d3934fdd6b32d8d62b051e399f1849c980f617037"),
-    ], ids=["twist-5", "twist-minus-4", "twist-8", "twist-13", "twist-29", "li-curve-14a1-p2",
+    ], ids=["twist-5", "twist-minus-4", "twist-8", "twist-13", "twist-29", "twist-minus-3-p5",
+            "twist-minus-8-p5", "li-curve-14a1-p2",
             "li-curve-37b1-prec-1000", "import-14a1"])
     def test_arithmetic_golden_sha256(self, args, digest):
         # stdout bytes recorded before the factoring, split test and F_{p^f}
@@ -1271,8 +1279,14 @@ class TestReadme:
     def test_command_runs_and_validates(self, tmp_path, argv):
         rc, out = run(argv, tmp_path)
         assert rc == 0, argv
-        schema = "modsym_dump" if argv[0] == "modsym" else argv[0].replace("-", "_")
-        TestSchemas._validate(out, schema + ".json")
+        _validate_report(argv, out)
+
+
+def _validate_report(argv, out):
+    """Validate out, the JSON report of argv, against its command's schema."""
+    command = next(arg for arg in argv if arg[0] != "-")
+    schema = "modsym_dump" if command == "modsym" else command.replace("-", "_")
+    TestSchemas._validate(out, schema + ".json")
 
 
 class TestProcess:

@@ -15,13 +15,16 @@ from plinv.measures import (
     build_measure,
     euler_factor,
     exceptional_zero_check,
+    ezc_report,
     lp_value_and_derivative,
     stickelberger,
     twist_product_check,
     unit_root,
+    _ezc_sides,
     _log_coordinates,
 )
 from plinv.modsym import EigenSymbol, P1List, eigen_symbol
+from plinv.padic import PadicNumber
 
 from helpers import (
     cyclotomic_polynomial,
@@ -488,15 +491,15 @@ class TestExceptionalZero:
     @pytest.mark.parametrize("label,p", [("11a1", 11), ("15a1", 5), ("21a1", 3), ("14a1", 7)])
     def test_agreement_and_sign(self, label, p):
         rep = exceptional_zero_check(curve_by_label(label), p, depth=3, prec=20)
-        assert rep.lp0_is_zero
-        assert rep.agreement_digits >= 2
+        assert rep["Lp0_is_zero"]
+        assert rep["agreement_digits"] >= 2
         rep2 = exceptional_zero_check(curve_by_label(label), p, depth=2, prec=20)
-        assert rep2.matched_sign == rep.matched_sign
+        assert rep2["matched_sign"] == rep["matched_sign"]
 
     def test_sign_stable_under_precision(self):
         reps = [exceptional_zero_check(curve_by_label("11a1"), 11, depth=3, prec=n)
                 for n in (10, 20, 28)]
-        assert len({r.matched_sign for r in reps}) == 1
+        assert len({r["matched_sign"] for r in reps}) == 1
 
     def test_nonsplit_rejected(self):
         with pytest.raises(MeasureError, match="exceptional"):
@@ -510,35 +513,47 @@ class TestExceptionalZero:
         # replacing log_p by log_q (branch at the Tate parameter itself)
         # kills the L-invariant, so the ratio comparison must fail
         from plinv.curves import tate_period
-        from plinv.periods import li
+        from plinv.periods import Period, li
 
-        rep = exceptional_zero_check(curve_by_label("11a1"), 11, depth=3)
-        tp = tate_period(curve_by_label("11a1"), 11, 20)
-        broken = li(tp.period, branch=tp.q, prec=20)
+        curve = curve_by_label("11a1")
+        rep = exceptional_zero_check(curve, 11, depth=3)
+        _, _, _, ratio, _ = _ezc_sides(curve, build_measure(eigen_symbol(curve), 11, 3), 20)
+        q = tate_period(curve, 11, 20)
+        broken = li(Period(11, [(q, 1)]), branch=q, prec=20)
         assert broken.is_zero  # log_q(q) = 0
-        assert rep.ratio.agreement(broken) < rep.agreement_digits
+        assert ratio.agreement(broken) < rep["agreement_digits"]
 
     def test_dual_flips_sign(self):
         rep = exceptional_zero_check(curve_by_label("11a1"), 11, depth=3)
         repd = exceptional_zero_check(curve_by_label("11a1"), 11, depth=3, dual=True)
-        assert rep.matched_sign != repd.matched_sign
-        assert repd.agreement_digits >= 2
+        assert rep["matched_sign"] != repd["matched_sign"]
+        assert repd["agreement_digits"] >= 2
 
 
 class TestTwistChecks:
     def test_split_case(self):
         rep = twist_product_check(curve_by_label("11a1"), 5, 11, depth=3)
-        assert rep.case == "split"
-        assert rep.data["ratio_agreement_digits"] >= 2
-        assert rep.data["tate_agreement_digits"] >= 18
-        assert rep.data["product_vanishing_order_at_least_2"]
+        assert rep["case"] == "split"
+        assert rep["ratio_agreement_digits"] >= 2
+        assert rep["tate_agreement_digits"] >= 18
+        assert rep["product_vanishing_order_at_least_2"]
 
     def test_inert_case(self):
         rep = twist_product_check(curve_by_label("11a1"), -4, 11, depth=2)
-        assert rep.case == "inert"
-        assert rep.data["factor_two_exact"]
-        assert rep.data["euler_factor"] == 2
-        assert rep.data["ratio"] == 2
+        assert rep["case"] == "inert"
+        assert rep["factor_two_exact"]
+        assert rep["euler_factor"] == "2"
+        assert rep["ratio"] == "2"
+
+    def test_inert_case_at_a_good_prime(self):
+        # p = 5 is good ordinary for 11a1, so the factor is (1 - 1/alpha)^2,
+        # not 2; the reported ratio L_p(0)/[0->oo] is that factor
+        def padic(obj):
+            return PadicNumber(obj["p"], obj["v"], int(obj["unit"]), obj["n"])
+
+        rep = twist_product_check(curve_by_label("11a1"), -3, 5, depth=2)
+        assert rep["case"] == "inert" and not rep["factor_two_exact"]
+        assert padic(rep["ratio"]).agreement(padic(rep["euler_factor"])) >= 18
 
     def test_degenerate_d_rejected(self):
         with pytest.raises(MeasureError, match="fundamental"):
@@ -556,14 +571,13 @@ class TestPlusSymbolOnly:
     def test_no_dead_parameters(self):
         import inspect
 
-        from plinv.measures import EzcReport, TwistReport
         from plinv.modsym import build_space, eigen_symbol
 
         from helpers import j_of_q
 
         # no space is read from a disk cache, so none of these takes one
         for fn, name in [(exceptional_zero_check, "sign"), (twist_product_check, "sign"),
-                         (EzcReport, "conventions"), (TwistReport, "conventions"),
+                         (ezc_report, "conventions"), (twist_product_check, "conventions"),
                          (j_of_q, "nterms"), (exceptional_zero_check, "cache"),
                          (twist_product_check, "cache"), (eigen_symbol, "cache"),
                          (build_space, "cache")]:

@@ -10,9 +10,11 @@ import ast
 import json
 from pathlib import Path
 
+import pytest
+
 import plinv
 
-from test_cli import _fresh_python, _readme_commands
+from test_cli import _fresh_python, _readme_commands, _validate_report, run
 from test_tracer_targets import _targets
 
 SRC = Path(plinv.__file__).resolve().parent
@@ -121,3 +123,12 @@ def test_every_function_is_reached(tmp_path):
     missed = sorted(n for n in unreached if n.rpartition(".")[2] not in DUNDERS
                     and not any(_covers(entry, n) for entry in allowed))
     assert missed == [], "no command runs:\n" + "\n".join(missed)
+
+
+@pytest.mark.parametrize("argv", [argv for argv, rc in EXTRA if rc == 0
+                                  and not {"--format", "-h", "--help"} & set(argv)], ids=" ".join)
+def test_json_reports_validate(tmp_path, argv):
+    """Each JSON report of EXTRA validates against its command's schema."""
+    rc, out = run(argv, tmp_path)
+    assert rc == 0, argv
+    _validate_report(argv, out)
