@@ -15,8 +15,8 @@ distribution property exact; the good-ordinary second term has no
 analogue at Steinberg primes, where the local L-factor has a single
 root.
 
-Each [a/m] is a sum of integer generator values along the continued
-fraction of a/m, walked on the two ints.  A measure is held once, as rows
+Each [a/p^n] is a sum of generator values down Euclid's remainders on p^n
+and a^-1 (`modsym.EigenSymbol.walk`).  A measure is held once, as rows
 in the coordinates a = zeta gamma^k in which it is built and integrated
 (`_log_coordinates`); it evaluates one unit per orbit of its symmetries
 and fills the rest of the orbit from it:
@@ -38,6 +38,7 @@ other a half.
 
 from fractions import Fraction
 import functools
+from itertools import product, repeat
 from math import gcd
 from types import SimpleNamespace
 
@@ -185,7 +186,7 @@ def build_measure(symbol, p, depth, root=None, prec=20):
     """Measure rows on (Z/p^depth)^*; exact integers when alpha = +-1.
 
     One unit per symmetry orbit (module docstring) is evaluated, all in one
-    `values_at` batch, and the rest of the rows are filled from them.  In
+    `walk` batch, and the rest of the rows are filled from them.  In
     the coordinates zeta gamma^k of `_log_coordinates`, -zeta is the mirror
     of zeta, so half of the roots of unity are evaluated, for every k or,
     at level p, for the k <= order/2 that hold an inverse of every unit."""
@@ -207,15 +208,15 @@ def build_measure(symbol, p, depth, root=None, prec=20):
     pn = p ** depth
     gamma, torsion = _log_coordinates(p, depth)
     order = (pn - pn // p) // len(torsion)  # the order of gamma mod p^n
-    powers = [1]  # the gamma^k whose rows are evaluated: k <= order/2 at level p
-    while len(powers) < (order // 2 + 1 if level == p else order):
+    powers = [1]
+    while len(powers) < order:
         powers.append(powers[-1] * gamma % pn)
     half = torsion[:(len(torsion) + 1) // 2]
-
-    def reps(m):  # the evaluated units zeta gamma^k, reduced mod m
-        return (z * g % m for g in powers for z in half)
-
-    lead = symbol.values_at(pn, reps(pn))
+    inverse = _inverses(p, depth)
+    # the units zeta gamma^k, k <= order/2 at level p, walked from zeta^-1 gamma^-k
+    lead = symbol.walk(zip(repeat(pn), (torsion[i] * powers[-k] % pn
+                                        for k in range(order // 2 + 1 if level == p else order)
+                                        for i in inverse[:len(half)])))
     if root.multiplicative:
         # alpha^(-n) = alpha^n = +-1
         cells = lead if root.alpha_exact ** depth == 1 else [-v for v in lead]
@@ -224,7 +225,7 @@ def build_measure(symbol, p, depth, root=None, prec=20):
         ai, ai1 = root.alpha ** (-depth), root.alpha ** (-depth - 1)
         # [a/p^(n-1)] depends on a mod p^(n-1) alone, since [r + 1] = [r]
         tail = [ai1 * v for v in symbol.values_at(pn1, range(pn1))]
-        cells = [ai * v - tail[r] for v, r in zip(lead, reps(pn1))]
+        cells = [ai * v - tail[z * g % pn1] for v, (g, z) in zip(lead, product(powers, half))]
     sign = symbol.sign
     rows = []
     for k in range(0, len(cells), len(half)):
@@ -233,7 +234,6 @@ def build_measure(symbol, p, depth, root=None, prec=20):
         rows.append(row + [v if sign == 1 else -v for v in reversed(row[:len(torsion) // 2])])
     # the other rows at level p, all ints: mu(a^-1) = -sign mu(a), and
     # zeta gamma^k has the inverse zeta^-1 gamma^(order - k)
-    inverse = _inverses(p, depth)
     rows += [[-sign * rows[order - k][i] for i in inverse] for k in range(len(rows), order)]
     return PadicMeasure(p, depth, root, symbol, rows)
 
@@ -354,7 +354,8 @@ def ezc_report(curve, theta, prec=20):
         "tate_l_invariant": li_val.to_json(),
         "matched_sign": "+" if plus >= minus else "-",
         "agreement_digits": max(plus, minus),
-        "conventions": dict(CONVENTIONS),
+        "conventions": {**CONVENTIONS, "sigma_indexing": "sigma_a <-> a^(-1) (dual=True)"}
+                       if theta.dual else dict(CONVENTIONS),
     }
 
 

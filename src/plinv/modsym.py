@@ -16,10 +16,12 @@ the space of its curve's own level (a quadratic twist's is summed from its
 curve's, `measures.TwistedSymbol`); its weights are the values at the
 basis generators, and a Hecke eigenvalue is computed only when asked for.
 Manin's continued-fraction trick is used only to evaluate a symbol on a
-path {a/m -> oo}.  Cusps are classed by a (g, x) key, `_cusp_key`, not by
-pairwise tests, and a generator (c:d) keys both of its ends from c and d,
-with no lift to SL_2(Z).  All arithmetic is exact, and on ints wherever
-the values are integers."""
+path {a/m -> oo}, down Euclid's remainders on (m, a^-1 mod m): the
+convergent denominators of a/m read backwards, the k-th piece carrying
+eps^k on the sign-eps quotient.  Cusps are classed by a (g, x) key,
+`_cusp_key`, not by pairwise tests, and a generator (c:d) keys both of its
+ends from c and d, with no lift to SL_2(Z).  All arithmetic is exact, and
+on ints wherever the values are integers."""
 
 from functools import cached_property, lru_cache
 from math import gcd
@@ -396,7 +398,8 @@ class EigenSymbol:
 
     @cached_property
     def _walk_table(self):
-        """The (s, row) per residue c mod N that `values_at` reads."""
+        """Per residue c mod N, a unit s and the row of generator values
+        over gcd(c, N), so that (c:d) has the value row[s d mod N]."""
         n, p1, vals = self.level, self.space.p1, self.gen_values
         rows = {g: [0 if i is None else vals[i] for i in pos] for g, pos in p1._pos.items()}
         return [(s, rows[gcd(u, n)]) for u, (s, _) in enumerate(p1._unit)]
@@ -410,31 +413,37 @@ class EigenSymbol:
         return self.values_at(m, (a,))[0]
 
     def values_at(self, m, numerators):
-        """The values on the paths {a/m -> oo}, one per int a, for one
-        denominator m > 0.
-
-        Manin's continued-fraction trick, walked on the two ints: with
-        convergent denominators q_k of a/m, the k-th piece is the generator
-        (q_(k-1) : (-1)^k q_k), whose value is read in two steps from one
-        table per symbol: per residue c mod N, a unit s and the row of
-        generator values over the divisor gcd(c, N), so that (c:d) has the
-        value row[s d mod N].  The table is built from `gen_values` once, on
-        first use.  The sign quotient gives [-r] = sign [r] (eta) and
-        [r + 1] = [r] (translation).
-        """
-        n, table = self.level, self._walk_table
-        s, row = table[0]
-        first = row[s % n]  # the piece (0:1)
-        out = []
+        """The values on the paths {a/m -> oo}, one per int a, for one m > 0:
+        `walk` from a'^-1 mod m', with a'/m' the reduced a/m."""
+        paths = []
         for a in numerators:
-            x, y = m, a % m
-            c, d, sign, total = 0, 1, 1, first
+            g = gcd(a, m)
+            paths.append((m, pow(a, -1, m)) if g == 1 else (m // g, pow(a // g, -1, m // g)))
+        return self.walk(paths)
+
+    def walk(self, paths):
+        """The values [b^-1/m], one per pair (m, b) of an int m > 0 and a
+        unit 0 <= b < m.  Euclid's remainders on (m, b) are the convergent
+        denominators q_K = m, ..., q_0 = 1 of a/m, a = (-1)^(K-1) b^-1, read
+        backwards (Knuth, TAOCP 2, 4.5.3); Manin's k-th piece of {a/m -> oo}
+        is (q_(k-1) : (-1)^k q_k), after (0:1).  As x(c : -d) = eps x(c : d)
+        on the sign-eps quotient, [b^-1/m] = x(0:1) + eps E + O, with E and O
+        the sums of x(y : x) over consecutive remainders (x, y) at even and
+        odd steps from (m, b); x(0:1) = 0 when eps = -1."""
+        n, table, plus = self.level, self._walk_table, self.sign == 1
+        first, out = self.gen_values[0], []  # x(0:1): (0:1) is the first generator
+        for x, y in paths:
+            even = odd = 0
             while y:
-                q, x, y = x // y, y, x % y
-                c, d, sign = d, q * d + c, -sign
-                s, row = table[c % n]
-                total += row[s * sign * d % n]
-            out.append(total)
+                s, row = table[y % n]
+                even += row[s * x % n]
+                x, y = y, x % y
+                if not y:
+                    break
+                s, row = table[y % n]
+                odd += row[s * x % n]
+                x, y = y, x % y
+            out.append(first + odd + (even if plus else -even))
         return out
 
     def eigenvalue(self, ell):

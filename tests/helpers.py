@@ -298,19 +298,27 @@ def log_moment_reference(values, p, n, j, prec):
     return (log_gamma ** j * s).cap_abs_prec(n)
 
 
+def forward_value(symbol, a, m):
+    """[a/m] summed from `gen_values` over the forward continued fraction
+    of `manin_pieces`: a walk independent of `EigenSymbol.walk`."""
+    p1 = symbol.space.p1
+    return sum(symbol.gen_values[p1.index(c, d)] for c, d in manin_pieces(a, m))
+
+
 def measure_reference(symbol, p, n, root):
     """The measure table of `build_measure` with every unit a evaluated on
-    its own Fraction a/p^n: no use of mu(p^n - a) = sign * mu(a)."""
+    its own path {a/p^n -> oo} by `forward_value`: no use of
+    mu(p^n - a) = sign * mu(a), and no use of `EigenSymbol.walk`."""
     pn = p ** n
     values = {}
     for a in range(1, pn):
         if a % p == 0:
             continue
-        lead = symbol.evaluate(Fraction(a, pn))
+        lead = forward_value(symbol, a, pn)
         if root.multiplicative:
             values[a] = root.alpha_exact ** n * lead
         else:
-            tail = symbol.evaluate(Fraction(a % (pn // p), pn // p))
+            tail = forward_value(symbol, a, pn // p)
             values[a] = root.alpha ** -n * lead - root.alpha ** (-n - 1) * tail
     return values
 

@@ -290,6 +290,16 @@ class TestReports:
         assert out["reduction"]["v_delta"] == 5
         assert out["tate_period"]["v"] == 5
 
+    @pytest.mark.parametrize("command", ["check-ezc", "lp"])
+    def test_dual_report_names_its_indexing(self, command):
+        pair = ["--label", "11a1", "-p", "11", "--depth", "2"]
+        (rc, plain), (rcd, dual) = run([command, *pair]), run([command, *pair, "--dual"])
+        assert rc == rcd == 0
+        if command == "lp":
+            plain, dual = plain["exceptional_zero"], dual["exceptional_zero"]
+        assert plain["conventions"]["sigma_indexing"] == "sigma_a <-> a (pass dual=True for a^(-1))"
+        assert dual["conventions"]["sigma_indexing"] == "sigma_a <-> a^(-1) (dual=True)"
+
     @staticmethod
     def _assert_digits_extend(label, p, precs):
         """The digits at each --prec in precs extend those at --prec 20."""
@@ -425,8 +435,10 @@ class TestReports:
         # p^n = 2: the one unit is its own mirror
         (["lp", "--label", "14a1", "-p", "2", "--depth", "1", "--table"],
          "fc289cc0c019442fbf9e6f46fd3d41bc0c4ef3838aa85ca87a5f7def643ae6f9"),
+        # recorded again when the dual report's sigma_indexing began to name
+        # a^(-1); no other byte changed
         (["check-ezc", "--label", "37b1", "-p", "37", "--depth", "3", "--dual"],
-         "6e6e7d644d5448b13b2d267c1b5a7cd383e2b0da7e0b612b0bd637e50cb88901"),
+         "f83b1021b87ae4dfb552ade781a72f9c06676104f2d7e39ab4e0d9ca641af823"),
     ], ids=["lp-11a1-p3", "lp-14a1-p2", "check-ezc-37b1-dual"])
     def test_measure_golden_sha256(self, args, digest):
         # stdout bytes recorded before the measure table was filled from

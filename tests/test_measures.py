@@ -456,16 +456,18 @@ class TestSymmetricFill:
         self._check(eigen_symbol(curve_by_label("11a1"), sign), 11, 4)
 
     def test_one_walk_per_orbit(self, monkeypatch):
+        # every batch goes through `walk`, the tail's by way of `values_at`;
+        # a batch is named by its largest denominator, p^n or p^(n-1)
         syms = [eigen_symbol(curve_by_label(label)) for label in ("37b1", "14a1", "11a1")]
         walks = []
-        values_at = EigenSymbol.values_at
+        walk = EigenSymbol.walk
 
-        def counting(self, m, nums):
-            nums = list(nums)
-            walks.append((m, len(nums)))
-            return values_at(self, m, nums)
+        def counting(self, paths):
+            paths = list(paths)
+            walks.append((max(m for m, _ in paths), len(paths)))
+            return walk(self, paths)
 
-        monkeypatch.setattr(EigenSymbol, "values_at", counting)
+        monkeypatch.setattr(EigenSymbol, "walk", counting)
         build_measure(syms[0], 37, 2)  # level p: rows k <= 18 of 37, half of each
         build_measure(syms[1], 7, 3)   # level 14: half of the 294 units
         build_measure(syms[2], 3, 3)   # good ordinary: each [a/9] once
@@ -528,6 +530,21 @@ class TestExceptionalZero:
         repd = exceptional_zero_check(curve_by_label("11a1"), 11, depth=3, dual=True)
         assert rep["matched_sign"] != repd["matched_sign"]
         assert repd["agreement_digits"] >= 2
+
+    def test_dual_report_names_its_indexing(self):
+        # at 11a1, p = 11, depth 2 the dual element negates L_p'(0), so the
+        # derivative, the ratio and the matched sign differ; of the
+        # conventions only sigma_indexing does, and it names a^(-1)
+        rep = exceptional_zero_check(curve_by_label("11a1"), 11, depth=2)
+        repd = exceptional_zero_check(curve_by_label("11a1"), 11, depth=2, dual=True)
+        assert {k for k in rep if rep[k] != repd[k]} == {
+            "Lp_derivative", "ratio", "matched_sign", "conventions"}
+        assert (rep["matched_sign"], repd["matched_sign"]) == ("+", "-")
+        conv, convd = rep["conventions"], repd["conventions"]
+        assert list(conv) == list(convd)
+        assert {k for k in conv if conv[k] != convd[k]} == {"sigma_indexing"}
+        assert conv["sigma_indexing"] == "sigma_a <-> a (pass dual=True for a^(-1))"
+        assert convd["sigma_indexing"] == "sigma_a <-> a^(-1) (dual=True)"
 
 
 class TestTwistChecks:

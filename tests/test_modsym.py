@@ -735,6 +735,24 @@ class TestFastEvaluate:
         assert batch == [sym.evaluate(a, m) for a in nums]
         assert batch == [_dot_product_value(sym, Fraction(a, m)) for a in nums]
 
+    @settings(max_examples=200, deadline=None)
+    @given(label=st.sampled_from(["11a1", "37b1", "11a1tw5", "11a1tw-4"]),
+           sign=st.sampled_from([1, -1]), m=st.integers(1, 10 ** 5),
+           residues=st.lists(st.integers(0, 10 ** 6), max_size=12))
+    @example(label="11a1tw5", sign=-1, m=275 * 12, residues=[1, 7, 13, 274, 275 * 12 - 1])
+    @example(label="11a1tw-4", sign=1, m=176 * 15, residues=[1, 7, 13, 2639])
+    @example(label="37b1", sign=-1, m=37 ** 3, residues=[1, 2, 36, 1369, 50652])
+    @example(label="11a1", sign=1, m=1, residues=[0, 5])
+    def test_inverse_fed_walk(self, label, sign, m, residues):
+        # the entry build_measure uses: units b mod m (composite m mostly),
+        # walked from b itself to [b^-1/m]
+        sym = _eigen_symbol(label, sign)
+        units = [b for b in (r % m for r in residues) if gcd(b, m) == 1]
+        inverses = [pow(b, -1, m) for b in units]
+        walked = sym.walk([(m, b) for b in units])
+        assert walked == sym.values_at(m, inverses)
+        assert walked == [_dot_product_value(sym, Fraction(a, m)) for a in inverses]
+
     def test_value_at_zero_sign_follows_normalization(self):
         # the sign flip in eigen_symbol must reach the generator values, and
         # every path after it: no table read from the unflipped values survives
