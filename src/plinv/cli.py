@@ -216,19 +216,17 @@ def cmd_li_period(args, cache):
 
 
 def cmd_li_curve(args, cache):
-    from .curves import reduction_type, tate_period
-    from .periods import Period, li
+    from .curves import reduction_type, tate_l_invariant, tate_period
 
     curve = _resolve_curve(args, cache)
     red = reduction_type(curve, args.p)
     q = tate_period(curve, args.p, args.prec)
-    value = li(Period(args.p, [(q, 1)]), "iwasawa", prec=args.prec)
     return {
         "command": "li-curve",
         "curve": curve.to_json(),
         "reduction": red.to_json(),
         "tate_period": q.to_json(),
-        "li": value.to_json(),
+        "li": tate_l_invariant(q).to_json(),
         "prec": args.prec,
     }
 

@@ -1,12 +1,13 @@
 """Integral Weierstrass models over Q: invariants, local minimal models,
-reduction types, quadratic twists, Tate periods and their L-invariants.
+reduction types, quadratic twists, Tate periods and their L-invariants
+log_p(q)/ord_p(q), taken here without the formal products of `periods`.
 """
 
 import os
 from fractions import Fraction
 from functools import lru_cache
 
-from . import DomainError, check_prime, periods
+from . import DomainError, check_prime, padic
 from .padic import PadicNumber, factor, hensel, int_val
 
 
@@ -320,24 +321,12 @@ def _series_mul(a, b, m):
     return out
 
 
-def _series_inv(a, m):
-    assert a[0] == 1
-    inv = [0] * m
-    inv[0] = 1
-    for k in range(1, m):
-        acc = 0
-        for i in range(1, min(k, len(a) - 1) + 1):
-            acc += a[i] * inv[k - i]
-        inv[k] = -acc
-    return inv
-
-
 def j_q_coefficients(nterms):
     """Integer coefficients c(0..nterms) of j(q) = 1/q + sum c(n) q^n.
 
-    q j(q) = E4^3 / f with f = prod (1-q^n)^24, in O(nterms^2) integer
-    operations.  The log-derivative q f'/f = -24 sum sigma_1(k) q^k gives
-    n f_n = -24 sum_(k=1..n) sigma_1(k) f_(n-k), and one divisor sieve
+    q j(q) = E4^3 g with g = 1/prod (1-q^n)^24, in O(nterms^2) integer
+    operations.  The log-derivative q g'/g = 24 sum sigma_1(k) q^k gives
+    n g_n = 24 sum_(k=1..n) sigma_1(k) g_(n-k), and one divisor sieve
     gives sigma_1 and the sigma_3 of E4 = 1 + 240 sum sigma_3(n) q^n.
     """
     m = nterms + 2
@@ -346,12 +335,11 @@ def j_q_coefficients(nterms):
         for k in range(d, m, d):
             sigma1[k] += d
             sigma3[k] += d ** 3
-    f = [1] + [0] * (m - 1)
+    g = [1] + [0] * (m - 1)
     for n in range(1, m):
-        f[n] = -24 * sum(sigma1[k] * f[n - k] for k in range(1, n + 1)) // n
+        g[n] = 24 * sum(sigma1[k] * g[n - k] for k in range(1, n + 1)) // n
     e4 = [1] + [240 * s for s in sigma3[1:]]
-    e4cubed = _series_mul(_series_mul(e4, e4, m), e4, m)
-    jq = _series_mul(e4cubed, _series_inv(f, m), m)
+    jq = _series_mul(_series_mul(_series_mul(e4, e4, m), e4, m), g, m)
     # jq[k] = c(k-1): coefficient of q^k in q*j(q)
     assert jq[0] == 1 and jq[1] == 744
     return jq[1 : nterms + 2]
@@ -387,10 +375,14 @@ def tate_period(curve, p, prec=20):
     return PadicNumber(p, m, q // p ** m, prec)
 
 
+def tate_l_invariant(q):
+    """log_p(q)/ord_p(q) to the digits of a Tate period q: `periods.li` of q^1."""
+    return padic.iwasawa_log(q) * Fraction(1, q.ord())
+
+
 def curve_l_invariant(curve, p, prec=20):
     """LI_p of the Tate period: log_p(q)/ord_p(q)."""
-    q = tate_period(curve, p, prec)
-    return periods.li(periods.Period(p, [(q, 1)]), "iwasawa", prec=prec)
+    return tate_l_invariant(tate_period(curve, p, prec))
 
 
 # -- bundled curve table ------------------------------------------------

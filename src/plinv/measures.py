@@ -223,9 +223,12 @@ def build_measure(symbol, p, depth, root=None, prec=20):
     else:
         pn1 = pn // p
         ai, ai1 = root.alpha ** (-depth), root.alpha ** (-depth - 1)
-        # [a/p^(n-1)] depends on a mod p^(n-1) alone, since [r + 1] = [r]
-        tail = [ai1 * v for v in symbol.values_at(pn1, range(pn1))]
-        cells = [ai * v - tail[z * g % pn1] for v, (g, z) in zip(lead, product(powers, half))]
+        # [a/p^(n-1)] depends on a mod p^(n-1) alone, since [r + 1] = [r]:
+        # walk once each unit z g that a cell reads
+        reads = [z * g % pn1 for g, z in product(powers, half)]
+        units = set(reads)
+        tail = {r: ai1 * v for r, v in zip(units, symbol.values_at(pn1, units))}
+        cells = [ai * v - tail[r] for v, r in zip(lead, reads)]
     sign = symbol.sign
     rows = []
     for k in range(0, len(cells), len(half)):
@@ -336,10 +339,10 @@ def _ezc_sides(curve, theta, prec):
 
 
 def ezc_report(curve, theta, prec=20):
-    """The report of `exceptional_zero_check` for a Stickelberger element
-    theta already built from the curve's eigen-symbol at a split
-    multiplicative prime (`stickelberger`, dual or not): the sign of
-    LI_p(q_E) that the ratio matches, and to how many digits."""
+    """`exceptional_zero_check`'s report for a Stickelberger element theta
+    built from the curve's eigen-symbol at a split multiplicative prime
+    (`stickelberger`, dual or not): the sign of LI_p(q_E) that the ratio
+    matches to more digits (None on a tie), and to how many digits."""
     l0, l1, v0, ratio, li_val = _ezc_sides(curve, theta, prec)
     plus, minus = ratio.agreement(li_val), ratio.agreement(-li_val)
     return {
@@ -352,7 +355,7 @@ def ezc_report(curve, theta, prec=20):
         "value_at_zero": str(v0),
         "ratio": ratio.to_json(),
         "tate_l_invariant": li_val.to_json(),
-        "matched_sign": "+" if plus >= minus else "-",
+        "matched_sign": "+" if plus > minus else "-" if minus > plus else None,
         "agreement_digits": max(plus, minus),
         "conventions": {**CONVENTIONS, "sigma_indexing": "sigma_a <-> a^(-1) (dual=True)"}
                        if theta.dual else dict(CONVENTIONS),

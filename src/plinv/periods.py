@@ -1,4 +1,5 @@
-"""p-adic periods and their L-invariants.
+"""p-adic periods and their L-invariants: of the commands only `li-period`
+loads this module, and `curves` takes a Tate period's L-invariant itself.
 
 A period is a formal product prod b_i^{e_i} of nonzero field elements
 with integer exponents, modeling an element of F* tensor Z, subject to
@@ -33,14 +34,10 @@ DEFAULT_PREC = 20
 # loads it.
 
 
-def _is_exact_unramified(base):
-    return hasattr(base, "to_padic")
-
-
 def _base_key(base):
     if isinstance(base, (int, Fraction)):
         return ("Q", Fraction(base))
-    if _is_exact_unramified(base):
+    if hasattr(base, "to_padic"):  # exact in Q_{p^f}
         return ("E", base.ctx.p, base.ctx.f, base.ctx.modulus, base.coeffs)
     if isinstance(base, PadicElement):
         ctx = getattr(base, "ctx", None)  # None in Q_p
@@ -150,7 +147,7 @@ def _as_local(base, p, prec, ctx):
         if ctx is not None:
             return ctx.from_vector([Fraction(base)], prec)
         return PadicNumber.from_fraction(p, base, prec)
-    if _is_exact_unramified(base):
+    if hasattr(base, "to_padic"):  # exact in Q_{p^f}
         return base.to_padic(prec)
     if isinstance(base, PadicElement):
         return base

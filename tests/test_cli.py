@@ -658,6 +658,13 @@ class TestImporter:
             assert run(args, tmp_path) == (2, "")
             assert f"{table}, line 2: need five a-invariants" in capsys.readouterr().err
 
+    def test_additive_prime_above_3(self, tmp_path):
+        # disc = -7^6 11^5: additive at 7, where the conductor exponent is 2
+        rc, out = run(["import-curve", "--row", "t7 0,1,1,-506,7774"], tmp_path)
+        assert rc == 0
+        assert out["conductor"] == 539
+        assert out["bad_primes"] == {"7": "additive", "11": "split-multiplicative"}
+
     def test_discriminant_with_large_prime_factors(self):
         # disc = -3^3 67^2 73705545679^2: trial division alone ran for minutes
         proc = _fresh_python(["-m", "plinv.cli", "--no-cache", "--no-meta", "import-curve",
@@ -1203,17 +1210,25 @@ print(json.dumps({"rc": rc, "modules": modules, "stdlib": stdlib, "error": error
 
     # `--no-cache modsym dump` runs modular-symbol code alone: no padic, no
     # cache, and no fractions with its decimal; no command writes a cache
-    # file, so none loads fcntl
+    # file, so none loads fcntl; only li-period loads periods
     @pytest.mark.parametrize("argv,modules,stdlib", [
         (["--no-cache", "modsym", "dump", "--level", "11"], ["cli", "linalg", "modsym"], []),
         (["li-period", "30^1", "-p", "5"], ["cache", "cli", "padic", "periods"],
          ["decimal", "fractions"]),
         (["--no-cache", "li-curve", "--label", "11a1", "-p", "11"],
-         ["cli", "curves", "padic", "periods"], ["decimal", "fractions"]),
-        (["--no-cache", "check-ezc", "--label", "11a1", "-p", "11", "--depth", "1"],
-         ["cli", "curves", "linalg", "measures", "modsym", "padic", "periods"],
+         ["cli", "curves", "padic"], ["decimal", "fractions"]),
+        (["import-curve", "--row", "19a1 0,1,1,-9,-15"], ["cache", "cli", "curves", "padic"],
          ["decimal", "fractions"]),
-    ], ids=["modsym-dump", "li-period", "li-curve", "check-ezc"])
+        (["--no-cache", "check-ezc", "--label", "11a1", "-p", "11", "--depth", "1"],
+         ["cli", "curves", "linalg", "measures", "modsym", "padic"], ["decimal", "fractions"]),
+        (["--no-cache", "check-twist", "--label", "11a1", "-D", "5", "-p", "11", "--depth", "1"],
+         ["cli", "curves", "linalg", "measures", "modsym", "padic"], ["decimal", "fractions"]),
+        (["--no-cache", "lp", "--label", "11a1", "-p", "11", "--depth", "1"],
+         ["cli", "curves", "linalg", "measures", "modsym", "padic"], ["decimal", "fractions"]),
+        (["--no-cache", "stickelberger", "--label", "11a1", "-p", "11", "-n", "1"],
+         ["cli", "curves", "linalg", "measures", "modsym", "padic"], ["decimal", "fractions"]),
+    ], ids=["modsym-dump", "li-period", "li-curve", "import-curve", "check-ezc", "check-twist",
+            "lp", "stickelberger"])
     def test_each_command_loads_the_modules_it_runs(self, tmp_path, argv, modules, stdlib):
         report = self._command(tmp_path, *argv)
         assert report == {"rc": 0, "modules": modules, "stdlib": stdlib, "error": None}

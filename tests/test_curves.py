@@ -45,6 +45,9 @@ def scale_up(curve, u):
     return WeierstrassCurve(a1 * u, a2 * u ** 2, a3 * u ** 3, a4 * u ** 4, a6 * u ** 6)
 
 
+SPLIT_PAIRS = [("11a1", 11), ("14a1", 7), ("15a1", 5), ("17a1", 17), ("21a1", 3), ("37b1", 37)]
+
+
 class TestInvariants:
     def test_y2_x3_minus_x(self):
         e = WeierstrassCurve(0, 0, 0, -1, 0)
@@ -216,6 +219,10 @@ class TestReduction:
             e, n = curve_table()[label]
             assert conductor(e) == n
 
+    def test_conductor_at_an_additive_prime_above_3(self):
+        # disc = -7^6 11^5: additive at 7, so 7^2 * 11
+        assert conductor(WeierstrassCurve(0, 1, 1, -506, 7774)) == 539
+
 
 class TestKronecker:
     def test_small_values(self):
@@ -350,12 +357,17 @@ class TestTatePeriod:
         d = lo - hi
         assert d.is_zero and d.abs_prec >= lo.abs_prec
 
-    def test_li_matches_li_of_period(self):
+    @pytest.mark.parametrize("prec", [20, 200])
+    @pytest.mark.parametrize("label,p", SPLIT_PAIRS)
+    def test_li_matches_li_of_period(self, label, p, prec):
+        # periods.li is the oracle for the one quotient curves takes itself
         from plinv.periods import Period, li
 
-        q = tate_period(curve_by_label("11a1"), 11, 14)
-        assert_same(curve_l_invariant(curve_by_label("11a1"), 11, 14),
-                    li(Period(11, [(q, 1)]), "iwasawa", 14))
+        q = tate_period(curve_by_label(label), p, prec)
+        got = curve_l_invariant(curve_by_label(label), p, prec)
+        want = li(Period(p, [(q, 1)]), "iwasawa", prec)
+        assert_same(got, want)
+        assert got.to_json() == want.to_json()
 
     def test_twist_invariance_when_split(self):
         # chi_D(11) = 1: locally trivial twist keeps the Tate parameter

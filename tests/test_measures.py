@@ -470,8 +470,10 @@ class TestSymmetricFill:
         monkeypatch.setattr(EigenSymbol, "walk", counting)
         build_measure(syms[0], 37, 2)  # level p: rows k <= 18 of 37, half of each
         build_measure(syms[1], 7, 3)   # level 14: half of the 294 units
-        build_measure(syms[2], 3, 3)   # good ordinary: each [a/9] once
-        assert walks == [(37 ** 2, 19 * 18), (7 ** 3, 147), (27, 9), (9, 9)]
+        # good ordinary: each [a/9] that a cell reads once, the units 4^k mod 9
+        # (the cells of zeta = -1 are the mirrors of those of zeta = 1)
+        build_measure(syms[2], 3, 3)
+        assert walks == [(37 ** 2, 19 * 18), (7 ** 3, 147), (27, 9), (9, 3)]
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -530,6 +532,28 @@ class TestExceptionalZero:
         repd = exceptional_zero_check(curve_by_label("11a1"), 11, depth=3, dual=True)
         assert rep["matched_sign"] != repd["matched_sign"]
         assert repd["agreement_digits"] >= 2
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    @pytest.mark.parametrize("label,p", SPLIT_PAIRS)
+    def test_matched_sign_is_null_on_a_tie(self, label, p, depth):
+        # at depth 1 the ratio is O(p), so it agrees with +LI and -LI to the
+        # same digit; deeper, the dual element, which negates L_p'(0),
+        # matches the other sign
+        curve = curve_by_label(label)
+        measure = build_measure(eigen_symbol(curve), p, depth)
+        signs = []
+        for dual in (False, True):
+            theta = stickelberger(measure, dual)
+            ratio, li_val = _ezc_sides(curve, theta, 20)[3:]
+            plus, minus = ratio.agreement(li_val), ratio.agreement(-li_val)
+            rep = ezc_report(curve, theta)
+            assert rep["agreement_digits"] == max(plus, minus)
+            assert (rep["matched_sign"] is None) == (plus == minus)
+            signs.append(rep["matched_sign"])
+        if depth == 1:
+            assert signs == [None, None]
+        else:
+            assert sorted(signs) == ["+", "-"]
 
     def test_dual_report_names_its_indexing(self):
         # at 11a1, p = 11, depth 2 the dual element negates L_p'(0), so the
