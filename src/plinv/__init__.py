@@ -4,14 +4,16 @@ modular symbols, Mazur-Tate measures and exceptional-zero verifiers.
 The public names below are looked up in their home module on each use
 (PEP 562) and never stored here, so `import plinv` loads no submodule and
 `plinv.li` is always `plinv.periods.li`.  Each command of `plinv.cli`
-imports the modules it runs when it runs; what every command needs, the
-error bases the command line maps to exit codes and the prime test behind
-`-p`, is defined here.  The benchmark's tracer (perfbench/tracer.py)
-rebinds each function it times in its home module, but by-value copies
-only in the modules that `import plinv.cli` loaded; so a module loaded
-later calls another module's timed function through that module
-(`padic.iwasawa_log(...)`), never through `from .padic import
-iwasawa_log`.  tests/test_tracer_targets.py checks this."""
+imports the modules it runs when it runs (`twists` for `check-twist`
+alone); what every command needs, the error bases the command line maps
+to exit codes and the prime test behind `-p`, is defined here.  No
+command imports `json`, and exact scalars stay ints, so `fractions` is
+loaded only where a non-integral rational is built.  The benchmark's
+tracer (perfbench/tracer.py) rebinds each function it times in its home
+module, but by-value copies only in the modules that `import plinv.cli`
+loaded; so a module loaded later calls another module's timed function
+through that module (`padic.iwasawa_log(...)`), never through `from
+.padic import iwasawa_log`.  tests/test_tracer_targets.py checks this."""
 
 __version__ = "0.1.0"
 
@@ -69,11 +71,11 @@ _HOMES = {
     "padic": ["PadicNumber", "branch_logs", "iwasawa_log", "ordp", "teichmuller"],
     "periods": ["Period", "li"],
     "curves": ["WeierstrassCurve", "curve_by_label", "curve_l_invariant", "minimal_model_at",
-               "quadratic_twist", "reduction_type", "tate_period"],
+               "reduction_type", "tate_period"],
     "modsym": ["build_space", "eigen_symbol"],
-    "measures": ["build_measure", "euler_factor", "exceptional_zero_check",
-                 "lp_value_and_derivative", "stickelberger", "twist_product_check",
-                 "unit_root"],
+    "measures": ["build_measure", "exceptional_zero_check", "lp_value_and_derivative",
+                 "stickelberger", "unit_root"],
+    "twists": ["euler_factor", "quadratic_twist", "twist_product_check"],
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
 

@@ -7,7 +7,6 @@ format-3 behaviour: a file of another format reads as absent, and a
 corrupt one raises CacheError instead of being silently rebuilt.
 """
 
-import json
 import os
 
 from . import CacheError
@@ -31,6 +30,8 @@ class Cache:
         path = os.path.join(self.directory, name + ".json")
         if not os.path.exists(path):
             return None
+        import json  # no command reads a store file: kept off start-up
+
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
@@ -48,6 +49,7 @@ class Cache:
 
     def store(self, name, kind, payload):
         import fcntl  # a read takes no lock, since a write replaces the file whole
+        import json
         import tempfile  # with its shutil and random: only writers pay for it
 
         os.makedirs(self.directory, exist_ok=True)

@@ -12,11 +12,14 @@ options are read from one table, which `-h` prints.  Reports are written
 out piece by piece as they are formatted, in either --format.
 """
 
-import json
+# The docstring above is the text of `plinv -h`.  Reports are the bytes
+# json.dumps would write, written by `_write` without `json`; only
+# `li-period`, which parses rationals, loads `fractions`, and only
+# `check-twist` loads `twists`.
+
 import os
 import sys
 from collections import Counter
-from functools import lru_cache
 from itertools import chain
 from types import SimpleNamespace
 
@@ -240,7 +243,7 @@ def cmd_check_ezc(args, cache):
 
 
 def cmd_check_twist(args, cache):
-    from .measures import twist_product_check
+    from .twists import twist_product_check
 
     curve = _resolve_curve(args, cache)
     rep = twist_product_check(curve, args.disc, args.p, args.depth, args.prec)
@@ -345,55 +348,129 @@ HANDLERS = {
 }
 
 
-_SCALARS = frozenset((str, int, float, bool, type(None)))
+# -- JSON text, as json.dumps(x, indent=2, sort_keys=True) writes it --------
+
+# json's ASCII escapes of the control characters, '"', '\\' and DEL; any
+# other non-ASCII character goes through `_escape`
+_ESCAPES = {i: f"\\u{i:04x}" for i in (*range(32), 127)}
+_ESCAPES.update({8: "\\b", 9: "\\t", 10: "\\n", 12: "\\f", 13: "\\r", 34: '\\"', 92: "\\\\"})
 
 
-@lru_cache(maxsize=None)
-def _encoder(sep):
-    """json's C encoder, with sorted keys and `sep` between items."""
-    return json.JSONEncoder(sort_keys=True, separators=(sep, ": ")).encode
+def _escape(c):
+    """A character as json writes it in ASCII: itself below 128, else
+    \\uXXXX, or a surrogate pair of them beyond the BMP."""
+    n = ord(c)
+    if n < 0x80:
+        return c
+    if n < 0x10000:
+        return f"\\u{n:04x}"
+    n -= 0x10000
+    return f"\\u{0xd800 | n >> 10:04x}\\u{0xdc00 | n & 0x3ff:04x}"
+
+
+def _string(s):
+    s = s.translate(_ESCAPES)
+    return '"' + (s if s.isascii() else "".join(map(_escape, s))) + '"'
+
+
+def _float(x):
+    if x - x == 0:  # finite
+        return float.__repr__(x)
+    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+
+
+_SCALARS = {str: _string, int: int.__repr__, float: _float,
+            bool: {True: "true", False: "false"}.get, type(None): lambda _: "null"}
+
+
+def _scalar(x):
+    """The JSON text of a str, int, float, bool or None (not of a subclass)."""
+    if type(x) not in _SCALARS:
+        raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+    return _SCALARS[type(x)](x)
+
+
+def _texts(values):
+    """The JSON texts of a list of scalars, or None if one is not a scalar.
+    Strs that json escapes nowhere, as a measure's digits, are only quoted,
+    all in one join (no such str holds a NUL); one translate says so."""
+    kinds = set(map(type, values))
+    if kinds == {str}:
+        whole = "".join(values)
+        if whole.isascii() and len(whole.translate(_ESCAPES)) == len(whole):
+            return ('"' + '"\0"'.join(values) + '"').split("\0")
+    if kinds == {int}:
+        return list(map(int.__repr__, values))
+    return list(map(_scalar, values)) if kinds <= _SCALARS.keys() else None
+
+
+_SMALL = {i: str(i) for i in range(-256, 257)}  # a Fraction n/1 finds str(n) too
 
 
 def _quote(row, nl):
     """The text of a nonempty `Quoted` row, its items on lines beginning nl;
-    '"' sorts below every digit and '-', so an entry sorts as its key does."""
+    '"' sorts below every digit and '-', so an entry sorts as its key does.
+    Entries of Hecke rows and coordinates are small ints, read off `_SMALL`."""
+    sep = '",' + (nl or " ") + '"'
     o, c = "{}" if isinstance(row, dict) else "[]"
-    items = sorted([f'{k}": "{v}' for k, v in row.items()]) if o == "{" else [f"{v}" for v in row]
-    return o + nl + '"' + ('",' + (nl or " ") + '"').join(items) + '"' + nl[:-2] + c
+    try:
+        text = sep.join(sorted([_SMALL[k] + '": "' + _SMALL[v] for k, v in row.items()])
+                        if o == "{" else map(_SMALL.__getitem__, row))
+    except KeyError:  # a larger int, or a Fraction that is not one
+        text = sep.join(sorted([f'{k}": "{v}' for k, v in row.items()]) if o == "{"
+                        else [f"{v}" for v in row])
+    return o + nl + '"' + text + '"' + nl[:-2] + c
 
 
 def _write(x, write, nl="\n  "):
     """Write json.dumps(x, indent=2, sort_keys=True), or with nl = ""
     json.dumps(x, sort_keys=True), byte for byte and piece by piece, x's
-    items on lines beginning nl.  json's C encoder writes a container of
-    scalars, and a list of them whole before its brackets are broken open
-    (encoded strings hold no raw newline); `_quote` formats a `Quoted` row."""
-    sep, inner = "," + (nl or " "), nl and nl + "  "
-    encode = _encoder(sep)
-    if not isinstance(x, (dict, list, tuple)) or not x:
-        return write(encode(x))
-    o, c = "{}" if isinstance(x, dict) else "[]"
-    kinds = set(map(type, x.values() if o == "{" else x))
-    if kinds <= _SCALARS:
-        return write(o + nl + encode(x)[1:-1] + nl[:-2] + c)
-    if (o == "[" and not isinstance(x, Quoted) and (kinds <= {list, tuple} or kinds == {dict})
-            and _SCALARS.issuperset(map(type, chain.from_iterable(
-                map(dict.values, x) if dict in kinds else x)))):
-        i, j = "{}" if dict in kinds else "[]"
-        sep1 = "," + (inner or " ")
-        body = _encoder(sep1)(x)[2:-2].replace(j + sep1 + i, nl + j + sep + i + inner)
-        return write((o + nl + i + inner + body + nl + j).replace(i + inner + nl + j, i + j)
-                     + nl[:-2] + c)  # the second replace closes empty items again
-    memo, uses = {}, Counter(map(id, x)) if isinstance(x, Quoted) else None
-    for i, k in enumerate(sorted(x) if o == "{" else x):  # a key 1 is written "1", None "null"
-        key = encode(k if isinstance(k, str) else encode(k)) + ": " if o == "{" else ""
-        write((sep if i else o + nl) + key)
-        if isinstance(x, Quoted) and k:  # only the text of a row held twice is kept
-            text = memo.get(id(k)) or _quote(k, inner)
-            write(memo.setdefault(id(k), text) if uses[id(k)] > 1 else text)
+    items on lines beginning nl.  A container of scalars is written whole,
+    and so is a list of rows of ints of one length, each row by one `%`;
+    `_quote` formats a `Quoted` row, once however often it is held."""
+    if isinstance(x, dict):  # a key 1 is written "1", None "null"
+        keys = sorted(x)
+        heads = _texts(keys if set(map(type, keys)) == {str} else
+                       [k if isinstance(k, str) else _scalar(k) for k in keys])
+        items = list(map(x.__getitem__, keys))
+    elif isinstance(x, (list, tuple)):
+        heads, items = None, x
+    else:
+        return write(_scalar(x))
+    o, c = "[]" if heads is None else "{}"
+    if not x:
+        return write(o + c)
+    sep, inner, end = "," + (nl or " "), nl and nl + "  ", nl[:-2] + c
+    texts = _texts(items)
+    if texts is not None:
+        return write(o + nl + sep.join(texts if heads is None else map(": ".join, zip(heads, texts)))
+                     + end)
+    kinds = set(map(type, items))
+    if (heads is None and not isinstance(x, Quoted) and kinds <= {list, tuple}
+            and len(set(map(len, x))) == 1 and x[0]
+            and set(map(type, chain.from_iterable(x))) == {int}):
+        row = "[" + inner + ("," + (inner or " ")).join(["%d"] * len(x[0])) + inner[:-2] + "]"
+        return write(o + nl + sep.join(map(row.__mod__, map(tuple, x))) + end)
+    head = o + nl
+    if isinstance(x, Quoted):  # only the text of a row held twice is kept
+        memo, uses = {}, Counter(map(id, x))
+        for row in x:
+            text = memo.get(id(row))
+            if text is None:
+                text = _quote(row, inner) if row else "{}" if isinstance(row, dict) else "[]"
+                if uses[id(row)] > 1:
+                    memo[id(row)] = text
+            write(head + text)
+            head = sep
+        return write(end)
+    for i, v in enumerate(items):
+        lead = (sep if i else head) + (heads[i] + ": " if heads else "")
+        if type(v) in _SCALARS:
+            write(lead + _scalar(v))
         else:
-            _write(x[k] if o == "{" else k, write, inner)
-    write(nl[:-2] + c)
+            write(lead)
+            _write(v, write, inner)
+    write(end)
 
 
 def _emit(payload, args, out):

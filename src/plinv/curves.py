@@ -1,14 +1,14 @@
 """Integral Weierstrass models over Q: invariants, local minimal models,
-reduction types, quadratic twists, Tate periods and their L-invariants
-log_p(q)/ord_p(q), taken here without the formal products of `periods`.
+reduction types, Tate periods and their L-invariants log_p(q)/ord_p(q),
+taken here without the formal products of `periods`.  Quadratic twists
+are in `twists`, which only `check-twist` loads.
 """
 
 import os
-from fractions import Fraction
 from functools import lru_cache
 
 from . import DomainError, check_prime, padic
-from .padic import PadicNumber, factor, hensel, int_val
+from .padic import PadicNumber, factor, hensel, int_val, rational
 
 
 class CurveError(DomainError):
@@ -77,10 +77,6 @@ class WeierstrassCurve:
         b2, b4, b6, b8 = self.b_invariants
         return -b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
 
-    @property
-    def j_invariant(self):
-        return Fraction(self.c4 ** 3, self.discriminant)
-
     def transform(self, u=1, r=0, s=0, t=0):
         """The substitution x = u^2 x' + r, y = u^3 y' + s u^2 x' + t."""
         a1, a2, a3, a4, a6 = self.a_invariants
@@ -107,7 +103,7 @@ class WeierstrassCurve:
             "c4": self.c4,
             "c6": self.c6,
             "disc": self.discriminant,
-            "j": str(self.j_invariant),
+            "j": rational(self.c4 ** 3, self.discriminant),
         }
 
 
@@ -168,20 +164,6 @@ def _legendre(a, p):
     if a == 0:
         return 0
     return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
-
-
-def kronecker(d, n):
-    """Kronecker symbol (d/n) for n > 0, by factoring n."""
-    if n <= 0:
-        raise CurveError("kronecker wants a positive second argument")
-    result = 1
-    for q, e in factor(n).items():
-        if q == 2:
-            ls = 0 if d % 2 == 0 else -1 if d % 8 in (3, 5) else 1
-        else:
-            ls = _legendre(d, q)
-        result *= ls ** e
-    return result
 
 
 def point_count(curve, p):
@@ -283,30 +265,6 @@ def conductor(curve):
     return n
 
 
-def quadratic_twist(curve, d):
-    """Twist by d via (c4, c6) -> (d^2 c4, d^3 c6), then re-minimalize
-    at 2, 3 and the primes dividing d."""
-    if d == 0:
-        raise CurveError("twist by zero")
-    c4, c6 = curve.c4 * d * d, curve.c6 * d ** 3
-    twisted = WeierstrassCurve(0, 0, 0, -27 * c4, -54 * c6)
-    for p in sorted({2, 3} | set(factor(abs(d)))):
-        twisted = minimal_model_at(twisted, p)
-    return twisted
-
-
-def is_fundamental_discriminant(d):
-    if d == 1 or d == 0:
-        return False
-    if d % 4 == 1:
-        m = d
-    elif d % 4 == 0 and d // 4 % 4 in (2, 3):
-        m = d // 4
-    else:
-        return False
-    return all(e == 1 for e in factor(abs(m)).values())
-
-
 # -- j-invariant q-expansion and the Tate parameter --------------------
 
 
@@ -377,7 +335,7 @@ def tate_period(curve, p, prec=20):
 
 def tate_l_invariant(q):
     """log_p(q)/ord_p(q) to the digits of a Tate period q: `periods.li` of q^1."""
-    return padic.iwasawa_log(q) * Fraction(1, q.ord())
+    return padic.iwasawa_log(q) / q.ord()
 
 
 def curve_l_invariant(curve, p, prec=20):

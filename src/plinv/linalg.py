@@ -91,18 +91,21 @@ def echelon(rows):
 
 def kernel_basis(a):
     """Basis of {x : a x = 0} (column kernel) as primitive integer rows,
-    one per free column, positive there."""
+    one per free column, positive there: x_f = 1 and x_c = -row[f] / p for
+    each pivot row p x_c + row, scaled by the lcm of those p, so that no
+    Fraction is built."""
     if not a:
         return []
     ncols = len(a[0])
     pivots = echelon({c: x for c, x in enumerate(r) if x} for r in a)
     basis = []
     for f in (c for c in range(ncols) if c not in pivots):
+        held = [(pc, p, row[f]) for pc, (p, row) in pivots.items() if f in row]
+        den = lcm(*(p for _, p, _ in held))
         vec = [0] * ncols
-        vec[f] = 1
-        for pc, (p, row) in pivots.items():
-            if f in row:
-                vec[pc] = fraction(-row[f], p)
+        vec[f] = den
+        for pc, p, v in held:
+            vec[pc] = -v * (den // p)
         basis.append(primitive(vec))
     return basis
 

@@ -1,6 +1,7 @@
 """Mazur-Tate measures on Z_p^*, cyclotomic p-adic L-values and
-derivatives, and the exceptional-zero / twist / product verifiers.  A
-measure is also its Stickelberger element: one `PadicMeasure` holds both.
+derivatives, and the exceptional-zero verifier (the twist verifier, which
+reads these, is in `twists`).  A measure is also its Stickelberger
+element: one `PadicMeasure` holds both.
 
 For a p-ordinary eigen-symbol with unit root alpha the measure of the
 residue disc a + p^n Z_p is built from symbol values [r] at rationals:
@@ -36,21 +37,10 @@ So a measure at level p evaluates about a quarter of the units, any
 other a half.
 """
 
-from fractions import Fraction
-import functools
 from itertools import product, repeat
-from math import gcd
-from types import SimpleNamespace
 
 from . import DomainError, check_prime, curves, modsym, padic
-from .curves import (
-    SPLIT,
-    curve_l_invariant,
-    curve_level,
-    is_fundamental_discriminant,
-    kronecker,
-    quadratic_twist,
-)
+from .curves import SPLIT, curve_l_invariant
 from .padic import PadicNumber, hensel
 
 
@@ -283,24 +273,6 @@ def lp_value_and_derivative(measure, prec=20):
     return measure.mass(), measure.moment(1, prec)
 
 
-def euler_factor(root, chi_p):
-    """Modified Euler factor at p for an unramified quadratic chi with
-    chi(p) in {1, -1}, or chi_p = 0 for ramified chi (factor 1).
-
-    Multiplicative p: 1 - chi(p)/alpha.  Good ordinary p: the weight-2
-    normalization (1 - chi(p)/alpha)(1 - chibar(p)/alpha).
-    """
-    if chi_p == 0:
-        return Fraction(1)
-    chi_p = Fraction(chi_p)
-    if chi_p ** 2 != 1:
-        raise MeasureError("only quadratic or trivial characters supported")
-    if root.multiplicative:
-        return 1 - chi_p / root.alpha_exact
-    ainv = root.alpha ** -1
-    return (1 - ainv * chi_p) * (1 - ainv * (1 / chi_p))
-
-
 # -- verifier reports ------------------------------------------------------
 
 
@@ -335,7 +307,7 @@ def _ezc_sides(curve, theta, prec):
     v0 = theta.symbol.at_zero
     if v0 == 0:
         raise MeasureError("symbol vanishes at {0->oo}; vanishing central L-value")
-    return l0, l1, v0, l1 * Fraction(1, v0), curve_l_invariant(curve, theta.p, prec)
+    return l0, l1, v0, l1 / v0, curve_l_invariant(curve, theta.p, prec)
 
 
 def ezc_report(curve, theta, prec=20):
@@ -359,94 +331,4 @@ def ezc_report(curve, theta, prec=20):
         "agreement_digits": max(plus, minus),
         "conventions": {**CONVENTIONS, "sigma_indexing": "sigma_a <-> a^(-1) (dual=True)"}
                        if theta.dual else dict(CONVENTIONS),
-    }
-
-
-class TwistedSymbol(modsym.EigenSymbol):
-    """The eigen-symbol of E^D for D prime to N, of sign chi_D(-1) times
-    that of `base`, E's level-N symbol, on P^1(Z/N D^2) by the twisted sums
-    of Mazur-Tate-Teitelbaum (Invent. Math. 84, 1986, I.8): with
-    T(r) = sum_{b mod |D|} chi_D(b) [r + b/|D|] and T(oo) = 0, the
-    generator (c:d) = {b/d -> a/c}, a d - b c = 1, takes T(b/d) - T(a/c).
-    Its space holds only what the walk reads; T_ell acts by
-    chi_D(ell) a_ell(E), read from `base` on demand."""
-
-    def __init__(self, base, d):
-        k, level = abs(d), base.level * d * d
-        chars = [(b, kronecker(d, b)) for b in range(1, k) if kronecker(d, b)]
-
-        @functools.cache  # an end shared by several generators is summed once
-        def t(x, y):  # T(x/y) for 0 <= x < y, and T(oo) = 0 for y = 0
-            vals = base.values_at(y * k, [x * k + b * y for b, _ in chars]) if y else ()
-            return sum(c * v for (_, c), v in zip(chars, vals))
-
-        p1 = modsym.P1List(level)
-        vals = []
-        for c, e in p1:  # a = 1 when c = 0, and the lift is [[1, 0], [0, 1]]
-            a = pow(e, -1, c) if c else 1
-            b = (a * e - 1) // c % e if c and e else 0  # mod e, as [r + 1] = [r]
-            vals.append(t(b, e) - t(a, c))
-        space = SimpleNamespace(p1=p1, level=level, sign=base.sign * (1 if d > 0 else -1))
-        super().__init__(space, modsym.normalized(vals), {})
-        self.base, self.d = base, d
-
-    @property
-    def weights(self):
-        raise MeasureError("a twisted symbol has no presented basis")
-
-    def eigenvalue(self, ell):
-        chi = kronecker(self.d, ell)
-        return chi and chi * self.base.eigenvalue(ell)
-
-
-def twist_product_check(curve, d, p, depth=3, prec=20):
-    """Quadratic-twist bookkeeping for the product of p-adic L-functions.
-
-    chi_d(p) = 1 (split): both factors are exceptional; the derivative
-    ratios and the Tate-period invariants of curve and twist must agree.
-    chi_d(p) = -1 (inert): the twist's L_p(0) is its value at {0->oo}
-    times the Euler factor of its unit root alpha: 1 - 1/alpha where p | N,
-    which is 2 when E is split at p (alpha = -a_p(E) = -1), and
-    (1 - 1/alpha)^2 at a good ordinary p.  `ratio` is L_p(0)/[0->oo], and
-    null when [0->oo] = 0.
-    """
-    if not is_fundamental_discriminant(d):
-        raise MeasureError("D must be a fundamental discriminant")
-    if gcd(d, curve_level(curve) * p) != 1:
-        raise MeasureError("D must be coprime to p and the conductor")
-    chi_p = kronecker(d, p)  # +-1, as gcd(d, p) = 1
-    if chi_p == 1:
-        _require_split(curve, p)  # before any symbol is built
-    sym_tw = TwistedSymbol(modsym.eigen_symbol(curve, 1 if d > 0 else -1), d)
-    measure_tw = build_measure(sym_tw, p, depth, prec=prec)
-    report = {"curve": curve.label or str(curve.a_invariants), "D": d, "p": p, "chi_p": chi_p,
-              "conventions": dict(CONVENTIONS)}
-
-    if chi_p == 1:
-        plus = sym_tw.base if d > 0 else modsym.eigen_symbol(curve)  # E's plus symbol
-        l0, _, _, ratio, li_val = _ezc_sides(curve, build_measure(plus, p, depth, prec=prec), prec)
-        l0_tw, _, _, ratio_tw, li_tw = _ezc_sides(quadratic_twist(curve, d), measure_tw, prec)
-        return {
-            **report,
-            "case": "split",
-            "base_ratio": ratio.to_json(),
-            "twist_ratio": ratio_tw.to_json(),
-            "ratio_agreement_digits": max(ratio.agreement(ratio_tw), ratio.agreement(-ratio_tw)),
-            "tate_li_base": li_val.to_json(),
-            "tate_li_twist": li_tw.to_json(),
-            "tate_agreement_digits": li_val.agreement(li_tw),
-            "base_augmentation": str(l0),
-            "twist_augmentation": str(l0_tw),
-            "product_vanishing_order_at_least_2": l0 == 0 and l0_tw == 0,
-        }
-    l0_tw = measure_tw.mass()
-    v0_tw = sym_tw.at_zero
-    return {
-        **report,
-        "case": "inert",
-        "twist_L0": _encode(l0_tw),
-        "twist_value_at_zero": str(v0_tw),
-        "euler_factor": _encode(euler_factor(measure_tw.root, 1)),
-        "factor_two_exact": v0_tw != 0 and l0_tw == 2 * v0_tw,
-        "ratio": _encode(l0_tw * Fraction(1, v0_tw)) if v0_tw else None,
     }

@@ -13,7 +13,7 @@ act on Manin symbols directly, by Merel's matrices: the images of a
 generator are counted as integers before they are mapped to coordinates.  An
 eigen-symbol is its content-1 integer value at every Manin generator, on
 the space of its curve's own level (a quadratic twist's is summed from its
-curve's, `measures.TwistedSymbol`); its weights are the values at the
+curve's, `twists.TwistedSymbol`); its weights are the values at the
 basis generators, and a Hecke eigenvalue is computed only when asked for.
 Manin's continued-fraction trick is used only to evaluate a symbol on a
 path {a/m -> oo}, down Euclid's remainders on (m, a^-1 mod m): the
@@ -413,13 +413,8 @@ class EigenSymbol:
         return self.values_at(m, (a,))[0]
 
     def values_at(self, m, numerators):
-        """The values on the paths {a/m -> oo}, one per int a, for one m > 0:
-        `walk` from a'^-1 mod m', with a'/m' the reduced a/m."""
-        paths = []
-        for a in numerators:
-            g = gcd(a, m)
-            paths.append((m, pow(a, -1, m)) if g == 1 else (m // g, pow(a // g, -1, m // g)))
-        return self.walk(paths)
+        """The values on the paths {a/m -> oo}, one per int a, for one m > 0."""
+        return self.walk(inverse_paths(m, numerators))
 
     def walk(self, paths):
         """The values [b^-1/m], one per pair (m, b) of an int m > 0 and a
@@ -450,19 +445,31 @@ class EigenSymbol:
         """The eigenvalue of T_ell (U_ell for ell dividing the level) on
         `weights`, memoised in `eigenvalues`, or None when `weights` is not
         an eigenvector of it.  The image of the integer row is tested by
-        cross-multiplication; only the quotient is a Fraction."""
+        cross-multiplication; the quotient is an int, or a Fraction where
+        it is not integral."""
         if ell not in self.eigenvalues:
             w = self.weights
             img = mat_mul([w], self.space.hecke_matrix(ell))[0]
             k = next(i for i, x in enumerate(w) if x)
             if any(y * w[k] != img[k] * x for x, y in zip(w, img)):
                 return None
-            self.eigenvalues[ell] = fraction(img[k], w[k])
+            q, r = divmod(img[k], w[k])
+            self.eigenvalues[ell] = fraction(img[k], w[k]) if r else q
         return self.eigenvalues[ell]
 
     @property
     def at_zero(self):
         return self.evaluate(0)
+
+
+def inverse_paths(m, numerators):
+    """The pairs (m', a'^-1 mod m') that `walk` takes for the paths
+    {a/m -> oo}, one per int a, for one m > 0, with a'/m' the reduced a/m."""
+    paths = []
+    for a in numerators:
+        g = gcd(a, m)
+        paths.append((m, pow(a, -1, m)) if g == 1 else (m // g, pow(a // g, -1, m // g)))
+    return paths
 
 
 EIGEN_LMAX = 50  # the largest prime probed to isolate an eigenline

@@ -16,16 +16,17 @@ pessimistically, so every reported digit is provable:
     agree: abs_prec(x - y) when the difference is zero to precision,
     else its valuation.
 
-An exact scalar (int or Fraction) has as many digits as anyone asks for, so
-it takes the precision of the element x it meets: in x * c and x / c the
-relative precision n of x, in x + c, x - c and x == c the absolute precision
-of x (at least one significant digit either way).  Exact 0 stays exact,
+An exact scalar (an int or a Fraction, read through its numerator and
+denominator, so that an int never becomes a Fraction) has as many digits
+as anyone asks for, so it takes the precision of the element x it meets:
+in x * c and x / c the relative precision n of x, in x + c, x - c and
+x == c the absolute precision of x (at least one significant digit either
+way).  Exact 0 stays exact,
 and so do 0 * c and 0 / c for an exact zero.  Precision is never capped:
 an exact scalar that meets an exact zero in +, - or ==, and zero ** 0,
 raise PadicError instead of inventing digits.
 """
 
-from fractions import Fraction
 from math import gcd, inf, isqrt
 
 from . import DomainError, _is_probable_prime, check_prime
@@ -113,11 +114,16 @@ def decimal(n):
     return decimal(hi) + decimal(lo).zfill(k)
 
 
+def rational(n, d):
+    """str(Fraction(n, d)) of ints n and d != 0, built from the ints alone:
+    "n/d" in lowest terms with d > 0, or "n" when d divides n."""
+    g = gcd(n, d) if d > 0 else -gcd(n, d)
+    n, d = n // g, d // g
+    return f"{n}" if d == 1 else f"{n}/{d}"
+
+
 def frac_val(x, p):
     """p-adic valuation of a nonzero Fraction or int."""
-    x = Fraction(x)
-    if x == 0:
-        raise PadicError("valuation of zero")
     return int_val(x.numerator, p) - int_val(x.denominator, p)
 
 
@@ -130,7 +136,7 @@ class PadicElement:
       _coords()             the unit's integer coordinates (zeros for zero)
       _with(v, coords, n)   an element of the same field, not normalized
       _lift(other)          a non-scalar operand in this field, or None
-      _exact(x, n)          the exact Fraction x to n significant digits
+      _exact(x, n)          the exact int or Fraction x to n significant digits
       _mul_units(a, b, m)   the product of two coordinate vectors mod m
       _inv_unit(n)          the inverse of the unit mod p^n
       _pow_unit(k, m)       the unit to the k-th power mod m
@@ -187,16 +193,16 @@ class PadicElement:
 
     def _coerce(self, other, relative=False):
         # relative: x * c and x / c (see the module docstring)
-        if not isinstance(other, (int, Fraction)):
+        if not hasattr(other, "denominator"):  # an int or a Fraction has one
             return self._lift(other)
         if other == 0:
             return self._zero(inf)
         if relative and (self.v == inf or not self.is_zero):
             # an exact zero times or over c is exactly 0: any precision will do
-            return self._exact(Fraction(other), max(self.n, 1))
+            return self._exact(other, max(self.n, 1))
         if self.v == inf:
             raise PadicError("an exact scalar meets an exact zero: no precision to give it")
-        return self._exact(Fraction(other), max(self.abs_prec - frac_val(other, self.p), 1))
+        return self._exact(other, max(self.abs_prec - frac_val(other, self.p), 1))
 
     def __add__(self, other):
         b = self._coerce(other)
@@ -373,14 +379,15 @@ class PadicNumber(PadicElement):
 
     @classmethod
     def from_fraction(cls, p, x, n):
-        x = Fraction(x)
-        if x == 0:
+        """The int or Fraction x (read through its numerator and
+        denominator) to n significant digits."""
+        num, den = x.numerator, x.denominator
+        if num == 0:
             return cls.zero(check_prime(p))
         check_prime(p)
         if n < 1:
             raise PadicError("need at least one significant digit")
-        num, den = x.numerator, x.denominator
-        vn = int_val(num, p) if num else 0
+        vn = int_val(num, p)
         vd = int_val(den, p)
         num //= p ** vn
         den //= p ** vd
@@ -517,4 +524,4 @@ def branch_logs(x, ys):
     if x.ord() == 0:
         raise PadicError("not a branch direction")
     log_x = x.log()
-    return [y.log() - log_x * Fraction(y.ord(), x.ord()) for y in ys]
+    return [y.log() - log_x * y.ord() / x.ord() for y in ys]

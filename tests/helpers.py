@@ -451,8 +451,9 @@ def twist_symbol_reference(curve, d, sign=1):
     content 1, and the value at (0:1) is nonnegative (if it is 0, the
     first nonzero value is positive)."""
     from plinv import linalg
-    from plinv.curves import curve_level, quadratic_twist, trace_of_frobenius
+    from plinv.curves import curve_level, trace_of_frobenius
     from plinv.modsym import SymbolSpace
+    from plinv.twists import quadratic_twist
 
     twist = quadratic_twist(curve, d)
     space = SymbolSpace(curve_level(curve) * d * d, sign)
@@ -563,6 +564,11 @@ def j_q_product_reference(nterms):
         inv[k] = -sum(eta24[i] * inv[k - i] for i in range(1, k + 1))
     jq = mul(mul(mul(e4, e4), e4), inv)
     return jq[1 : nterms + 2]
+
+
+def j_invariant(curve):
+    """j = c4^3 / disc, as a Fraction: the curve's `to_json` prints it."""
+    return Fraction(curve.c4 ** 3, curve.discriminant)
 
 
 def j_of_q(q):

@@ -462,13 +462,14 @@ class TestReports:
         # recorded from the level-9251 space that the twisted sums replaced
         (["check-twist", "--label", "11a1", "-D", "29", "-p", "11"],
          "2125aac054facd8dc986a009b4afe8455e01c81aa728d499db81c6cf601958d3"),
-        # inert at a good ordinary prime, recorded while a report class encoded
-        # them: p-adic twist_L0 and euler_factor, and at D = -8, where
-        # [0->oo] = 0, a null ratio
+        # inert at a good ordinary prime: p-adic twist_L0 and euler_factor, and
+        # at D = -8, where [0->oo] = 0, a null ratio.  Recorded again when
+        # ratio_euler_agreement_digits (20 and null) took the place of
+        # factor_two_exact (false both times); no other byte changed
         (["check-twist", "--label", "11a1", "-D", "-3", "-p", "5", "--depth", "2"],
-         "ad95b17a87db2b08b7eeaf8aa57e286c45c75d2d95195d0e5f3a040093b40556"),
+         "1dc4d061cc89f0a23c8b9dbc69755097a7303f90f4e7d41d942d84a5db97e473"),
         (["check-twist", "--label", "11a1", "-D", "-8", "-p", "5", "--depth", "2"],
-         "a10c23d80c81a1cca6c3586d801422751dd6ba09f38b34b7b55ca5add95918aa"),
+         "82b4e341fb4ead3dddd562424488705ac5d8e6f41e4d23d5afb4a2f116cd9136"),
         # nonsplit multiplicative reduction at p = 2
         (["li-curve", "--label", "14a1", "-p", "2", "--prec", "30"],
          "2ce849416911faeddfcb1b129ad3876b94dbd538908a4c86f42882010be4bbfa"),
@@ -1160,7 +1161,7 @@ class TestStartUp:
     test process every module is already loaded by other tests."""
 
     PROBE = """
-import io, json, sys
+import io, sys
 from plinv.cli import main
 
 for argv in (["--no-meta", "li-period", "5^1", "-p", "5"],
@@ -1168,10 +1169,11 @@ for argv in (["--no-meta", "li-period", "5^1", "-p", "5"],
               "--depth", "1"]):
     assert main(argv, out=io.StringIO()) == 0, argv
 unneeded = ["dataclasses", "inspect", "datetime", "importlib.resources", "plinv.unramified",
-            "argparse", "gettext", "locale", "fcntl", "tempfile"]
+            "argparse", "gettext", "locale", "fcntl", "tempfile", "json", "plinv.twists"]
 loaded = [name for name in unneeded if name in sys.modules]
 buf = io.StringIO()
 assert main(["li-period", "5^1", "-p", "5"], out=buf) == 0
+import json  # the probe's own, after the look at sys.modules
 print(json.dumps({"loaded": loaded, "meta": json.loads(buf.getvalue())["meta"]}))
 """
 
@@ -1186,13 +1188,15 @@ print(json.dumps({"loaded": loaded, "meta": json.loads(buf.getvalue())["meta"]})
     # One command in a fresh process: its exit code, the plinv modules it
     # loaded, and the class of the error its handler raises, if any.
     COMMAND = """
-import io, json, sys
+import io, sys
 from plinv import cli
 
 argv = ["--no-meta", *sys.argv[1:]]
 rc = cli.main(argv, out=io.StringIO())
 modules = sorted(name[6:] for name in sys.modules if name.startswith("plinv."))
-stdlib = [name for name in ("decimal", "fcntl", "fractions") if name in sys.modules]
+stdlib = [name for name in ("decimal", "fcntl", "fractions", "json", "numbers", "re")
+          if name in sys.modules]
+import json  # the probe's own, after the look at sys.modules
 args = cli.parse_args(argv)
 try:
     cli.HANDLERS.get(args.command, cli.cmd_modsym_dump)(args, None)
@@ -1208,25 +1212,27 @@ print(json.dumps({"rc": rc, "modules": modules, "stdlib": stdlib, "error": error
         assert proc.returncode == 0, proc.stderr
         return json.loads(proc.stdout)
 
-    # `--no-cache modsym dump` runs modular-symbol code alone: no padic, no
-    # cache, and no fractions with its decimal; no command writes a cache
-    # file, so none loads fcntl; only li-period loads periods
+    # `--no-cache modsym dump` runs modular-symbol code alone: no padic and
+    # no cache.  Reports are written without json, and exact scalars stay
+    # ints, so only li-period, which parses rationals, loads fractions (with
+    # decimal, numbers and re); no command writes a cache file, so none loads
+    # fcntl; only li-period loads periods, and only check-twist twists
     @pytest.mark.parametrize("argv,modules,stdlib", [
         (["--no-cache", "modsym", "dump", "--level", "11"], ["cli", "linalg", "modsym"], []),
         (["li-period", "30^1", "-p", "5"], ["cache", "cli", "padic", "periods"],
-         ["decimal", "fractions"]),
+         ["decimal", "fractions", "numbers", "re"]),
         (["--no-cache", "li-curve", "--label", "11a1", "-p", "11"],
-         ["cli", "curves", "padic"], ["decimal", "fractions"]),
+         ["cli", "curves", "padic"], []),
         (["import-curve", "--row", "19a1 0,1,1,-9,-15"], ["cache", "cli", "curves", "padic"],
-         ["decimal", "fractions"]),
+         []),
         (["--no-cache", "check-ezc", "--label", "11a1", "-p", "11", "--depth", "1"],
-         ["cli", "curves", "linalg", "measures", "modsym", "padic"], ["decimal", "fractions"]),
+         ["cli", "curves", "linalg", "measures", "modsym", "padic"], []),
         (["--no-cache", "check-twist", "--label", "11a1", "-D", "5", "-p", "11", "--depth", "1"],
-         ["cli", "curves", "linalg", "measures", "modsym", "padic"], ["decimal", "fractions"]),
+         ["cli", "curves", "linalg", "measures", "modsym", "padic", "twists"], []),
         (["--no-cache", "lp", "--label", "11a1", "-p", "11", "--depth", "1"],
-         ["cli", "curves", "linalg", "measures", "modsym", "padic"], ["decimal", "fractions"]),
+         ["cli", "curves", "linalg", "measures", "modsym", "padic"], []),
         (["--no-cache", "stickelberger", "--label", "11a1", "-p", "11", "-n", "1"],
-         ["cli", "curves", "linalg", "measures", "modsym", "padic"], ["decimal", "fractions"]),
+         ["cli", "curves", "linalg", "measures", "modsym", "padic"], []),
     ], ids=["modsym-dump", "li-period", "li-curve", "import-curve", "check-ezc", "check-twist",
             "lp", "stickelberger"])
     def test_each_command_loads_the_modules_it_runs(self, tmp_path, argv, modules, stdlib):

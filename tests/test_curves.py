@@ -16,23 +16,22 @@ from plinv.curves import (
     curve_by_label,
     curve_table,
     curve_l_invariant,
-    is_fundamental_discriminant,
     j_q_coefficients,
-    kronecker,
     minimal_model_at,
     point_count,
-    quadratic_twist,
     reduction_type,
     tate_period,
     _legendre,
 )
 from plinv.padic import PadicNumber
+from plinv.twists import is_fundamental_discriminant, kronecker, quadratic_twist
 
 from hypothesis import assume, given, settings, strategies as st
 
 from helpers import (
     assert_same,
     descend_once_reference,
+    j_invariant,
     j_of_q,
     j_q_product_reference,
     kronecker_reference,
@@ -52,7 +51,7 @@ class TestInvariants:
     def test_y2_x3_minus_x(self):
         e = WeierstrassCurve(0, 0, 0, -1, 0)
         assert 1728 * e.discriminant == e.c4 ** 3 - e.c6 ** 2
-        assert (e.c4, e.discriminant, e.j_invariant) == (48, 64, 1728)
+        assert (e.c4, e.discriminant, j_invariant(e)) == (48, 64, 1728)
 
     def test_11a1_discriminant(self):
         e = curve_by_label("11a1")
@@ -62,7 +61,7 @@ class TestInvariants:
         e = WeierstrassCurve(0, 0, 0, -1, 0)
         big = scale_up(e, 2)
         assert big.discriminant == 64 * 2 ** 12
-        assert big.j_invariant == e.j_invariant
+        assert j_invariant(big) == j_invariant(e)
 
     def test_singular_model_rejected(self):
         with pytest.raises(CurveError, match="singular"):
@@ -263,7 +262,7 @@ class TestTwist:
         e = curve_by_label("11a1")
         for d in (5, -4, -7, 13):
             t = quadratic_twist(e, d)
-            assert t.j_invariant == e.j_invariant
+            assert j_invariant(t) == j_invariant(e)
 
     def test_twist_discriminant_scale(self):
         e = curve_by_label("11a1")
@@ -308,7 +307,7 @@ class TestTatePeriod:
         q = tate_period(e, p, prec)
         assert q.ord() == red.v_delta and q.n == prec
         jq = j_of_q(q)
-        jexp = PadicNumber.from_fraction(p, red.minimal.j_invariant, prec + 10)
+        jexp = PadicNumber.from_fraction(p, j_invariant(red.minimal), prec + 10)
         d = jq - jexp
         # agree to >= prec - v(delta) - 2 digits beyond ord(j) = -v(delta)
         assert d.is_zero
@@ -335,7 +334,7 @@ class TestTatePeriod:
             q = tate_period(e, p, 16)
             red = reduction_type(e, p)
             m = red.v_delta
-            j = PadicNumber.from_fraction(p, red.minimal.j_invariant, 40)
+            j = PadicNumber.from_fraction(p, j_invariant(red.minimal), 40)
             qj = q * j
             one = PadicNumber.from_int(p, 1, 30)
             assert (qj - one).ord() >= m

@@ -11,20 +11,18 @@ from plinv.curves import curve_by_label, trace_of_frobenius
 from plinv.measures import (
     MeasureError,
     PadicMeasure,
-    TwistedSymbol,
     build_measure,
-    euler_factor,
     exceptional_zero_check,
     ezc_report,
     lp_value_and_derivative,
     stickelberger,
-    twist_product_check,
     unit_root,
     _ezc_sides,
     _log_coordinates,
 )
 from plinv.modsym import EigenSymbol, P1List, eigen_symbol
 from plinv.padic import PadicNumber
+from plinv.twists import TwistedSymbol, euler_factor, twist_product_check
 
 from helpers import (
     cyclotomic_polynomial,
@@ -222,17 +220,18 @@ class TestTwistedSymbol:
 class TestTwistedSymbolEnds:
     def test_each_end_is_summed_once(self, monkeypatch):
         # T(x/y) depends on (x mod y, y) alone, so an end shared by several
-        # generators of P^1(Z/11*13^2) is one batch of 12 numerators
+        # generators of P^1(Z/11*13^2) is walked once, as 12 paths, and every
+        # end in one batch
         base = eigen_symbol(curve_by_label("11a1"))
-        numerators = []
-        values_at = base.values_at
+        batches = []
+        walk = base.walk
 
-        def counting(m, nums):
-            nums = list(nums)
-            numerators.extend(nums)
-            return values_at(m, nums)
+        def counting(paths):
+            paths = list(paths)
+            batches.append(len(paths))
+            return walk(paths)
 
-        monkeypatch.setattr(base, "values_at", counting)
+        monkeypatch.setattr(base, "walk", counting)
         TwistedSymbol(base, 13)
         ends = []
         for c, e in P1List(11 * 13 ** 2):
@@ -240,7 +239,7 @@ class TestTwistedSymbolEnds:
             ends += [((a * e - 1) // c if c else 0, e), (a, c)]
         distinct = {(x % y, y) for x, y in ends if y}
         assert len(distinct) < len(ends)
-        assert len(numerators) == 12 * len(distinct)
+        assert batches == [12 * len(distinct)]
 
 
 class TestStickelberger:
@@ -588,13 +587,18 @@ class TestTwistChecks:
 
     def test_inert_case_at_a_good_prime(self):
         # p = 5 is good ordinary for 11a1, so the factor is (1 - 1/alpha)^2,
-        # not 2; the reported ratio L_p(0)/[0->oo] is that factor
+        # not 2; the reported ratio L_p(0)/[0->oo] is that factor, and the
+        # report gives the digits to which they agree instead of a factor 2
         def padic(obj):
             return PadicNumber(obj["p"], obj["v"], int(obj["unit"]), obj["n"])
 
         rep = twist_product_check(curve_by_label("11a1"), -3, 5, depth=2)
-        assert rep["case"] == "inert" and not rep["factor_two_exact"]
-        assert padic(rep["ratio"]).agreement(padic(rep["euler_factor"])) >= 18
+        assert rep["case"] == "inert" and "factor_two_exact" not in rep
+        digits = padic(rep["ratio"]).agreement(padic(rep["euler_factor"]))
+        assert rep["ratio_euler_agreement_digits"] == digits >= 18
+        # where [0->oo] = 0 there is no ratio to agree
+        rep = twist_product_check(curve_by_label("11a1"), -8, 5, depth=2)
+        assert rep["ratio"] is rep["ratio_euler_agreement_digits"] is None
 
     def test_degenerate_d_rejected(self):
         with pytest.raises(MeasureError, match="fundamental"):

@@ -460,7 +460,7 @@ class TestSharedVectors:
         import io
 
         from plinv.cli import main
-        from plinv.measures import TwistedSymbol
+        from plinv.twists import TwistedSymbol
 
         space = build_space(level)
         if label:
@@ -614,6 +614,23 @@ class TestEigenvalueOnDemand:
         for ell in (2, 3, 5, 7, 11, 13):  # good and bad
             want = eigenvalue_reference(w, space.hecke_matrix(ell))
             assert want is not None and sym.eigenvalue(ell) == want, (label, sign, ell)
+            assert type(sym.eigenvalue(ell)) is int
+
+    @settings(max_examples=200, deadline=None)
+    @given(w=st.lists(st.integers(-30, 30), min_size=2, max_size=6).filter(lambda w: w[0]),
+           lam=st.fractions(max_denominator=12).filter(lambda x: abs(x) < 100),
+           v=st.lists(st.integers(-9, 9), min_size=6, max_size=6))
+    def test_an_int_exactly_when_integral(self, w, lam, v):
+        # w is a left eigenvector of lam I + u v^T for any u with w.u = 0
+        from types import SimpleNamespace
+
+        n = len(w)
+        u = [w[1], -w[0], *[0] * (n - 2)]
+        mat = [[lam * (i == j) + u[i] * v[j] for j in range(n)] for i in range(n)]
+        space = SimpleNamespace(_basis=list(range(n)), hecke_matrix=lambda ell: mat)
+        value = modsym.EigenSymbol(space, w, {}).eigenvalue(2)
+        assert value == lam
+        assert (type(value) is int) == (lam.denominator == 1)
 
 
 class TestEvaluate:

@@ -104,6 +104,28 @@ class TestPadicNumberOracle:
             assert a.agreement(PadicNumber.from_fraction(p, y, n2)) <= frac_val(x - y, p)
 
 
+class TestIntScalars:
+    """An exact int is read through its numerator and denominator, as a
+    Fraction is, and never becomes one: it means what Fraction(it) means."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), p=st.sampled_from(PRIMES), n=PRECS,
+           m=st.integers(-10 ** 12, 10 ** 12).filter(bool), kind=st.sampled_from("xoz"))
+    def test_dividing_by_an_int_is_multiplying_by_its_inverse(self, data, p, n, m, kind):
+        # a nonzero x, an O(p^k) or an exact zero, over a nonzero int m
+        x = (PadicNumber.from_fraction(p, data.draw(rationals(p)), n) if kind == "x" else
+             PadicNumber.zero(p, data.draw(st.integers(-20, 200))) if kind == "o" else
+             PadicNumber.zero(p))
+        a, b = x / m, x * Fraction(1, m)
+        assert a.to_json() == b.to_json() and a.abs_prec == b.abs_prec
+
+    @settings(max_examples=200, deadline=None)
+    @given(p=st.sampled_from(PRIMES), a=st.integers(-10 ** 40, 10 ** 40), n=PRECS)
+    def test_from_fraction_of_an_int(self, p, a, n):
+        x, y = PadicNumber.from_fraction(p, a, n), PadicNumber.from_fraction(p, Fraction(a), n)
+        assert x.to_json() == y.to_json() and x.abs_prec == y.abs_prec
+
+
 class TestExactScalarRules:
     def test_no_cap_beyond_64_digits(self):
         x = PadicNumber.from_int(5, 2, 100)
