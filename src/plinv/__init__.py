@@ -5,10 +5,11 @@ The public names below are looked up in their home module on each use
 (PEP 562) and never stored here, so `import plinv` loads no submodule and
 `plinv.li` is always `plinv.periods.li`.  Each command of `plinv.cli`
 imports the modules it runs when it runs (`twists` for `check-twist`
-alone); what every command needs, the error bases the command line maps
-to exit codes and the prime test behind `-p`, is defined here.  No
-command imports `json`, and exact scalars stay ints, so `fractions` is
-loaded only where a non-integral rational is built.  The benchmark's
+alone; `cache`, the retired space store, for none); what every command
+needs, the error bases the command line maps to exit codes and the prime
+test behind `-p`, is defined here.  No command imports `json`, and exact
+scalars stay ints, so `fractions` is loaded only where a non-integral
+rational is built.  The benchmark's
 tracer (perfbench/tracer.py) rebinds each function it times in its home
 module, but by-value copies only in the modules that `import plinv.cli`
 loaded; so a module loaded later calls another module's timed function
@@ -22,10 +23,6 @@ class DomainError(ValueError):
     """An input outside what plinv computes: a non-period, an unknown
     curve, a bad level, ...  Every module's error derives from it, so the
     command line maps them all to exit 2 without loading those modules."""
-
-
-class CacheError(RuntimeError):
-    """A corrupt or mismatched file of `cache.Cache.load`, which no command reads."""
 
 
 class UsageError(Exception):

@@ -1,36 +1,31 @@
-"""The cache directory, which holds `user_curves.tsv`, and a versioned
-JSON file store with atomic writes and advisory locking.
+"""The retired symbol-space store: a versioned JSON file store with atomic
+writes and advisory locking, which no command loads.
 
-No command reads or writes a store file: every symbol space is built in
-process (`modsym.build_space`).  `Cache.load` and `Cache.store` keep their
-format-3 behaviour: a file of another format reads as absent, and a
-corrupt one raises CacheError instead of being silently rebuilt.
+Every symbol space is built in process (`modsym.build_space`), and the
+cache directory, which holds only `user_curves.tsv`, is resolved in
+`cli`.  `Cache.load` and `Cache.store` keep their format-3 behaviour for
+direct callers: a file of another format reads as absent, and a corrupt
+one raises CacheError instead of being silently rebuilt.
 """
 
 import os
 
-from . import CacheError
-
 FORMAT_VERSION = 3
 
 
-def default_cache_dir():
-    env = os.environ.get("PLINV_CACHE_DIR")
-    if env:
-        return env
-    base = os.environ.get("XDG_CACHE_HOME", os.path.expanduser("~/.cache"))
-    return os.path.join(base, "plinv")
+class CacheError(RuntimeError):
+    """A corrupt or mismatched store file or payload."""
 
 
 class Cache:
-    def __init__(self, directory=None):
-        self.directory = directory or default_cache_dir()
+    def __init__(self, directory):
+        self.directory = directory
 
     def load(self, name, kind):
         path = os.path.join(self.directory, name + ".json")
         if not os.path.exists(path):
             return None
-        import json  # no command reads a store file: kept off start-up
+        import json  # on use: perfbench/tracer.py imports this module into traced runs
 
         try:
             with open(path, "r", encoding="utf-8") as fh:

@@ -64,19 +64,28 @@ def _format(text):
     return text
 
 
-def _user_table_path(cache):
-    if cache is None:
+def default_cache_dir():
+    env = os.environ.get("PLINV_CACHE_DIR")
+    if env:
+        return env
+    base = os.environ.get("XDG_CACHE_HOME", os.path.expanduser("~/.cache"))
+    return os.path.join(base, "plinv")
+
+
+def _user_table(args):
+    """The path of `user_curves.tsv` in the cache directory; None under --no-cache."""
+    if args.no_cache:
         return None
-    return os.path.join(cache.directory, "user_curves.tsv")
+    return os.path.join(args.cache_dir or default_cache_dir(), "user_curves.tsv")
 
 
-def _resolve_curve(args, cache=None):
+def _resolve_curve(args):
     from .curves import WeierstrassCurve, curve_by_label
 
     if args.label is not None and args.curve is not None:
         raise UsageError("give --label or --curve, not both")
     if args.label:
-        return curve_by_label(args.label, _user_table_path(cache))
+        return curve_by_label(args.label, _user_table(args))
     if args.curve:
         parts = args.curve.split(",")
         if len(parts) != 5:
@@ -202,7 +211,7 @@ def _help(key):
 # -- command handlers -------------------------------------------------------
 
 
-def cmd_li_period(args, cache):
+def cmd_li_period(args):
     from .periods import li, parse_branch, parse_period_literal
 
     period = parse_period_literal(args.literal, args.p)
@@ -218,10 +227,10 @@ def cmd_li_period(args, cache):
     }
 
 
-def cmd_li_curve(args, cache):
+def cmd_li_curve(args):
     from .curves import reduction_type, tate_l_invariant, tate_period
 
-    curve = _resolve_curve(args, cache)
+    curve = _resolve_curve(args)
     red = reduction_type(curve, args.p)
     q = tate_period(curve, args.p, args.prec)
     return {
@@ -234,36 +243,36 @@ def cmd_li_curve(args, cache):
     }
 
 
-def cmd_check_ezc(args, cache):
+def cmd_check_ezc(args):
     from .measures import exceptional_zero_check
 
-    curve = _resolve_curve(args, cache)
+    curve = _resolve_curve(args)
     rep = exceptional_zero_check(curve, args.p, args.depth, args.prec, dual=args.dual)
     return {"command": "check-ezc", **rep}
 
 
-def cmd_check_twist(args, cache):
+def cmd_check_twist(args):
     from .twists import twist_product_check
 
-    curve = _resolve_curve(args, cache)
+    curve = _resolve_curve(args)
     rep = twist_product_check(curve, args.disc, args.p, args.depth, args.prec)
     return {"command": "check-twist", **rep}
 
 
-def _symbol_and_measure(args, cache):
+def _symbol_and_measure(args):
     from .measures import build_measure
     from .modsym import eigen_symbol
 
-    curve = _resolve_curve(args, cache)
+    curve = _resolve_curve(args)
     symbol = eigen_symbol(curve)
     measure = build_measure(symbol, args.p, args.depth, prec=args.prec)
     return curve, symbol, measure
 
 
-def cmd_stickelberger(args, cache):
+def cmd_stickelberger(args):
     from .measures import build_measure, stickelberger
 
-    curve, symbol, measure = _symbol_and_measure(args, cache)
+    curve, symbol, measure = _symbol_and_measure(args)
     theta = stickelberger(measure, dual=args.dual)
     out = {
         "command": "stickelberger",
@@ -279,11 +288,11 @@ def cmd_stickelberger(args, cache):
     return out
 
 
-def cmd_lp(args, cache):
+def cmd_lp(args):
     from .curves import SPLIT, reduction_type
     from .measures import _encode, ezc_report, lp_value_and_derivative, stickelberger
 
-    curve, symbol, measure = _symbol_and_measure(args, cache)
+    curve, symbol, measure = _symbol_and_measure(args)
     theta = stickelberger(measure, args.dual)
     out = {
         "command": "lp",
@@ -306,7 +315,7 @@ def cmd_lp(args, cache):
     return out
 
 
-def cmd_modsym_dump(args, cache):
+def cmd_modsym_dump(args):
     from .modsym import build_space
 
     space = build_space(args.level, args.sign)
@@ -315,7 +324,7 @@ def cmd_modsym_dump(args, cache):
             "hecke": {str(l): Quoted(space.hecke_matrix(l)) for l in primes}}
 
 
-def cmd_import_curve(args, cache):
+def cmd_import_curve(args):
     from .curves import (CurveError, add_user_row, bad_primes, conductor, parse_table_row,
                          reduction_type)
 
@@ -330,7 +339,7 @@ def cmd_import_curve(args, cache):
         "conductor": n,
         "bad_primes": {str(p): reduction_type(curve, p).kind for p in bad_primes(curve)},
     }
-    path = _user_table_path(cache)
+    path = _user_table(args)
     if add_user_row(curve, path):
         entry["registered"] = path
     return entry
@@ -513,10 +522,7 @@ def main(argv=None, out=None):
         if isinstance(args, str):  # the text of -h
             out.write(args)
         else:
-            if not args.no_cache:
-                from .cache import Cache  # only a cached run loads it
-            cache = None if args.no_cache else Cache(args.cache_dir)  # user_curves.tsv's home
-            _emit(HANDLERS[args.command](args, cache), args, out)
+            _emit(HANDLERS[args.command](args), args, out)
         if out is sys.stdout:  # here, so that a reader who left gets 141
             out.flush()
         return 0

@@ -248,20 +248,23 @@ def bad_primes(curve):
             if reduction_type(curve, q).kind != GOOD]
 
 
+def _conductor_exponent(curve, p):
+    """f_p at a bad prime p: 1 where the reduction is multiplicative, 2
+    where it is additive and p >= 5, None at an additive 2 or 3, which is
+    out of reach of this implementation (no Tate algorithm)."""
+    if reduction_type(curve, p).is_multiplicative:
+        return 1
+    return 2 if p >= 5 else None
+
+
 def conductor(curve):
-    """prod p^{f_p}; additive exponents at p in {2, 3} are out of reach
-    of this implementation (no Tate algorithm) and raise."""
+    """prod p^{f_p}; raises where an f_p is out of reach."""
     n = 1
     for p in bad_primes(curve):
-        red = reduction_type(curve, p)
-        if red.is_multiplicative:
-            n *= p
-        elif red.kind == ADDITIVE:
-            if p in (2, 3):
-                raise CurveError(
-                    f"conductor exponent at additive p={p} not implemented"
-                )
-            n *= p * p
+        f = _conductor_exponent(curve, p)
+        if f is None:
+            raise CurveError(f"conductor exponent at additive p={p} not implemented")
+        n *= p ** f
     return n
 
 
@@ -376,16 +379,11 @@ def curve_level(curve):
 def _validate_conductor(curve, cond):
     leftover = cond
     for p in bad_primes(curve):
-        red = reduction_type(curve, p)
-        e = _vp(cond, p)
-        if red.is_multiplicative:
-            if e != 1:
-                raise CurveError(f"{curve.label}: conductor exponent at {p} should be 1")
-        elif red.kind == ADDITIVE:
-            if p >= 5 and e != 2:
-                raise CurveError(f"{curve.label}: conductor exponent at {p} should be 2")
-            if p in (2, 3) and not 2 <= e <= (8 if p == 2 else 5):
-                raise CurveError(f"{curve.label}: implausible conductor exponent at {p}")
+        f, e = _conductor_exponent(curve, p), _vp(cond, p)
+        if f is not None and e != f:
+            raise CurveError(f"{curve.label}: conductor exponent at {p} should be {f}")
+        if f is None and not 2 <= e <= (8 if p == 2 else 5):
+            raise CurveError(f"{curve.label}: implausible conductor exponent at {p}")
         leftover //= p ** e
     if leftover != 1:
         raise CurveError(f"{curve.label}: conductor has spurious prime factors")

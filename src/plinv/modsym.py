@@ -26,7 +26,7 @@ on ints wherever the values are integers."""
 from functools import cached_property, lru_cache
 from math import gcd
 
-from . import CacheError, DomainError, Quoted, _is_probable_prime, linalg
+from . import DomainError, Quoted, _is_probable_prime, linalg
 from .linalg import echelon, fraction, mat_mul, primitive, rank
 
 
@@ -317,6 +317,8 @@ class SymbolSpace:
         """The (level, sign) space stored in `payload`; CacheError when the
         payload holds another space, another key, or does not decode to one.
         No command reads a space from disk: `build_space` always builds."""
+        from .cache import CacheError
+
         try:
             if sorted(payload) != ["basis", "gen_coords", "level", "p1", "sign"]:
                 raise CacheError(f"the cached level-{level} space holds the keys "

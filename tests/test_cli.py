@@ -400,8 +400,9 @@ class TestReports:
         assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
 
     def test_modsym_dump_golden_non_unit_pivot(self):
-        # sign -1 at level 60 eliminates through a pivot that is not +-1;
-        # stdout bytes recorded before the elimination moved to integers
+        # sign -1 at level 60 eliminates through one pivot that is not +-1,
+        # a 2 that divides every entry of its row, so the dump holds ints
+        # alone; stdout bytes recorded before the elimination moved to integers
         buf = io.StringIO()
         argv = ["--no-cache", "--no-meta", "modsym", "dump", "--level", "60",
                 "--sign", "-", "--hecke", "2,3,5"]
@@ -410,7 +411,7 @@ class TestReports:
             "5d15c62d83a0d7ffb385f8417e2e5cb225858c028bf0d1099565dfde8c68014c")
 
     def test_modsym_dump_table_golden_sha256(self):
-        # --format table of the level-60 dump above, Fractions included,
+        # --format table of the level-60 dump above, which holds no Fraction,
         # recorded while each report line was printed by json.dumps
         buf = io.StringIO()
         argv = ["--no-cache", "--no-meta", "--format", "table", "modsym", "dump",
@@ -850,7 +851,7 @@ class TestCacheRoundTrip:
         assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
 
     def test_stale_p1_list_exits_4(self, tmp_path):
-        from plinv import CacheError
+        from plinv.cache import CacheError
         from plinv.modsym import SymbolSpace, build_space
 
         from helpers import to_payload
@@ -873,8 +874,7 @@ class TestCacheRoundTrip:
     ], ids=["level-37-minus", "level-11-minus", "empty-dict", "list", "coordinate-key",
             "extra-key", "basis-order"])
     def test_wrong_payload_exits_4(self, tmp_path, corrupt):
-        from plinv import CacheError
-        from plinv.cache import Cache
+        from plinv.cache import Cache, CacheError
         from plinv.modsym import SymbolSpace, build_space
 
         from helpers import to_payload
@@ -889,7 +889,7 @@ class TestCacheRoundTrip:
                       ["modsym", "dump", "--level", "11", "--hecke", "2"])
 
     def test_inconsistent_gen_coords_exit_4(self, tmp_path):
-        from plinv import CacheError
+        from plinv.cache import CacheError
         from plinv.modsym import SymbolSpace, build_space
 
         from helpers import to_payload
@@ -955,8 +955,7 @@ class TestCacheRoundTrip:
         b'{"format": 3, "kind": "modsym", "payload": null}',
     ], ids=["not-utf8", "not-an-object", "no-payload", "null-payload"])
     def test_corrupt_file_exits_4(self, tmp_path, text):
-        from plinv import CacheError
-        from plinv.cache import Cache
+        from plinv.cache import Cache, CacheError
 
         (tmp_path / "modsym_11_plus.json").write_bytes(text)
         with pytest.raises(CacheError, match="corrupt cache file"):
@@ -1031,6 +1030,39 @@ class TestCacheRoundTrip:
         assert [main(["--no-meta", *argv], out=io.StringIO()) for argv, _ in runs] == [
             rc for _, rc in runs]
         assert _leftovers(tmp_path) == ["user_curves.tsv"]
+
+
+class TestCacheDirectory:
+    """Where `import-curve` registers a row, in a fresh process whose home
+    is tmp_path: the first of --cache-dir, $PLINV_CACHE_DIR,
+    $XDG_CACHE_HOME/plinv and ~/.cache/plinv that is set, and nowhere under
+    --no-cache."""
+
+    ENV = {"PLINV_CACHE_DIR": "env", "XDG_CACHE_HOME": "xdg"}
+
+    @pytest.mark.parametrize("option,env,home", [
+        (["--cache-dir", "opt"], ENV, "opt"),
+        ([], ENV, "env"),
+        ([], {"XDG_CACHE_HOME": "xdg"}, "xdg/plinv"),
+        ([], {}, ".cache/plinv"),
+        (["--no-cache"], ENV, None),
+    ], ids=["cache-dir", "plinv-cache-dir", "xdg-cache-home", "home", "no-cache"])
+    def test_the_user_table_is_in_the_first_directory_set(self, tmp_path, monkeypatch,
+                                                          option, env, home):
+        for key in self.ENV:
+            monkeypatch.delenv(key, raising=False)
+        monkeypatch.setenv("HOME", str(tmp_path))
+        for key, name in env.items():
+            monkeypatch.setenv(key, str(tmp_path / name))
+        option = [str(tmp_path / arg) if arg == "opt" else arg for arg in option]
+        proc = _fresh_python(["-m", "plinv.cli", "--no-meta", *option, "import-curve",
+                              "--row", "19a1 0,1,1,-9,-15"], timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        files = [str(path.relative_to(tmp_path)) for path in tmp_path.rglob("*")
+                 if path.is_file()]
+        table = home and f"{home}/user_curves.tsv"
+        assert files == ([table] if table else [])
+        assert json.loads(proc.stdout).get("registered") == (table and str(tmp_path / table))
 
 
 _JSON_SCALARS = (
@@ -1169,7 +1201,8 @@ for argv in (["--no-meta", "li-period", "5^1", "-p", "5"],
               "--depth", "1"]):
     assert main(argv, out=io.StringIO()) == 0, argv
 unneeded = ["dataclasses", "inspect", "datetime", "importlib.resources", "plinv.unramified",
-            "argparse", "gettext", "locale", "fcntl", "tempfile", "json", "plinv.twists"]
+            "argparse", "gettext", "locale", "fcntl", "tempfile", "json", "plinv.twists",
+            "plinv.cache"]
 loaded = [name for name in unneeded if name in sys.modules]
 buf = io.StringIO()
 assert main(["li-period", "5^1", "-p", "5"], out=buf) == 0
@@ -1199,7 +1232,7 @@ stdlib = [name for name in ("decimal", "fcntl", "fractions", "json", "numbers", 
 import json  # the probe's own, after the look at sys.modules
 args = cli.parse_args(argv)
 try:
-    cli.HANDLERS.get(args.command, cli.cmd_modsym_dump)(args, None)
+    cli.HANDLERS.get(args.command, cli.cmd_modsym_dump)(args)
     error = None
 except Exception as exc:
     error = type(exc).__name__
@@ -1212,19 +1245,19 @@ print(json.dumps({"rc": rc, "modules": modules, "stdlib": stdlib, "error": error
         assert proc.returncode == 0, proc.stderr
         return json.loads(proc.stdout)
 
-    # `--no-cache modsym dump` runs modular-symbol code alone: no padic and
-    # no cache.  Reports are written without json, and exact scalars stay
+    # `--no-cache modsym dump` runs modular-symbol code alone: no padic.  No
+    # command loads cache, the retired space store, with a cache directory
+    # or without.  Reports are written without json, and exact scalars stay
     # ints, so only li-period, which parses rationals, loads fractions (with
     # decimal, numbers and re); no command writes a cache file, so none loads
     # fcntl; only li-period loads periods, and only check-twist twists
     @pytest.mark.parametrize("argv,modules,stdlib", [
         (["--no-cache", "modsym", "dump", "--level", "11"], ["cli", "linalg", "modsym"], []),
-        (["li-period", "30^1", "-p", "5"], ["cache", "cli", "padic", "periods"],
+        (["li-period", "30^1", "-p", "5"], ["cli", "padic", "periods"],
          ["decimal", "fractions", "numbers", "re"]),
         (["--no-cache", "li-curve", "--label", "11a1", "-p", "11"],
          ["cli", "curves", "padic"], []),
-        (["import-curve", "--row", "19a1 0,1,1,-9,-15"], ["cache", "cli", "curves", "padic"],
-         []),
+        (["import-curve", "--row", "19a1 0,1,1,-9,-15"], ["cli", "curves", "padic"], []),
         (["--no-cache", "check-ezc", "--label", "11a1", "-p", "11", "--depth", "1"],
          ["cli", "curves", "linalg", "measures", "modsym", "padic"], []),
         (["--no-cache", "check-twist", "--label", "11a1", "-D", "5", "-p", "11", "--depth", "1"],
@@ -1390,6 +1423,27 @@ class TestSchemas:
             rc, out = run(args, tmp_path)
             assert rc == 0, args
             self._validate(out, schema)
+
+    @pytest.mark.parametrize("schema,field", [
+        ("check_ezc", "matched_sign"), ("check_ezc", "Lp0_is_zero"), ("lp", "Lp0_is_zero"),
+        ("check_twist", "factor_two_exact"), ("check_twist", "ratio_euler_agreement_digits"),
+        ("check_twist", "product_vanishing_order_at_least_2"),
+        ("check_twist", "ratio_agreement_digits"), ("check_twist", "tate_agreement_digits"),
+        ("stickelberger", "projection_compatible"), ("import_curve", "registered")])
+    def test_each_verdict_says_what_proves_it(self, schema, field):
+        import importlib.resources
+
+        def found(node):  # every schema of `field` under a "properties"
+            if isinstance(node, list):
+                return [s for child in node for s in found(child)]
+            if not isinstance(node, dict):
+                return []
+            here = [node["properties"][field]] if field in node.get("properties", {}) else []
+            return here + [s for child in node.values() for s in found(child)]
+
+        root = importlib.resources.files("plinv").joinpath("schemas")
+        schemas = found(json.loads(root.joinpath(schema + ".json").read_text()))
+        assert len(schemas) == 1 and schemas[0]["description"]
 
     @pytest.mark.parametrize("label,p", [("11a1tw5", 7), ("11a1tw-7", 5)])
     def test_lp_where_a_row_of_the_log_walk_is_exactly_zero(self, label, p):

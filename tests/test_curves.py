@@ -11,6 +11,7 @@ from plinv.curves import (
     CurveError,
     WeierstrassCurve,
     _descend_once,
+    _validate_conductor,
     bad_primes,
     conductor,
     curve_by_label,
@@ -221,6 +222,24 @@ class TestReduction:
     def test_conductor_at_an_additive_prime_above_3(self):
         # disc = -7^6 11^5: additive at 7, so 7^2 * 11
         assert conductor(WeierstrassCurve(0, 1, 1, -506, 7774)) == 539
+
+    # each refusal of a table row's conductor: 11a1 is split at 11, the
+    # conductor-539 model additive at 7 and y^2 = x^3 - x additive at 2
+    @pytest.mark.parametrize("ainvs,cond,message", [
+        ((0, -1, 1, -10, -20), 121, "t: conductor exponent at 11 should be 1"),
+        ((0, 1, 1, -506, 7774), 77, "t: conductor exponent at 7 should be 2"),
+        ((0, 0, 0, -1, 0), 2, "t: implausible conductor exponent at 2"),
+        ((0, -1, 1, -10, -20), 143, "t: conductor has spurious prime factors"),
+    ], ids=["multiplicative", "additive-above-3", "additive-at-2", "spurious"])
+    def test_a_wrong_conductor_is_refused(self, ainvs, cond, message):
+        with pytest.raises(CurveError, match=f"^{message}$"):
+            _validate_conductor(WeierstrassCurve(*ainvs, label="t"), cond)
+
+    @pytest.mark.parametrize("ainvs,cond", [((0, -1, 1, -10, -20), 11),
+                                            ((0, 1, 1, -506, 7774), 539),
+                                            ((0, 0, 0, -1, 0), 32)])
+    def test_a_right_conductor_is_accepted(self, ainvs, cond):
+        _validate_conductor(WeierstrassCurve(*ainvs, label="t"), cond)
 
 
 class TestKronecker:
