@@ -5,7 +5,7 @@ The public names below are looked up in their home module on each use
 (PEP 562) and never stored here, so `import plinv` loads no submodule and
 `plinv.li` is always `plinv.periods.li`.  Each command of `plinv.cli`
 imports the modules it runs when it runs (`twists` for `check-twist`
-alone; `cache`, the retired space store, for none); what every command
+alone; `cache`, the retired store's stubs, for none); what every command
 needs, the error bases the command line maps to exit codes and the prime
 test behind `-p`, is defined here.  No command imports `json`, and exact
 scalars stay ints, so `fractions` is loaded only where a non-integral

@@ -68,7 +68,9 @@ def default_cache_dir():
     env = os.environ.get("PLINV_CACHE_DIR")
     if env:
         return env
-    base = os.environ.get("XDG_CACHE_HOME", os.path.expanduser("~/.cache"))
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):  # the XDG spec: an empty or relative value is ignored
+        base = os.path.expanduser("~/.cache")
     return os.path.join(base, "plinv")
 
 
@@ -325,19 +327,19 @@ def cmd_modsym_dump(args):
 
 
 def cmd_import_curve(args):
-    from .curves import (CurveError, add_user_row, bad_primes, conductor, parse_table_row,
-                         reduction_type)
+    from .curves import CurveError, add_user_row, bad_primes, conductor, parse_table_row
 
     curve = parse_table_row(args.row)
+    bad = bad_primes(curve)
     try:
-        n = conductor(curve)
+        n = conductor(curve, bad)
     except CurveError:
         n = None  # additive at 2 or 3: stored without a conductor claim
     entry = {
         "command": "import-curve",
         "curve": curve.to_json(),
         "conductor": n,
-        "bad_primes": {str(p): reduction_type(curve, p).kind for p in bad_primes(curve)},
+        "bad_primes": {str(red.p): red.kind for red in bad},
     }
     path = _user_table(args)
     if add_user_row(curve, path):

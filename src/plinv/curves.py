@@ -244,27 +244,29 @@ def trace_of_frobenius(curve, p):
 
 
 def bad_primes(curve):
-    return [q for q in factor(abs(curve.discriminant))
-            if reduction_type(curve, q).kind != GOOD]
+    """The ReductionInfo of `curve` at each of its bad primes, p ascending."""
+    reds = (reduction_type(curve, q) for q in factor(abs(curve.discriminant)))
+    return [red for red in reds if red.kind != GOOD]
 
 
-def _conductor_exponent(curve, p):
+def _conductor_exponent(red):
     """f_p at a bad prime p: 1 where the reduction is multiplicative, 2
     where it is additive and p >= 5, None at an additive 2 or 3, which is
     out of reach of this implementation (no Tate algorithm)."""
-    if reduction_type(curve, p).is_multiplicative:
+    if red.is_multiplicative:
         return 1
-    return 2 if p >= 5 else None
+    return 2 if red.p >= 5 else None
 
 
-def conductor(curve):
-    """prod p^{f_p}; raises where an f_p is out of reach."""
+def conductor(curve, bad=None):
+    """prod p^{f_p} over `bad`, the curve's `bad_primes` unless given;
+    raises where an f_p is out of reach."""
     n = 1
-    for p in bad_primes(curve):
-        f = _conductor_exponent(curve, p)
+    for red in bad_primes(curve) if bad is None else bad:
+        f = _conductor_exponent(red)
         if f is None:
-            raise CurveError(f"conductor exponent at additive p={p} not implemented")
-        n *= p ** f
+            raise CurveError(f"conductor exponent at additive p={red.p} not implemented")
+        n *= red.p ** f
     return n
 
 
@@ -378,8 +380,9 @@ def curve_level(curve):
 
 def _validate_conductor(curve, cond):
     leftover = cond
-    for p in bad_primes(curve):
-        f, e = _conductor_exponent(curve, p), _vp(cond, p)
+    for red in bad_primes(curve):
+        p = red.p
+        f, e = _conductor_exponent(red), _vp(cond, p)
         if f is not None and e != f:
             raise CurveError(f"{curve.label}: conductor exponent at {p} should be {f}")
         if f is None and not 2 <= e <= (8 if p == 2 else 5):

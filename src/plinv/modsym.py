@@ -313,37 +313,9 @@ class SymbolSpace:
         }
 
     @classmethod
-    def from_payload(cls, payload, level, sign):
-        """The (level, sign) space stored in `payload`; CacheError when the
-        payload holds another space, another key, or does not decode to one.
-        No command reads a space from disk: `build_space` always builds."""
-        from .cache import CacheError
-
-        try:
-            if sorted(payload) != ["basis", "gen_coords", "level", "p1", "sign"]:
-                raise CacheError(f"the cached level-{level} space holds the keys "
-                                 f"{sorted(payload)}")
-            if (payload["level"], payload["sign"]) != (level, sign):
-                raise CacheError(f"the cached level-{level} space holds level "
-                                 f"{payload['level']}, sign {payload['sign']}")
-            self = cls.__new__(cls)
-            self.level, self.sign = level, sign
-            self.p1 = P1List(level)
-            if payload["p1"] != [list(cd) for cd in self.p1]:
-                raise CacheError(f"stale P^1 list in the cached level-{level} space")
-            decode = lru_cache(maxsize=None)(lambda kv: {  # "3" an int, "3/2" a Fraction
-                int(k): fraction(v) if "/" in v else int(v) for k, v in kv})
-            self._gen_coords = [decode(tuple(c.items())) for c in payload["gen_coords"]]
-            self._basis = list(payload["basis"])
-            self.dimension = len(self._basis)
-            self._hecke = {}
-            used = 1 + max((k for c in self._gen_coords for k in c), default=-1)
-            if (len(self._gen_coords) != len(self.p1) or used != self.dimension
-                    or any(self._gen_coords[g] != {k: 1} for k, g in enumerate(self._basis))):
-                raise CacheError(f"inconsistent cached level-{level} space")
-        except (LookupError, TypeError, ValueError, AttributeError, ZeroDivisionError) as exc:
-            raise CacheError(f"undecodable cached level-{level} space: {exc!r}") from exc
-        return self
+    def from_payload(cls, *args):
+        """A stub that perfbench/tracer.py wraps: no space is read back."""
+        raise RuntimeError("the symbol-space store is retired: build_space builds every space")
 
 
 def _cusp_key(m, s, n):

@@ -764,8 +764,9 @@ def fraction_space(level, sign=1):
 
 
 def to_payload(space):
-    """The format-3 payload of a symbol space, as `Cache.store` writes it and
-    `SymbolSpace.from_payload` reads it: coordinates as strings."""
+    """The payload of a format-3 space file, as the retired store wrote it
+    (coordinates as strings): tests plant such files in a cache directory
+    to check that no command reads them."""
     return {
         "level": space.level,
         "sign": space.sign,

@@ -11,9 +11,9 @@ from plinv.cli import _write, main
 from plinv.periods import parse_branch, parse_period_literal
 
 
-def _fresh_python(args, timeout, **env):
+def _fresh_python(args, timeout, cwd=None, **env):
     """`python args` in a new interpreter that imports plinv from this
-    checkout, with `env` added to the environment."""
+    checkout, in `cwd`, with `env` added to the environment."""
     import os
     import subprocess
     import sys
@@ -21,7 +21,7 @@ def _fresh_python(args, timeout, **env):
     import plinv
 
     src = os.path.dirname(os.path.dirname(plinv.__file__))
-    return subprocess.run([sys.executable, *args],
+    return subprocess.run([sys.executable, *args], cwd=cwd,
                           env=dict(os.environ, PYTHONPATH=src, **env),
                           capture_output=True, text=True, timeout=timeout)
 
@@ -51,37 +51,22 @@ def run(args, tmp_path=None):
 
 
 SPLIT_PAIRS = [("11a1", 11), ("14a1", 7), ("15a1", 5), ("17a1", 17), ("21a1", 3), ("37b1", 37)]
-PRESENTATION_KEYS = ["basis", "gen_coords", "level", "p1", "sign"]
 
 
 @pytest.fixture
 def recorded(monkeypatch):
-    """(touched, computed): every `Cache.load` and `Cache.store` call, as
-    (method, name), which no command makes, and the ell of every Hecke
-    matrix that `hecke_matrix` computes, each reading Merel's set once."""
+    """The ell of every Hecke matrix that `hecke_matrix` computes, each
+    reading Merel's set once."""
     from plinv import modsym
-    from plinv.cache import Cache
 
-    touched, computed = [], []
-    real_merel = modsym.merel_matrices
-
-    def spy(method):
-        real = getattr(Cache, method)
-
-        def recording(self, name, *args):
-            touched.append((method, name))
-            return real(self, name, *args)
-
-        return recording
+    computed, real_merel = [], modsym.merel_matrices
 
     def counting_merel(ell):
         computed.append(ell)
         return real_merel(ell)
 
-    for method in ("load", "store"):
-        monkeypatch.setattr(Cache, method, spy(method))
     monkeypatch.setattr(modsym, "merel_matrices", counting_merel)
-    return touched, computed
+    return computed
 
 
 def _leftovers(directory):
@@ -667,6 +652,30 @@ class TestImporter:
         assert out["conductor"] == 539
         assert out["bad_primes"] == {"7": "additive", "11": "split-multiplicative"}
 
+    def test_each_bad_prime_is_reduced_once(self, monkeypatch):
+        # the conductor, the bad_primes report and the bundled table's check
+        # read one ReductionInfo per (curve, p), which bad_primes computed
+        from collections import Counter
+
+        from plinv import curves
+
+        calls, real = Counter(), curves.reduction_type
+
+        def counting(curve, p):
+            calls[curve.label, p] += 1
+            return real(curve, p)
+
+        monkeypatch.setattr(curves, "reduction_type", counting)
+        curves.curve_table.cache_clear()  # validate the bundled rows in this run
+        buf = io.StringIO()
+        argv = ["--no-cache", "--no-meta", "import-curve", "--row", "t7 0,1,1,-506,7774"]
+        assert main(argv, out=buf) == 0
+        assert (calls["t7", 7], calls["t7", 11]) == (1, 1)
+        assert set(calls.values()) == {1}
+        # stdout bytes recorded while each bad prime was reduced four times
+        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == (
+            "7899ffb183caba1ffd1f2ca6a924d019fbb033574cc62e0d76ff953ea057ab3a")
+
     def test_discriminant_with_large_prime_factors(self):
         # disc = -3^3 67^2 73705545679^2: trial division alone ran for minutes
         proc = _fresh_python(["-m", "plinv.cli", "--no-cache", "--no-meta", "import-curve",
@@ -681,12 +690,10 @@ class TestCacheRoundTrip:
     """Every command builds its symbol spaces in process, once per (level,
     sign): none reads or writes a `modsym_*` file, and a file planted in
     the cache directory, sound, stale, tampered or corrupt, changes no
-    report and is left as it was planted.  `Cache.load`, `Cache.store` and
-    `SymbolSpace.from_payload` keep their behaviour for direct callers.
-    The tests named `..._exit_4`, `..._exits_4` and `..._is_rewritten`
-    keep the names they had while commands read these files, exited 4 on a
-    bad one and rewrote a stale one: each checks now that the direct
-    reader still refuses the file, and that a command ignores it."""
+    report and is left as it was planted.  The tests named `..._exit_4`,
+    `..._exits_4` and `..._is_rewritten` keep the names they had while
+    commands read these files, exited 4 on a bad one and rewrote a stale
+    one: each checks now that a command ignores the file."""
 
     DUMP_14 = ["modsym", "dump", "--level", "14"]
 
@@ -724,7 +731,7 @@ class TestCacheRoundTrip:
     def test_warm_modsym_dump_stores_nothing(self, tmp_path, recorded):
         from plinv import modsym
 
-        touched, computed = recorded
+        computed = recorded
         modsym._space_memo.clear()
         assert run(["modsym", "dump", "--level", "11"], tmp_path)[0] == 0
         # every run computes each Hecke matrix it prints, one that no run
@@ -735,14 +742,14 @@ class TestCacheRoundTrip:
             argv = ["modsym", "dump", "--level", "11", "--hecke", ",".join(map(str, hecke))]
             assert run(argv, tmp_path)[0] == 0
             assert computed == hecke
-        assert touched == [] and _leftovers(tmp_path) == []
+        assert _leftovers(tmp_path) == []
 
     @pytest.mark.parametrize("args,key", [
         (["check-ezc", "--label", "11a1", "-p", "11"], (11, 1)),
         (["modsym", "dump", "--level", "14", "--hecke", "2,3"], (14, 1)),
         (["modsym", "dump", "--level", "14", "--hecke", ""], (14, 1)),
     ], ids=["check-ezc", "modsym-dump", "modsym-dump-no-hecke"])
-    def test_cold_run_stores_the_space_once(self, tmp_path, monkeypatch, recorded, args, key):
+    def test_cold_run_stores_the_space_once(self, tmp_path, monkeypatch, args, key):
         # stored in the memo, once, and never on disk
         from plinv import modsym
 
@@ -758,7 +765,7 @@ class TestCacheRoundTrip:
         assert first[0] == 0 and built == [key]
         assert run(args, tmp_path) == first and run(args) == first
         assert built == [key]
-        assert recorded[0] == [] and _leftovers(tmp_path) == []
+        assert _leftovers(tmp_path) == []
 
     @pytest.mark.parametrize("args,ells", [
         (["check-ezc", "--label", "11a1", "-p", "11"], [2, 11]),
@@ -768,11 +775,8 @@ class TestCacheRoundTrip:
     def test_warm_run_computes_what_the_cold_run_computes(self, tmp_path, recorded,
                                                          args, ells):
         from plinv import modsym
-        from plinv.modsym import SymbolSpace
 
-        from helpers import to_payload
-
-        touched, computed = recorded
+        computed = recorded
         modsym._space_memo.clear()
         rc1, out1 = run(args, tmp_path)
         assert rc1 == 0 and sorted(computed) == ells
@@ -781,10 +785,7 @@ class TestCacheRoundTrip:
         modsym._space_memo.clear()
         rc2, out2 = run(args, tmp_path)
         assert rc2 == 0 and out2 == out1 and computed == cold
-        assert touched == [] and _leftovers(tmp_path) == []
-        # a payload's strings are read back as ints, not Fractions
-        space = SymbolSpace.from_payload(to_payload(modsym.build_space(11, 1)), 11, 1)
-        assert all(type(v) is int for c in space._gen_coords for v in c.values())
+        assert _leftovers(tmp_path) == []
 
     @pytest.mark.parametrize("args,used,unused", [
         # the twist's symbol is summed from 11a1's own: no level-275 space
@@ -795,12 +796,12 @@ class TestCacheRoundTrip:
                                                       used, unused):
         from plinv import modsym
 
-        touched, computed = recorded
+        computed = recorded
         modsym._space_memo.clear()
         assert run(args, tmp_path)[0] == 0
         # the measure at p reads U_p; no U_ell at another bad prime is computed
         assert used in computed and unused not in computed
-        assert touched == [] and _leftovers(tmp_path) == []
+        assert _leftovers(tmp_path) == []
 
     @pytest.mark.parametrize("disc", ["5", "-4"])
     def test_check_twist_builds_only_the_curve_level(self, monkeypatch, disc):
@@ -817,7 +818,7 @@ class TestCacheRoundTrip:
         assert run(["check-twist", "--label", "11a1", "-D", disc, "-p", "11"])[0] == 0
         assert built and set(built) == {11}
 
-    def test_failed_command_keeps_the_space_it_built(self, tmp_path, recorded):
+    def test_failed_command_keeps_the_space_it_built(self, tmp_path):
         from plinv import modsym
 
         # the space is built and probed before the supersingular p = 2 is refused
@@ -830,7 +831,7 @@ class TestCacheRoundTrip:
         assert modsym._space_memo[(11, 1)] is space
         modsym._space_memo.clear()
         assert kept == run(args)
-        assert recorded[0] == [] and _leftovers(tmp_path) == []
+        assert _leftovers(tmp_path) == []
 
     def test_memo_ignores_a_relative_cache_directory(self, tmp_path, monkeypatch):
         # one process, one relative --cache-dir, two working directories:
@@ -851,16 +852,13 @@ class TestCacheRoundTrip:
         assert [p for p in tmp_path.rglob("*") if p.is_file()] == []
 
     def test_stale_p1_list_exits_4(self, tmp_path):
-        from plinv.cache import CacheError
-        from plinv.modsym import SymbolSpace, build_space
+        from plinv.modsym import build_space
 
         from helpers import to_payload
 
         payload = to_payload(build_space(14, 1))
         p1 = payload["p1"]
         p1[1], p1[2] = p1[2], p1[1]
-        with pytest.raises(CacheError, match="stale P"):
-            SymbolSpace.from_payload(payload, 14, 1)
         self._ignored(tmp_path, "modsym_14_plus.json", self._payload_file(payload), self.DUMP_14)
 
     @pytest.mark.parametrize("corrupt", [
@@ -874,47 +872,36 @@ class TestCacheRoundTrip:
     ], ids=["level-37-minus", "level-11-minus", "empty-dict", "list", "coordinate-key",
             "extra-key", "basis-order"])
     def test_wrong_payload_exits_4(self, tmp_path, corrupt):
-        from plinv.cache import Cache, CacheError
-        from plinv.modsym import SymbolSpace, build_space
+        from plinv.modsym import build_space
 
         from helpers import to_payload
 
         minus = {level: to_payload(build_space(level, -1)) for level in (11, 37)}
         text = self._payload_file(corrupt(to_payload(build_space(11, 1)), minus))
-        (tmp_path / "modsym_11_plus.json").write_bytes(text)
-        with pytest.raises(CacheError):
-            SymbolSpace.from_payload(Cache(str(tmp_path)).load("modsym_11_plus", "modsym"), 11, 1)
         self._ignored(tmp_path, "modsym_11_plus.json", text,
                       ["check-ezc", "--label", "11a1", "-p", "11"],
                       ["modsym", "dump", "--level", "11", "--hecke", "2"])
 
     def test_inconsistent_gen_coords_exit_4(self, tmp_path):
-        from plinv.cache import CacheError
-        from plinv.modsym import SymbolSpace, build_space
+        from plinv.modsym import build_space
 
         from helpers import to_payload
 
         payload = to_payload(build_space(14, 1))
         payload["gen_coords"].pop()
-        with pytest.raises(CacheError, match="inconsistent"):
-            SymbolSpace.from_payload(payload, 14, 1)
         self._ignored(tmp_path, "modsym_14_plus.json", self._payload_file(payload), self.DUMP_14)
 
     def test_format_1_payload_is_rewritten(self, tmp_path):
-        # files of older formats read as absent, and stay as they are:
-        # format 1 held the union-find, format 2 the Hecke matrices as well
-        from plinv.cache import FORMAT_VERSION, Cache
+        # files of older formats stay as they are: format 1 held the
+        # union-find, format 2 the Hecke matrices as well
         from plinv.modsym import build_space
 
         from helpers import to_payload
 
-        assert FORMAT_VERSION == 3
         presentation = to_payload(build_space(14, 1))
         for fmt, payload in ((1, {"level": 14, "uf_parent": []}),
                              (2, {**presentation, "hecke": {"2": [["1"]]}})):
             text = self._payload_file(payload, fmt)
-            (tmp_path / "modsym_14_plus.json").write_bytes(text)
-            assert Cache(str(tmp_path)).load("modsym_14_plus", "modsym") is None
             self._ignored(tmp_path, "modsym_14_plus.json", text, self.DUMP_14)
 
     def test_tampered_format_2_hecke_matrix_is_not_read(self, tmp_path):
@@ -931,18 +918,16 @@ class TestCacheRoundTrip:
         self._ignored(tmp_path, "modsym_11_plus.json", text, args)
 
     def test_tampered_presentation_is_not_read(self, tmp_path):
-        # generator 2 of 11's plus space set from {} to {"0": "1"}:
-        # from_payload accepts it, and check-ezc read from it used to report
-        # Lp0 "-20" with 1 agreement digit
+        # generator 2 of 11's plus space set from {} to {"0": "1"}: the
+        # retired reader accepted it, and check-ezc read from it used to
+        # report Lp0 "-20" with 1 agreement digit
         from plinv import modsym
-        from plinv.modsym import SymbolSpace
 
         from helpers import to_payload
 
         payload = to_payload(modsym.build_space(11, 1))
         assert payload["gen_coords"][2] == {}
         payload["gen_coords"][2] = {"0": "1"}
-        assert SymbolSpace.from_payload(payload, 11, 1).gen_coords(2) == {0: 1}
         args = ["check-ezc", "--label", "11a1", "-p", "11", "--depth", "3"]
         self._ignored(tmp_path, "modsym_11_plus.json", self._payload_file(payload), args)
         rc, out = run(args, tmp_path)
@@ -955,11 +940,6 @@ class TestCacheRoundTrip:
         b'{"format": 3, "kind": "modsym", "payload": null}',
     ], ids=["not-utf8", "not-an-object", "no-payload", "null-payload"])
     def test_corrupt_file_exits_4(self, tmp_path, text):
-        from plinv.cache import Cache, CacheError
-
-        (tmp_path / "modsym_11_plus.json").write_bytes(text)
-        with pytest.raises(CacheError, match="corrupt cache file"):
-            Cache(str(tmp_path)).load("modsym_11_plus", "modsym")
         self._ignored(tmp_path, "modsym_11_plus.json", text, ["modsym", "dump", "--level", "11"])
 
     @pytest.mark.parametrize("args", [
@@ -987,25 +967,6 @@ class TestCacheRoundTrip:
         assert output(cache_args) == no_cache  # from the memo
         assert _leftovers(tmp_path) == []
 
-    def test_store_writes_the_json_dumps_text(self, tmp_path):
-        from plinv.cache import FORMAT_VERSION, Cache
-        from plinv.modsym import SymbolSpace, build_space
-
-        from helpers import to_payload
-
-        space = build_space(37, 1)
-        space.hecke_matrix(2)
-        payload = to_payload(space)
-        assert sorted(payload) == PRESENTATION_KEYS
-        cache = Cache(str(tmp_path))
-        cache.store("modsym_37_plus", "modsym", payload)
-        data = {"format": FORMAT_VERSION, "kind": "modsym", "payload": payload}
-        assert (tmp_path / "modsym_37_plus.json").read_text() == json.dumps(data)
-        loaded = cache.load("modsym_37_plus", "modsym")
-        assert loaded == json.loads(json.dumps(payload))
-        assert SymbolSpace.from_payload(loaded, 37, 1)._gen_coords == space._gen_coords
-        assert _leftovers(tmp_path) == ["modsym_37_plus.json", "modsym_37_plus.json.lock"]
-
     def test_ezc_identical_from_cache(self, tmp_path):
         from plinv import modsym
 
@@ -1031,32 +992,52 @@ class TestCacheRoundTrip:
             rc for _, rc in runs]
         assert _leftovers(tmp_path) == ["user_curves.tsv"]
 
+    def test_readme_block_leaves_only_the_user_table(self, tmp_path, monkeypatch):
+        # README's block on a fresh --cache-dir: the directory it names ends
+        # up holding user_curves.tsv alone, and $PLINV_CACHE_DIR stays absent
+        from plinv import modsym
+
+        cache, env = tmp_path / "cache", tmp_path / "env"
+        monkeypatch.setenv("PLINV_CACHE_DIR", str(env))
+        modsym._space_memo.clear()
+        for argv in _readme_commands():
+            assert main(["--no-meta", "--cache-dir", str(cache), *argv], out=io.StringIO()) == 0
+        assert _leftovers(cache) == ["user_curves.tsv"] and not env.exists()
+
 
 class TestCacheDirectory:
     """Where `import-curve` registers a row, in a fresh process whose home
-    is tmp_path: the first of --cache-dir, $PLINV_CACHE_DIR,
-    $XDG_CACHE_HOME/plinv and ~/.cache/plinv that is set, and nowhere under
-    --no-cache."""
+    and working directory are tmp_path: the first of --cache-dir,
+    $PLINV_CACHE_DIR, $XDG_CACHE_HOME/plinv and ~/.cache/plinv that is set,
+    and nowhere under --no-cache.  An empty or relative $XDG_CACHE_HOME is
+    ignored, as the XDG base-directory spec says.  A value "/name" below
+    stands for tmp_path/name."""
 
-    ENV = {"PLINV_CACHE_DIR": "env", "XDG_CACHE_HOME": "xdg"}
+    ENV = {"PLINV_CACHE_DIR": "/env", "XDG_CACHE_HOME": "/xdg"}
 
     @pytest.mark.parametrize("option,env,home", [
-        (["--cache-dir", "opt"], ENV, "opt"),
+        (["--cache-dir", "/opt"], ENV, "opt"),
         ([], ENV, "env"),
-        ([], {"XDG_CACHE_HOME": "xdg"}, "xdg/plinv"),
+        ([], {"XDG_CACHE_HOME": "/xdg"}, "xdg/plinv"),
         ([], {}, ".cache/plinv"),
+        ([], {"PLINV_CACHE_DIR": "", "XDG_CACHE_HOME": ""}, ".cache/plinv"),
+        ([], {"XDG_CACHE_HOME": "xdg"}, ".cache/plinv"),
         (["--no-cache"], ENV, None),
-    ], ids=["cache-dir", "plinv-cache-dir", "xdg-cache-home", "home", "no-cache"])
+    ], ids=["cache-dir", "plinv-cache-dir", "xdg-cache-home", "home", "xdg-empty",
+            "xdg-relative", "no-cache"])
     def test_the_user_table_is_in_the_first_directory_set(self, tmp_path, monkeypatch,
                                                           option, env, home):
+        def under_tmp(value):
+            return str(tmp_path) + value if value.startswith("/") else value
+
         for key in self.ENV:
             monkeypatch.delenv(key, raising=False)
         monkeypatch.setenv("HOME", str(tmp_path))
-        for key, name in env.items():
-            monkeypatch.setenv(key, str(tmp_path / name))
-        option = [str(tmp_path / arg) if arg == "opt" else arg for arg in option]
-        proc = _fresh_python(["-m", "plinv.cli", "--no-meta", *option, "import-curve",
-                              "--row", "19a1 0,1,1,-9,-15"], timeout=120)
+        for key, value in env.items():
+            monkeypatch.setenv(key, under_tmp(value))
+        proc = _fresh_python(["-m", "plinv.cli", "--no-meta", *map(under_tmp, option),
+                              "import-curve", "--row", "19a1 0,1,1,-9,-15"], timeout=120,
+                             cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
         files = [str(path.relative_to(tmp_path)) for path in tmp_path.rglob("*")
                  if path.is_file()]

@@ -317,7 +317,7 @@ class TestJSeries:
 class TestTatePeriod:
     # every multiplicative prime of every bundled curve
     PAIRS = [(label, p) for label, (e, _) in curve_table().items()
-             for p in bad_primes(e) if reduction_type(e, p).is_multiplicative]
+             for red in bad_primes(e) if red.is_multiplicative for p in [red.p]]
 
     @staticmethod
     def _assert_round_trip(label, p, prec):

@@ -37,7 +37,6 @@ from helpers import (
     rank_reference,
     real_period,
     rref_reference,
-    to_payload,
 )
 
 
@@ -417,8 +416,7 @@ class TestIntegerPresentation:
 class TestSharedVectors:
     """One coordinate dict per (root, sign) class of the two-term relations,
     and one object per distinct vector: the generators of a class share it,
-    in a built space and in one read from a payload, and callers only read
-    it."""
+    and callers only read it."""
 
     @pytest.mark.parametrize("sign,distinct", [(1, 881), (-1, 859)])
     def test_a_class_shares_one_vector(self, sign, distinct):
@@ -433,24 +431,6 @@ class TestSharedVectors:
             assert coords(s) == {k: -v for k, v in coords(i).items()}, i
         assert len({id(c) for c in space._gen_coords}) == distinct
         assert len(p1) == 1800
-
-    @pytest.mark.parametrize("sign", [1, -1])
-    def test_a_cached_space_shares_as_many(self, sign):
-        # a space read back by `SymbolSpace.from_payload`, which no command calls
-        cold = build_space(1000, sign)
-        warm = SymbolSpace.from_payload(to_payload(cold), 1000, sign)
-        assert warm is not cold and warm._gen_coords == cold._gen_coords
-        assert (len({id(c) for c in warm._gen_coords})
-                == len({id(c) for c in cold._gen_coords}))
-
-    def test_fraction_coordinates_round_trip(self):
-        # a string "a/b" is read back as a Fraction, an integral one as an int
-        payload = to_payload(build_space(11))
-        assert payload["gen_coords"][2] == {}
-        payload["gen_coords"][2] = {"0": "-3/2", "1": "4"}
-        space = SymbolSpace.from_payload(payload, 11, 1)
-        assert space.gen_coords(2) == {0: Fraction(-3, 2), 1: 4}
-        assert [type(v) for v in space.gen_coords(2).values()] == [Fraction, int]
 
     # no curve has conductor 1000 (at p >= 5 the exponent is at most 2), so
     # the eigen-symbol and its twist are taken on curve levels

@@ -61,9 +61,6 @@ ALLOWED = {
     "padic.PadicNumber.lift": "the integer of a p-adic integer",
     "padic.PadicElement.is_exact_zero": "tells an exact zero from O(p^n)",
     "padic.PadicElement.teichmuller": "only the tracer target padic.teichmuller calls it",
-    # the retired space store, which no command loads: tests and the tracer's
-    # targets Cache.load and Cache.store build one
-    "cache.Cache.__init__": "the directory of a store",
 }
 # data-model hooks that no command calls: display, hashing, immutability
 # and the field operations that complete the set

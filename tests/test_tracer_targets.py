@@ -25,15 +25,47 @@ def _targets():
     return tracer.TARGETS
 
 
-@pytest.mark.parametrize("name,modname,path", [t[:3] for t in _targets()])
-def test_target_resolves(name, modname, path):
+def _owner(modname, path):
+    """(the module or class that holds the attribute path, its last name)."""
     owner = importlib.import_module(modname)
     *outer, attr = path.split(".")
     for part in outer:
         owner = getattr(owner, part)
+    return owner, attr
+
+
+@pytest.mark.parametrize("name,modname,path", [t[:3] for t in _targets()])
+def test_target_resolves(name, modname, path):
+    owner, attr = _owner(modname, path)
     # install() reads the attribute from the owner's own namespace
     assert attr in vars(owner), f"{name}: {modname}.{path} is gone"
     assert callable(getattr(owner, attr))
+
+
+def test_the_retired_store_is_stubs_alone():
+    """Every def of plinv/cache.py, and `SymbolSpace.from_payload`, is a
+    target that perfbench/tracer.py names and raises when called: the space
+    store is retired, and no store code grows back beside those names."""
+    import ast
+
+    import plinv.cache
+
+    tree = ast.parse(Path(plinv.cache.__file__).read_text())
+    stubs = [("plinv.modsym", "SymbolSpace.from_payload")]
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            stubs.append(("plinv.cache", node.name))
+        elif isinstance(node, ast.ClassDef):
+            stubs += [("plinv.cache", f"{node.name}.{item.name}") for item in node.body
+                      if isinstance(item, ast.FunctionDef)]
+    targets = {(modname, path) for _, modname, path, _ in _targets()}
+    assert [stub for stub in stubs if stub not in targets] == []
+    for modname, path in stubs:
+        owner, attr = _owner(modname, path)
+        stub = vars(owner)[attr]
+        stub = getattr(stub, "__func__", stub)  # a classmethod's function
+        with pytest.raises(RuntimeError, match="store is retired"):
+            stub(owner, "modsym_11_plus", "modsym", {})
 
 
 INSTALL_AND_LIST_MISSED = """
