@@ -113,7 +113,8 @@ _CURVE = (("--label", "label", str, None, "curve label from the bundled table"),
           ("--curve", "curve", str, None, "a1,a2,a3,a4,a6 (integral model)"))
 TABLE = {
     "plinv": (__doc__, [("--cache-dir", "cache_dir", str, None, "override the cache directory"),
-                        ("--no-cache", "no_cache", None, False, "disable the disk cache"),
+                        ("--no-cache", "no_cache", None, False,
+                         "leave user_curves.tsv unread and unwritten"),
                         ("--no-meta", "no_meta", None, False, "suppress the timestamp block"),
                         ("--format", "format", _format, "json", "json | table"),
                         ("COMMAND", "command", None, ..., "")]),
@@ -384,18 +385,13 @@ def _string(s):
     return '"' + (s if s.isascii() else "".join(map(_escape, s))) + '"'
 
 
-def _float(x):
-    if x - x == 0:  # finite
-        return float.__repr__(x)
-    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
-
-
-_SCALARS = {str: _string, int: int.__repr__, float: _float,
+_SCALARS = {str: _string, int: int.__repr__,
             bool: {True: "true", False: "false"}.get, type(None): lambda _: "null"}
 
 
 def _scalar(x):
-    """The JSON text of a str, int, float, bool or None (not of a subclass)."""
+    """The JSON text of a str, int, bool or None (not of a subclass): no
+    report holds a float."""
     if type(x) not in _SCALARS:
         raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
     return _SCALARS[type(x)](x)

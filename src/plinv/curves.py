@@ -1,7 +1,8 @@
 """Integral Weierstrass models over Q: invariants, local minimal models,
-reduction types, Tate periods and their L-invariants log_p(q)/ord_p(q),
-taken here without the formal products of `periods`.  Quadratic twists
-are in `twists`, which only `check-twist` loads.
+reduction types, Tate periods, found as roots of Jacobi's sparse series
+for prod (1-q^n)^3 with no dense j-series, and their L-invariants
+log_p(q)/ord_p(q), taken here without the formal products of `periods`.
+Quadratic twists are in `twists`, which only `check-twist` loads.
 """
 
 import os
@@ -173,12 +174,8 @@ def point_count(curve, p):
     that is p + 1 - a_p: p at a split node, p + 2 at a nonsplit one."""
     a1, a2, a3, a4, a6 = curve.a_invariants
     if p == 2:
-        count = 1
-        for x in range(2):
-            for y in range(2):
-                if (y * y + a1 * x * y + a3 * y - x ** 3 - a2 * x * x - a4 * x - a6) % 2 == 0:
-                    count += 1
-        return count
+        return 1 + sum((y * y + a1 * x * y + a3 * y - x ** 3 - a2 * x * x - a4 * x - a6) % 2 == 0
+                       for x in range(2) for y in range(2))
     b2, b4, b6, _ = curve.b_invariants
     count = p + 1
     for x in range(p):
@@ -221,8 +218,7 @@ class ReductionInfo:
 
 
 def reduction_type(curve, p):
-    check_prime(p)
-    e = minimal_model_at(curve, p)
+    e = minimal_model_at(curve, p)  # which checks that p is prime
     vd = _vp(e.discriminant, p)
     vj = 3 * _vp(e.c4, p) - vd if e.c4 else 10 ** 9
     if vd == 0:
@@ -270,68 +266,51 @@ def conductor(curve, bad=None):
     return n
 
 
-# -- j-invariant q-expansion and the Tate parameter --------------------
+# -- the Tate parameter ---------------------------------------------------
 
 
-def _series_mul(a, b, m):
-    out = [0] * m
-    for i, ai in enumerate(a[:m]):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b[: m - i]):
-            if bj:
-                out[i + j] += ai * bj
-    return out
-
-
-def j_q_coefficients(nterms):
-    """Integer coefficients c(0..nterms) of j(q) = 1/q + sum c(n) q^n.
-
-    q j(q) = E4^3 g with g = 1/prod (1-q^n)^24, in O(nterms^2) integer
-    operations.  The log-derivative q g'/g = 24 sum sigma_1(k) q^k gives
-    n g_n = 24 sum_(k=1..n) sigma_1(k) g_(n-k), and one divisor sieve
-    gives sigma_1 and the sigma_3 of E4 = 1 + 240 sum sigma_3(n) q^n.
-    """
-    m = nterms + 2
-    sigma1, sigma3 = [0] * m, [0] * m
-    for d in range(1, m):
-        for k in range(d, m, d):
-            sigma1[k] += d
-            sigma3[k] += d ** 3
-    g = [1] + [0] * (m - 1)
-    for n in range(1, m):
-        g[n] = 24 * sum(sigma1[k] * g[n - k] for k in range(1, n + 1)) // n
-    e4 = [1] + [240 * s for s in sigma3[1:]]
-    jq = _series_mul(_series_mul(_series_mul(e4, e4, m), e4, m), g, m)
-    # jq[k] = c(k-1): coefficient of q^k in q*j(q)
-    assert jq[0] == 1 and jq[1] == 744
-    return jq[1 : nterms + 2]
+def j_q_coefficients(*args):
+    """A stub that perfbench/tracer.py wraps: no command builds the dense
+    j-series, since `tate_period` sums Jacobi's sparse one."""
+    raise RuntimeError("the dense j-series is retired: tate_period sums Jacobi's series")
 
 
 def tate_period(curve, p, prec=20):
-    """The parameter q with j(q) = j(E), ord(q) = m = v_p(disc_min) > 0:
-    the root of G(q) = q - u q j(q), u = 1/j = disc/c4^3 with c4 a unit.
-    v(u) = m, so G' = 1 mod p and Newton lifts q = 0 mod p (Silverman,
-    Advanced Topics, ch. V).  Terms u c(n) q^(n+1) with n > prec/m - 2
-    vanish mod p^(m+prec), the precision of q to prec digits."""
+    """The parameter q with j(q) = j(E), ord(q) = m = v_p(disc_min) > 0, to
+    prec digits (Silverman, Advanced Topics, ch. V).  Let D = q d/dq and
+    s_r = D^r J, J = prod (1-q^n)^3 = sum_i (-1)^i (2i+1) q^(i(i+1)/2)
+    (Jacobi).  Then Delta = q s0^8, and Ramanujan's E2 = 1 + 8 s1/s0 and
+    E4 = E2^2 - 12 D E2 give E4 s0^2 = P = (s0 + 8 s1)^2 - 96 (s0 s2 - s1^2).
+    So q is the root of H = q s0^14 - u P^3, u = 1/j(E) = disc/c4^3 with
+    c4 a unit: v(u) = m, so dH/dq = 1 mod p and Newton lifts q = 0 mod p."""
     red = reduction_type(curve, p)
     if not red.is_multiplicative:
         raise CurveError("no Tate period")
     m, e = red.v_delta, red.minimal
     top = p ** (m + prec)
     u = e.discriminant * pow(e.c4 ** 3, -1, top) % top
-    coeffs = [1] + j_q_coefficients(prec // m)  # q j(q), constant term first
 
     def step(q, k, mod):
-        # Horner for the series and its derivative over the terms seen mod
-        # p^k.  q is the root mod p^ceil(k/2), so v(q) >= min(m, ceil(k/2)):
-        # a term u c_j q^j with j >= k // m + 2 has valuation at least
-        # m + j min(m, ceil(k/2)) >= k, and so does its u j c_j q^(j-1):
-        # dropping them leaves the step unchanged mod p^k
-        g = dg = 0
-        for c in reversed(coeffs[: k // m + 2]):
-            g, dg = (g * q + c) % mod, (dg * q + g) % mod
-        return (q - (q - u * g) * pow(1 - u * dg, -1, mod)) % mod
+        # q is the root mod p^ceil(k/2), so v(q) >= v = min(m, ceil(k/2)),
+        # and v <= m = v(u).  The term of q^t in s_r (in w_r = s_r/q as
+        # q^(t-1)) enters H and dH/dq = s0^13 (s0 + 14 s1) - 3 u P^2 dP/dq
+        # with valuation >= min(t v, m + (t - 1) v) = t v, so the terms with
+        # t v >= k are dropped: H, dH/dq and the step are the same mod p^k
+        v, w0, w1, w2, w3 = min(m, (k + 1) // 2), 0, 0, 0, 0  # w0 = (s0 - 1)/q
+        i, t, power, rise = 1, 1, 1, q * q % mod  # t = i(i+1)/2, q^(t-1), q^(i+1)
+        while t * v < k:
+            c = (-1) ** i * (2 * i + 1) * power
+            w0, w1, w2, w3 = w0 + c, w1 + c * t, w2 + c * t * t, w3 + c * t ** 3
+            power, rise, i = power * rise % mod, rise * q % mod, i + 1
+            t += i
+        s0, s1, s2 = (1 + q * w0) % mod, q * w1 % mod, q * w2 % mod
+        a = s0 + 8 * s1
+        big_p = (a * a - 96 * (s0 * s2 - s1 * s1)) % mod
+        dp = (2 * a * (w1 + 8 * w2) - 96 * (w1 * s2 + s0 * w3 - 2 * s1 * w2)) % mod
+        s13, up2 = pow(s0, 13, mod), u * big_p * big_p % mod
+        h = (q * s13 * s0 - up2 * big_p) % mod
+        dh = (s13 * (s0 + 14 * s1) - 3 * up2 * dp) % mod
+        return (q - h * pow(dh, -1, mod)) % mod
 
     q = hensel(step, 0, p, m + prec)
     assert int_val(q, p) == m
@@ -361,21 +340,24 @@ def _table_lines(path):
 
 @lru_cache(maxsize=1)
 def curve_table():
-    """label -> (curve, conductor); derived data is recomputed, never
-    trusted from the file."""
+    """label -> (curve, conductor) of the bundled rows; a conductor is
+    checked where it is read (`curve_level`), never trusted from the file."""
     table = {}
     for _, line in _table_lines(os.path.join(os.path.dirname(__file__), "curves.tsv")):
-        curve, cond = parse_table_row(line), int(line.split("\t")[2])
-        _validate_conductor(curve, cond)
-        table[curve.label] = (curve, cond)
+        curve = parse_table_row(line)
+        table[curve.label] = (curve, int(line.split("\t")[2]))
     return table
 
 
+@lru_cache(maxsize=None)
 def curve_level(curve):
-    """The conductor of `curve`, from the bundled table if it is there."""
-    table = curve_table()
-    label = getattr(curve, "label", "")
-    return table[label][1] if label in table else conductor(curve)
+    """The conductor of `curve`: the bundled table's, checked against the
+    curve's bad primes, if its label is there."""
+    row = curve_table().get(curve.label)
+    if row is None:
+        return conductor(curve)
+    _validate_conductor(*row)
+    return row[1]
 
 
 def _validate_conductor(curve, cond):

@@ -571,11 +571,71 @@ def j_invariant(curve):
     return Fraction(curve.c4 ** 3, curve.discriminant)
 
 
-def j_of_q(q):
-    """The j-series of `curves.j_q_coefficients` evaluated at a p-adic q,
-    for round trips of `tate_period`."""
-    from plinv.curves import j_q_coefficients
+def _series_mul(a, b, m):
+    out = [0] * m
+    for i, ai in enumerate(a[:m]):
+        if ai == 0:
+            continue
+        for j, bj in enumerate(b[: m - i]):
+            if bj:
+                out[i + j] += ai * bj
+    return out
 
+
+def j_q_coefficients(nterms):
+    """Integer coefficients c(0..nterms) of j(q) = 1/q + sum c(n) q^n, the
+    dense series that `curves.tate_period` no longer builds.
+
+    q j(q) = E4^3 g with g = 1/prod (1-q^n)^24, in O(nterms^2) integer
+    operations.  The log-derivative q g'/g = 24 sum sigma_1(k) q^k gives
+    n g_n = 24 sum_(k=1..n) sigma_1(k) g_(n-k), and one divisor sieve
+    gives sigma_1 and the sigma_3 of E4 = 1 + 240 sum sigma_3(n) q^n.
+    """
+    m = nterms + 2
+    sigma1, sigma3 = [0] * m, [0] * m
+    for d in range(1, m):
+        for k in range(d, m, d):
+            sigma1[k] += d
+            sigma3[k] += d ** 3
+    g = [1] + [0] * (m - 1)
+    for n in range(1, m):
+        g[n] = 24 * sum(sigma1[k] * g[n - k] for k in range(1, n + 1)) // n
+    e4 = [1] + [240 * s for s in sigma3[1:]]
+    jq = _series_mul(_series_mul(_series_mul(e4, e4, m), e4, m), g, m)
+    # jq[k] = c(k-1): coefficient of q^k in q*j(q)
+    assert jq[0] == 1 and jq[1] == 744
+    return jq[1 : nterms + 2]
+
+
+def tate_period_reference(curve, p, prec):
+    """The Tate period read off the dense series: Newton on G(q) = q -
+    u q j(q), u = disc/c4^3, over the terms u c(n) q^(n+1) with
+    n <= prec/m, every other one vanishing mod p^(m+prec)."""
+    from plinv.curves import reduction_type
+    from plinv.padic import PadicNumber, hensel
+
+    red = reduction_type(curve, p)
+    m, e = red.v_delta, red.minimal
+    top = p ** (m + prec)
+    u = e.discriminant * pow(e.c4 ** 3, -1, top) % top
+    coeffs = [1] + j_q_coefficients(prec // m)  # q j(q), constant term first
+
+    def step(q, k, mod):
+        # q is the root mod p^ceil(k/2), so v(q) >= min(m, ceil(k/2)): a
+        # term u c_j q^j with j >= k // m + 2, and its u j c_j q^(j-1),
+        # vanish mod p^k
+        g = dg = 0
+        for c in reversed(coeffs[: k // m + 2]):
+            g, dg = (g * q + c) % mod, (dg * q + g) % mod
+        return (q - (q - u * g) * pow(1 - u * dg, -1, mod)) % mod
+
+    q = hensel(step, 0, p, m + prec)
+    return PadicNumber(p, m, q // p ** m, prec)
+
+
+def j_of_q(q):
+    """The dense j-series evaluated at a p-adic q, for round trips of
+    `tate_period`."""
     m = q.ord()
     nterms = (q.n + m) // m + 2
     coeffs = j_q_coefficients(nterms)
@@ -844,7 +904,8 @@ def _add_curve_args(sub):
 def build_parser():
     ap = _Parser(prog="plinv", description=__doc__)
     ap.add_argument("--cache-dir", default=None, help="override the cache directory")
-    ap.add_argument("--no-cache", action="store_true", help="disable the disk cache")
+    ap.add_argument("--no-cache", action="store_true",
+                    help="leave user_curves.tsv unread and unwritten")
     ap.add_argument("--no-meta", action="store_true", help="suppress the timestamp block")
     ap.add_argument("--format", choices=("json", "table"), default="json")
     sub = ap.add_subparsers(dest="command", required=True)

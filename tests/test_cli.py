@@ -653,8 +653,9 @@ class TestImporter:
         assert out["bad_primes"] == {"7": "additive", "11": "split-multiplicative"}
 
     def test_each_bad_prime_is_reduced_once(self, monkeypatch):
-        # the conductor, the bad_primes report and the bundled table's check
-        # read one ReductionInfo per (curve, p), which bad_primes computed
+        # the conductor and the bad_primes report read one ReductionInfo per
+        # (curve, p), which bad_primes computed; no bundled row is checked,
+        # as no conductor of one is read
         from collections import Counter
 
         from plinv import curves
@@ -666,12 +667,10 @@ class TestImporter:
             return real(curve, p)
 
         monkeypatch.setattr(curves, "reduction_type", counting)
-        curves.curve_table.cache_clear()  # validate the bundled rows in this run
         buf = io.StringIO()
         argv = ["--no-cache", "--no-meta", "import-curve", "--row", "t7 0,1,1,-506,7774"]
         assert main(argv, out=buf) == 0
-        assert (calls["t7", 7], calls["t7", 11]) == (1, 1)
-        assert set(calls.values()) == {1}
+        assert calls == {("t7", 7): 1, ("t7", 11): 1}
         # stdout bytes recorded while each bad prime was reduced four times
         assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == (
             "7899ffb183caba1ffd1f2ca6a924d019fbb033574cc62e0d76ff953ea057ab3a")
@@ -1048,7 +1047,6 @@ class TestCacheDirectory:
 
 _JSON_SCALARS = (
     st.none() | st.booleans() | st.integers() | st.sampled_from([-10 ** 40, -(2 ** 64)])
-    | st.floats(allow_nan=True, allow_infinity=True)
     | st.text() | st.sampled_from(['"', "\\", "\n", "a\nb", "\x00\x1f\x7f", "é€😀", "\u2028"]))
 _JSON_VALUES = st.recursive(
     _JSON_SCALARS,
@@ -1099,13 +1097,20 @@ class TestDumps:
     @example([["]", "["], [], ["}, {", 1]])
     @example([[1, [2]], [[]], [{"a": {}}]])
     @example([{}, {"a": "}", "]": None}, {}, {"b": 1}])
-    @example([True, False, 1, 0, None, -0.0, float("inf"), float("-inf"), float("nan")])
+    @example([True, False, 1, 0, None, -1, 10 ** 40])
     @example({10: [1], 9: {"x": True}, -1: "\n"})
     @example({"b": [1, [2, [3]]], "a": 1, "é\\\"\n": {"k": []}})
     @example([(0, 1), (1, 0), [2, 3]])
     def test_matches_json_dumps_indent_2(self, value):
         assert _dumps(value) == json.dumps(value, indent=2, sort_keys=True)
         assert _dumps(value, "") == json.dumps(value, sort_keys=True)
+
+    @pytest.mark.parametrize("value", [0.5, float("nan"), [1, -0.0], {"a": float("inf")},
+                                       {1.5: 1}])
+    def test_a_float_is_refused(self, value):
+        # no report holds a float, so the writer has no format for one
+        with pytest.raises(TypeError, match="^Object of type float is not JSON serializable$"):
+            _dumps(value)
 
     @settings(max_examples=200, deadline=None)
     @given(st.dictionaries(st.text(max_size=3), _QUOTED | st.lists(_QUOTED, max_size=3)

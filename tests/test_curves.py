@@ -17,7 +17,7 @@ from plinv.curves import (
     curve_by_label,
     curve_table,
     curve_l_invariant,
-    j_q_coefficients,
+    curve_level,
     minimal_model_at,
     point_count,
     reduction_type,
@@ -27,16 +27,30 @@ from plinv.curves import (
 from plinv.padic import PadicNumber
 from plinv.twists import is_fundamental_discriminant, kronecker, quadratic_twist
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from helpers import (
     assert_same,
     descend_once_reference,
     j_invariant,
     j_of_q,
+    j_q_coefficients,
     j_q_product_reference,
     kronecker_reference,
+    tate_period_reference,
 )
+from test_cli import _fresh_python
+
+
+COUNT_REDUCTIONS = """
+from plinv import curves
+calls, real = [], curves.reduction_type
+curves.reduction_type = lambda curve, p: calls.append(p) or real(curve, p)
+curve = curves.curve_by_label("11a1")
+print(curves.curve_level(curve), len(calls), end=" ")
+curves.curve_level(curves.curve_by_label("11a1"))
+print(len(calls))
+"""
 
 
 def scale_up(curve, u):
@@ -235,6 +249,20 @@ class TestReduction:
         with pytest.raises(CurveError, match=f"^{message}$"):
             _validate_conductor(WeierstrassCurve(*ainvs, label="t"), cond)
 
+    def test_every_bundled_conductor_is_right(self):
+        # curve_table trusts no conductor: curve_level checks the one it reads
+        assert len(curve_table()) == 11
+        for curve, cond in curve_table().values():
+            _validate_conductor(curve, cond)
+            assert curve_level(curve) == cond
+
+    def test_a_bundled_conductor_is_checked_once_where_it_is_read(self):
+        # the first curve_level of a label reduces that curve at its bad
+        # primes alone (11a1: disc -11^5), and a second reduces nothing
+        proc = _fresh_python(["-c", COUNT_REDUCTIONS], timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["11", "1", "1"]
+
     @pytest.mark.parametrize("ainvs,cond", [((0, -1, 1, -10, -20), 11),
                                             ((0, 1, 1, -506, 7774), 539),
                                             ((0, 0, 0, -1, 0), 32)])
@@ -305,6 +333,8 @@ class TestTwist:
 
 
 class TestJSeries:
+    """The dense j-series of the test oracles: `tate_period` sums Jacobi's."""
+
     def test_classical_coefficients(self):
         assert j_q_coefficients(4) == [744, 196884, 21493760, 864299970, 20245856256]
 
@@ -342,6 +372,16 @@ class TestTatePeriod:
     @given(pair=st.sampled_from(PAIRS), prec=st.integers(5, 500))
     def test_round_trip_at_any_precision(self, pair, prec):
         self._assert_round_trip(*pair, prec)
+
+    @pytest.mark.parametrize("label,p", PAIRS)
+    @settings(max_examples=5, deadline=None)
+    @given(prec=st.integers(5, 600))
+    @example(prec=600)
+    def test_root_of_the_dense_series(self, label, p, prec):
+        # every digit of the root of Jacobi's series is that of the root of
+        # q - u q j(q) over the dense series
+        e = curve_by_label(label)
+        assert tate_period(e, p, prec).to_json() == tate_period_reference(e, p, prec).to_json()
 
     @pytest.mark.parametrize("label,p,prec", [("11a2", 11, 200), ("21a1", 7, 350)])
     def test_round_trip_high_precision_small_v_delta(self, label, p, prec):

@@ -56,7 +56,6 @@ ALLOWED = {
     # no level up to 3999, of either sign, eliminates through a pivot that
     # leaves a Fraction, and an eigenvalue of an eigen-symbol is an int
     "linalg.fraction": "a non-integral coordinate or quotient",
-    "cli._float": "a float, which no report holds: `_write` writes what json.dumps does",
     "padic.PadicNumber.zero": "the exact zero of Q_p",
     "padic.PadicNumber.lift": "the integer of a p-adic integer",
     "padic.PadicElement.is_exact_zero": "tells an exact zero from O(p^n)",

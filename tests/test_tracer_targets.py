@@ -68,6 +68,24 @@ def test_the_retired_store_is_stubs_alone():
             stub(owner, "modsym_11_plus", "modsym", {})
 
 
+def test_the_dense_j_series_is_a_stub():
+    """`curves.j_q_coefficients` is a target that perfbench/tracer.py names,
+    and a docstring and a raise alone: `tate_period` sums Jacobi's sparse
+    series, and no dense series grows back beside the name."""
+    import ast
+
+    import plinv.curves
+
+    targets = {(modname, path) for _, modname, path, _ in _targets()}
+    assert ("plinv.curves", "j_q_coefficients") in targets
+    tree = ast.parse(Path(plinv.curves.__file__).read_text())
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert "_series_mul" not in defs
+    assert [type(node) for node in defs["j_q_coefficients"].body] == [ast.Expr, ast.Raise]
+    with pytest.raises(RuntimeError, match="dense j-series is retired"):
+        plinv.curves.j_q_coefficients(10)
+
+
 INSTALL_AND_LIST_MISSED = """
 import importlib.util, sys
 spec = importlib.util.spec_from_file_location("perfbench_tracer", sys.argv[1])
